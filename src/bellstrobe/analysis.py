@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coinc import CoincidenceTable
+from .coinc import Coincidences
 from .model import OUTCOME_LABELS
 from .sync import Detections
 
@@ -63,6 +63,12 @@ class SlotGrid:
         return (np.arange(self.n_slots) + 0.5) * self.slot_width
 
 
+def _slot_index(intra_time: np.ndarray, grid: SlotGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Slot of each intra-pulse time, and the mask of those on the grid."""
+    slots = np.floor(intra_time / grid.slot_width).astype(np.int64)
+    return slots, (slots >= 0) & (slots < grid.n_slots)
+
+
 def bin_singles(events: Detections, grid: SlotGrid) -> dict[str, np.ndarray]:
     """Per-detector singles counts on the slot grid.
 
@@ -70,8 +76,7 @@ def bin_singles(events: Detections, grid: SlotGrid) -> dict[str, np.ndarray]:
     the grid and are not counted; they are a <~2% slice of the off phase.
     """
     out = {}
-    slots = np.floor(events.intra_time / grid.slot_width).astype(np.int64)
-    ok = (slots >= 0) & (slots < grid.n_slots)
+    slots, ok = _slot_index(events.intra_time, grid)
     for sign, suffix in ((1, "+"), (-1, "-")):
         sel = ok & (events.detector == sign)
         out[f"{events.station}{suffix}"] = np.bincount(
@@ -80,29 +85,26 @@ def bin_singles(events: Detections, grid: SlotGrid) -> dict[str, np.ndarray]:
     return out
 
 
-def correlator(counts: np.ndarray) -> tuple[float, float]:
-    """E and its binomial error from 4 outcome counts (++, +-, -+, --).
+def bin_coincidences(records: Coincidences, grid: SlotGrid) -> np.ndarray:
+    """(n_slots, 4) outcome counts by station A's slot; off-grid records are
+    not counted."""
+    slots, ok = _slot_index(records.intra_time, grid)
+    flat = slots[ok] * 4 + records.outcome_index()[ok]
+    return np.bincount(flat, minlength=grid.n_slots * 4).reshape(grid.n_slots, 4)
+
+
+def correlator_series(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E and its binomial error over the last axis of (..., 4) outcome counts
+    (++, +-, -+, --).
 
     E = (N++ + N-- - N+- - N-+)/N, sigma = sqrt((1 - E^2)/N). A zero total
-    leaves the correlator undefined (returned as NaN), not an error.
+    leaves the correlator undefined (NaN), not an error.
     """
     c = np.asarray(counts, dtype=np.float64)
-    n = c.sum()
-    if n <= 0:
-        return math.nan, math.nan
-    e = (c[0] + c[3] - c[1] - c[2]) / n
-    return float(e), float(math.sqrt(max(0.0, 1.0 - e * e) / n))
-
-
-def correlator_series(per_slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized correlator over a (n_slots, 4) count array; NaN = undefined."""
-    c = np.asarray(per_slot, dtype=np.float64)
-    n = c.sum(axis=1)
-    e = np.full(c.shape[0], np.nan)
-    sig = np.full(c.shape[0], np.nan)
-    ok = n > 0
-    e[ok] = (c[ok, 0] + c[ok, 3] - c[ok, 1] - c[ok, 2]) / n[ok]
-    sig[ok] = np.sqrt(np.clip(1.0 - e[ok] ** 2, 0.0, None) / n[ok])
+    n = c.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = (c[..., 0] + c[..., 3] - c[..., 1] - c[..., 2]) / n
+        sig = np.sqrt(np.clip(1.0 - e * e, 0.0, None) / n)
     return e, sig
 
 
@@ -119,18 +121,6 @@ def chsh_from_correlators(
     s = np.abs(e[0] - e[1] + e[2] + e[3])
     sig = np.sqrt((sigma**2).sum(axis=0))
     return s, sig
-
-
-def chsh_series(per_slot_by_setting: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slot |S(t)| with errors from a (4, n_slots, 4) count array."""
-    tables = np.asarray(per_slot_by_setting)
-    if tables.shape[0] != 4:
-        raise ValueError("need exactly 4 settings in quad order")
-    e = np.empty((4, tables.shape[1]))
-    sig = np.empty_like(e)
-    for i in range(4):
-        e[i], sig[i] = correlator_series(tables[i])
-    return chsh_from_correlators(e, sig)
 
 
 def efficiency_series(
@@ -161,14 +151,14 @@ def product_series(
 
 
 def significance_mask(
-    per_slot_by_setting: np.ndarray, min_coincidences: int = 1000
+    coincidences: np.ndarray, min_coincidences: int = 1000
 ) -> np.ndarray:
     """Slots where every setting's total coincidences reach the threshold.
 
     Individual outcome types may fall below the threshold as long as the
     4-outcome total per setting does not.
     """
-    totals = np.asarray(per_slot_by_setting).sum(axis=2)  # (n_settings, n_slots)
+    totals = np.asarray(coincidences).sum(axis=2)  # (n_settings, n_slots)
     return totals.min(axis=0) >= min_coincidences
 
 
@@ -210,10 +200,7 @@ class SlotSeries:
                 f"coincidence array must be (4, {self.grid.n_slots}, 4), got "
                 f"{self.coincidences.shape}"
             )
-        self.e = np.empty((4, self.grid.n_slots))
-        self.sigma_e = np.empty_like(self.e)
-        for i in range(4):
-            self.e[i], self.sigma_e[i] = correlator_series(self.coincidences[i])
+        self.e, self.sigma_e = correlator_series(self.coincidences)
         self.s, self.sigma_s = chsh_from_correlators(self.e, self.sigma_e)
         self.eta, self.sigma_eta = {}, {}
         self.product, self.sigma_product = {}, {}
@@ -242,13 +229,6 @@ class SlotSeries:
     def setting_totals(self) -> np.ndarray:
         """Unresolved (4, 4) per-setting outcome totals over the slot grid."""
         return self.coincidences.sum(axis=1)
-
-    def tables(self) -> dict[str, CoincidenceTable]:
-        return {
-            lab: CoincidenceTable(lab, self.coincidences[i].sum(axis=0),
-                                  per_slot=self.coincidences[i])
-            for i, lab in enumerate(self.setting_labels)
-        }
 
 
 @dataclass
@@ -287,11 +267,7 @@ def plateau_summary(series: SlotSeries) -> PlateauSummary:
     time_avg_s = float(s_defined.mean())
     time_disp_s = float(s_defined.std(ddof=1)) if s_defined.size > 1 else 0.0
 
-    totals = series.setting_totals()
-    e_all = np.empty(4)
-    sig_all = np.empty(4)
-    for i in range(4):
-        e_all[i], sig_all[i] = correlator(totals[i])
+    e_all, sig_all = correlator_series(series.setting_totals())
     s_all, s_all_sigma = chsh_from_correlators(e_all, sig_all)
 
     sigma_cmp = math.hypot(

@@ -4,6 +4,9 @@ Configuration comes from a JSON file (schema documented in
 docs/output-schemas.md); individual fields can be overridden with repeated
 --set dotted.path=value flags. The output root defaults to the BELLSTROBE_OUT
 environment variable, then to the current directory.
+
+Exit codes: 0 ok, 1 a selftest check failed, 2 a usage, config or library
+error (reported as one `error: ...` line on stderr).
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import numpy as np
 
 from . import __version__
 from . import model
+from .analysis import AnalysisError
+from .coinc import SessionMixError
 from .config import ConfigError, ExperimentConfig, apply_overrides, desk_default
 from .session import (
     analyze_session,
@@ -29,6 +34,8 @@ from .session import (
     write_slots_csv,
     write_summary_json,
 )
+from .sync import SyncError
+from .tagfmt import TagFormatError
 
 
 def _out_root(value: str | None) -> Path:
@@ -219,7 +226,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (
+        ConfigError,
+        FileNotFoundError,
+        AnalysisError,
+        SyncError,
+        TagFormatError,
+        SessionMixError,
+        json.JSONDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ once, so multi-pair pulses yield multiple records deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,14 +22,6 @@ DEFAULT_WINDOW = 4e-9
 
 class SessionMixError(ValueError):
     """Data from different sessions must not be accumulated together."""
-
-
-class CoincidenceRecord(NamedTuple):
-    pulse_number: int
-    oa: int
-    ob: int
-    intra_pulse_time: float  # station A's detection time within the pulse
-    delta_t: float  # B minus A, seconds
 
 
 @dataclass
@@ -44,16 +36,6 @@ class Coincidences:
 
     def __len__(self) -> int:
         return int(self.pulse_number.size)
-
-    def __iter__(self) -> Iterator[CoincidenceRecord]:
-        for i in range(len(self)):
-            yield CoincidenceRecord(
-                int(self.pulse_number[i]),
-                int(self.oa[i]),
-                int(self.ob[i]),
-                float(self.intra_time[i]),
-                float(self.delta_t[i]),
-            )
 
     def outcome_index(self) -> np.ndarray:
         """Index into OUTCOME_ORDER: ++ -> 0, +- -> 1, -+ -> 2, -- -> 3."""
@@ -156,11 +138,10 @@ def accidental_estimate(
 
 @dataclass
 class CoincidenceTable:
-    """Per-setting 4-outcome counts, optionally resolved by time slot."""
+    """Per-setting 4-outcome totals, summed over the runs of one session."""
 
     setting_label: str
     counts: np.ndarray  # (4,) int64 in OUTCOME_ORDER
-    per_slot: np.ndarray | None = None  # (n_slots, 4) int64
 
     @property
     def total(self) -> int:
@@ -170,27 +151,17 @@ class CoincidenceTable:
         return {lab: int(c) for lab, c in zip(OUTCOME_LABELS, self.counts)}
 
 
-def _slot_of(
-    intra_time: np.ndarray, slot_width: float, n_slots: int
-) -> tuple[np.ndarray, np.ndarray]:
-    slots = np.floor(intra_time / slot_width).astype(np.int64)
-    return slots, (slots >= 0) & (slots < n_slots)
-
-
 def build_tables(
     records_by_run: Mapping[int, Coincidences],
     run_to_setting: Mapping[int, str],
     session_of_run: Mapping[int, str] | None = None,
-    slot_width: float | None = None,
-    n_slots: int | None = None,
     setting_labels: Sequence[str] | None = None,
 ) -> dict[str, CoincidenceTable]:
     """Accumulate per-setting outcome tables across the runs of one session.
 
     Every run must carry a setting label; if session ids are supplied, mixing
-    more than one raises SessionMixError (sessions are never summed). With
-    slot_width and n_slots, tables also resolve counts by station-A time slot;
-    records falling outside the slot grid are counted in the totals only.
+    more than one raises SessionMixError (sessions are never summed). Counts
+    resolved by time slot come from analysis.bin_coincidences.
     """
     if session_of_run is not None:
         sessions = {session_of_run[r] for r in records_by_run}
@@ -205,28 +176,13 @@ def build_tables(
     if setting_labels is None:
         setting_labels = sorted({run_to_setting[r] for r in records_by_run})
     tables = {
-        lab: CoincidenceTable(
-            setting_label=lab,
-            counts=np.zeros(4, dtype=np.int64),
-            per_slot=(
-                np.zeros((n_slots, 4), dtype=np.int64)
-                if slot_width is not None and n_slots is not None
-                else None
-            ),
-        )
+        lab: CoincidenceTable(setting_label=lab, counts=np.zeros(4, dtype=np.int64))
         for lab in setting_labels
     }
-
     for run, rec in records_by_run.items():
-        table = tables[run_to_setting[run]]
-        oi = rec.outcome_index()
-        table.counts += np.bincount(oi, minlength=4)
-        if table.per_slot is not None and len(rec):
-            slots, ok = _slot_of(rec.intra_time, slot_width, n_slots)
-            flat = slots[ok] * 4 + oi[ok]
-            table.per_slot += np.bincount(
-                flat, minlength=n_slots * 4
-            ).reshape(n_slots, 4)
+        tables[run_to_setting[run]].counts += np.bincount(
+            rec.outcome_index(), minlength=4
+        )
     return tables
 
 

@@ -375,14 +375,7 @@ def analyze_products(
         for det_events in (p.detections_a, p.detections_b):
             for key, arr in ana.bin_singles(det_events, grid).items():
                 singles[key] += arr
-        si = label_index[p.setting_label]
-        if len(p.records):
-            slots = np.floor(p.records.intra_time / grid.slot_width).astype(np.int64)
-            ok = (slots >= 0) & (slots < grid.n_slots)
-            flat = slots[ok] * 4 + p.records.outcome_index()[ok]
-            coinc_slots[si] += np.bincount(
-                flat, minlength=grid.n_slots * 4
-            ).reshape(grid.n_slots, 4)
+        coinc_slots[label_index[p.setting_label]] += ana.bin_coincidences(p.records, grid)
 
     series = ana.SlotSeries(
         grid=grid,
@@ -448,7 +441,10 @@ def analyze_products(
         runs_glitched=runs_glitched,
         runs_skipped=list(skipped),
         expectations=expectations,
-        tables={lab: t.as_dict() for lab, t in series.tables().items()},
+        tables={
+            lab: co.CoincidenceTable(lab, totals).as_dict()
+            for lab, totals in zip(series.setting_labels, series.setting_totals())
+        },
         delta_t_hist=hist,
         transient_error=transient_error,
     )
@@ -492,17 +488,10 @@ def _eq1_block(
     }
 
 
-def analyze_streams(
-    runs: Iterable[RunData], config: ExperimentConfig
-) -> SessionSummary:
-    """In-memory pipeline: process and accumulate already-loaded runs."""
-    products = [process_run(r, config) for r in runs]
-    return analyze_products(products, config)
-
-
 def run_session_in_memory(config: ExperimentConfig) -> SessionSummary:
     """Simulate and analyze a whole session without touching disk."""
-    return analyze_streams(iter_simulated_runs(config), config)
+    products = [process_run(r, config) for r in iter_simulated_runs(config)]
+    return analyze_products(products, config)
 
 
 def analyze_session(

@@ -287,21 +287,6 @@ def _sample_outcomes(
     return oa, ob
 
 
-def apply_clock(tags: TagStream, clock: ClockModel, seed) -> TagStream:
-    """Transform tag times into a station's local clock.
-
-    t_local = offset + (1 + drift_rate)*t + N(0, jitter_sigma), rounded to the
-    1 ps grid; the stream is re-sorted afterwards.
-    """
-    rng = np.random.default_rng(seed)
-    t = tags.times_ps.astype(np.float64) / PS_PER_SECOND
-    local = clock.offset + (1.0 + clock.drift_rate) * t
-    if clock.jitter_sigma > 0:
-        local = local + rng.normal(0.0, clock.jitter_sigma, t.size)
-    ps = np.rint(local * PS_PER_SECOND).astype(np.int64)
-    return TagStream.from_unsorted(tags.channels, ps)
-
-
 def _station_true_tags(
     rng: np.random.Generator,
     station: StationConfig,
@@ -345,7 +330,11 @@ def _station_true_tags(
 def _to_local_clock(
     channels: np.ndarray, times_s: np.ndarray, clock: ClockModel, seed
 ) -> TagStream:
-    """Seconds-domain clock transform, then one rounding to the ps grid."""
+    """Transform true-time tags (seconds) into a station's local clock.
+
+    t_local = offset + (1 + drift_rate)*t + N(0, jitter_sigma), rounded once
+    to the 1 ps grid; the stream is re-sorted afterwards.
+    """
     rng = np.random.default_rng(seed)
     local = clock.offset + (1.0 + clock.drift_rate) * times_s
     if clock.jitter_sigma > 0:

@@ -11,7 +11,6 @@ attributed to pulses by their time distance to the nearest preceding trigger.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,6 +27,11 @@ class PatternAbsentError(SyncError):
 
 class AlignmentAmbiguousError(SyncError):
     """No correlation lag meets the uniqueness margin."""
+
+
+class ClockFitError(SyncError, ValueError):
+    """The fitted clock relation is implausible (rate far from 1, or a
+    non-finite residual); the run cannot be synchronized."""
 
 
 @dataclass(frozen=True)
@@ -60,17 +64,9 @@ class ClockFit:
 
     def __post_init__(self) -> None:
         if abs(self.rate_ratio - 1.0) >= 1e-3:
-            raise ValueError(f"rate_ratio {self.rate_ratio} implausibly far from 1")
+            raise ClockFitError(f"rate_ratio {self.rate_ratio} implausibly far from 1")
         if not np.isfinite(self.residual_rms):
-            raise ValueError("residual_rms must be finite")
-
-
-class DetectionEvent(NamedTuple):
-    station: str
-    detector: int  # +1 or -1
-    pulse_number: int
-    intra_pulse_time: float  # seconds since (delay-corrected) pulse start
-    wall_time: float  # seconds, local clock
+            raise ClockFitError("residual_rms must be finite")
 
 
 @dataclass
@@ -82,22 +78,11 @@ class Detections:
     detector: np.ndarray  # int8, +1 / -1
     pulse_number: np.ndarray  # int64
     intra_time: np.ndarray  # float64 seconds
-    wall_time: np.ndarray  # float64 seconds
     dropped_before_first: int = 0
     dropped_after_last: int = 0
 
     def __len__(self) -> int:
         return int(self.pulse_number.size)
-
-    def __iter__(self) -> Iterator[DetectionEvent]:
-        for i in range(len(self)):
-            yield DetectionEvent(
-                self.station,
-                int(self.detector[i]),
-                int(self.pulse_number[i]),
-                float(self.intra_time[i]),
-                float(self.wall_time[i]),
-            )
 
     def with_pulse_offset(self, offset: int) -> "Detections":
         """Same detections renumbered into the other station's pulse frame."""
@@ -106,7 +91,6 @@ class Detections:
             self.detector,
             self.pulse_number + int(offset),
             self.intra_time,
-            self.wall_time,
             self.dropped_before_first,
             self.dropped_after_last,
         )
@@ -293,7 +277,6 @@ def assign_to_pulses(
         detector=detector,
         pulse_number=idx[keep].astype(np.int64),
         intra_time=intra_ps[keep].astype(np.float64) / PS_PER_SECOND,
-        wall_time=t[keep].astype(np.float64) / PS_PER_SECOND,
         dropped_before_first=int(np.count_nonzero(before)),
         dropped_after_last=int(np.count_nonzero(after)),
     )

@@ -22,24 +22,23 @@ Records are sorted by timestamp, ties broken by ascending channel; duplicate
 
 from __future__ import annotations
 
-import io
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, NamedTuple
+from typing import BinaryIO
 
 import numpy as np
 
 MAGIC = b"BSTROBE1"
 VERSION = 1
 HEADER_STRUCT = struct.Struct("<8sHBxIQ16s")
-RECORD_STRUCT = struct.Struct("<B7xQ")
 HEADER_SIZE = HEADER_STRUCT.size
-RECORD_SIZE = RECORD_STRUCT.size
 VALID_CHANNELS = (1, 2, 3)
 
 # numpy view of one record; "pad" must stay zeroed.
 RECORD_DTYPE = np.dtype([("channel", "<u1"), ("pad", "V7"), ("timestamp", "<u8")])
+RECORD_SIZE = RECORD_DTYPE.itemsize
 
 assert HEADER_SIZE == 40 and RECORD_SIZE == 16
 
@@ -52,11 +51,6 @@ class TagFormatError(ValueError):
         if index is not None:
             message = f"{message} (record index {index})"
         super().__init__(message)
-
-
-class TagRecord(NamedTuple):
-    channel: int
-    timestamp: int
 
 
 @dataclass(frozen=True)
@@ -101,42 +95,41 @@ class TagFileHeader:
         )
 
 
-def _as_record_arrays(records) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize records (iterable of pairs or (channels, timestamps)) to arrays."""
-    if isinstance(records, tuple) and len(records) == 2 and np.ndim(records[0]) == 1:
-        channels = np.asarray(records[0])
-        timestamps = np.asarray(records[1])
-    else:
-        rows = list(records)
-        channels = np.array([r[0] for r in rows], dtype=np.uint8)
-        timestamps = np.array([r[1] for r in rows], dtype=np.uint64)
-    if channels.shape != timestamps.shape:
-        raise ValueError("channels and timestamps must have equal length")
-    return channels.astype(np.uint8), timestamps.astype(np.uint64)
-
-
-def _check_sorted(channels: np.ndarray, timestamps: np.ndarray) -> None:
+def _check_records(channels: np.ndarray, timestamps: np.ndarray) -> None:
+    """Channel range and the (timestamp, channel) sort invariant; `timestamps`
+    must be uint64 so that the comparison matches the on-disk order."""
+    valid = np.isin(channels, VALID_CHANNELS)
+    if not valid.all():
+        i = int(np.argmin(valid))
+        raise TagFormatError(f"channel {channels[i]} out of range", index=i)
     if timestamps.size < 2:
         return
     t0, t1 = timestamps[:-1], timestamps[1:]
     bad = (t1 < t0) | ((t1 == t0) & (channels[1:] <= channels[:-1]))
     if np.any(bad):
         i = int(np.argmax(bad)) + 1
-        raise TagFormatError("records not sorted by (timestamp, channel)", index=i)
+        raise TagFormatError(
+            "records not sorted by (timestamp, channel): monotonicity violation",
+            index=i,
+        )
 
 
-def write_tags(header: TagFileHeader, records, sink: BinaryIO | str | Path) -> int:
+def write_tags(
+    header: TagFileHeader,
+    records: tuple[np.ndarray, np.ndarray],
+    sink: BinaryIO | str | Path,
+) -> int:
     """Write a tag file; returns the byte count (40 + 16*N).
 
-    `records` is either an iterable of (channel, timestamp) pairs or a
-    (channels, timestamps) array pair. Records must already satisfy the sort
-    invariant and channel range; violations raise TagFormatError.
+    `records` is a (channels, timestamps) array pair. Records must already
+    satisfy the sort invariant and channel range; violations raise
+    TagFormatError.
     """
-    channels, timestamps = _as_record_arrays(records)
-    if channels.size and not np.all(np.isin(channels, VALID_CHANNELS)):
-        i = int(np.argmin(np.isin(channels, VALID_CHANNELS)))
-        raise TagFormatError(f"channel {channels[i]} out of range", index=i)
-    _check_sorted(channels, timestamps)
+    channels = np.asarray(records[0]).astype(np.uint8, copy=False)
+    timestamps = np.asarray(records[1]).astype(np.uint64, copy=False)
+    if channels.shape != timestamps.shape:
+        raise ValueError("channels and timestamps must have equal length")
+    _check_records(channels, timestamps)
     if header.record_count != channels.size:
         header = TagFileHeader(
             station_id=header.station_id,
@@ -159,86 +152,32 @@ def write_tags(header: TagFileHeader, records, sink: BinaryIO | str | Path) -> i
     return HEADER_SIZE + RECORD_SIZE * channels.size
 
 
-def read_tags(
-    source: BinaryIO | bytes | str | Path, chunk_records: int = 4096
-) -> tuple[TagFileHeader, Iterator[TagRecord]]:
-    """Open a tag file for streaming readout.
+def read_tag_arrays(
+    source: bytes | str | Path,
+) -> tuple[TagFileHeader, np.ndarray, np.ndarray]:
+    """Load and validate a whole tag file as (header, channels, timestamps_ps).
 
-    Returns the parsed header and a record iterator that validates channel
-    range and the sort invariant as it goes, holding at most `chunk_records`
-    records in memory at a time. Errors raise TagFormatError with the index
-    of the offending record.
-    """
-    owns_handle = isinstance(source, (str, Path, bytes))
-    if isinstance(source, (str, Path)):
-        fh: BinaryIO = open(source, "rb")
-    elif isinstance(source, bytes):
-        fh = io.BytesIO(source)
-    else:
-        fh = source
-    try:
-        header = TagFileHeader.unpack(fh.read(HEADER_SIZE))
-    except Exception:
-        if owns_handle:
-            fh.close()
-        raise
-
-    def _records() -> Iterator[TagRecord]:
-        index = 0
-        prev_t = -1
-        prev_ch = 0
-        try:
-            while True:
-                chunk = fh.read(RECORD_SIZE * chunk_records)
-                if not chunk:
-                    break
-                if len(chunk) % RECORD_SIZE:
-                    raise TagFormatError(
-                        f"truncated record: trailing {len(chunk) % RECORD_SIZE} bytes",
-                        index=index + len(chunk) // RECORD_SIZE,
-                    )
-                for channel, timestamp in RECORD_STRUCT.iter_unpack(chunk):
-                    if channel not in VALID_CHANNELS:
-                        raise TagFormatError(
-                            f"channel {channel} out of range", index=index
-                        )
-                    if timestamp < prev_t or (timestamp == prev_t and channel <= prev_ch):
-                        raise TagFormatError("monotonicity violation", index=index)
-                    prev_t, prev_ch = timestamp, channel
-                    yield TagRecord(channel, timestamp)
-                    index += 1
-            if index != header.record_count:
-                raise TagFormatError(
-                    f"record_count mismatch: header says {header.record_count}, "
-                    f"file holds {index}"
-                )
-        finally:
-            if owns_handle:
-                fh.close()
-
-    return header, _records()
-
-
-def read_tag_arrays(source) -> tuple[TagFileHeader, np.ndarray, np.ndarray]:
-    """Bulk load of a whole tag file as (header, channels, timestamps_ps).
-
-    Convenience for the analysis pipeline; performs the same validation as
-    read_tags but vectorized. Timestamps come back as int64 picoseconds.
+    A path is read straight into RECORD_DTYPE records; bytes are viewed in
+    place. Every violation of docs/tagfile-format.md raises TagFormatError,
+    with the offending record index where the format defines one. Timestamps
+    come back as int64 picoseconds.
     """
     if isinstance(source, (str, Path)):
-        raw = Path(source).read_bytes()
-    elif isinstance(source, bytes):
-        raw = source
+        with open(source, "rb") as fh:
+            header = TagFileHeader.unpack(fh.read(HEADER_SIZE))
+            body_size = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+            packed = np.fromfile(fh, dtype=RECORD_DTYPE, count=body_size // RECORD_SIZE)
     else:
-        raw = source.read()
-    header = TagFileHeader.unpack(raw[:HEADER_SIZE])
-    body = raw[HEADER_SIZE:]
-    if len(body) % RECORD_SIZE:
-        raise TagFormatError(
-            f"truncated record: trailing {len(body) % RECORD_SIZE} bytes",
-            index=len(body) // RECORD_SIZE,
+        header = TagFileHeader.unpack(bytes(source[:HEADER_SIZE]))
+        body_size = len(source) - HEADER_SIZE
+        packed = np.frombuffer(
+            source, dtype=RECORD_DTYPE, count=body_size // RECORD_SIZE, offset=HEADER_SIZE
         )
-    packed = np.frombuffer(body, dtype=RECORD_DTYPE)
+    if body_size % RECORD_SIZE:
+        raise TagFormatError(
+            f"truncated record: trailing {body_size % RECORD_SIZE} bytes",
+            index=body_size // RECORD_SIZE,
+        )
     if packed.size != header.record_count:
         raise TagFormatError(
             f"record_count mismatch: header says {header.record_count}, "
@@ -246,8 +185,5 @@ def read_tag_arrays(source) -> tuple[TagFileHeader, np.ndarray, np.ndarray]:
         )
     channels = packed["channel"].astype(np.uint8)
     timestamps = packed["timestamp"].astype(np.int64)
-    if channels.size and not np.all(np.isin(channels, VALID_CHANNELS)):
-        i = int(np.argmin(np.isin(channels, VALID_CHANNELS)))
-        raise TagFormatError(f"channel {channels[i]} out of range", index=i)
-    _check_sorted(channels, timestamps.astype(np.uint64))
+    _check_records(channels, timestamps.view(np.uint64))
     return header, channels, timestamps

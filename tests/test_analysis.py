@@ -9,10 +9,9 @@ from bellstrobe.analysis import (
     SlotGrid,
     SlotSeries,
     angle_scan_curves,
+    bin_coincidences,
     bin_singles,
     chi_square_vs_constant,
-    chsh_series,
-    correlator,
     correlator_series,
     detect_transient,
     efficiency_series,
@@ -21,6 +20,7 @@ from bellstrobe.analysis import (
     product_series,
     significance_mask,
 )
+from bellstrobe.coinc import Coincidences
 from bellstrobe.model import TSIRELSON, OUTCOME_LABELS
 from bellstrobe.sync import Detections
 
@@ -44,7 +44,6 @@ def make_detections(station, intra_times, detectors=None, pulses=None):
         detector=np.asarray(detectors if detectors is not None else [1] * n, np.int8)[order],
         pulse_number=np.asarray(pulses if pulses is not None else [0] * n, np.int64)[order],
         intra_time=np.asarray(intra_times, np.float64)[order],
-        wall_time=np.asarray(intra_times, np.float64)[order],
     )
 
 
@@ -69,24 +68,42 @@ class TestBinning:
         det = make_detections("A", [2.5e-6])
         assert bin_singles(det, grid)["A+"].sum() == 0
 
+    def test_coincidences_share_the_singles_slots(self):
+        grid = SlotGrid.for_period(4e-9, 2e-6)
+        intra = [0.0, 123e-9, 123e-9, -1e-9, 2.5e-6]
+        rec = Coincidences(
+            pulse_number=np.arange(5, dtype=np.int64),
+            oa=np.array([1, 1, -1, 1, 1], np.int8),
+            ob=np.array([1, -1, -1, 1, 1], np.int8),
+            intra_time=np.array(intra),
+            delta_t=np.zeros(5),
+        )
+        counts = bin_coincidences(rec, grid)
+        assert counts.shape == (500, 4)
+        assert counts[0].tolist() == [1, 0, 0, 0]
+        assert counts[30].tolist() == [0, 1, 0, 1]  # floor(123/4), +- and --
+        assert counts.sum() == 3  # before the pulse start and beyond the grid: dropped
+        singles = bin_singles(make_detections("A", intra), grid)["A+"]
+        assert np.array_equal(singles, counts.sum(axis=1))
+
 
 class TestCorrelator:
     def test_perfect_correlation(self):
-        e, sig = correlator([50, 0, 0, 50])
+        e, sig = correlator_series([50, 0, 0, 50])
         assert e == 1.0 and sig == 0.0
 
     def test_null_correlation(self):
-        e, sig = correlator([25, 25, 25, 25])
+        e, sig = correlator_series([25, 25, 25, 25])
         assert e == 0.0
         assert sig == pytest.approx(0.1)  # sqrt(1/100)
 
     def test_chsh_like_counts(self):
-        e, sig = correlator([427, 73, 73, 427])
+        e, sig = correlator_series([427, 73, 73, 427])
         assert e == pytest.approx(0.708)
         assert sig == pytest.approx(math.sqrt((1 - 0.708**2) / 1000), abs=1e-9)
 
     def test_empty_is_undefined_not_fatal(self):
-        e, sig = correlator([0, 0, 0, 0])
+        e, sig = correlator_series([0, 0, 0, 0])
         assert math.isnan(e) and math.isnan(sig)
 
     def test_bounds_property(self, rng):
@@ -96,7 +113,7 @@ class TestCorrelator:
         assert np.all(e[ok] >= -1) and np.all(e[ok] <= 1)
 
 
-def ideal_slot_counts(visibility, n_per_slot, n_slots=25):
+def ideal_slot_counts(visibility, n_each_slot, n_slots=25):
     """Noise-free per-slot counts for the 4 quad settings (rounded)."""
     from bellstrobe.model import SettingsQuad, QmStateModel, qm_joint_probs
 
@@ -104,29 +121,40 @@ def ideal_slot_counts(visibility, n_per_slot, n_slots=25):
     model = QmStateModel(visibility)
     for i, setting in enumerate(SettingsQuad().settings()):
         probs = qm_joint_probs(setting, model)
-        tables[i, :, :] = np.round(probs * n_per_slot).astype(np.int64)
+        tables[i, :, :] = np.round(probs * n_each_slot).astype(np.int64)
     return tables
+
+
+def s_from_slot_series(counts):
+    """|S| per slot from (4, n_slots, 4) counts, derived by SlotSeries."""
+    series = SlotSeries(
+        grid=SlotGrid(slot_width=4e-9, n_slots=counts.shape[1]),
+        setting_labels=("ab", "ab'", "a'b", "a'b'"),
+        singles={},
+        coincidences=counts,
+    )
+    return series.s, series.sigma_s
 
 
 class TestChshSeries:
     def test_ideal_counts_reach_tsirelson(self):
-        s, sig = chsh_series(ideal_slot_counts(1.0, 4000))
+        s, sig = s_from_slot_series(ideal_slot_counts(1.0, 4000))
         assert np.allclose(s, TSIRELSON, atol=1e-3)
 
     def test_reduced_visibility(self):
-        s, _ = chsh_series(ideal_slot_counts(0.980198, 200_000))
+        s, _ = s_from_slot_series(ideal_slot_counts(0.980198, 200_000))
         assert np.allclose(s, 2.7724, atol=1e-3)
 
     def test_undefined_slot_propagates(self):
         tables = ideal_slot_counts(1.0, 1000)
         tables[2, 7, :] = 0  # one setting empty in slot 7
-        s, sig = chsh_series(tables)
+        s, sig = s_from_slot_series(tables)
         assert math.isnan(s[7]) and math.isnan(sig[7])
         assert not math.isnan(s[6])
 
     def test_s_bounded_by_four(self, rng):
         tables = rng.integers(0, 50, (4, 80, 4))
-        s, _ = chsh_series(tables)
+        s, _ = s_from_slot_series(tables)
         ok = ~np.isnan(s)
         assert np.all(s[ok] >= 0) and np.all(s[ok] <= 4)
 
@@ -251,12 +279,12 @@ class TestDetectTransient:
         assert verdict.plateau_reference == 2.77
 
 
-def build_series(e_plus=0.7, n_per_slot=1000, n_slots=100, in_pulse=25,
+def build_series(e_plus=0.7, n_each_slot=1000, n_slots=100, in_pulse=25,
                  singles_in=1000, singles_out=2):
     """Synthetic SlotSeries: exact counts, in-pulse slots [0, in_pulse)."""
     # counts realizing E = +-e_plus exactly (quad signs: +, -, +, +)
-    n_same = int(round(n_per_slot * (1 + e_plus) / 2))
-    n_diff = n_per_slot - n_same
+    n_same = int(round(n_each_slot * (1 + e_plus) / 2))
+    n_diff = n_each_slot - n_same
     per_setting = {
         0: [n_same // 2, n_diff // 2, n_diff - n_diff // 2, n_same - n_same // 2],
         1: [n_diff // 2, n_same // 2, n_same - n_same // 2, n_diff - n_diff // 2],
@@ -295,15 +323,17 @@ class TestPlateauSummary:
         assert mask[:25].all() and not mask[25:].any()
 
     def test_empty_in_pulse_range_errors(self):
-        series = build_series(singles_in=0, singles_out=0, n_per_slot=0)
+        series = build_series(singles_in=0, singles_out=0, n_each_slot=0)
         with pytest.raises(AnalysisError):
             plateau_summary(series)
 
     def test_sum_rule_via_tables(self):
+        # the summary's per-setting tables are the slot counts summed over slots
         series = build_series()
-        for i, (lab, table) in enumerate(series.tables().items()):
-            assert np.array_equal(table.per_slot.sum(axis=0), table.counts)
-            assert table.counts.sum() == series.coincidences[i].sum()
+        totals = series.setting_totals()
+        assert totals.shape == (4, 4)
+        for i in range(4):
+            assert np.array_equal(totals[i], series.coincidences[i].sum(axis=0))
 
 
 class TestChiSquare:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellstrobe.analysis import SlotGrid, bin_coincidences
 from bellstrobe.coinc import (
     Coincidences,
     SessionMixError,
@@ -22,7 +23,6 @@ def detections(station, rows):
         detector=np.array([r[0] for r in rows], np.int8),
         pulse_number=np.array([r[1] for r in rows], np.int64),
         intra_time=np.array([r[2] for r in rows], np.float64),
-        wall_time=np.array([r[2] for r in rows], np.float64),
     )
 
 
@@ -32,11 +32,10 @@ class TestMatching:
         b = detections("B", [(-1, 7, 101e-9)])
         rec = match_coincidences(a, b)
         assert len(rec) == 1
-        r = next(iter(rec))
-        assert (r.oa, r.ob) == (1, -1)
-        assert r.delta_t == pytest.approx(1e-9)
-        assert r.intra_pulse_time == pytest.approx(100e-9)
-        assert r.pulse_number == 7
+        assert (rec.oa[0], rec.ob[0]) == (1, -1)
+        assert rec.delta_t[0] == pytest.approx(1e-9)
+        assert rec.intra_time[0] == pytest.approx(100e-9)
+        assert rec.pulse_number[0] == 7
 
     def test_pulse_number_gate(self):
         a = detections("A", [(1, 7, 100e-9)])
@@ -152,7 +151,7 @@ class TestTables:
         tables = build_tables(records, labels)
         assert all(t.total == 2 for t in tables.values())
 
-    def test_per_slot_sums_to_totals(self, rng):
+    def test_slot_counts_sum_to_totals(self, rng):
         n = 500
         rec = Coincidences(
             pulse_number=np.arange(n, dtype=np.int64),
@@ -161,15 +160,15 @@ class TestTables:
             intra_time=rng.uniform(0, 2e-6, n),
             delta_t=np.zeros(n),
         )
-        tables = build_tables({0: rec}, {0: "ab"}, slot_width=4e-9, n_slots=500)
-        t = tables["ab"]
-        assert np.array_equal(t.per_slot.sum(axis=0), t.counts)
+        tables = build_tables({0: rec}, {0: "ab"})
+        slots = bin_coincidences(rec, SlotGrid.for_period(4e-9, 2e-6))
+        assert np.array_equal(slots.sum(axis=0), tables["ab"].counts)
 
     def test_slot_overflow_kept_in_totals_only(self):
         rec = one_record(1, 1, intra=3e-6)  # beyond the 2 us grid
-        tables = build_tables({0: rec}, {0: "ab"}, slot_width=4e-9, n_slots=500)
+        tables = build_tables({0: rec}, {0: "ab"})
         assert tables["ab"].total == 1
-        assert tables["ab"].per_slot.sum() == 0
+        assert bin_coincidences(rec, SlotGrid.for_period(4e-9, 2e-6)).sum() == 0
 
 
 class TestOutOfPulseCoincidences:

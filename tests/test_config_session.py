@@ -23,6 +23,7 @@ from bellstrobe.session import (
     write_slots_csv,
     write_summary_json,
 )
+from bellstrobe.tagfmt import read_tag_arrays, write_tags
 
 
 def tiny_config(seed=5, **session_kwargs):
@@ -169,6 +170,21 @@ class TestAnalyzeSession:
         assert summary.runs_skipped == [1]
         assert summary.runs_used == 7
 
+    def test_clock_fit_failure_skips_only_that_run(self, tmp_path):
+        # rescaling run 1's B timestamps by 1.002 fakes a clock running 2000 ppm
+        # fast: its clock fit fails, the other runs are still analysed
+        c = tiny_config(runs_per_experiment=8)
+        manifest_path = simulate_session(c, tmp_path)
+        victim = tmp_path / "run001_B.tags"
+        header, channels, times = read_tag_arrays(victim)
+        scaled = np.rint(times * 1.002).astype(np.uint64)
+        write_tags(header, (channels, scaled), victim)
+        summary, _ = analyze_session(manifest_path)
+        runs = summary.to_dict()["runs"]
+        assert runs["skipped"] == [1]
+        assert runs["used"] == 7
+        assert summary.to_dict()["degraded"] is True
+
     def test_all_runs_unusable_errors(self, tmp_path):
         c = tiny_config(glitch_probability=0.999999)
         manifest_path = simulate_session(c, tmp_path)
@@ -311,3 +327,36 @@ class TestCli:
         from bellstrobe.cli import main
 
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def _assert_one_line_error(self, capsys, argv):
+        from bellstrobe.cli import main
+
+        capsys.readouterr()
+        assert main(argv) == 2
+        # per-run skip warnings may precede it; the error itself is one line
+        err_lines = capsys.readouterr().err.splitlines()
+        assert [line for line in err_lines if not line.startswith("WARNING")] == [
+            err_lines[-1]
+        ]
+        assert err_lines[-1].startswith("error: ")
+
+    def test_all_glitched_manifest_errors(self, tmp_path, capsys):
+        manifest_path = simulate_session(tiny_config(glitch_probability=0.999999), tmp_path)
+        self._assert_one_line_error(capsys, ["analyze", str(manifest_path)])
+
+    def test_invalid_manifest_json_errors(self, tmp_path, capsys):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text('{"session_id": ')
+        self._assert_one_line_error(capsys, ["analyze", str(manifest_path)])
+
+    def test_drifting_clock_session_errors(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        tiny_config().to_json(cfg_path)
+        from bellstrobe.cli import main
+
+        assert main([
+            "simulate", "--config", str(cfg_path), "--name", "drift",
+            "--output", str(tmp_path), "--set", "station_b.clock.drift_rate=0.002",
+        ]) == 0
+        manifest_path = tmp_path / "drift" / "manifest.json"
+        self._assert_one_line_error(capsys, ["analyze", str(manifest_path)])

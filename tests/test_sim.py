@@ -12,7 +12,7 @@ from bellstrobe.sim import (
     SourceConfig,
     StationConfig,
     TagStream,
-    apply_clock,
+    _to_local_clock,
     emit_events,
     generate_trigger_train,
     prbs_bits,
@@ -179,27 +179,30 @@ class TestEmitStatistics:
 
 
 class TestApplyClock:
-    def _stream(self):
-        times = np.array([0, 1_000_000, 30_000_000_000_000], dtype=np.int64)
-        return TagStream(np.array([3, 3, 3], dtype=np.uint8), times)
+    """The clock transform emit_events applies to each station's true-time tags."""
+
+    TIMES_PS = np.array([0, 1_000_000, 30_000_000_000_000], dtype=np.int64)
+
+    def _local(self, clock, seed=0, times_ps=TIMES_PS):
+        channels = np.full(times_ps.size, 3, np.uint8)
+        return _to_local_clock(channels, times_ps / 1e12, clock, seed)
 
     def test_identity(self):
-        out = apply_clock(self._stream(), ClockModel(), 0)
-        assert out == self._stream()
+        out = self._local(ClockModel())
+        assert out == TagStream(np.full(3, 3, np.uint8), self.TIMES_PS)
 
     def test_offset_shifts_exactly(self):
-        out = apply_clock(self._stream(), ClockModel(offset=1e-3), 0)
-        assert np.array_equal(out.times_ps, self._stream().times_ps + 10**9)
+        out = self._local(ClockModel(offset=1e-3))
+        assert np.array_equal(out.times_ps, self.TIMES_PS + 10**9)
 
     def test_drift_shifts_last_trigger_300us_over_30s(self):
-        out = apply_clock(self._stream(), ClockModel(drift_rate=1e-5), 0)
-        shift = out.times_ps[-1] - self._stream().times_ps[-1]
+        out = self._local(ClockModel(drift_rate=1e-5))
+        shift = out.times_ps[-1] - self.TIMES_PS[-1]
         assert shift == int(3e8)  # 300 us in ps
 
     def test_jitter_resorts(self, rng):
         times = np.arange(0, 10_000, 100, dtype=np.int64)
-        stream = TagStream(np.full(times.size, 3, np.uint8), times)
-        out = apply_clock(stream, ClockModel(jitter_sigma=1e-9), 3)
+        out = self._local(ClockModel(jitter_sigma=1e-9), seed=3, times_ps=times)
         assert np.all(np.diff(out.times_ps) >= 0)
 
 

@@ -9,9 +9,7 @@ from bellstrobe.tagfmt import (
     RECORD_SIZE,
     TagFileHeader,
     TagFormatError,
-    TagRecord,
     read_tag_arrays,
-    read_tags,
     write_tags,
 )
 
@@ -25,105 +23,147 @@ def make_records(rng: np.random.Generator, n: int):
     return (key & np.uint64(3)).astype(np.uint8), (key >> np.uint64(2))
 
 
+def arrays(*rows):
+    """(channel, timestamp) rows as the (channels, timestamps) pair write_tags takes."""
+    return (
+        np.array([r[0] for r in rows], np.uint8),
+        np.array([r[1] for r in rows], np.uint64),
+    )
+
+
+def tag_bytes(*rows):
+    buf = io.BytesIO()
+    write_tags(TagFileHeader(station_id=0, record_count=len(rows)), arrays(*rows), buf)
+    return buf.getvalue()
+
+
 def test_empty_stream_is_header_only():
     buf = io.BytesIO()
-    n = write_tags(TagFileHeader(station_id=0, record_count=0), [], buf)
+    n = write_tags(TagFileHeader(station_id=0, record_count=0), arrays(), buf)
     assert n == 40 == HEADER_SIZE
     assert len(buf.getvalue()) == 40
 
 
 def test_three_records_are_88_bytes():
     buf = io.BytesIO()
-    records = [(1, 5), (3, 5), (2, 10)]
+    records = arrays((1, 5), (3, 5), (2, 10))
     n = write_tags(TagFileHeader(station_id=1, record_count=3), records, buf)
     assert n == 88 == HEADER_SIZE + 3 * RECORD_SIZE
 
 
 def test_roundtrip_small():
     buf = io.BytesIO()
-    records = [(1, 5), (3, 5), (2, 10)]
+    records = arrays((1, 5), (3, 5), (2, 10))
     write_tags(TagFileHeader(station_id=1, record_count=3), records, buf)
-    header, it = read_tags(io.BytesIO(buf.getvalue()))
+    header, channels, timestamps = read_tag_arrays(buf.getvalue())
     assert header.station_id == 1 and header.record_count == 3
-    assert list(it) == [TagRecord(1, 5), TagRecord(3, 5), TagRecord(2, 10)]
+    assert channels.tolist() == [1, 3, 2]
+    assert timestamps.tolist() == [5, 5, 10]
 
 
 def test_unsorted_input_rejected():
     with pytest.raises(TagFormatError, match="not sorted"):
         write_tags(TagFileHeader(station_id=0, record_count=2),
-                   [(1, 10), (1, 5)], io.BytesIO())
+                   arrays((1, 10), (1, 5)), io.BytesIO())
 
 
 def test_duplicate_timestamp_channel_rejected():
     with pytest.raises(TagFormatError, match="not sorted"):
         write_tags(TagFileHeader(station_id=0, record_count=2),
-                   [(2, 7), (2, 7)], io.BytesIO())
+                   arrays((2, 7), (2, 7)), io.BytesIO())
 
 
 def test_channel_out_of_range_rejected():
     with pytest.raises(TagFormatError, match="channel"):
         write_tags(TagFileHeader(station_id=0, record_count=1),
-                   [(4, 1)], io.BytesIO())
+                   arrays((4, 1)), io.BytesIO())
 
 
 def test_bad_magic():
-    buf = io.BytesIO()
-    write_tags(TagFileHeader(station_id=0, record_count=0), [], buf)
-    corrupted = bytearray(buf.getvalue())
+    corrupted = bytearray(tag_bytes())
     corrupted[0] ^= 0xFF
     with pytest.raises(TagFormatError, match="magic"):
-        read_tags(bytes(corrupted))
+        read_tag_arrays(bytes(corrupted))
 
 
 def test_truncated_record():
-    buf = io.BytesIO()
-    write_tags(TagFileHeader(station_id=0, record_count=2), [(1, 5), (2, 9)], buf)
-    header, it = read_tags(buf.getvalue()[:-3])
-    with pytest.raises(TagFormatError, match="truncated"):
-        list(it)
+    with pytest.raises(TagFormatError, match="truncated") as exc:
+        read_tag_arrays(tag_bytes((1, 5), (2, 9))[:-3])
+    assert exc.value.index == 1
 
 
 def test_monotonicity_violation_reports_index():
     # hand-build a file with out-of-order records
-    buf = io.BytesIO()
-    write_tags(TagFileHeader(station_id=0, record_count=2), [(1, 5), (1, 10)], buf)
-    raw = bytearray(buf.getvalue())
+    raw = bytearray(tag_bytes((1, 5), (1, 10)))
     # swap the two 16-byte records
     raw[40:56], raw[56:72] = raw[56:72], raw[40:56]
-    _, it = read_tags(bytes(raw))
     with pytest.raises(TagFormatError, match="monotonicity") as exc:
-        list(it)
+        read_tag_arrays(bytes(raw))
     assert exc.value.index == 1
 
 
 def test_record_count_mismatch():
-    buf = io.BytesIO()
-    write_tags(TagFileHeader(station_id=0, record_count=2), [(1, 5), (1, 10)], buf)
-    _, it = read_tags(buf.getvalue() + bytes(16))  # extra zero record
-    with pytest.raises(TagFormatError):
-        list(it)
+    raw = tag_bytes((1, 5), (1, 10)) + bytes(16)  # extra zero record
+    with pytest.raises(TagFormatError, match="record_count"):
+        read_tag_arrays(raw)
 
 
-def test_streaming_reader_is_chunked():
-    rng = np.random.default_rng(5)
-    channels, times = make_records(rng, 50_000)
-    buf = io.BytesIO()
-    write_tags(TagFileHeader(station_id=0, record_count=len(channels)),
-               (channels, times), buf)
+def _swap_records(raw, i, j):
+    a, b = HEADER_SIZE + RECORD_SIZE * i, HEADER_SIZE + RECORD_SIZE * j
+    raw[a:a + RECORD_SIZE], raw[b:b + RECORD_SIZE] = (
+        raw[b:b + RECORD_SIZE], raw[a:a + RECORD_SIZE]
+    )
 
-    reads = []
-    original = io.BytesIO(buf.getvalue())
 
-    class SpyReader:
-        def read(self, n=-1):
-            reads.append(n)
-            return original.read(n)
+def _corrupt_magic(raw):
+    raw[0] ^= 0xFF
+    return raw
 
-    _, it = read_tags(SpyReader(), chunk_records=1024)
-    count = sum(1 for _ in it)
-    assert count == len(channels)
-    # every body read is bounded by the chunk size, independent of file size
-    assert max(reads[1:]) <= 1024 * RECORD_SIZE
+
+def _corrupt_version(raw):
+    raw[8] = 2
+    return raw
+
+
+def _corrupt_channel(raw):
+    raw[HEADER_SIZE + 2 * RECORD_SIZE] = 4
+    return raw
+
+
+def _corrupt_order(raw):
+    _swap_records(raw, 2, 3)
+    return raw
+
+
+def _corrupt_count(raw):
+    raw[16] += 1
+    return raw
+
+
+# One case per row of the error contract in docs/tagfile-format.md:
+# (corruption, message fragment, promised record index or None).
+CONTRACT = {
+    "magic": (_corrupt_magic, "bad magic", None),
+    "version": (_corrupt_version, "unsupported version", None),
+    "truncated": (lambda raw: raw[:-5], "truncated record", 3),
+    "channel": (_corrupt_channel, "channel 4 out of range", 2),
+    "order": (_corrupt_order, "monotonicity violation", 3),
+    "count": (_corrupt_count, "record_count mismatch", None),
+}
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes"])
+@pytest.mark.parametrize("case", sorted(CONTRACT))
+def test_reader_error_contract(case, kind, tmp_path):
+    corrupt, message, index = CONTRACT[case]
+    raw = bytes(corrupt(bytearray(tag_bytes((3, 0), (1, 5), (2, 9), (3, 20)))))
+    source = raw
+    if kind == "path":
+        source = tmp_path / "bad.tags"
+        source.write_bytes(raw)
+    with pytest.raises(TagFormatError, match=message) as exc:
+        read_tag_arrays(source)
+    assert exc.value.index == index
 
 
 def test_file_roundtrip_via_path(tmp_path):
