@@ -4,7 +4,8 @@ estimate.
 Detections are coincident when they share a pulse number AND lie within the
 coincidence window of each other (both gates; the window default is 4 ns).
 Within a pulse, pairing is greedy earliest-first, each detection used at most
-once, so multi-pair pulses yield multiple records deterministically.
+once, so multi-pair pulses yield multiple records deterministically. The
+per-pulse walks run together as one lockstep vectorised pass per step.
 """
 
 from __future__ import annotations
@@ -52,21 +53,10 @@ class Coincidences:
         )
 
 
-def _greedy_pairs(ta: np.ndarray, tb: np.ndarray, window: float) -> list[tuple[int, int]]:
-    """Earliest-first pairing of two sorted time lists within one pulse."""
-    out = []
-    i = j = 0
-    while i < ta.size and j < tb.size:
-        dt = tb[j] - ta[i]
-        if abs(dt) <= window:
-            out.append((i, j))
-            i += 1
-            j += 1
-        elif dt > 0:
-            i += 1  # this A detection can never match a later B
-        else:
-            j += 1
-    return out
+def _pulse_groups(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start, end, pulse number) of each run of equal values in sorted p."""
+    starts = np.concatenate(([0], np.flatnonzero(p[1:] != p[:-1]) + 1))
+    return starts, np.append(starts[1:], p.size), p[starts]
 
 
 def match_coincidences(
@@ -78,46 +68,38 @@ def match_coincidences(
     SHARED pulse numbering (station B renumbered via the alignment offset
     before matching). Clock-rate mismatch inside one pulse is far below the
     window and is ignored.
+
+    The earliest-first walks of all pulses seen at both stations step in
+    lockstep: at most (A + B detections of the fullest pulse) vectorised passes.
     """
     pa, pb = events_a.pulse_number, events_b.pulse_number
     ta, tb = events_a.intra_time, events_b.intra_time
-
-    common = np.intersect1d(pa, pb)
-    if common.size == 0:
+    if pa.size == 0 or pb.size == 0:
         return Coincidences.empty()
 
-    # Group extents of each common pulse in both (sorted) event lists.
-    a_lo = np.searchsorted(pa, common, side="left")
-    a_hi = np.searchsorted(pa, common, side="right")
-    b_lo = np.searchsorted(pb, common, side="left")
-    b_hi = np.searchsorted(pb, common, side="right")
-    na = a_hi - a_lo
-    nb = b_hi - b_lo
+    # Merge the two sorted lists of pulse groups.
+    a_lo, a_hi, ga = _pulse_groups(pa)
+    b_lo, b_hi, gb = _pulse_groups(pb)
+    k = np.minimum(np.searchsorted(gb, ga), gb.size - 1)
+    both = gb[k] == ga
+    i, i_end = a_lo[both], a_hi[both]
+    j, j_end = b_lo[k[both]], b_hi[k[both]]
 
-    # Fast path: pulses with exactly one detection on each side.
-    single = (na == 1) & (nb == 1)
-    ia_single = a_lo[single]
-    ib_single = b_lo[single]
-    ok = np.abs(tb[ib_single] - ta[ia_single]) <= window
-    multi_a: list[int] = []
-    multi_b: list[int] = []
+    # partner[A detection] = its B detection, -1 when unpaired.
+    partner = np.full(pa.size, -1, dtype=np.int64)
+    while i.size:
+        dt = tb[j] - ta[i]
+        inside = np.abs(dt) <= window
+        partner[i[inside]] = j[inside]
+        later = dt > 0  # this A detection can never match a later B
+        i = i + (inside | later)
+        j = j + (inside | ~later)
+        live = (i < i_end) & (j < j_end)
+        i, i_end, j, j_end = i[live], i_end[live], j[live], j_end[live]
 
-    # General greedy path for multi-detection pulses.
-    for g in np.flatnonzero(~single):
-        sa = slice(a_lo[g], a_hi[g])
-        sb = slice(b_lo[g], b_hi[g])
-        for i, j in _greedy_pairs(ta[sa], tb[sb], window):
-            multi_a.append(a_lo[g] + i)
-            multi_b.append(b_lo[g] + j)
-
-    idx_a = np.concatenate([ia_single[ok], np.asarray(multi_a, dtype=np.int64)])
-    idx_b = np.concatenate([ib_single[ok], np.asarray(multi_b, dtype=np.int64)])
-    if idx_a.size == 0:
-        return Coincidences.empty()
-    order = np.lexsort((ta[idx_a], pa[idx_a]))
-    idx_a = idx_a[order]
-    idx_b = idx_b[order]
-
+    # A's index order is already (pulse_number, A's time) order.
+    idx_a = np.flatnonzero(partner >= 0)
+    idx_b = partner[idx_a]
     return Coincidences(
         pulse_number=pa[idx_a],
         oa=events_a.detector[idx_a],

@@ -273,18 +273,18 @@ class RunProducts:
 
 def process_run(run: RunData, config: ExperimentConfig) -> RunProducts:
     """Sync, assign and match one run's tag streams."""
-    trig_a = run.tags_a.channel_times(3)
-    trig_b = run.tags_b.channel_times(3)
+    trig_a, dets_a = run.tags_a.split_triggers()
+    trig_b, dets_b = run.tags_b.split_triggers()
     series_a = sy.extract_period_series(trig_a)
     series_b = sy.extract_period_series(trig_b)
     offset = sy.align_pulse_numbering(series_a, series_b)
     fit = sy.fit_clock_relation(trig_a, trig_b, offset)
 
     det_a = sy.assign_to_pulses(
-        run.tags_a, trig_a, config.station_a.trigger_delay, station="A"
+        dets_a, trig_a, config.station_a.trigger_delay, station="A"
     )
     det_b = sy.assign_to_pulses(
-        run.tags_b, trig_b, config.station_b.trigger_delay, station="B"
+        dets_b, trig_b, config.station_b.trigger_delay, station="B"
     ).with_pulse_offset(offset)
 
     records = co.match_coincidences(det_a, det_b, window=config.analysis.window)
@@ -494,6 +494,23 @@ def run_session_in_memory(config: ExperimentConfig) -> SessionSummary:
     return analyze_products(products, config)
 
 
+def _read_manifest(path: Path) -> dict:
+    """Parsed manifest; AnalysisError naming the path and any missing key."""
+    data = json.loads(path.read_text())
+    top = data if isinstance(data, dict) else {}
+    missing = [k for k in ("session_id", "config", "runs") if k not in top]
+    missing += [
+        f"runs[{n}].{k}"
+        for n, meta in enumerate(top.get("runs", []))
+        for k in ("index", "setting", "status", "file_a", "file_b")
+        if not isinstance(meta, dict) or k not in meta
+    ]
+    if missing:
+        raise ana.AnalysisError(f"manifest {path}: missing key(s) {', '.join(missing)}")
+    data["_dir"] = path.parent
+    return data
+
+
 def analyze_session(
     manifest_paths: Sequence[str | Path] | str | Path,
 ) -> tuple[SessionSummary, ExperimentConfig]:
@@ -506,11 +523,7 @@ def analyze_session(
     """
     if isinstance(manifest_paths, (str, Path)):
         manifest_paths = [manifest_paths]
-    manifests = []
-    for p in manifest_paths:
-        data = json.loads(Path(p).read_text())
-        data["_dir"] = Path(p).parent
-        manifests.append(data)
+    manifests = [_read_manifest(Path(p)) for p in manifest_paths]
     session_ids = {m["session_id"] for m in manifests}
     if len(session_ids) > 1:
         raise co.SessionMixError(

@@ -129,15 +129,15 @@ class PulsePlan:
         return self.base_period * (1.0 + self.fm_pattern.lengthen_fraction * labels)
 
     def start_times(self) -> np.ndarray:
-        periods = self.period_seconds()
-        starts = np.empty(self.n_pulses)
-        starts[0] = 0.0
-        np.cumsum(periods[:-1], out=starts[1:])
-        return starts
+        return _starts_of(self.period_seconds())
 
-    @property
-    def true_duration(self) -> float:
-        return float(np.sum(self.period_seconds()))
+
+def _starts_of(periods: np.ndarray) -> np.ndarray:
+    """Pulse start times: 0, then the running sum of the intervals."""
+    starts = np.empty(periods.size)
+    starts[0] = 0.0
+    np.cumsum(periods[:-1], out=starts[1:])
+    return starts
 
 
 @dataclass(frozen=True)
@@ -222,6 +222,13 @@ class TagStream:
 
     def channel_times(self, channel: int) -> np.ndarray:
         return self.times_ps[self.channels == channel]
+
+    def split_triggers(self) -> tuple[np.ndarray, "TagStream"]:
+        """Trigger timestamps and the detection-only stream, from one mask."""
+        mask = self.channels == CHANNEL_TRIGGER
+        triggers = self.times_ps[mask]
+        np.logical_not(mask, out=mask)  # reuse the buffer: one mask alive
+        return triggers, TagStream(self.channels[mask], self.times_ps[mask])
 
     @classmethod
     def from_unsorted(cls, channels: np.ndarray, times_ps: np.ndarray) -> "TagStream":
@@ -370,10 +377,9 @@ def emit_events(
     key_det_b, key_clk_b = key_b.spawn(2)
     rng_src = np.random.default_rng(key_source)
 
-    train = generate_trigger_train(plan)
-    starts = train.starts
     periods = plan.period_seconds()
-    duration = plan.true_duration
+    starts = _starts_of(periods)
+    duration = float(np.sum(periods))
 
     n_pairs = rng_src.poisson(source.pair_yield, plan.n_pulses)
     pulse_idx = np.repeat(np.arange(plan.n_pulses), n_pairs)

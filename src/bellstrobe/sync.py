@@ -238,25 +238,26 @@ def fit_clock_relation(
 
 
 def assign_to_pulses(
-    tags: TagStream,
+    detections: TagStream,
     triggers_ps: np.ndarray,
     trigger_delay: float,
     station: str = "A",
 ) -> Detections:
     """Attribute detection tags to the latest trigger at or before them.
 
-    The configured trigger-vs-photon path delay is subtracted from each
-    detection timestamp first, so intra_pulse_time is measured from the pulse
-    start as seen by the photons. Detections preceding the first trigger, or
-    trailing the last pulse by more than one median period, are dropped and
-    counted, not fatal.
+    `detections` holds detection channels only (the second part of
+    TagStream.split_triggers). The configured trigger-vs-photon path delay is
+    subtracted from each detection timestamp first, so intra_pulse_time is
+    measured from the pulse start as seen by the photons. Detections preceding
+    the first trigger, or trailing the last pulse by at least one median
+    period, are dropped and counted, not fatal.
     """
     triggers_ps = np.asarray(triggers_ps, dtype=np.int64)
     if triggers_ps.size == 0:
         raise SyncError("no triggers to assign against")
-    det_mask = tags.channels != CHANNEL_TRIGGER
-    t = tags.times_ps[det_mask]
-    ch = tags.channels[det_mask]
+    t, ch = detections.times_ps, detections.channels
+    if ch.size and ch.max() >= CHANNEL_TRIGGER:
+        raise ValueError("trigger tags among detections; use TagStream.split_triggers")
 
     delay_ps = np.int64(round(trigger_delay * PS_PER_SECOND))
     shifted = t - delay_ps
@@ -264,11 +265,9 @@ def assign_to_pulses(
     before = idx < 0
 
     intra_ps = shifted - triggers_ps[np.maximum(idx, 0)]
-    if triggers_ps.size > 1:
-        median_period = np.median(np.diff(triggers_ps))
-    else:
-        median_period = np.inf
-    after = (idx == triggers_ps.size - 1) & (intra_ps >= median_period)
+    after = (idx == triggers_ps.size - 1) & (triggers_ps.size > 1)
+    if np.any(after):  # the median period matters only in the last pulse
+        after &= intra_ps >= np.median(np.diff(triggers_ps))
 
     keep = ~(before | after)
     detector = np.where(ch[keep] == 1, 1, -1).astype(np.int8)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellstrobe.analysis import SlotGrid, bin_coincidences
 from bellstrobe.coinc import (
@@ -12,6 +13,8 @@ from bellstrobe.coinc import (
     delta_t_histogram,
     match_coincidences,
 )
+from bellstrobe.config import desk_boosted
+from bellstrobe.session import process_run, simulate_run
 from bellstrobe.sync import Detections
 
 
@@ -88,6 +91,87 @@ class TestMatching:
         key_f = sorted(zip(fwd.pulse_number, fwd.oa, fwd.ob, np.round(fwd.delta_t, 15)))
         key_r = sorted(zip(rev.pulse_number, rev.ob, rev.oa, np.round(-rev.delta_t, 15)))
         assert key_f == key_r
+
+
+def greedy_pairs(ta, tb, window):
+    """Earliest-first pairing of two sorted time lists within one pulse."""
+    out = []
+    i = j = 0
+    while i < len(ta) and j < len(tb):
+        dt = tb[j] - ta[i]
+        if abs(dt) <= window:
+            out.append((i, j))
+            i += 1
+            j += 1
+        elif dt > 0:
+            i += 1  # this A detection can never match a later B
+        else:
+            j += 1
+    return out
+
+
+def oracle_records(a, b, window):
+    """Reference matcher: greedy_pairs applied pulse by pulse, in pure Python.
+    Rows are (pulse, oa, ob, A's time, B minus A) in pulse order, then in
+    A's order within the pulse."""
+    def groups(pulses):
+        out = {}
+        for k, pulse in enumerate(pulses.tolist()):
+            out.setdefault(pulse, []).append(k)
+        return out
+
+    ga, gb = groups(a.pulse_number), groups(b.pulse_number)
+    ta, tb = a.intra_time.tolist(), b.intra_time.tolist()
+    da, db = a.detector.tolist(), b.detector.tolist()
+    rows = []
+    for pulse in sorted(ga.keys() & gb.keys()):
+        ia, ib = ga[pulse], gb[pulse]
+        for i, j in greedy_pairs([ta[k] for k in ia], [tb[k] for k in ib], window):
+            ka, kb = ia[i], ib[j]
+            rows.append((pulse, da[ka], db[kb], ta[ka], tb[kb] - ta[ka]))
+    return rows
+
+
+def record_rows(rec):
+    return list(zip(
+        rec.pulse_number.tolist(), rec.oa.tolist(), rec.ob.tolist(),
+        rec.intra_time.tolist(), rec.delta_t.tolist(),
+    ))
+
+
+# Times on a binary grid, so equal times and |dt| == window occur exactly.
+TICK = 2.0**-30
+pulse_detections = st.dictionaries(
+    st.integers(0, 6),
+    st.lists(st.tuples(st.sampled_from([-1, 1]), st.integers(0, 12)), min_size=1, max_size=8),
+    max_size=5,
+)
+
+
+def detections_from(station, by_pulse):
+    return detections(
+        station, [(d, p, tick * TICK) for p, rows in by_pulse.items() for d, tick in rows]
+    )
+
+
+class TestMatchingOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(rows_a=pulse_detections, rows_b=pulse_detections,
+           window_ticks=st.sampled_from([0, 1, 2, 4]))
+    def test_same_records_as_greedy_loop(self, rows_a, rows_b, window_ticks):
+        a, b = detections_from("A", rows_a), detections_from("B", rows_b)
+        window = window_ticks * TICK
+        assert record_rows(match_coincidences(a, b, window)) == oracle_records(a, b, window)
+
+    def test_same_records_on_a_boosted_run(self):
+        config = desk_boosted(seed=3)
+        products = process_run(simulate_run(config, 0), config)
+        rec = products.records
+        # multi-pair pulses are present, so the lockstep walk takes several passes
+        assert np.any(np.diff(rec.pulse_number) == 0)
+        assert record_rows(rec) == oracle_records(
+            products.detections_a, products.detections_b, config.analysis.window
+        )
 
 
 class TestAccidentals:
@@ -197,8 +281,9 @@ class TestDeltaHistogram:
         plan = PulsePlan(n_pulses=60_000)
         a, b = emit_events(plan, SourceConfig(pair_yield=0.2), (st, st),
                            AngleSetting(0, 0), QmStateModel(1.0), 17)
-        det_a = assign_to_pulses(a, a.channel_times(3), st.trigger_delay, "A")
-        det_b = assign_to_pulses(b, b.channel_times(3), st.trigger_delay, "B")
+        (trig_a, dets_a), (trig_b, dets_b) = a.split_triggers(), b.split_triggers()
+        det_a = assign_to_pulses(dets_a, trig_a, st.trigger_delay, "A")
+        det_b = assign_to_pulses(dets_b, trig_b, st.trigger_delay, "B")
         rec = match_coincidences(det_a, det_b, window=20e-9)
         assert len(rec) > 5000
         assert np.std(rec.delta_t) == pytest.approx(2e-9 * math.sqrt(2), rel=0.10)

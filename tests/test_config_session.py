@@ -340,6 +340,22 @@ class TestCli:
         ]
         assert err_lines[-1].startswith("error: ")
 
+    def test_manifest_missing_keys_errors(self, tmp_path, capsys):
+        from bellstrobe.cli import main
+
+        path = tmp_path / "manifest.json"
+        run = {"index": 0, "status": "ok"}
+        for manifest, key in [
+            ({"session_id": "x"}, "config"),
+            ({"session_id": "x", "config": {}, "runs": [run]}, "runs[0].setting"),
+        ]:
+            path.write_text(json.dumps(manifest))
+            capsys.readouterr()
+            assert main(["analyze", str(path)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert str(path) in err[0] and key in err[0]
+
     def test_all_glitched_manifest_errors(self, tmp_path, capsys):
         manifest_path = simulate_session(tiny_config(glitch_probability=0.999999), tmp_path)
         self._assert_one_line_error(capsys, ["analyze", str(manifest_path)])

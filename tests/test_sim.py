@@ -25,6 +25,12 @@ NO_NOISE = StationConfig(
 )
 
 
+def assign(stream, trigger_delay, station):
+    """Pulse-attributed detections of one simulated station stream."""
+    triggers, detections = stream.split_triggers()
+    return assign_to_pulses(detections, triggers, trigger_delay, station)
+
+
 class TestPrbs:
     def test_maximal_length_and_balance(self):
         bits = prbs_bits()
@@ -89,8 +95,8 @@ class TestEmitTrivials:
             plan, src, (NO_NOISE, NO_NOISE), AngleSetting(0.3, 0.3),
             QmStateModel(1.0), 7,
         )
-        det_a = assign_to_pulses(a, a.channel_times(3), NO_NOISE.trigger_delay, "A")
-        det_b = assign_to_pulses(b, b.channel_times(3), NO_NOISE.trigger_delay, "B")
+        det_a = assign(a, NO_NOISE.trigger_delay, "A")
+        det_b = assign(b, NO_NOISE.trigger_delay, "B")
         rec = match_coincidences(det_a, det_b)
         assert len(rec) > 1000
         assert np.all(rec.oa == rec.ob)
@@ -115,10 +121,10 @@ class TestEmitStatistics:
         a, b = emit_events(
             plan, SourceConfig(), (st, st), AngleSetting(0, 0), QmStateModel(1.0), 11
         )
-        trig_a = a.channel_times(3)
+        trig_a = a.channel_times(CHANNEL_TRIGGER)
         occupied = set()
         for stream in (a, b):
-            det = stream.times_ps[stream.channels != CHANNEL_TRIGGER]
+            det = stream.split_triggers()[1].times_ps
             delay = np.int64(round(st.trigger_delay * 1e12))
             idx = np.searchsorted(trig_a, det - delay, side="right") - 1
             occupied.update(idx[idx >= 0].tolist())
@@ -135,8 +141,8 @@ class TestEmitStatistics:
         model = QmStateModel(1.0)
         for setting in SettingsQuad().settings():
             a, b = emit_events(plan, src, (NO_NOISE, NO_NOISE), setting, model, 23)
-            det_a = assign_to_pulses(a, a.channel_times(3), NO_NOISE.trigger_delay, "A")
-            det_b = assign_to_pulses(b, b.channel_times(3), NO_NOISE.trigger_delay, "B")
+            det_a = assign(a, NO_NOISE.trigger_delay, "A")
+            det_b = assign(b, NO_NOISE.trigger_delay, "B")
             rec = match_coincidences(det_a, det_b)
             n = len(rec)
             assert n > 250_000
@@ -157,8 +163,8 @@ class TestEmitStatistics:
             plan, src, (NO_NOISE, NO_NOISE), AngleSetting(0, 0), model, 13,
             session_time=10 * 3600.0,
         )
-        det_a = assign_to_pulses(a, a.channel_times(3), NO_NOISE.trigger_delay, "A")
-        det_b = assign_to_pulses(b, b.channel_times(3), NO_NOISE.trigger_delay, "B")
+        det_a = assign(a, NO_NOISE.trigger_delay, "A")
+        det_b = assign(b, NO_NOISE.trigger_delay, "B")
         rec = match_coincidences(det_a, det_b)
         v_hat = 2 * np.mean(rec.oa == rec.ob) - 1  # E = V_eff at equal angles
         assert v_hat == pytest.approx(0.98 * 0.94, abs=0.01)
@@ -171,7 +177,7 @@ class TestEmitStatistics:
             plan, SourceConfig(pair_yield=0.0), (st, st), AngleSetting(0, 0),
             QmStateModel(1.0), 9,
         )
-        det = assign_to_pulses(a, a.channel_times(3), st.trigger_delay, "A")
+        det = assign(a, st.trigger_delay, "A")
         out_of_pulse = det.intra_time >= plan.pulse_duration
         live = 30.0 * (1.0 - plan.duty_cycle)
         rate = out_of_pulse.sum() / live / 2  # two detector channels
@@ -216,8 +222,8 @@ class TestTriggerInvariant:
             plan, SourceConfig(pair_yield=0.05), (st_a, st_b),
             AngleSetting(0, 0), QmStateModel(1.0), 31,
         )
-        ta = a.channel_times(3).astype(np.float64)
-        tb = b.channel_times(3).astype(np.float64)
+        ta = a.channel_times(CHANNEL_TRIGGER).astype(np.float64)
+        tb = b.channel_times(CHANNEL_TRIGGER).astype(np.float64)
         assert ta.size == tb.size == plan.n_pulses
         undone = (tb - clock_b.offset * 1e12) / (1.0 + clock_b.drift_rate)
         assert np.max(np.abs(undone - ta)) < 1.0  # within the 1 ps grid

@@ -153,8 +153,8 @@ class TestClockFit:
             rng,
         )
         fit = fit_clock_relation(a, b, 0)
-        ta = a.channel_times(3).astype(np.float64) / 1e12
-        tb = b.channel_times(3).astype(np.float64) / 1e12
+        ta = a.channel_times(CHANNEL_TRIGGER).astype(np.float64) / 1e12
+        tb = b.channel_times(CHANNEL_TRIGGER).astype(np.float64) / 1e12
         resid = tb - (fit.time_offset + fit.rate_ratio * ta)
         assert abs(resid.mean()) < fit.residual_rms / math.sqrt(resid.size)
 
@@ -192,6 +192,28 @@ class TestAssignment:
         det = self._assign([1], [4_000_000 + 57_000 + 2_500_000])
         assert len(det) == 0
         assert det.dropped_after_last == 1
+
+    def test_trailing_detection_past_one_median_period_dropped(self):
+        # intervals 1, 1, 8 us: the median period (1 us) is the limit after the
+        # last trigger, not the last interval or the mean
+        triggers = np.array([0, 1_000_000, 2_000_000, 10_000_000], dtype=np.int64)
+        delay = 57_000
+        times = [500_000 + delay, 10_000_000 + delay + 999_999,
+                 10_000_000 + delay + 1_000_000, 10_000_000 + delay + 1_500_000]
+        tags = TagStream(np.ones(len(times), np.uint8), np.asarray(times, np.int64))
+        det = assign_to_pulses(tags, triggers, 57e-9, "A")
+        assert det.pulse_number.tolist() == [0, 3]
+        assert det.dropped_after_last == 2
+
+    def test_split_triggers(self):
+        tags = TagStream(np.array([3, 1, 2, 3], np.uint8), np.array([0, 5, 6, 9], np.int64))
+        triggers, dets = tags.split_triggers()
+        assert triggers.tolist() == [0, 9]
+        assert dets == TagStream(np.array([1, 2], np.uint8), np.array([5, 6], np.int64))
+
+    def test_trigger_tags_rejected(self):
+        with pytest.raises(ValueError, match="trigger"):
+            self._assign([1, CHANNEL_TRIGGER], [57_000, 2_000_000])
 
     def test_partition_invariant(self, rng):
         # every in-run detection lands in exactly one pulse; sum + drops = total
