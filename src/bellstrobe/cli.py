@@ -29,6 +29,8 @@ from .config import ConfigError, ExperimentConfig, apply_overrides, desk_default
 from .session import (
     analyze_session,
     simulate_session,
+    summary_from_counts,
+    write_counts,
     write_delta_t_csv,
     write_report_bundle,
     write_slots_csv,
@@ -86,6 +88,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         write_slots_csv(summary.series, outdir / "slots.csv")
         write_delta_t_csv(summary, outdir / "delta_t_hist.csv")
     write_summary_json(summary, outdir / "summary.json", stamp=args.stamp)
+    write_counts(summary, outdir / "counts.npz")
     if summary.transient is not None:
         print(f"transient verdict: {summary.transient.kind}")
     if summary.degraded:
@@ -96,16 +99,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     summary_path = Path(args.summary)
-    if not summary_path.exists():
-        print(f"no analysis summary at {summary_path}", file=sys.stderr)
-        return 2
-    # Figure data needs the full per-slot series, so re-derive from the
-    # manifest next to the summary (deterministic, so results agree).
-    manifest = summary_path.parent / "manifest.json"
-    if not manifest.exists():
-        print(f"no manifest next to {summary_path}", file=sys.stderr)
-        return 2
-    summary, _config = analyze_session(manifest)
+    # Every figure is a function of the session's summed counts, which
+    # analyze saved as counts.npz next to the summary; no tag file is read.
+    summary = summary_from_counts(summary_path)
     outdir = summary_path.parent / "report" if args.output is None else _out_root(args.output)
     written = write_report_bundle(summary, outdir)
     for p in written:
@@ -122,7 +118,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     """Fast subset of the acceptance checks (the full set lives in the test
     suite; run `pytest tests/test_acceptance.py -v`)."""
     from . import coinc, tagfmt
-    from .sim import FmPattern, PulsePlan, generate_trigger_train
+    from .sim import FmPattern, PulsePlan
 
     ok = True
     acc = coinc.accidental_estimate(200.0, 200.0, 4e-9, 30.0)
@@ -166,10 +162,10 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     )
 
     plan = PulsePlan(n_pulses=3, fm_pattern=FmPattern.constant())
-    train = generate_trigger_train(plan)
     ok &= _check(
         "trigger train",
-        np.allclose(train.starts, [0.0, 2e-6, 4e-6]) and not train.synchronizable,
+        np.allclose(plan.start_times(), [0.0, 2e-6, 4e-6])
+        and not plan.fm_pattern.synchronizable,
     )
 
     print("selftest:", "all checks passed" if ok else "FAILURES above")
@@ -209,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.set_defaults(func=cmd_analyze)
 
     p_rep = sub.add_parser("report", help="emit figure-data CSV bundles")
-    p_rep.add_argument("summary", help="summary.json produced by analyze")
+    p_rep.add_argument(
+        "summary", help="summary.json produced by analyze (counts.npz beside it)"
+    )
     p_rep.add_argument("--output", help="report directory")
     p_rep.set_defaults(func=cmd_report)
 

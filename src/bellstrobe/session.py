@@ -12,7 +12,8 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass
+import zipfile
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -64,22 +65,25 @@ class SyncReport:
 
 @dataclass
 class SessionSummary:
+    """One session's products; a field the mode (or the report-side rebuild
+    in `summary_from_counts`) has no value for stays None or empty."""
+
     session_id: str
     mode: str
-    series: ana.SlotSeries | None
-    plateau: ana.PlateauSummary | None
-    flatness: tuple[float, int] | None
-    transient: ana.TransientVerdict | None
-    eq1: dict | None
-    significance: dict | None
-    scan_fits: dict[str, ana.ScanFit] | None
-    scan_curves: dict | None
-    sync_reports: list[SyncReport]
-    runs_total: int
-    runs_used: int
-    runs_glitched: int
-    runs_skipped: list[int]
     expectations: dict
+    series: ana.SlotSeries | None = None
+    plateau: ana.PlateauSummary | None = None
+    flatness: tuple[float, int] | None = None
+    transient: ana.TransientVerdict | None = None
+    eq1: dict | None = None
+    significance: dict | None = None
+    scan_fits: dict[str, ana.ScanFit] | None = None
+    scan_curves: dict | None = None
+    sync_reports: list[SyncReport] = field(default_factory=list)
+    runs_total: int = 0
+    runs_used: int = 0
+    runs_glitched: int = 0
+    runs_skipped: list[dict] = field(default_factory=list)  # {run, reason}
     tables: dict[str, dict[str, int]] | None = None
     delta_t_hist: tuple[np.ndarray, np.ndarray] | None = None
     transient_error: str | None = None
@@ -319,15 +323,28 @@ def analyze_products(
     config: ExperimentConfig,
     runs_total: int | None = None,
     runs_glitched: int = 0,
-    skipped: Sequence[int] = (),
+    skipped: Sequence[dict] = (),
 ) -> SessionSummary:
-    """Accumulate processed runs of one session into the full summary."""
+    """Accumulate processed runs of one session into the full summary.
+
+    `skipped` holds one `{"run", "reason"}` entry per ok-marked run that
+    could not be processed; any entry marks the summary degraded.
+    """
     if not products:
         raise ana.AnalysisError("no usable runs to analyze")
     mode = config.session.mode
-    session_id = config.session_id()
-    sync_reports = [p.report for p in products]
     expectations = _expectations(config)
+    common = dict(
+        session_id=config.session_id(),
+        mode=mode,
+        expectations=expectations,
+        sync_reports=[p.report for p in products],
+        runs_total=runs_total if runs_total is not None else len(products),
+        runs_used=len(products),
+        runs_glitched=runs_glitched,
+        runs_skipped=list(skipped),
+        degraded=bool(skipped),
+    )
 
     if mode == "scan_34":
         labels = config.setting_labels()
@@ -339,28 +356,14 @@ def analyze_products(
         angles = config.setting_angles()
         betas = np.array([angles[lab][1] for lab in labels])
         counts = np.stack([tables[lab].counts for lab in labels])
-        fits = ana.angle_scan_curves(betas, counts)
         return SessionSummary(
-            session_id=session_id,
-            mode=mode,
-            series=None,
-            plateau=None,
-            flatness=None,
-            transient=None,
-            eq1=None,
-            significance=None,
-            scan_fits=fits,
+            **common,
+            scan_fits=ana.angle_scan_curves(betas, counts),
             scan_curves={
                 "beta": betas.tolist(),
                 "counts": counts.tolist(),
                 "labels": labels,
             },
-            sync_reports=sync_reports,
-            runs_total=runs_total if runs_total is not None else len(products),
-            runs_used=len(products),
-            runs_glitched=runs_glitched,
-            runs_skipped=list(skipped),
-            expectations=expectations,
         )
 
     grid = ana.SlotGrid.for_period(
@@ -425,29 +428,25 @@ def analyze_products(
         half_range=1.5 * config.analysis.window,
     )
     return SessionSummary(
-        session_id=session_id,
-        mode=mode,
+        **common,
         series=series,
         plateau=plateau,
         flatness=flatness,
         transient=verdict,
         eq1=eq1,
         significance=significance,
-        scan_fits=None,
-        scan_curves=None,
-        sync_reports=sync_reports,
-        runs_total=runs_total if runs_total is not None else len(products),
-        runs_used=len(products),
-        runs_glitched=runs_glitched,
-        runs_skipped=list(skipped),
-        expectations=expectations,
-        tables={
-            lab: co.CoincidenceTable(lab, totals).as_dict()
-            for lab, totals in zip(series.setting_labels, series.setting_totals())
-        },
+        tables=_setting_tables(series),
         delta_t_hist=hist,
         transient_error=transient_error,
     )
+
+
+def _setting_tables(series: ana.SlotSeries) -> dict[str, dict[str, int]]:
+    """The summary's `tables` block: per-setting outcome totals."""
+    return {
+        lab: co.CoincidenceTable(lab, totals).as_dict()
+        for lab, totals in zip(series.setting_labels, series.setting_totals())
+    }
 
 
 def _eq1_block(
@@ -532,7 +531,7 @@ def analyze_session(
     config = ExperimentConfig.from_dict(manifests[0]["config"])
 
     products: list[RunProducts] = []
-    skipped: list[int] = []
+    skipped: list[dict] = []
     glitched = 0
     total = 0
     for m in manifests:
@@ -554,14 +553,12 @@ def analyze_session(
                 products.append(process_run(run, config))
             except (TagFormatError, sy.SyncError, OSError) as exc:
                 log.warning("skipping run %s: %s", meta["index"], exc)
-                skipped.append(meta["index"])
+                skipped.append({"run": meta["index"], "reason": str(exc)})
     if not products:
         raise ana.AnalysisError("no usable runs in the manifest(s)")
-    summary = analyze_products(
+    return analyze_products(
         products, config, runs_total=total, runs_glitched=glitched, skipped=skipped
-    )
-    summary.degraded = bool(skipped)
-    return summary, config
+    ), config
 
 
 # --- Emission of results ----------------------------------------------------
@@ -639,6 +636,78 @@ def write_summary_json(
     if stamp is not None:
         data["generated_at"] = stamp
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def write_counts(summary: SessionSummary, path: str | Path) -> None:
+    """The session-level counts `report` rebuilds its products from
+    (counts.npz, see docs/output-schemas.md)."""
+    if summary.series is not None:
+        series = summary.series
+        arrays = {
+            "slot_width": series.grid.slot_width,
+            "n_slots": series.grid.n_slots,
+            "setting_labels": list(series.setting_labels),
+            "singles": np.stack([series.singles[d] for d in ana.DETECTOR_KEYS]),
+            "coincidences": series.coincidences,
+        }
+    else:
+        curves = summary.scan_curves
+        arrays = {
+            "beta": curves["beta"],
+            "counts": np.asarray(curves["counts"], dtype=np.int64),
+            "labels": curves["labels"],
+        }
+    with open(path, "wb") as fh:
+        np.savez(fh, session_id=summary.session_id, mode=summary.mode, **arrays)
+
+
+def summary_from_counts(summary_path: str | Path) -> SessionSummary:
+    """What `write_report_bundle` draws, rebuilt from the counts.npz next to
+    `summary_path` and the expectations in it: the slot series and plateau
+    summary (chsh_4) or the scan curves (scan_34). No tag file or manifest is
+    read; the per-run and verdict fields stay empty.
+
+    Raises AnalysisError naming the file when either file is missing or
+    unreadable, when the counts belong to another session, or when their
+    per-setting totals differ from the summary's `tables`.
+    """
+    summary_path = Path(summary_path)
+    counts_path = summary_path.parent / "counts.npz"
+    if not summary_path.exists():
+        raise ana.AnalysisError(f"no analysis summary at {summary_path}")
+    if not counts_path.exists():
+        raise ana.AnalysisError(f"no {counts_path}; run bellstrobe analyze to write it")
+    data = json.loads(summary_path.read_text())
+    try:
+        with np.load(counts_path) as npz:
+            counts = {key: npz[key] for key in npz.files}
+        session_id, mode = str(counts["session_id"]), str(counts["mode"])
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise ana.AnalysisError(f"{counts_path}: unreadable counts ({exc})") from exc
+    if session_id != data.get("session_id"):
+        raise ana.AnalysisError(
+            f"{counts_path}: session {session_id} does not match "
+            f"{data.get('session_id')} in {summary_path}"
+        )
+    summary = SessionSummary(session_id, mode, data["expectations"])
+    if mode == "scan_34":
+        summary.scan_curves = {
+            key: counts[key].tolist() for key in ("beta", "counts", "labels")
+        }
+        return summary
+    series = ana.SlotSeries(
+        grid=ana.SlotGrid(float(counts["slot_width"]), int(counts["n_slots"])),
+        setting_labels=tuple(counts["setting_labels"].tolist()),
+        singles=dict(zip(ana.DETECTOR_KEYS, counts["singles"])),
+        coincidences=counts["coincidences"],
+    )
+    if _setting_tables(series) != data.get("tables"):
+        raise ana.AnalysisError(
+            f"{counts_path}: coincidence totals differ from the tables in "
+            f"{summary_path}"
+        )
+    summary.series, summary.plateau = series, ana.plateau_summary(series)
+    return summary
 
 
 def write_report_bundle(

@@ -187,15 +187,6 @@ class SourceConfig:
             raise ValueError("visibility_drift must be >= 0")
 
 
-@dataclass(frozen=True)
-class TriggerTrain:
-    """True-time pulse starts with per-pulse FM labels."""
-
-    starts: np.ndarray
-    labels: np.ndarray
-    synchronizable: bool
-
-
 @dataclass
 class TagStream:
     """One station's tag list: parallel channel/timestamp arrays, sorted by
@@ -246,18 +237,6 @@ class TagStream:
             np.not_equal(key[1:], key[:-1], out=keep[1:])
             key = key[keep]
         return cls((key & 3).astype(np.uint8), key >> 2)
-
-
-def generate_trigger_train(plan: PulsePlan) -> TriggerTrain:
-    """Pulse start times in true (global) time, with FM pattern labels.
-
-    A constant-period pattern is allowed but flagged non-synchronizable.
-    """
-    return TriggerTrain(
-        starts=plan.start_times(),
-        labels=plan.fm_pattern.labels(plan.n_pulses),
-        synchronizable=plan.fm_pattern.synchronizable,
-    )
 
 
 def _sample_pulse_envelope(rng: np.random.Generator, n: int, plan: PulsePlan) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bellstrobe.session import (
     analyze_session,
     run_session_in_memory,
     simulate_session,
+    write_counts,
     write_report_bundle,
     write_slots_csv,
     write_summary_json,
@@ -167,7 +169,8 @@ class TestAnalyzeSession:
         victim.write_bytes(victim.read_bytes()[:-7])  # truncate mid-record
         summary, _ = analyze_session(manifest_path)
         assert summary.degraded
-        assert summary.runs_skipped == [1]
+        assert summary.runs_skipped == [{"run": 1, "reason": mock.ANY}]
+        assert "truncated record" in summary.runs_skipped[0]["reason"]
         assert summary.runs_used == 7
 
     def test_clock_fit_failure_skips_only_that_run(self, tmp_path):
@@ -181,7 +184,8 @@ class TestAnalyzeSession:
         write_tags(header, (channels, scaled), victim)
         summary, _ = analyze_session(manifest_path)
         runs = summary.to_dict()["runs"]
-        assert runs["skipped"] == [1]
+        assert runs["skipped"] == [{"run": 1, "reason": mock.ANY}]
+        assert "rate_ratio" in runs["skipped"][0]["reason"]
         assert runs["used"] == 7
         assert summary.to_dict()["degraded"] is True
 
@@ -281,6 +285,98 @@ class TestOutputs:
         # summary present but no manifest next to it
         (tmp_path / "summary.json").write_text("{}")
         assert main(["report", str(tmp_path / "summary.json")]) == 2
+
+
+def scan_config():
+    return desk_boosted(seed=8).replace(
+        session=SessionPlan(run_duration=0.03, runs_per_experiment=34,
+                            mode="scan_34", dead_time=0.5),
+    )
+
+
+class TestReportFromCounts:
+    """`report` rebuilds its bundle from counts.npz and summary.json alone."""
+
+    def _error_line(self, capsys, argv):
+        from bellstrobe.cli import main
+
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        return err[0]
+
+    @pytest.mark.parametrize("config", [tiny_config(), scan_config()],
+                             ids=["chsh_4", "scan_34"])
+    def test_report_reads_no_tag_file_or_manifest(self, tmp_path, config):
+        from bellstrobe.cli import main
+
+        sdir, ref = tmp_path / "s", tmp_path / "ref"
+        manifest_path = simulate_session(config, sdir)
+        assert main(["analyze", str(manifest_path)]) == 0
+        expected = write_report_bundle(analyze_session(manifest_path)[0], ref)
+        for path in [manifest_path, *sdir.glob("*.tags")]:
+            path.unlink()
+        assert main(["report", str(sdir / "summary.json")]) == 0
+        written = sorted((sdir / "report").iterdir())
+        assert [p.name for p in written] == sorted(p.name for p in expected)
+        for path in written:
+            assert path.read_bytes() == (ref / path.name).read_bytes(), path.name
+
+    def test_report_after_analyze_output(self, tmp_path):
+        from bellstrobe.cli import main
+
+        manifest_path = simulate_session(tiny_config(), tmp_path / "s")
+        out = tmp_path / "elsewhere"
+        assert main(["analyze", str(manifest_path), "--output", str(out)]) == 0
+        assert main(["report", str(out / "summary.json")]) == 0
+        assert (out / "report" / "s_chsh_full.csv").exists()
+
+    def test_missing_foreign_or_stale_counts_error(self, tmp_path, capsys):
+        from bellstrobe.cli import main
+
+        dirs = []
+        for seed in (5, 6):
+            manifest_path = simulate_session(tiny_config(seed=seed), tmp_path / str(seed))
+            assert main(["analyze", str(manifest_path)]) == 0
+            dirs.append(manifest_path.parent)
+        counts_path, summary_path = dirs[0] / "counts.npz", dirs[0] / "summary.json"
+        own = counts_path.read_bytes()
+        argv = ["report", str(summary_path)]
+
+        counts_path.unlink()
+        assert str(counts_path) in self._error_line(capsys, argv)
+
+        counts_path.write_bytes((dirs[1] / "counts.npz").read_bytes())
+        assert str(counts_path) in self._error_line(capsys, argv)
+
+        counts_path.write_bytes(own[:100])
+        assert str(counts_path) in self._error_line(capsys, argv)
+
+        counts_path.write_bytes(own)
+        with np.load(counts_path) as npz:
+            arrays = dict(npz)
+        arrays["coincidences"][0, 10, 0] += 1
+        np.savez(counts_path, **arrays)
+        assert str(counts_path) in self._error_line(capsys, argv)
+        assert not (dirs[0] / "report").exists()
+
+    def test_counts_round_trip(self, tmp_path):
+        summary, _ = analyze_session(simulate_session(tiny_config(), tmp_path))
+        series = summary.series
+        write_counts(summary, tmp_path / "counts.npz")
+        with np.load(tmp_path / "counts.npz") as npz:
+            assert str(npz["session_id"]) == summary.session_id
+            assert str(npz["mode"]) == "chsh_4"
+            assert float(npz["slot_width"]) == series.grid.slot_width
+            assert int(npz["n_slots"]) == series.grid.n_slots
+            assert tuple(npz["setting_labels"]) == series.setting_labels
+            singles, coincidences = npz["singles"], npz["coincidences"]
+        assert singles.dtype == coincidences.dtype == np.int64
+        assert np.array_equal(
+            singles, np.stack([series.singles[d] for d in ("A+", "A-", "B+", "B-")])
+        )
+        assert np.array_equal(coincidences, series.coincidences)
 
 
 class TestCli:

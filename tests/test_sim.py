@@ -14,7 +14,6 @@ from bellstrobe.sim import (
     TagStream,
     _to_local_clock,
     emit_events,
-    generate_trigger_train,
     prbs_bits,
 )
 from bellstrobe.sync import assign_to_pulses
@@ -48,25 +47,23 @@ class TestPrbs:
 class TestTriggerTrain:
     def test_constant_period_starts(self):
         plan = PulsePlan(n_pulses=3, fm_pattern=FmPattern.constant())
-        train = generate_trigger_train(plan)
-        assert np.allclose(train.starts, [0.0, 2e-6, 4e-6])
-        assert not train.synchronizable
+        assert np.allclose(plan.start_times(), [0.0, 2e-6, 4e-6])
+        assert not plan.fm_pattern.synchronizable
 
     def test_prbs_intervals_reproduce_the_sequence(self):
         plan = PulsePlan(n_pulses=127 * 100 + 1)
-        train = generate_trigger_train(plan)
-        intervals = np.diff(train.starts)
+        intervals = np.diff(plan.start_times())
         bits = prbs_bits()
         expected = 2e-6 * (1.0 + 0.02 * np.repeat(bits, 100))
         assert np.allclose(intervals, expected[: intervals.size], rtol=1e-12)
-        assert train.synchronizable
+        assert plan.fm_pattern.synchronizable
 
     def test_labels_follow_pattern(self):
         plan = PulsePlan(n_pulses=350)
-        train = generate_trigger_train(plan)
+        labels = plan.fm_pattern.labels(plan.n_pulses)
         bits = prbs_bits()
-        assert list(train.labels[:100]) == [bits[0]] * 100
-        assert list(train.labels[100:200]) == [bits[1]] * 100
+        assert list(labels[:100]) == [bits[0]] * 100
+        assert list(labels[100:200]) == [bits[1]] * 100
 
     def test_geometry_validation(self):
         plan = PulsePlan(n_pulses=10)
