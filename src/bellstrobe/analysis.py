@@ -10,12 +10,13 @@ no counts stay undefined and are excluded from averages, never zero-filled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .coinc import Coincidences
+from .coinc import Coincidences, SessionMixError
 from .model import OUTCOME_LABELS
 from .sync import Detections
 
@@ -91,6 +92,103 @@ def bin_coincidences(records: Coincidences, grid: SlotGrid) -> np.ndarray:
     slots, ok = _slot_index(records.intra_time, grid)
     flat = slots[ok] * 4 + records.outcome_index()[ok]
     return np.bincount(flat, minlength=grid.n_slots * 4).reshape(grid.n_slots, 4)
+
+
+@dataclass
+class SlotCounts:
+    """The counts every session product is derived from.
+
+    A run's counts and a session's are the same object: runs are summed with
+    `+`. scan_34 uses a one-slot grid spanning the base period, so its totals
+    are `coincidences.sum(axis=1) + off_grid`.
+    """
+
+    session_id: str
+    grid: SlotGrid
+    setting_labels: tuple[str, ...]
+    setting_angles: np.ndarray  # (n_settings, 2): alpha, beta in radians
+    singles: np.ndarray  # (4, n_slots), rows in DETECTOR_KEYS order
+    coincidences: np.ndarray  # (n_settings, n_slots, 4) by station A's slot
+    off_grid: np.ndarray  # (n_settings, 4): coincidences past the grid
+    delta_t_edges: np.ndarray  # (n_bins + 1,) seconds
+    delta_t_counts: np.ndarray  # (n_bins,) B-minus-A differences
+
+    @classmethod
+    def zeros(
+        cls,
+        session_id: str,
+        grid: SlotGrid,
+        setting_labels: Sequence[str],
+        setting_angles: Sequence[tuple[float, float]],
+        delta_t_edges: np.ndarray,
+    ) -> "SlotCounts":
+        n = len(setting_labels)
+        return cls(
+            session_id,
+            grid,
+            tuple(setting_labels),
+            np.asarray(setting_angles, dtype=np.float64),
+            np.zeros((4, grid.n_slots), dtype=np.int64),
+            np.zeros((n, grid.n_slots, 4), dtype=np.int64),
+            np.zeros((n, 4), dtype=np.int64),
+            delta_t_edges,
+            np.zeros(delta_t_edges.size - 1, dtype=np.int64),
+        )
+
+    def add_run(
+        self, setting: str, detections: Sequence[Detections], records: Coincidences
+    ) -> None:
+        """Bin one run measured at `setting` into these counts."""
+        if setting not in self.setting_labels:
+            raise AnalysisError(
+                f"setting {setting!r} is not one of {list(self.setting_labels)}"
+            )
+        s = self.setting_labels.index(setting)
+        for events in detections:
+            for key, arr in bin_singles(events, self.grid).items():
+                self.singles[DETECTOR_KEYS.index(key)] += arr
+        on_grid = bin_coincidences(records, self.grid)
+        self.coincidences[s] += on_grid
+        self.off_grid[s] += np.bincount(records.outcome_index(), minlength=4)
+        self.off_grid[s] -= on_grid.sum(axis=0)
+        self.delta_t_counts += np.histogram(records.delta_t, self.delta_t_edges)[0]
+
+    def __add__(self, other: "SlotCounts") -> "SlotCounts":
+        layout = (self.session_id, self.grid, self.setting_labels)
+        if (other.session_id, other.grid, other.setting_labels) != layout:
+            raise SessionMixError(
+                f"counts of session {other.session_id} (settings "
+                f"{list(other.setting_labels)}) cannot join session "
+                f"{self.session_id} (settings {list(self.setting_labels)})"
+            )
+        return replace(
+            self,
+            singles=self.singles + other.singles,
+            coincidences=self.coincidences + other.coincidences,
+            off_grid=self.off_grid + other.off_grid,
+            delta_t_counts=self.delta_t_counts + other.delta_t_counts,
+        )
+
+    def totals(self) -> np.ndarray:
+        """(n_settings, 4) outcome totals of every coincidence, on or past
+        the grid."""
+        return self.coincidences.sum(axis=1) + self.off_grid
+
+    def save(self, path: str | Path) -> None:
+        """Every field in one np.savez file (docs/output-schemas.md, counts.npz)."""
+        arrays = {f.name: getattr(self, f.name) for f in fields(self)}
+        grid = arrays.pop("grid")
+        with open(path, "wb") as fh:
+            np.savez(fh, slot_width=grid.slot_width, n_slots=grid.n_slots, **arrays)
+
+    @classmethod
+    def load(cls, path: str | Path) -> "SlotCounts":
+        with np.load(path) as npz:
+            a = {key: npz[key] for key in npz.files}
+        a["grid"] = SlotGrid(float(a.pop("slot_width")), int(a.pop("n_slots")))
+        a["session_id"] = str(a["session_id"])
+        a["setting_labels"] = tuple(a["setting_labels"].tolist())
+        return cls(**a)
 
 
 def correlator_series(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,6 @@ from .session import (
     analyze_session,
     simulate_session,
     summary_from_counts,
-    write_counts,
     write_delta_t_csv,
     write_report_bundle,
     write_slots_csv,
@@ -88,7 +87,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         write_slots_csv(summary.series, outdir / "slots.csv")
         write_delta_t_csv(summary, outdir / "delta_t_hist.csv")
     write_summary_json(summary, outdir / "summary.json", stamp=args.stamp)
-    write_counts(summary, outdir / "counts.npz")
+    summary.counts.save(outdir / "counts.npz")
     if summary.transient is not None:
         print(f"transient verdict: {summary.transient.kind}")
     if summary.degraded:

@@ -1,5 +1,5 @@
-"""Coincidence matching, per-setting count tables, and the accidental-rate
-estimate.
+"""Coincidence matching, the delta_t diagnostic histogram, and the
+accidental-rate estimate.
 
 Detections are coincident when they share a pulse number AND lie within the
 coincidence window of each other (both gates; the window default is 4 ns).
@@ -11,11 +11,9 @@ per-pulse walks run together as one lockstep vectorised pass per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import OUTCOME_LABELS
 from .sync import Detections
 
 DEFAULT_WINDOW = 4e-9
@@ -116,56 +114,6 @@ def accidental_estimate(
     if min(rate_a, rate_b, window, duration) < 0:
         raise ValueError("all inputs must be non-negative")
     return rate_a * rate_b * window * duration
-
-
-@dataclass
-class CoincidenceTable:
-    """Per-setting 4-outcome totals, summed over the runs of one session."""
-
-    setting_label: str
-    counts: np.ndarray  # (4,) int64 in OUTCOME_ORDER
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def as_dict(self) -> dict[str, int]:
-        return {lab: int(c) for lab, c in zip(OUTCOME_LABELS, self.counts)}
-
-
-def build_tables(
-    records_by_run: Mapping[int, Coincidences],
-    run_to_setting: Mapping[int, str],
-    session_of_run: Mapping[int, str] | None = None,
-    setting_labels: Sequence[str] | None = None,
-) -> dict[str, CoincidenceTable]:
-    """Accumulate per-setting outcome tables across the runs of one session.
-
-    Every run must carry a setting label; if session ids are supplied, mixing
-    more than one raises SessionMixError (sessions are never summed). Counts
-    resolved by time slot come from analysis.bin_coincidences.
-    """
-    if session_of_run is not None:
-        sessions = {session_of_run[r] for r in records_by_run}
-        if len(sessions) > 1:
-            raise SessionMixError(
-                f"runs span sessions {sorted(sessions)}; refusing to accumulate"
-            )
-    missing = [r for r in records_by_run if r not in run_to_setting]
-    if missing:
-        raise KeyError(f"runs without a setting label: {missing}")
-
-    if setting_labels is None:
-        setting_labels = sorted({run_to_setting[r] for r in records_by_run})
-    tables = {
-        lab: CoincidenceTable(setting_label=lab, counts=np.zeros(4, dtype=np.int64))
-        for lab in setting_labels
-    }
-    for run, rec in records_by_run.items():
-        tables[run_to_setting[run]].counts += np.bincount(
-            rec.outcome_index(), minlength=4
-        )
-    return tables
 
 
 def delta_t_histogram(

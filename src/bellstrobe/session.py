@@ -71,6 +71,7 @@ class SessionSummary:
     session_id: str
     mode: str
     expectations: dict
+    counts: ana.SlotCounts | None = None
     series: ana.SlotSeries | None = None
     plateau: ana.PlateauSummary | None = None
     flatness: tuple[float, int] | None = None
@@ -78,14 +79,12 @@ class SessionSummary:
     eq1: dict | None = None
     significance: dict | None = None
     scan_fits: dict[str, ana.ScanFit] | None = None
-    scan_curves: dict | None = None
     sync_reports: list[SyncReport] = field(default_factory=list)
     runs_total: int = 0
     runs_used: int = 0
     runs_glitched: int = 0
     runs_skipped: list[dict] = field(default_factory=list)  # {run, reason}
     tables: dict[str, dict[str, int]] | None = None
-    delta_t_hist: tuple[np.ndarray, np.ndarray] | None = None
     transient_error: str | None = None
     degraded: bool = False
 
@@ -265,18 +264,34 @@ def simulate_session(config: ExperimentConfig, outdir: str | Path) -> Path:
 
 @dataclass
 class RunProducts:
-    """Per-run pipeline output with shared (station A) pulse numbering."""
+    """Per-run pipeline output: coincidence records with shared (station A)
+    pulse numbering, the sync report and the run's binned counts."""
 
     index: int
     setting_label: str
-    detections_a: sy.Detections
-    detections_b: sy.Detections
     records: co.Coincidences
     report: SyncReport
+    counts: ana.SlotCounts
+
+
+def _zero_counts(config: ExperimentConfig) -> ana.SlotCounts:
+    """Empty counts in the session's layout: slots over one base period, or
+    in scan_34 mode a single slot spanning it."""
+    period = config.pulses.base_period
+    if config.session.mode == "scan_34":
+        grid = ana.SlotGrid(period, 1)
+    else:
+        grid = ana.SlotGrid.for_period(config.analysis.slot_width, period)
+    labels, angles = config.setting_labels(), config.setting_angles()
+    window = config.analysis.window
+    edges, _ = co.delta_t_histogram(co.Coincidences.empty(), window / 8, 1.5 * window)
+    return ana.SlotCounts.zeros(
+        config.session_id(), grid, labels, [angles[lab] for lab in labels], edges
+    )
 
 
 def process_run(run: RunData, config: ExperimentConfig) -> RunProducts:
-    """Sync, assign and match one run's tag streams."""
+    """Sync, assign, match and bin one run's tag streams."""
     trig_a, dets_a = run.tags_a.split_triggers()
     trig_b, dets_b = run.tags_b.split_triggers()
     series_a = sy.extract_period_series(trig_a)
@@ -301,7 +316,9 @@ def process_run(run: RunData, config: ExperimentConfig) -> RunProducts:
         dropped_a=det_a.dropped_before_first + det_a.dropped_after_last,
         dropped_b=det_b.dropped_before_first + det_b.dropped_after_last,
     )
-    return RunProducts(run.index, run.setting_label, det_a, det_b, records, report)
+    counts = _zero_counts(config)
+    counts.add_run(run.setting_label, (det_a, det_b), records)
+    return RunProducts(run.index, run.setting_label, records, report, counts)
 
 
 def _expectations(config: ExperimentConfig) -> dict:
@@ -332,12 +349,11 @@ def analyze_products(
     """
     if not products:
         raise ana.AnalysisError("no usable runs to analyze")
-    mode = config.session.mode
     expectations = _expectations(config)
-    common = dict(
-        session_id=config.session_id(),
-        mode=mode,
-        expectations=expectations,
+    summary = _summary_of(
+        sum((p.counts for p in products), _zero_counts(config)),
+        config.session.mode,
+        expectations,
         sync_reports=[p.report for p in products],
         runs_total=runs_total if runs_total is not None else len(products),
         runs_used=len(products),
@@ -345,108 +361,67 @@ def analyze_products(
         runs_skipped=list(skipped),
         degraded=bool(skipped),
     )
+    series = summary.series
+    if series is None:
+        return summary
 
-    if mode == "scan_34":
-        labels = config.setting_labels()
-        tables = co.build_tables(
-            {p.index: p.records for p in products},
-            {p.index: p.setting_label for p in products},
-            setting_labels=labels,
-        )
-        angles = config.setting_angles()
-        betas = np.array([angles[lab][1] for lab in labels])
-        counts = np.stack([tables[lab].counts for lab in labels])
-        return SessionSummary(
-            **common,
-            scan_fits=ana.angle_scan_curves(betas, counts),
-            scan_curves={
-                "beta": betas.tolist(),
-                "counts": counts.tolist(),
-                "labels": labels,
-            },
-        )
-
-    grid = ana.SlotGrid.for_period(
-        config.analysis.slot_width, config.pulses.base_period
-    )
-    labels = config.setting_labels()
-    label_index = {lab: i for i, lab in enumerate(labels)}
-    singles = {det: np.zeros(grid.n_slots, dtype=np.int64) for det in ana.DETECTOR_KEYS}
-    coinc_slots = np.zeros((4, grid.n_slots, 4), dtype=np.int64)
-
-    for p in products:
-        for det_events in (p.detections_a, p.detections_b):
-            for key, arr in ana.bin_singles(det_events, grid).items():
-                singles[key] += arr
-        coinc_slots[label_index[p.setting_label]] += ana.bin_coincidences(p.records, grid)
-
-    series = ana.SlotSeries(
-        grid=grid,
-        setting_labels=tuple(labels),
-        singles=singles,
-        coincidences=coinc_slots,
-    )
-    plateau = ana.plateau_summary(series)
     significant = ana.significance_mask(
         series.coincidences, config.analysis.min_coincidences
     )
     in_pulse = ana.in_pulse_slots(series.singles_total)
-    flatness = None
     try:
-        flatness = ana.chi_square_vs_constant(series.s, series.sigma_s, in_pulse)
+        summary.flatness = ana.chi_square_vs_constant(
+            series.s, series.sigma_s, in_pulse
+        )
     except ana.AnalysisError:
         pass
 
-    tau = config.geometry.tau
-    verdict = None
-    transient_error = None
     try:
-        verdict = ana.detect_transient(
+        summary.transient = ana.detect_transient(
             series.s,
             series.sigma_s,
             significant,
-            tau=tau,
-            slot_width=grid.slot_width,
+            tau=config.geometry.tau,
+            slot_width=series.grid.slot_width,
             k_sigma=config.analysis.k_sigma,
         )
     except ana.SignificanceError as exc:
         log.warning("transient test not run: %s", exc)
-        transient_error = str(exc)
+        summary.transient_error = str(exc)
 
-    eq1 = _eq1_block(series, plateau, expectations)
-    significance = {
+    summary.eq1 = _eq1_block(series, summary.plateau, expectations)
+    summary.significance = {
         "min_coincidences": config.analysis.min_coincidences,
         "n_significant_slots": int(significant.sum()),
         "n_in_pulse_slots": int(in_pulse.sum()),
     }
-    all_deltas = np.concatenate(
-        [p.records.delta_t for p in products] or [np.empty(0)]
-    )
-    hist = co.delta_t_histogram(
-        all_deltas,
-        bin_width=config.analysis.window / 8,
-        half_range=1.5 * config.analysis.window,
-    )
-    return SessionSummary(
-        **common,
-        series=series,
-        plateau=plateau,
-        flatness=flatness,
-        transient=verdict,
-        eq1=eq1,
-        significance=significance,
-        tables=_setting_tables(series),
-        delta_t_hist=hist,
-        transient_error=transient_error,
-    )
+    return summary
 
 
-def _setting_tables(series: ana.SlotSeries) -> dict[str, dict[str, int]]:
-    """The summary's `tables` block: per-setting outcome totals."""
-    return {
-        lab: co.CoincidenceTable(lab, totals).as_dict()
-        for lab, totals in zip(series.setting_labels, series.setting_totals())
+def _summary_of(
+    counts: ana.SlotCounts, mode: str, expectations: dict, **fields
+) -> SessionSummary:
+    """What the session counts alone determine: the slot series, plateau
+    summary and `tables` block (on-grid per-setting totals) in chsh_4 mode,
+    or the fringe fits of every coincidence's totals in scan_34 mode."""
+    summary = SessionSummary(counts.session_id, mode, expectations, counts, **fields)
+    if mode == "scan_34":
+        summary.scan_fits = ana.angle_scan_curves(
+            counts.setting_angles[:, 1], counts.totals()
+        )
+        return summary
+    summary.series = ana.SlotSeries(
+        grid=counts.grid,
+        setting_labels=counts.setting_labels,
+        singles=dict(zip(ana.DETECTOR_KEYS, counts.singles)),
+        coincidences=counts.coincidences,
+    )
+    summary.plateau = ana.plateau_summary(summary.series)
+    summary.tables = {
+        lab: dict(zip(OUTCOME_LABELS, map(int, totals)))
+        for lab, totals in zip(counts.setting_labels, counts.coincidences.sum(axis=1))
     }
+    return summary
 
 
 def _eq1_block(
@@ -608,9 +583,7 @@ def _fmt(x: float) -> str:
 
 def write_delta_t_csv(summary: SessionSummary, path: str | Path) -> None:
     """Diagnostic histogram of coincidence B-minus-A time differences."""
-    if summary.delta_t_hist is None:
-        raise ValueError("summary carries no delta_t histogram")
-    edges, hist = summary.delta_t_hist
+    edges, hist = summary.counts.delta_t_edges, summary.counts.delta_t_counts
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_low_ns", "bin_high_ns", "counts"])
@@ -638,34 +611,11 @@ def write_summary_json(
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def write_counts(summary: SessionSummary, path: str | Path) -> None:
-    """The session-level counts `report` rebuilds its products from
-    (counts.npz, see docs/output-schemas.md)."""
-    if summary.series is not None:
-        series = summary.series
-        arrays = {
-            "slot_width": series.grid.slot_width,
-            "n_slots": series.grid.n_slots,
-            "setting_labels": list(series.setting_labels),
-            "singles": np.stack([series.singles[d] for d in ana.DETECTOR_KEYS]),
-            "coincidences": series.coincidences,
-        }
-    else:
-        curves = summary.scan_curves
-        arrays = {
-            "beta": curves["beta"],
-            "counts": np.asarray(curves["counts"], dtype=np.int64),
-            "labels": curves["labels"],
-        }
-    with open(path, "wb") as fh:
-        np.savez(fh, session_id=summary.session_id, mode=summary.mode, **arrays)
-
-
 def summary_from_counts(summary_path: str | Path) -> SessionSummary:
     """What `write_report_bundle` draws, rebuilt from the counts.npz next to
-    `summary_path` and the expectations in it: the slot series and plateau
-    summary (chsh_4) or the scan curves (scan_34). No tag file or manifest is
-    read; the per-run and verdict fields stay empty.
+    `summary_path` and the expectations in it, through the same derivation
+    as `analyze_products`. No tag file or manifest is read; the per-run and
+    verdict fields stay empty.
 
     Raises AnalysisError naming the file when either file is missing or
     unreadable, when the counts belong to another session, or when their
@@ -679,34 +629,20 @@ def summary_from_counts(summary_path: str | Path) -> SessionSummary:
         raise ana.AnalysisError(f"no {counts_path}; run bellstrobe analyze to write it")
     data = json.loads(summary_path.read_text())
     try:
-        with np.load(counts_path) as npz:
-            counts = {key: npz[key] for key in npz.files}
-        session_id, mode = str(counts["session_id"]), str(counts["mode"])
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        counts = ana.SlotCounts.load(counts_path)
+    except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         raise ana.AnalysisError(f"{counts_path}: unreadable counts ({exc})") from exc
-    if session_id != data.get("session_id"):
+    if counts.session_id != data.get("session_id"):
         raise ana.AnalysisError(
-            f"{counts_path}: session {session_id} does not match "
+            f"{counts_path}: session {counts.session_id} does not match "
             f"{data.get('session_id')} in {summary_path}"
         )
-    summary = SessionSummary(session_id, mode, data["expectations"])
-    if mode == "scan_34":
-        summary.scan_curves = {
-            key: counts[key].tolist() for key in ("beta", "counts", "labels")
-        }
-        return summary
-    series = ana.SlotSeries(
-        grid=ana.SlotGrid(float(counts["slot_width"]), int(counts["n_slots"])),
-        setting_labels=tuple(counts["setting_labels"].tolist()),
-        singles=dict(zip(ana.DETECTOR_KEYS, counts["singles"])),
-        coincidences=counts["coincidences"],
-    )
-    if _setting_tables(series) != data.get("tables"):
+    summary = _summary_of(counts, data["mode"], data["expectations"])
+    if summary.tables != data.get("tables"):
         raise ana.AnalysisError(
             f"{counts_path}: coincidence totals differ from the tables in "
             f"{summary_path}"
         )
-    summary.series, summary.plateau = series, ana.plateau_summary(series)
     return summary
 
 
@@ -721,14 +657,13 @@ def write_report_bundle(
     written: list[Path] = []
     series = summary.series
     if series is None:
-        if summary.scan_curves is not None:
+        if summary.counts is not None:
             p = outdir / "scan_curves.csv"
+            counts = summary.counts
             with open(p, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["beta_rad", "n_pp", "n_pm", "n_mp", "n_mm"])
-                for beta, row in zip(
-                    summary.scan_curves["beta"], summary.scan_curves["counts"]
-                ):
+                for beta, row in zip(counts.setting_angles[:, 1], counts.totals()):
                     writer.writerow([f"{beta:.6g}"] + [int(v) for v in row])
             written.append(p)
         return written

@@ -211,9 +211,6 @@ class TagStream:
             self.times_ps, other.times_ps
         )
 
-    def channel_times(self, channel: int) -> np.ndarray:
-        return self.times_ps[self.channels == channel]
-
     def split_triggers(self) -> tuple[np.ndarray, "TagStream"]:
         """Trigger timestamps and the detection-only stream, from one mask."""
         mask = self.channels == CHANNEL_TRIGGER

@@ -36,11 +36,9 @@ class ClockFitError(SyncError, ValueError):
 
 @dataclass(frozen=True)
 class PeriodSeries:
-    """Inter-trigger intervals in picoseconds; interval k starts at pulse
-    start_index + k."""
+    """Inter-trigger intervals in picoseconds; interval k starts at pulse k."""
 
     intervals_ps: np.ndarray
-    start_index: int = 0
 
     def __post_init__(self) -> None:
         iv = np.asarray(self.intervals_ps, dtype=np.int64)
@@ -96,9 +94,8 @@ class Detections:
         )
 
 
-def extract_period_series(tags: TagStream | np.ndarray) -> PeriodSeries:
-    """Consecutive differences of the channel-3 timestamps."""
-    times = tags.channel_times(CHANNEL_TRIGGER) if isinstance(tags, TagStream) else np.asarray(tags)
+def extract_period_series(times: np.ndarray) -> PeriodSeries:
+    """Consecutive differences of one station's trigger timestamps (ps)."""
     if times.size < 2:
         raise SyncError(f"need at least 2 trigger tags, got {times.size}")
     return PeriodSeries(np.diff(times.astype(np.int64)))
@@ -189,31 +186,21 @@ def align_pulse_numbering(
             f"alignment peak {best:.3f} (second best {second:.3f}) fails the "
             f"uniqueness margin (need >= {min_corr} and {margin}x second best)"
         )
-    return int(lags[best_i]) + series_a.start_index - series_b.start_index
+    return int(lags[best_i])
 
 
 def fit_clock_relation(
-    triggers_a: TagStream | np.ndarray,
-    triggers_b: TagStream | np.ndarray,
-    pulse_offset: int,
+    triggers_a: np.ndarray, triggers_b: np.ndarray, pulse_offset: int
 ) -> ClockFit:
-    """Least-squares affine fit of B's trigger times against A's.
+    """Least-squares affine fit of B's trigger times (ps) against A's.
 
     Matches B's trigger k with A's trigger k + pulse_offset. The constant
     trigger-vs-photon path delay is per-station configuration and is NOT
     absorbed here; it is subtracted later, when detections are assigned to
     pulses.
     """
-    ta = (
-        triggers_a.channel_times(CHANNEL_TRIGGER)
-        if isinstance(triggers_a, TagStream)
-        else np.asarray(triggers_a)
-    ).astype(np.float64) / PS_PER_SECOND
-    tb = (
-        triggers_b.channel_times(CHANNEL_TRIGGER)
-        if isinstance(triggers_b, TagStream)
-        else np.asarray(triggers_b)
-    ).astype(np.float64) / PS_PER_SECOND
+    ta = triggers_a.astype(np.float64) / PS_PER_SECOND
+    tb = triggers_b.astype(np.float64) / PS_PER_SECOND
 
     k0 = max(0, -pulse_offset)
     k1 = min(tb.size, ta.size - pulse_offset)

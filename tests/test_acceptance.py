@@ -15,7 +15,7 @@ from bellstrobe import model
 from bellstrobe.coinc import accidental_estimate
 from bellstrobe.config import desk_boosted
 from bellstrobe.session import analyze_session, simulate_session
-from bellstrobe.sim import CHANNEL_TRIGGER, ClockModel, PulsePlan, TagStream
+from bellstrobe.sim import ClockModel, PulsePlan
 from bellstrobe.sync import align_pulse_numbering, extract_period_series, fit_clock_relation
 from bellstrobe.tagfmt import TagFileHeader, read_tag_arrays, write_tags
 from conftest import DEMO_SEED
@@ -136,10 +136,7 @@ def test_criterion_07_synchronization():
         t = starts[first:]
         local = clock.offset + (1 + clock.drift_rate) * t
         local = local + rng.normal(0, clock.jitter_sigma, t.size)
-        return TagStream.from_unsorted(
-            np.full(t.size, CHANNEL_TRIGGER, np.uint8),
-            np.rint(local * 1e12).astype(np.int64),
-        )
+        return np.sort(np.rint(local * 1e12).astype(np.int64))  # trigger times, ps
 
     wins = 0
     worst_ppm = 0.0

@@ -1,11 +1,15 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellstrobe.analysis import (
     AnalysisError,
     SignificanceError,
+    SlotCounts,
     SlotGrid,
     SlotSeries,
     angle_scan_curves,
@@ -20,7 +24,7 @@ from bellstrobe.analysis import (
     product_series,
     significance_mask,
 )
-from bellstrobe.coinc import Coincidences
+from bellstrobe.coinc import Coincidences, delta_t_histogram
 from bellstrobe.model import TSIRELSON, OUTCOME_LABELS
 from bellstrobe.sync import Detections
 
@@ -85,6 +89,109 @@ class TestBinning:
         assert counts.sum() == 3  # before the pulse start and beyond the grid: dropped
         singles = bin_singles(make_detections("A", intra), grid)["A+"]
         assert np.array_equal(singles, counts.sum(axis=1))
+
+
+SETTINGS = ("ab", "ab'", "a'b", "a'b'")
+EDGES = delta_t_histogram(Coincidences.empty(), bin_width=1e-9, half_range=6e-9)[0]
+GRIDS = {"chsh_4": SlotGrid.for_period(4e-9, 2e-6), "scan_34": SlotGrid(2e-6, 1)}
+
+# One coincidence per row: (oa, ob, A's intra-pulse time, delta_t). Times run
+# past the 2 us grid, so some records fall off it.
+record_rows = st.lists(
+    st.tuples(
+        st.sampled_from([-1, 1]),
+        st.sampled_from([-1, 1]),
+        st.floats(0.0, 3e-6),
+        st.floats(-8e-9, 8e-9),
+    ),
+    max_size=40,
+)
+runs_of_rows = st.lists(
+    st.tuples(st.sampled_from(SETTINGS), record_rows), min_size=1, max_size=6
+)
+
+
+def rows_to_run(rows):
+    """(A detections, B detections, records) of coincidence rows."""
+    oa, ob, intra, dt = np.array(rows, dtype=float).reshape(-1, 4).T
+    pulse = np.arange(oa.size, dtype=np.int64)
+    records = Coincidences(pulse, oa.astype(np.int8), ob.astype(np.int8), intra, dt)
+    det_a = Detections("A", oa.astype(np.int8), pulse, intra)
+    det_b = Detections("B", ob.astype(np.int8), pulse, intra + dt)
+    return det_a, det_b, records
+
+
+def zero_counts(mode):
+    angles = [(0.0, 0.1 * i) for i in range(4)]
+    return SlotCounts.zeros("s", GRIDS[mode], SETTINGS, angles, EDGES)
+
+
+def run_counts(mode, setting, rows):
+    counts = zero_counts(mode)
+    det_a, det_b, records = rows_to_run(rows)
+    counts.add_run(setting, (det_a, det_b), records)
+    return counts
+
+
+def sum_of_runs(mode, runs):
+    return sum((run_counts(mode, lab, rows) for lab, rows in runs), zero_counts(mode))
+
+
+def assert_counts_equal(x, y):
+    assert x.session_id == y.session_id and x.grid == y.grid
+    assert x.setting_labels == y.setting_labels
+    for name in ("setting_angles", "singles", "coincidences", "off_grid",
+                 "delta_t_edges", "delta_t_counts"):
+        assert np.array_equal(getattr(x, name), getattr(y, name)), name
+
+
+class TestSlotCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(runs=runs_of_rows, mode=st.sampled_from(sorted(GRIDS)))
+    def test_sum_of_runs_equals_binning_at_once(self, runs, mode):
+        summed = sum_of_runs(mode, runs)
+        at_once = zero_counts(mode)
+        for lab in SETTINGS:
+            rows = [row for run_lab, run_rows in runs if run_lab == lab for row in run_rows]
+            det_a, det_b, records = rows_to_run(rows)
+            at_once.add_run(lab, (det_a, det_b), records)
+        assert_counts_equal(summed, at_once)
+
+    @settings(max_examples=60, deadline=None)
+    @given(runs=runs_of_rows, mode=st.sampled_from(sorted(GRIDS)))
+    def test_grid_plus_off_grid_is_every_outcome(self, runs, mode):
+        counts = sum_of_runs(mode, runs)
+        expected = np.zeros((4, 4), dtype=np.int64)
+        for lab, rows in runs:
+            expected[SETTINGS.index(lab)] += np.bincount(
+                rows_to_run(rows)[2].outcome_index(), minlength=4
+            )
+        assert np.array_equal(counts.coincidences.sum(axis=1) + counts.off_grid, expected)
+        assert np.array_equal(counts.totals(), expected)
+
+    def test_off_grid_holds_records_past_the_period(self):
+        rows = [(1, 1, 1e-6, 0.0), (1, -1, 2.2e-6, 0.0), (-1, -1, 2.9e-6, 0.0)]
+        for mode in GRIDS:
+            counts = run_counts(mode, "ab", rows)
+            assert counts.off_grid[0].tolist() == [0, 1, 0, 1]
+            assert counts.coincidences.sum(axis=(0, 1)).tolist() == [1, 0, 0, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(runs=runs_of_rows)
+    def test_summed_delta_t_histograms_match_concatenation(self, runs):
+        counts = sum_of_runs("chsh_4", runs)
+        deltas = np.array([row[3] for _, rows in runs for row in rows])
+        edges, hist = delta_t_histogram(deltas, bin_width=1e-9, half_range=6e-9)
+        assert np.array_equal(counts.delta_t_edges, edges)
+        assert np.array_equal(counts.delta_t_counts, hist)
+
+    @settings(max_examples=20, deadline=None)
+    @given(runs=runs_of_rows, mode=st.sampled_from(sorted(GRIDS)))
+    def test_save_load_round_trip(self, runs, mode):
+        counts = sum_of_runs(mode, runs)
+        with tempfile.TemporaryDirectory() as tmp:
+            counts.save(Path(tmp) / "counts.npz")
+            assert_counts_equal(SlotCounts.load(Path(tmp) / "counts.npz"), counts)
 
 
 class TestCorrelator:

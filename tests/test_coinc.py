@@ -1,20 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellstrobe.analysis import SlotGrid, bin_coincidences
+from bellstrobe import coinc
+from bellstrobe.analysis import AnalysisError, SlotCounts, SlotGrid
 from bellstrobe.coinc import (
     Coincidences,
     SessionMixError,
     accidental_estimate,
-    build_tables,
     delta_t_histogram,
     match_coincidences,
 )
-from bellstrobe.config import desk_boosted
-from bellstrobe.session import process_run, simulate_run
+from bellstrobe.config import SessionPlan, desk_boosted
+from bellstrobe.session import analyze_products, process_run, simulate_run
 from bellstrobe.sync import Detections
 
 
@@ -163,15 +164,19 @@ class TestMatchingOracle:
         window = window_ticks * TICK
         assert record_rows(match_coincidences(a, b, window)) == oracle_records(a, b, window)
 
-    def test_same_records_on_a_boosted_run(self):
+    def test_same_records_on_a_boosted_run(self, monkeypatch):
         config = desk_boosted(seed=3)
-        products = process_run(simulate_run(config, 0), config)
-        rec = products.records
+        seen = []  # the detections process_run matches
+
+        def match(a, b, window):
+            seen.append((a, b))
+            return match_coincidences(a, b, window)
+
+        monkeypatch.setattr(coinc, "match_coincidences", match)
+        rec = process_run(simulate_run(config, 0), config).records
         # multi-pair pulses are present, so the lockstep walk takes several passes
         assert np.any(np.diff(rec.pulse_number) == 0)
-        assert record_rows(rec) == oracle_records(
-            products.detections_a, products.detections_b, config.analysis.window
-        )
+        assert record_rows(rec) == oracle_records(*seen[0], config.analysis.window)
 
 
 class TestAccidentals:
@@ -199,41 +204,64 @@ def one_record(oa, ob, pulse=0, intra=100e-9):
     )
 
 
+QUAD = ("ab", "ab'", "a'b", "a'b'")
+
+
+def session_counts(runs, session="s1"):
+    """Counts of [(setting, records), ...] runs, binned run by run and summed."""
+    grid, edges = SlotGrid.for_period(4e-9, 2e-6), delta_t_histogram(Coincidences.empty())[0]
+
+    def zeros():
+        return SlotCounts.zeros(session, grid, QUAD, [(0.0, 0.0)] * 4, edges)
+
+    total = zeros()
+    for setting, rec in runs:
+        run = zeros()
+        run.add_run(setting, (), rec)
+        total = total + run
+    return total
+
+
 class TestTables:
     def test_single_record(self):
-        tables = build_tables({0: one_record(1, 1)}, {0: "ab"})
-        assert tables["ab"].as_dict() == {"++": 1, "+-": 0, "-+": 0, "--": 0}
-        assert tables["ab"].total == 1
+        counts = session_counts([("ab", one_record(1, 1))])
+        assert counts.totals()[0].tolist() == [1, 0, 0, 0]
+        assert counts.totals().sum() == 1
 
     def test_outcome_index_order(self):
         for (oa, ob), expect in zip([(1, 1), (1, -1), (-1, 1), (-1, -1)], range(4)):
             assert one_record(oa, ob).outcome_index()[0] == expect
 
     def test_session_mixing_rejected(self):
-        records = {0: one_record(1, 1), 1: one_record(1, 1)}
+        one = session_counts([("ab", one_record(1, 1))], session="s1")
+        two = session_counts([("ab", one_record(1, 1))], session="s2")
         with pytest.raises(SessionMixError):
-            build_tables(
-                records,
-                {0: "ab", 1: "ab"},
-                session_of_run={0: "s1", 1: "s2"},
-            )
+            one + two
 
     def test_same_session_accumulates(self):
-        records = {0: one_record(1, 1), 1: one_record(-1, -1)}
-        tables = build_tables(
-            records, {0: "ab", 1: "ab"}, session_of_run={0: "s1", 1: "s1"}
-        )
-        assert tables["ab"].total == 2
+        counts = session_counts([("ab", one_record(1, 1)), ("ab", one_record(-1, -1))])
+        assert counts.totals()[0].tolist() == [1, 0, 0, 1]
 
     def test_unlabeled_run_rejected(self):
-        with pytest.raises(KeyError):
-            build_tables({0: one_record(1, 1)}, {})
+        config = desk_boosted(seed=3).replace(
+            session=SessionPlan(run_duration=0.04, runs_per_experiment=4, dead_time=1.0)
+        )
+        run = simulate_run(config, 0)
+        run.setting_label = "zz"  # a setting this session does not have
+        with pytest.raises(AnalysisError, match="zz"):
+            process_run(run, config)
+        run.setting_label = "ab"
+        products = [process_run(run, config)]
+        scan = config.replace(
+            session=replace(config.session, mode="scan_34", runs_per_experiment=34)
+        )
+        # the run's setting "ab" is unknown to a scan session's counts
+        with pytest.raises(SessionMixError, match="scan00"):
+            analyze_products(products, scan)
 
     def test_four_settings_symmetric_totals(self):
-        records = {i: one_record(1, -1, pulse=i) for i in range(8)}
-        labels = {i: ["ab", "ab'", "a'b", "a'b'"][i % 4] for i in range(8)}
-        tables = build_tables(records, labels)
-        assert all(t.total == 2 for t in tables.values())
+        runs = [(QUAD[i % 4], one_record(1, -1, pulse=i)) for i in range(8)]
+        assert session_counts(runs).totals().sum(axis=1).tolist() == [2, 2, 2, 2]
 
     def test_slot_counts_sum_to_totals(self, rng):
         n = 500
@@ -244,15 +272,17 @@ class TestTables:
             intra_time=rng.uniform(0, 2e-6, n),
             delta_t=np.zeros(n),
         )
-        tables = build_tables({0: rec}, {0: "ab"})
-        slots = bin_coincidences(rec, SlotGrid.for_period(4e-9, 2e-6))
-        assert np.array_equal(slots.sum(axis=0), tables["ab"].counts)
+        counts = session_counts([("ab", rec)])
+        assert not counts.off_grid.any()
+        assert np.array_equal(
+            counts.coincidences[0].sum(axis=0), np.bincount(rec.outcome_index(), minlength=4)
+        )
 
     def test_slot_overflow_kept_in_totals_only(self):
-        rec = one_record(1, 1, intra=3e-6)  # beyond the 2 us grid
-        tables = build_tables({0: rec}, {0: "ab"})
-        assert tables["ab"].total == 1
-        assert bin_coincidences(rec, SlotGrid.for_period(4e-9, 2e-6)).sum() == 0
+        counts = session_counts([("ab", one_record(1, 1, intra=3e-6))])  # past 2 us
+        assert counts.coincidences.sum() == 0
+        assert counts.off_grid[0].tolist() == [1, 0, 0, 0]
+        assert counts.totals().sum() == 1
 
 
 class TestOutOfPulseCoincidences:

@@ -20,7 +20,6 @@ from bellstrobe.session import (
     analyze_session,
     run_session_in_memory,
     simulate_session,
-    write_counts,
     write_report_bundle,
     write_slots_csv,
     write_summary_json,
@@ -277,14 +276,17 @@ class TestOutputs:
         assert len(totals) == 16
         assert all(v > 0 for v in totals.values())
 
-    def test_report_errors_without_inputs(self, tmp_path):
+    def test_report_errors_without_inputs(self, tmp_path, capsys):
         from bellstrobe.cli import main
 
         missing = tmp_path / "empty" / "summary.json"
         assert main(["report", str(missing)]) == 2
-        # summary present but no manifest next to it
+        # summary present but no counts.npz next to it
         (tmp_path / "summary.json").write_text("{}")
+        capsys.readouterr()
         assert main(["report", str(tmp_path / "summary.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(tmp_path / "counts.npz") in err[0]
 
 
 def scan_config():
@@ -356,6 +358,9 @@ class TestReportFromCounts:
         counts_path.write_bytes(own)
         with np.load(counts_path) as npz:
             arrays = dict(npz)
+        np.savez(counts_path, mode="chsh_4", **{k: arrays[k] for k in arrays if k != "off_grid"})
+        assert str(counts_path) in self._error_line(capsys, argv)  # another layout
+
         arrays["coincidences"][0, 10, 0] += 1
         np.savez(counts_path, **arrays)
         assert str(counts_path) in self._error_line(capsys, argv)
@@ -364,10 +369,10 @@ class TestReportFromCounts:
     def test_counts_round_trip(self, tmp_path):
         summary, _ = analyze_session(simulate_session(tiny_config(), tmp_path))
         series = summary.series
-        write_counts(summary, tmp_path / "counts.npz")
+        summary.counts.save(tmp_path / "counts.npz")
         with np.load(tmp_path / "counts.npz") as npz:
             assert str(npz["session_id"]) == summary.session_id
-            assert str(npz["mode"]) == "chsh_4"
+            assert "mode" not in npz.files
             assert float(npz["slot_width"]) == series.grid.slot_width
             assert int(npz["n_slots"]) == series.grid.n_slots
             assert tuple(npz["setting_labels"]) == series.setting_labels

@@ -118,7 +118,7 @@ class TestEmitStatistics:
         a, b = emit_events(
             plan, SourceConfig(), (st, st), AngleSetting(0, 0), QmStateModel(1.0), 11
         )
-        trig_a = a.channel_times(CHANNEL_TRIGGER)
+        trig_a = a.split_triggers()[0]
         occupied = set()
         for stream in (a, b):
             det = stream.split_triggers()[1].times_ps
@@ -219,8 +219,8 @@ class TestTriggerInvariant:
             plan, SourceConfig(pair_yield=0.05), (st_a, st_b),
             AngleSetting(0, 0), QmStateModel(1.0), 31,
         )
-        ta = a.channel_times(CHANNEL_TRIGGER).astype(np.float64)
-        tb = b.channel_times(CHANNEL_TRIGGER).astype(np.float64)
+        ta = a.split_triggers()[0].astype(np.float64)
+        tb = b.split_triggers()[0].astype(np.float64)
         assert ta.size == tb.size == plan.n_pulses
         undone = (tb - clock_b.offset * 1e12) / (1.0 + clock_b.drift_rate)
         assert np.max(np.abs(undone - ta)) < 1.0  # within the 1 ps grid

@@ -23,13 +23,12 @@ from bellstrobe.sync import (
 )
 
 
-def trigger_stream(starts_s: np.ndarray, clock: ClockModel, rng=None) -> TagStream:
-    """Channel-3-only stream of the given pulse starts, in a local clock."""
+def trigger_times(starts_s: np.ndarray, clock: ClockModel, rng=None) -> np.ndarray:
+    """Sorted trigger timestamps (ps) of the given pulse starts, in a local clock."""
     local = clock.offset + (1.0 + clock.drift_rate) * starts_s
     if clock.jitter_sigma > 0:
         local = local + rng.normal(0.0, clock.jitter_sigma, starts_s.size)
-    ps = np.rint(local * 1e12).astype(np.int64)
-    return TagStream.from_unsorted(np.full(ps.size, CHANNEL_TRIGGER, np.uint8), ps)
+    return np.sort(np.rint(local * 1e12).astype(np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -39,18 +38,18 @@ def global_starts():
 
 class TestPeriodSeries:
     def test_constant_intervals(self):
-        s = trigger_stream(np.array([0.0, 2e-6, 4e-6]), ClockModel())
+        s = trigger_times(np.array([0.0, 2e-6, 4e-6]), ClockModel())
         series = extract_period_series(s)
         assert np.array_equal(series.intervals_ps, [2_000_000, 2_000_000])
 
     def test_single_trigger_errors(self):
-        s = trigger_stream(np.array([0.0]), ClockModel())
+        s = trigger_times(np.array([0.0]), ClockModel())
         with pytest.raises(SyncError):
             extract_period_series(s)
 
     def test_prbs_intervals_match_plan(self, rng):
         plan = PulsePlan(n_pulses=2000)
-        s = trigger_stream(plan.start_times(), ClockModel(jitter_sigma=2e-9), rng)
+        s = trigger_times(plan.start_times(), ClockModel(jitter_sigma=2e-9), rng)
         series = extract_period_series(s)
         expected = plan.period_seconds()[:-1] * 1e12
         assert np.max(np.abs(series.intervals_ps - expected)) < 20_000  # 20 ns
@@ -58,14 +57,14 @@ class TestPeriodSeries:
 
 class TestAlignment:
     def test_self_alignment_is_zero(self, global_starts, rng):
-        s = trigger_stream(global_starts, ClockModel(jitter_sigma=2e-9), rng)
+        s = trigger_times(global_starts, ClockModel(jitter_sigma=2e-9), rng)
         series = extract_period_series(s)
         assert align_pulse_numbering(series, series) == 0
 
     def test_known_delay_recovered(self, global_starts, rng):
         d = 250
-        a = trigger_stream(global_starts, ClockModel(jitter_sigma=2e-9), rng)
-        b = trigger_stream(
+        a = trigger_times(global_starts, ClockModel(jitter_sigma=2e-9), rng)
+        b = trigger_times(
             global_starts[d:], ClockModel(drift_rate=50e-6, jitter_sigma=2e-9), rng
         )
         offset = align_pulse_numbering(
@@ -75,15 +74,15 @@ class TestAlignment:
 
     def test_negative_offset(self, global_starts, rng):
         d = 777
-        a = trigger_stream(global_starts[d:], ClockModel(jitter_sigma=2e-9), rng)
-        b = trigger_stream(global_starts, ClockModel(jitter_sigma=2e-9), rng)
+        a = trigger_times(global_starts[d:], ClockModel(jitter_sigma=2e-9), rng)
+        b = trigger_times(global_starts, ClockModel(jitter_sigma=2e-9), rng)
         assert align_pulse_numbering(
             extract_period_series(a), extract_period_series(b)
         ) == -d
 
     def test_constant_period_is_pattern_absent(self):
         plan = PulsePlan(n_pulses=14_000, fm_pattern=FmPattern.constant())
-        s = trigger_stream(plan.start_times(), ClockModel())
+        s = trigger_times(plan.start_times(), ClockModel())
         with pytest.raises(PatternAbsentError):
             align_pulse_numbering(extract_period_series(s), extract_period_series(s))
 
@@ -99,12 +98,12 @@ class TestAlignment:
         for _ in range(20):
             d = int(rng.integers(-1000, 1001))
             first_a, first_b = max(0, -d), max(0, d)
-            a = trigger_stream(
+            a = trigger_times(
                 global_starts[first_a:],
                 ClockModel(drift_rate=rng.uniform(-50e-6, 50e-6), jitter_sigma=2e-9),
                 rng,
             )
-            b = trigger_stream(
+            b = trigger_times(
                 global_starts[first_b:],
                 ClockModel(
                     offset=rng.uniform(0, 1e-3),
@@ -122,39 +121,39 @@ class TestAlignment:
 
 class TestClockFit:
     def test_identity_fit(self, global_starts):
-        s = trigger_stream(global_starts, ClockModel())
+        s = trigger_times(global_starts, ClockModel())
         fit = fit_clock_relation(s, s, 0)
         assert fit.time_offset == pytest.approx(0.0, abs=1e-12)
         assert fit.rate_ratio == pytest.approx(1.0, abs=1e-12)
         assert fit.residual_rms == pytest.approx(0.0, abs=1e-12)
 
     def test_offset_and_drift_recovered(self, global_starts):
-        a = trigger_stream(global_starts, ClockModel())
-        b = trigger_stream(global_starts, ClockModel(offset=1e-3, drift_rate=10e-6))
+        a = trigger_times(global_starts, ClockModel())
+        b = trigger_times(global_starts, ClockModel(offset=1e-3, drift_rate=10e-6))
         fit = fit_clock_relation(a, b, 0)
         assert abs(fit.time_offset - 1e-3) < 1e-12 + 1e-9  # 1 ps grid effects
         assert abs(fit.rate_ratio - 1.00001) < 0.01e-6
 
     def test_residual_matches_quadrature_of_jitters(self, global_starts, rng):
-        a = trigger_stream(global_starts, ClockModel(jitter_sigma=2e-9), rng)
-        b = trigger_stream(global_starts, ClockModel(jitter_sigma=2e-9), rng)
+        a = trigger_times(global_starts, ClockModel(jitter_sigma=2e-9), rng)
+        b = trigger_times(global_starts, ClockModel(jitter_sigma=2e-9), rng)
         fit = fit_clock_relation(a, b, 0)
         assert fit.residual_rms == pytest.approx(2e-9 * math.sqrt(2), rel=0.10)
 
     def test_too_few_pairs(self, global_starts):
-        a = trigger_stream(global_starts[:5], ClockModel())
+        a = trigger_times(global_starts[:5], ClockModel())
         with pytest.raises(SyncError):
             fit_clock_relation(a, a, 0)
 
     def test_fit_consistency_invariant(self, global_starts, rng):
-        a = trigger_stream(global_starts, ClockModel(jitter_sigma=2e-9), rng)
-        b = trigger_stream(
+        a = trigger_times(global_starts, ClockModel(jitter_sigma=2e-9), rng)
+        b = trigger_times(
             global_starts, ClockModel(offset=5e-4, drift_rate=20e-6, jitter_sigma=2e-9),
             rng,
         )
         fit = fit_clock_relation(a, b, 0)
-        ta = a.channel_times(CHANNEL_TRIGGER).astype(np.float64) / 1e12
-        tb = b.channel_times(CHANNEL_TRIGGER).astype(np.float64) / 1e12
+        ta = a.astype(np.float64) / 1e12
+        tb = b.astype(np.float64) / 1e12
         resid = tb - (fit.time_offset + fit.rate_ratio * ta)
         assert abs(resid.mean()) < fit.residual_rms / math.sqrt(resid.size)
 
