@@ -3,8 +3,10 @@ S(t), eta(t), their product, significance gating, plateau summaries and the
 transient detector.
 
 Slots are anchored at the pulse start (slot 0 begins at intra-pulse time 0)
-and cover one full base pumping period, including the off phase. Slots with
-no counts stay undefined and are excluded from averages, never zero-filled.
+and cover one full base pumping period, including the off phase. Slot widths
+and intra-pulse times are integer picoseconds, so a time on a slot boundary
+starts the later slot. Slots with no counts stay undefined and are excluded
+from averages, never zero-filled.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .coinc import Coincidences, SessionMixError
+from .coinc import Coincidences, SessionMixError, delta_t_histogram
 from .model import OUTCOME_LABELS
+from .sim import PS_PER_SECOND
 from .sync import Detections
 
 DETECTOR_KEYS = ("A+", "A-", "B+", "B-")
@@ -33,40 +36,37 @@ class SignificanceError(AnalysisError):
 
 @dataclass(frozen=True)
 class SlotGrid:
-    """Uniform intra-pulse time grid over one base pumping period."""
+    """Uniform intra-pulse time grid over one base pumping period, with the
+    slot width in integer picoseconds."""
 
-    slot_width: float
+    slot_ps: int
     n_slots: int
 
     def __post_init__(self) -> None:
-        if self.slot_width <= 0 or self.n_slots < 1:
-            raise ValueError("slot_width must be positive and n_slots >= 1")
+        if self.slot_ps <= 0 or self.n_slots < 1:
+            raise ValueError("slot_ps must be positive and n_slots >= 1")
 
     @classmethod
-    def for_period(cls, slot_width: float, period: float) -> "SlotGrid":
-        """Grid covering `period`; slot_width must divide it within 1 ps."""
-        n = round(period / slot_width)
-        if n < 1 or abs(n * slot_width - period) > 1e-12:
+    def for_period(cls, slot_ps: int, period_ps: int) -> "SlotGrid":
+        """Grid covering `period_ps`, which `slot_ps` must divide."""
+        if period_ps % slot_ps:
             raise ValueError(
-                f"slot width {slot_width} does not divide the period {period} "
-                "within 1 ps"
+                f"slot width {slot_ps} ps does not divide the period {period_ps} ps"
             )
-        return cls(slot_width=slot_width, n_slots=n)
-
-    @property
-    def period(self) -> float:
-        return self.slot_width * self.n_slots
+        return cls(slot_ps=slot_ps, n_slots=period_ps // slot_ps)
 
     def starts(self) -> np.ndarray:
-        return np.arange(self.n_slots) * self.slot_width
+        """Slot start times in seconds."""
+        return np.arange(self.n_slots) * self.slot_ps / PS_PER_SECOND
 
     def centers(self) -> np.ndarray:
-        return (np.arange(self.n_slots) + 0.5) * self.slot_width
+        """Slot center times in seconds."""
+        return (np.arange(self.n_slots) + 0.5) * self.slot_ps / PS_PER_SECOND
 
 
-def _slot_index(intra_time: np.ndarray, grid: SlotGrid) -> tuple[np.ndarray, np.ndarray]:
+def _slot_index(intra_ps: np.ndarray, grid: SlotGrid) -> tuple[np.ndarray, np.ndarray]:
     """Slot of each intra-pulse time, and the mask of those on the grid."""
-    slots = np.floor(intra_time / grid.slot_width).astype(np.int64)
+    slots = intra_ps // grid.slot_ps
     return slots, (slots >= 0) & (slots < grid.n_slots)
 
 
@@ -77,7 +77,7 @@ def bin_singles(events: Detections, grid: SlotGrid) -> dict[str, np.ndarray]:
     the grid and are not counted; they are a <~2% slice of the off phase.
     """
     out = {}
-    slots, ok = _slot_index(events.intra_time, grid)
+    slots, ok = _slot_index(events.intra_ps, grid)
     for sign, suffix in ((1, "+"), (-1, "-")):
         sel = ok & (events.detector == sign)
         out[f"{events.station}{suffix}"] = np.bincount(
@@ -89,7 +89,7 @@ def bin_singles(events: Detections, grid: SlotGrid) -> dict[str, np.ndarray]:
 def bin_coincidences(records: Coincidences, grid: SlotGrid) -> np.ndarray:
     """(n_slots, 4) outcome counts by station A's slot; off-grid records are
     not counted."""
-    slots, ok = _slot_index(records.intra_time, grid)
+    slots, ok = _slot_index(records.intra_ps, grid)
     flat = slots[ok] * 4 + records.outcome_index()[ok]
     return np.bincount(flat, minlength=grid.n_slots * 4).reshape(grid.n_slots, 4)
 
@@ -110,7 +110,7 @@ class SlotCounts:
     singles: np.ndarray  # (4, n_slots), rows in DETECTOR_KEYS order
     coincidences: np.ndarray  # (n_settings, n_slots, 4) by station A's slot
     off_grid: np.ndarray  # (n_settings, 4): coincidences past the grid
-    delta_t_edges: np.ndarray  # (n_bins + 1,) seconds
+    delta_t_edges: np.ndarray  # (n_bins + 1,) int64 picoseconds
     delta_t_counts: np.ndarray  # (n_bins,) B-minus-A differences
 
     @classmethod
@@ -151,7 +151,7 @@ class SlotCounts:
         self.coincidences[s] += on_grid
         self.off_grid[s] += np.bincount(records.outcome_index(), minlength=4)
         self.off_grid[s] -= on_grid.sum(axis=0)
-        self.delta_t_counts += np.histogram(records.delta_t, self.delta_t_edges)[0]
+        self.delta_t_counts += delta_t_histogram(records, self.delta_t_edges)
 
     def __add__(self, other: "SlotCounts") -> "SlotCounts":
         layout = (self.session_id, self.grid, self.setting_labels)
@@ -179,13 +179,13 @@ class SlotCounts:
         arrays = {f.name: getattr(self, f.name) for f in fields(self)}
         grid = arrays.pop("grid")
         with open(path, "wb") as fh:
-            np.savez(fh, slot_width=grid.slot_width, n_slots=grid.n_slots, **arrays)
+            np.savez(fh, slot_ps=grid.slot_ps, n_slots=grid.n_slots, **arrays)
 
     @classmethod
     def load(cls, path: str | Path) -> "SlotCounts":
         with np.load(path) as npz:
             a = {key: npz[key] for key in npz.files}
-        a["grid"] = SlotGrid(float(a.pop("slot_width")), int(a.pop("n_slots")))
+        a["grid"] = SlotGrid(int(a.pop("slot_ps")), int(a.pop("n_slots")))
         a["session_id"] = str(a["session_id"])
         a["setting_labels"] = tuple(a["setting_labels"].tolist())
         return cls(**a)

@@ -2,10 +2,11 @@
 accidental-rate estimate.
 
 Detections are coincident when they share a pulse number AND lie within the
-coincidence window of each other (both gates; the window default is 4 ns).
-Within a pulse, pairing is greedy earliest-first, each detection used at most
-once, so multi-pair pulses yield multiple records deterministically. The
-per-pulse walks run together as one lockstep vectorised pass per step.
+coincidence window of each other (both gates; the configured window is 4 ns).
+Times are integer picoseconds, so a pair exactly one window apart is always
+inside. Within a pulse, pairing is greedy earliest-first, each detection used
+at most once, so multi-pair pulses yield multiple records deterministically.
+The per-pulse walks run together as one lockstep vectorised pass per step.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sync import Detections
-
-DEFAULT_WINDOW = 4e-9
 
 
 class SessionMixError(ValueError):
@@ -30,8 +29,8 @@ class Coincidences:
     pulse_number: np.ndarray  # int64
     oa: np.ndarray  # int8
     ob: np.ndarray  # int8
-    intra_time: np.ndarray  # float64, A's intra-pulse time
-    delta_t: np.ndarray  # float64, B minus A
+    intra_ps: np.ndarray  # int64, A's intra-pulse time in picoseconds
+    delta_t_ps: np.ndarray  # int64 picoseconds, B minus A
 
     def __len__(self) -> int:
         return int(self.pulse_number.size)
@@ -46,8 +45,8 @@ class Coincidences:
             np.empty(0, np.int64),
             np.empty(0, np.int8),
             np.empty(0, np.int8),
-            np.empty(0, np.float64),
-            np.empty(0, np.float64),
+            np.empty(0, np.int64),
+            np.empty(0, np.int64),
         )
 
 
@@ -58,11 +57,12 @@ def _pulse_groups(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def match_coincidences(
-    events_a: Detections, events_b: Detections, window: float = DEFAULT_WINDOW
+    events_a: Detections, events_b: Detections, window_ps: int
 ) -> Coincidences:
-    """Pair detections across stations into coincidence records.
+    """Pair detections across stations into coincidence records: |B - A| at
+    most `window_ps` picoseconds.
 
-    Both inputs must be sorted by (pulse_number, intra_pulse_time) and carry a
+    Both inputs must be sorted by (pulse_number, intra_ps) and carry a
     SHARED pulse numbering (station B renumbered via the alignment offset
     before matching). Clock-rate mismatch inside one pulse is far below the
     window and is ignored.
@@ -71,7 +71,7 @@ def match_coincidences(
     lockstep: at most (A + B detections of the fullest pulse) vectorised passes.
     """
     pa, pb = events_a.pulse_number, events_b.pulse_number
-    ta, tb = events_a.intra_time, events_b.intra_time
+    ta, tb = events_a.intra_ps, events_b.intra_ps
     if pa.size == 0 or pb.size == 0:
         return Coincidences.empty()
 
@@ -87,7 +87,7 @@ def match_coincidences(
     partner = np.full(pa.size, -1, dtype=np.int64)
     while i.size:
         dt = tb[j] - ta[i]
-        inside = np.abs(dt) <= window
+        inside = np.abs(dt) <= window_ps
         partner[i[inside]] = j[inside]
         later = dt > 0  # this A detection can never match a later B
         i = i + (inside | later)
@@ -102,8 +102,8 @@ def match_coincidences(
         pulse_number=pa[idx_a],
         oa=events_a.detector[idx_a],
         ob=events_b.detector[idx_b],
-        intra_time=ta[idx_a],
-        delta_t=tb[idx_b] - ta[idx_a],
+        intra_ps=ta[idx_a],
+        delta_t_ps=tb[idx_b] - ta[idx_a],
     )
 
 
@@ -116,17 +116,15 @@ def accidental_estimate(
     return rate_a * rate_b * window * duration
 
 
-def delta_t_histogram(
-    records: Coincidences | np.ndarray,
-    bin_width: float = 0.5e-9,
-    half_range: float = 6e-9,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagnostic histogram of B-minus-A arrival differences.
+def delta_t_edges(window_ps: int) -> np.ndarray:
+    """Bin edges (int64 ps) of the delta_t histogram: 24 bins of a window/8
+    each, spanning -1.5 to +1.5 windows."""
+    return np.arange(-12, 13, dtype=np.int64) * window_ps // 8
 
-    Its spread should match sqrt(2) x the single-detector jitter. Accepts a
-    Coincidences batch or a bare array of differences.
+
+def delta_t_histogram(records: Coincidences, edges: np.ndarray) -> np.ndarray:
+    """Diagnostic histogram of B-minus-A arrival differences over `edges` (ps).
+
+    Its spread should match sqrt(2) x the single-detector jitter.
     """
-    deltas = records.delta_t if isinstance(records, Coincidences) else np.asarray(records)
-    edges = np.arange(-half_range, half_range + bin_width / 2, bin_width)
-    hist, _ = np.histogram(deltas, bins=edges)
-    return edges, hist
+    return np.histogram(records.delta_t_ps, bins=edges)[0]

@@ -18,13 +18,22 @@ from pathlib import Path
 import numpy as np
 
 from .model import Geometry, QmStateModel, SettingsQuad, TransientModel
-from .sim import ClockModel, FmPattern, SourceConfig, StationConfig
+from .sim import PS_PER_SECOND, ClockModel, FmPattern, SourceConfig, StationConfig
 
 SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
     pass
+
+
+def to_ps(seconds: float, name: str) -> int:
+    """A configured time in seconds as the integer picoseconds the pipeline
+    works in, from tag to slot; ConfigError unless it is a whole number."""
+    ps = round(seconds * PS_PER_SECOND)
+    if abs(seconds * PS_PER_SECOND - ps) > 1e-3:
+        raise ConfigError(f"{name} {seconds} s is not a whole number of picoseconds")
+    return ps
 
 
 @dataclass(frozen=True)
@@ -39,11 +48,19 @@ class PulseParams:
     fm_pulses_per_bit: int = 100
     fm_lengthen_fraction: float = 0.02
 
+    def __post_init__(self) -> None:
+        if self.period_ps <= 0:
+            raise ConfigError("base_period must be positive")
+
     def fm_pattern(self) -> FmPattern:
         return FmPattern(
             pulses_per_bit=self.fm_pulses_per_bit,
             lengthen_fraction=self.fm_lengthen_fraction,
         )
+
+    @property
+    def period_ps(self) -> int:
+        return to_ps(self.base_period, "pulses.base_period")
 
 
 @dataclass(frozen=True)
@@ -75,14 +92,6 @@ class SessionPlan:
         if not 0.0 <= self.glitch_probability < 1.0:
             raise ConfigError("glitch_probability must be in [0, 1)")
 
-    @property
-    def n_settings(self) -> int:
-        return 4 if self.mode == "chsh_4" else self.scan_points
-
-    @property
-    def repeats(self) -> int:
-        return self.runs_per_experiment // self.n_settings
-
 
 @dataclass(frozen=True)
 class AnalysisParams:
@@ -92,8 +101,16 @@ class AnalysisParams:
     min_coincidences: int = 1000
 
     def __post_init__(self) -> None:
-        if self.slot_width <= 0 or self.window <= 0:
+        if self.slot_ps <= 0 or self.window_ps <= 0:
             raise ConfigError("slot_width and window must be positive")
+
+    @property
+    def slot_ps(self) -> int:
+        return to_ps(self.slot_width, "analysis.slot_width")
+
+    @property
+    def window_ps(self) -> int:
+        return to_ps(self.window, "analysis.window")
 
 
 @dataclass(frozen=True)

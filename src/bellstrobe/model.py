@@ -101,10 +101,6 @@ class QmStateModel:
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
 
-    @property
-    def singles_marginal(self) -> float:
-        return 0.5
-
 
 @dataclass(frozen=True)
 class Geometry:

@@ -24,7 +24,7 @@ from . import coinc as co
 from . import sync as sy
 from .config import ExperimentConfig, SCHEMA_VERSION
 from .model import OUTCOME_LABELS, AngleSetting, TSIRELSON
-from .sim import PulsePlan, TagStream, emit_events
+from .sim import PS_PER_SECOND, PulsePlan, TagStream, emit_events
 from .tagfmt import TagFileHeader, TagFormatError, read_tag_arrays, write_tags
 
 log = logging.getLogger("bellstrobe")
@@ -44,20 +44,17 @@ class RunData:
 @dataclass
 class SyncReport:
     run_index: int
-    pulse_offset: int
-    time_offset: float
-    rate_ratio: float
-    residual_rms: float
+    fit: sy.ClockFit
     dropped_a: int
     dropped_b: int
 
     def to_dict(self) -> dict:
         return {
             "run": self.run_index,
-            "pulse_offset": self.pulse_offset,
-            "time_offset_s": self.time_offset,
-            "rate_ratio": self.rate_ratio,
-            "residual_rms_s": self.residual_rms,
+            "pulse_offset": self.fit.pulse_offset,
+            "time_offset_s": self.fit.time_offset,
+            "rate_ratio": self.fit.rate_ratio,
+            "residual_rms_s": self.fit.residual_rms,
             "dropped_a": self.dropped_a,
             "dropped_b": self.dropped_b,
         }
@@ -277,14 +274,13 @@ class RunProducts:
 def _zero_counts(config: ExperimentConfig) -> ana.SlotCounts:
     """Empty counts in the session's layout: slots over one base period, or
     in scan_34 mode a single slot spanning it."""
-    period = config.pulses.base_period
+    period_ps = config.pulses.period_ps
     if config.session.mode == "scan_34":
-        grid = ana.SlotGrid(period, 1)
+        grid = ana.SlotGrid(period_ps, 1)
     else:
-        grid = ana.SlotGrid.for_period(config.analysis.slot_width, period)
+        grid = ana.SlotGrid.for_period(config.analysis.slot_ps, period_ps)
     labels, angles = config.setting_labels(), config.setting_angles()
-    window = config.analysis.window
-    edges, _ = co.delta_t_histogram(co.Coincidences.empty(), window / 8, 1.5 * window)
+    edges = co.delta_t_edges(config.analysis.window_ps)
     return ana.SlotCounts.zeros(
         config.session_id(), grid, labels, [angles[lab] for lab in labels], edges
     )
@@ -306,13 +302,10 @@ def process_run(run: RunData, config: ExperimentConfig) -> RunProducts:
         dets_b, trig_b, config.station_b.trigger_delay, station="B"
     ).with_pulse_offset(offset)
 
-    records = co.match_coincidences(det_a, det_b, window=config.analysis.window)
+    records = co.match_coincidences(det_a, det_b, config.analysis.window_ps)
     report = SyncReport(
         run_index=run.index,
-        pulse_offset=fit.pulse_offset,
-        time_offset=fit.time_offset,
-        rate_ratio=fit.rate_ratio,
-        residual_rms=fit.residual_rms,
+        fit=fit,
         dropped_a=det_a.dropped_before_first + det_a.dropped_after_last,
         dropped_b=det_b.dropped_before_first + det_b.dropped_after_last,
     )
@@ -382,7 +375,7 @@ def analyze_products(
             series.sigma_s,
             significant,
             tau=config.geometry.tau,
-            slot_width=series.grid.slot_width,
+            slot_width=series.grid.slot_ps / PS_PER_SECOND,
             k_sigma=config.analysis.k_sigma,
         )
     except ana.SignificanceError as exc:
@@ -588,7 +581,7 @@ def write_delta_t_csv(summary: SessionSummary, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["bin_low_ns", "bin_high_ns", "counts"])
         for lo, hi, n in zip(edges[:-1], edges[1:], hist):
-            writer.writerow([f"{lo * 1e9:.4f}", f"{hi * 1e9:.4f}", int(n)])
+            writer.writerow([f"{lo / 1e3:.4f}", f"{hi / 1e3:.4f}", int(n)])
 
 
 def _json_safe(obj):

@@ -77,10 +77,6 @@ class FmPattern:
     def synchronizable(self) -> bool:
         return len(set(self.bits)) > 1
 
-    @property
-    def span_pulses(self) -> int:
-        return len(self.bits) * self.pulses_per_bit
-
     def labels(self, n_pulses: int) -> np.ndarray:
         """Per-pulse pattern bit, repeating the sequence cyclically."""
         idx = (np.arange(n_pulses) // self.pulses_per_bit) % len(self.bits)

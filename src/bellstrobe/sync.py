@@ -10,7 +10,7 @@ attributed to pulses by their time distance to the nearest preceding trigger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,12 +70,12 @@ class ClockFit:
 @dataclass
 class Detections:
     """Pulse-attributed detections for one station, as parallel arrays sorted
-    by (pulse_number, intra_pulse_time)."""
+    by (pulse_number, intra_ps)."""
 
     station: str
     detector: np.ndarray  # int8, +1 / -1
     pulse_number: np.ndarray  # int64
-    intra_time: np.ndarray  # float64 seconds
+    intra_ps: np.ndarray  # int64 picoseconds since the pulse start
     dropped_before_first: int = 0
     dropped_after_last: int = 0
 
@@ -84,14 +84,7 @@ class Detections:
 
     def with_pulse_offset(self, offset: int) -> "Detections":
         """Same detections renumbered into the other station's pulse frame."""
-        return Detections(
-            self.station,
-            self.detector,
-            self.pulse_number + int(offset),
-            self.intra_time,
-            self.dropped_before_first,
-            self.dropped_after_last,
-        )
+        return replace(self, pulse_number=self.pulse_number + int(offset))
 
 
 def extract_period_series(times: np.ndarray) -> PeriodSeries:
@@ -234,8 +227,8 @@ def assign_to_pulses(
 
     `detections` holds detection channels only (the second part of
     TagStream.split_triggers). The configured trigger-vs-photon path delay is
-    subtracted from each detection timestamp first, so intra_pulse_time is
-    measured from the pulse start as seen by the photons. Detections preceding
+    subtracted from each detection timestamp first, so intra_ps is measured
+    from the pulse start as seen by the photons. Detections preceding
     the first trigger, or trailing the last pulse by at least one median
     period, are dropped and counted, not fatal.
     """
@@ -262,7 +255,7 @@ def assign_to_pulses(
         station=station,
         detector=detector,
         pulse_number=idx[keep].astype(np.int64),
-        intra_time=intra_ps[keep].astype(np.float64) / PS_PER_SECOND,
+        intra_ps=intra_ps[keep],
         dropped_before_first=int(np.count_nonzero(before)),
         dropped_after_last=int(np.count_nonzero(after)),
     )

@@ -87,6 +87,8 @@ class TagFileHeader:
             raise TagFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
         if version != VERSION:
             raise TagFormatError(f"unsupported version {version}, expected {VERSION}")
+        if resolution != 1:
+            raise TagFormatError(f"clock resolution {resolution} ps per tick, expected 1")
         return cls(
             station_id=station_id,
             record_count=count,

@@ -24,63 +24,103 @@ from bellstrobe.analysis import (
     product_series,
     significance_mask,
 )
-from bellstrobe.coinc import Coincidences, delta_t_histogram
+from bellstrobe.coinc import Coincidences, delta_t_edges, delta_t_histogram
 from bellstrobe.model import TSIRELSON, OUTCOME_LABELS
-from bellstrobe.sync import Detections
+from bellstrobe.sim import TagStream
+from bellstrobe.sync import Detections, assign_to_pulses
+
+PERIOD_PS = 2_000_000  # the 2 us base period
+DELAY_PS = 57_000  # the default trigger delay
+GRIDS = {"chsh_4": SlotGrid.for_period(4000, PERIOD_PS), "scan_34": SlotGrid(PERIOD_PS, 1)}
+# Intra-pulse times on a boundary of both grids, up to 1.5 periods.
+on_boundary = st.integers(0, 750).map(lambda k: k * 4000)
 
 
 class TestSlotGrid:
     def test_default_grid(self):
-        grid = SlotGrid.for_period(4e-9, 2e-6)
+        grid = SlotGrid.for_period(4000, PERIOD_PS)
         assert grid.n_slots == 500
-        assert grid.period == pytest.approx(2e-6)
+        assert grid.slot_ps * grid.n_slots == PERIOD_PS
 
     def test_non_dividing_width_rejected(self):
         with pytest.raises(ValueError):
-            SlotGrid.for_period(3e-9, 2e-6)
+            SlotGrid.for_period(3000, PERIOD_PS)
 
 
-def make_detections(station, intra_times, detectors=None, pulses=None):
-    n = len(intra_times)
-    order = np.argsort(intra_times, kind="stable")
+def make_detections(station, intra_ps, detectors=None, pulses=None):
+    n = len(intra_ps)
+    order = np.argsort(intra_ps, kind="stable")
     return Detections(
         station=station,
         detector=np.asarray(detectors if detectors is not None else [1] * n, np.int8)[order],
         pulse_number=np.asarray(pulses if pulses is not None else [0] * n, np.int64)[order],
-        intra_time=np.asarray(intra_times, np.float64)[order],
+        intra_ps=np.asarray(intra_ps, np.int64)[order],
     )
+
+
+def assigned_tags(offsets_ps):
+    """Detections of tags at trigger + delay + offset in the first pulse of
+    an FM-lengthened (2.04 us) train."""
+    triggers = np.arange(3, dtype=np.int64) * 2_040_000
+    times = np.sort(np.asarray(offsets_ps, np.int64)) + DELAY_PS
+    tags = TagStream(np.ones(times.size, np.uint8), times)
+    return assign_to_pulses(tags, triggers, DELAY_PS / 1e12, "A")
 
 
 class TestBinning:
     def test_slot_indexing(self):
-        grid = SlotGrid.for_period(4e-9, 2e-6)
-        det = make_detections("A", [0.0, 123e-9])
+        grid = SlotGrid.for_period(4000, PERIOD_PS)
+        det = make_detections("A", [0, 123_000])
         singles = bin_singles(det, grid)
         assert singles["A+"][0] == 1
         assert singles["A+"][30] == 1  # floor(123/4)
         assert singles["A+"].sum() == 2
 
+    @pytest.mark.parametrize("slot_ps", [4000, 20_000])
+    def test_tag_on_a_slot_boundary_starts_that_slot(self, slot_ps):
+        grid = SlotGrid.for_period(slot_ps, PERIOD_PS)
+        det = assigned_tags(np.arange(grid.n_slots) * slot_ps)
+        assert np.array_equal(det.intra_ps, np.arange(grid.n_slots) * slot_ps)
+        assert bin_singles(det, grid)["A+"].tolist() == [1] * grid.n_slots
+
+    def test_one_full_period_is_off_grid(self):
+        det = assigned_tags([PERIOD_PS])
+        assert det.intra_ps.tolist() == [PERIOD_PS]
+        for grid in GRIDS.values():
+            assert bin_singles(det, grid)["A+"].sum() == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(intra_ps=st.lists(st.one_of(st.integers(-8000, 3_000_000), on_boundary), max_size=50),
+           mode=st.sampled_from(sorted(GRIDS)))
+    def test_slot_is_exact_integer_division(self, intra_ps, mode):
+        grid = GRIDS[mode]
+        expected = [0] * grid.n_slots
+        for t in intra_ps:
+            if 0 <= t // grid.slot_ps < grid.n_slots:
+                expected[t // grid.slot_ps] += 1
+        assert bin_singles(make_detections("A", intra_ps), grid)["A+"].tolist() == expected
+
     def test_uniform_pulse_occupies_first_125_slots(self, rng):
-        grid = SlotGrid.for_period(4e-9, 2e-6)
-        det = make_detections("A", rng.uniform(0, 500e-9, 50_000))
+        grid = SlotGrid.for_period(4000, PERIOD_PS)
+        det = make_detections("A", rng.integers(0, 500_000, 50_000))
         singles = bin_singles(det, grid)["A+"]
         assert np.all(singles[:125] > 0)
         assert np.all(singles[125:] == 0)
 
     def test_beyond_grid_dropped(self):
-        grid = SlotGrid.for_period(4e-9, 2e-6)
-        det = make_detections("A", [2.5e-6])
+        grid = SlotGrid.for_period(4000, PERIOD_PS)
+        det = make_detections("A", [2_500_000])
         assert bin_singles(det, grid)["A+"].sum() == 0
 
     def test_coincidences_share_the_singles_slots(self):
-        grid = SlotGrid.for_period(4e-9, 2e-6)
-        intra = [0.0, 123e-9, 123e-9, -1e-9, 2.5e-6]
+        grid = SlotGrid.for_period(4000, PERIOD_PS)
+        intra = [0, 123_000, 123_000, -1000, 2_500_000]
         rec = Coincidences(
             pulse_number=np.arange(5, dtype=np.int64),
             oa=np.array([1, 1, -1, 1, 1], np.int8),
             ob=np.array([1, -1, -1, 1, 1], np.int8),
-            intra_time=np.array(intra),
-            delta_t=np.zeros(5),
+            intra_ps=np.array(intra, np.int64),
+            delta_t_ps=np.zeros(5, np.int64),
         )
         counts = bin_coincidences(rec, grid)
         assert counts.shape == (500, 4)
@@ -92,17 +132,18 @@ class TestBinning:
 
 
 SETTINGS = ("ab", "ab'", "a'b", "a'b'")
-EDGES = delta_t_histogram(Coincidences.empty(), bin_width=1e-9, half_range=6e-9)[0]
-GRIDS = {"chsh_4": SlotGrid.for_period(4e-9, 2e-6), "scan_34": SlotGrid(2e-6, 1)}
+EDGES = delta_t_edges(4000)  # 500 ps bins over +-6 ns
 
-# One coincidence per row: (oa, ob, A's intra-pulse time, delta_t). Times run
-# past the 2 us grid, so some records fall off it.
+# One coincidence per row: (oa, ob, A's intra_ps, delta_t_ps). Times run past
+# the 2 us grid, so some records fall off it; about half the times sit on a
+# slot boundary (one full period among them), and about half the differences
+# on a histogram bin edge.
 record_rows = st.lists(
     st.tuples(
         st.sampled_from([-1, 1]),
         st.sampled_from([-1, 1]),
-        st.floats(0.0, 3e-6),
-        st.floats(-8e-9, 8e-9),
+        st.one_of(st.integers(0, 3_000_000), on_boundary),
+        st.one_of(st.integers(-8000, 8000), st.integers(-16, 16).map(lambda k: k * 500)),
     ),
     max_size=40,
 )
@@ -113,7 +154,7 @@ runs_of_rows = st.lists(
 
 def rows_to_run(rows):
     """(A detections, B detections, records) of coincidence rows."""
-    oa, ob, intra, dt = np.array(rows, dtype=float).reshape(-1, 4).T
+    oa, ob, intra, dt = np.array(rows, dtype=np.int64).reshape(-1, 4).T
     pulse = np.arange(oa.size, dtype=np.int64)
     records = Coincidences(pulse, oa.astype(np.int8), ob.astype(np.int8), intra, dt)
     det_a = Detections("A", oa.astype(np.int8), pulse, intra)
@@ -170,7 +211,7 @@ class TestSlotCounts:
         assert np.array_equal(counts.totals(), expected)
 
     def test_off_grid_holds_records_past_the_period(self):
-        rows = [(1, 1, 1e-6, 0.0), (1, -1, 2.2e-6, 0.0), (-1, -1, 2.9e-6, 0.0)]
+        rows = [(1, 1, 1_000_000, 0), (1, -1, 2_200_000, 0), (-1, -1, PERIOD_PS, 0)]
         for mode in GRIDS:
             counts = run_counts(mode, "ab", rows)
             assert counts.off_grid[0].tolist() == [0, 1, 0, 1]
@@ -180,10 +221,9 @@ class TestSlotCounts:
     @given(runs=runs_of_rows)
     def test_summed_delta_t_histograms_match_concatenation(self, runs):
         counts = sum_of_runs("chsh_4", runs)
-        deltas = np.array([row[3] for _, rows in runs for row in rows])
-        edges, hist = delta_t_histogram(deltas, bin_width=1e-9, half_range=6e-9)
-        assert np.array_equal(counts.delta_t_edges, edges)
-        assert np.array_equal(counts.delta_t_counts, hist)
+        records = rows_to_run([row for _, rows in runs for row in rows])[2]
+        assert np.array_equal(counts.delta_t_edges, EDGES)
+        assert np.array_equal(counts.delta_t_counts, delta_t_histogram(records, EDGES))
 
     @settings(max_examples=20, deadline=None)
     @given(runs=runs_of_rows, mode=st.sampled_from(sorted(GRIDS)))
@@ -235,7 +275,7 @@ def ideal_slot_counts(visibility, n_each_slot, n_slots=25):
 def s_from_slot_series(counts):
     """|S| per slot from (4, n_slots, 4) counts, derived by SlotSeries."""
     series = SlotSeries(
-        grid=SlotGrid(slot_width=4e-9, n_slots=counts.shape[1]),
+        grid=SlotGrid(slot_ps=4000, n_slots=counts.shape[1]),
         setting_labels=("ab", "ab'", "a'b", "a'b'"),
         singles={},
         coincidences=counts,
@@ -406,7 +446,7 @@ def build_series(e_plus=0.7, n_each_slot=1000, n_slots=100, in_pulse=25,
         arr = np.full(n_slots, singles_out, dtype=np.int64)
         arr[:in_pulse] = singles_in
         singles[det] = arr
-    grid = SlotGrid(slot_width=20e-9, n_slots=n_slots)
+    grid = SlotGrid(slot_ps=20_000, n_slots=n_slots)
     return SlotSeries(
         grid=grid,
         setting_labels=("ab", "ab'", "a'b", "a'b'"),

@@ -11,6 +11,7 @@ from bellstrobe.coinc import (
     Coincidences,
     SessionMixError,
     accidental_estimate,
+    delta_t_edges,
     delta_t_histogram,
     match_coincidences,
 )
@@ -19,78 +20,95 @@ from bellstrobe.session import analyze_products, process_run, simulate_run
 from bellstrobe.sync import Detections
 
 
+WINDOW_PS = 4000  # the configured 4 ns coincidence window
+
+
 def detections(station, rows):
-    """rows: list of (detector, pulse, intra_time)."""
+    """rows: list of (detector, pulse, intra_ps)."""
     rows = sorted(rows, key=lambda r: (r[1], r[2]))
     return Detections(
         station=station,
         detector=np.array([r[0] for r in rows], np.int8),
         pulse_number=np.array([r[1] for r in rows], np.int64),
-        intra_time=np.array([r[2] for r in rows], np.float64),
+        intra_ps=np.array([r[2] for r in rows], np.int64),
     )
 
 
 class TestMatching:
     def test_basic_pair(self):
-        a = detections("A", [(1, 7, 100e-9)])
-        b = detections("B", [(-1, 7, 101e-9)])
-        rec = match_coincidences(a, b)
+        a = detections("A", [(1, 7, 100_000)])
+        b = detections("B", [(-1, 7, 101_000)])
+        rec = match_coincidences(a, b, WINDOW_PS)
         assert len(rec) == 1
         assert (rec.oa[0], rec.ob[0]) == (1, -1)
-        assert rec.delta_t[0] == pytest.approx(1e-9)
-        assert rec.intra_time[0] == pytest.approx(100e-9)
+        assert rec.delta_t_ps[0] == 1000
+        assert rec.intra_ps[0] == 100_000
         assert rec.pulse_number[0] == 7
 
     def test_pulse_number_gate(self):
-        a = detections("A", [(1, 7, 100e-9)])
-        b = detections("B", [(1, 8, 100e-9)])
-        assert len(match_coincidences(a, b)) == 0
+        a = detections("A", [(1, 7, 100_000)])
+        b = detections("B", [(1, 8, 100_000)])
+        assert len(match_coincidences(a, b, WINDOW_PS)) == 0
 
     def test_window_gate(self):
-        a = detections("A", [(1, 7, 100e-9)])
-        b = detections("B", [(1, 7, 105e-9)])
-        assert len(match_coincidences(a, b, window=4e-9)) == 0
-        assert len(match_coincidences(a, b, window=6e-9)) == 1
+        a = detections("A", [(1, 7, 100_000)])
+        b = detections("B", [(1, 7, 105_000)])
+        assert len(match_coincidences(a, b, 4000)) == 0
+        assert len(match_coincidences(a, b, 6000)) == 1
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_pair_at_the_window_edge_matched_at_every_a_time(self, sign):
+        # one pair per pulse, |B - A| exactly one window, A every 7 ps over
+        # the whole 2 us period
+        ta = np.arange(0, 2_000_000, 7, dtype=np.int64)
+        pulses = np.arange(ta.size, dtype=np.int64)
+        ones = np.ones(ta.size, np.int8)
+        a = Detections("A", ones, pulses, ta)
+        b = Detections("B", ones, pulses, ta + sign * WINDOW_PS)
+        rec = match_coincidences(a, b, WINDOW_PS)
+        assert len(rec) == ta.size
+        assert np.all(rec.delta_t_ps == sign * WINDOW_PS)
+        assert len(match_coincidences(a, b, WINDOW_PS - 1)) == 0
 
     def test_greedy_earliest_first(self):
         # two A and two B in one pulse; earliest pair with earliest
-        a = detections("A", [(1, 3, 100e-9), (-1, 3, 102e-9)])
-        b = detections("B", [(1, 3, 101e-9), (-1, 3, 103e-9)])
-        rec = match_coincidences(a, b)
+        a = detections("A", [(1, 3, 100_000), (-1, 3, 102_000)])
+        b = detections("B", [(1, 3, 101_000), (-1, 3, 103_000)])
+        rec = match_coincidences(a, b, WINDOW_PS)
         assert len(rec) == 2
         assert list(rec.oa) == [1, -1]
         assert list(rec.ob) == [1, -1]
 
     def test_each_detection_used_once(self):
-        a = detections("A", [(1, 3, 100e-9)])
-        b = detections("B", [(1, 3, 101e-9), (1, 3, 102e-9)])
-        assert len(match_coincidences(a, b)) == 1
+        a = detections("A", [(1, 3, 100_000)])
+        b = detections("B", [(1, 3, 101_000), (1, 3, 102_000)])
+        assert len(match_coincidences(a, b, WINDOW_PS)) == 1
 
     def test_record_count_bounded_per_pulse(self, rng):
-        rows_a = [(1, int(p), float(t)) for p, t in
-                  zip(rng.integers(0, 40, 300), rng.uniform(0, 500e-9, 300))]
-        rows_b = [(1, int(p), float(t)) for p, t in
-                  zip(rng.integers(0, 40, 200), rng.uniform(0, 500e-9, 200))]
+        rows_a = [(1, int(p), int(t)) for p, t in
+                  zip(rng.integers(0, 40, 300), rng.integers(0, 500_000, 300))]
+        rows_b = [(1, int(p), int(t)) for p, t in
+                  zip(rng.integers(0, 40, 200), rng.integers(0, 500_000, 200))]
         a, b = detections("A", rows_a), detections("B", rows_b)
-        rec = match_coincidences(a, b, window=500e-9)
+        rec = match_coincidences(a, b, 500_000)
         for pulse in range(40):
             na = np.sum(a.pulse_number == pulse)
             nb = np.sum(b.pulse_number == pulse)
             assert np.sum(rec.pulse_number == pulse) <= min(na, nb)
 
     def test_symmetric_under_station_exchange(self, rng):
-        rows_a = [(int(d), int(p), float(t)) for d, p, t in
+        rows_a = [(int(d), int(p), int(t)) for d, p, t in
                   zip(rng.choice([-1, 1], 200), rng.integers(0, 30, 200),
-                      rng.uniform(0, 500e-9, 200))]
-        rows_b = [(int(d), int(p), float(t)) for d, p, t in
+                      rng.integers(0, 500_000, 200))]
+        rows_b = [(int(d), int(p), int(t)) for d, p, t in
                   zip(rng.choice([-1, 1], 180), rng.integers(0, 30, 180),
-                      rng.uniform(0, 500e-9, 180))]
+                      rng.integers(0, 500_000, 180))]
         a, b = detections("A", rows_a), detections("B", rows_b)
-        fwd = match_coincidences(a, b, window=6e-9)
-        rev = match_coincidences(b, a, window=6e-9)
+        fwd = match_coincidences(a, b, 6000)
+        rev = match_coincidences(b, a, 6000)
         assert len(fwd) == len(rev)
-        key_f = sorted(zip(fwd.pulse_number, fwd.oa, fwd.ob, np.round(fwd.delta_t, 15)))
-        key_r = sorted(zip(rev.pulse_number, rev.ob, rev.oa, np.round(-rev.delta_t, 15)))
+        key_f = sorted(zip(fwd.pulse_number, fwd.oa, fwd.ob, fwd.delta_t_ps))
+        key_r = sorted(zip(rev.pulse_number, rev.ob, rev.oa, -rev.delta_t_ps))
         assert key_f == key_r
 
 
@@ -122,7 +140,7 @@ def oracle_records(a, b, window):
         return out
 
     ga, gb = groups(a.pulse_number), groups(b.pulse_number)
-    ta, tb = a.intra_time.tolist(), b.intra_time.tolist()
+    ta, tb = a.intra_ps.tolist(), b.intra_ps.tolist()
     da, db = a.detector.tolist(), b.detector.tolist()
     rows = []
     for pulse in sorted(ga.keys() & gb.keys()):
@@ -136,12 +154,12 @@ def oracle_records(a, b, window):
 def record_rows(rec):
     return list(zip(
         rec.pulse_number.tolist(), rec.oa.tolist(), rec.ob.tolist(),
-        rec.intra_time.tolist(), rec.delta_t.tolist(),
+        rec.intra_ps.tolist(), rec.delta_t_ps.tolist(),
     ))
 
 
-# Times on a binary grid, so equal times and |dt| == window occur exactly.
-TICK = 2.0**-30
+# Intra-pulse times of a few picoseconds, so equal times and |dt| == window
+# are common.
 pulse_detections = st.dictionaries(
     st.integers(0, 6),
     st.lists(st.tuples(st.sampled_from([-1, 1]), st.integers(0, 12)), min_size=1, max_size=8),
@@ -150,33 +168,31 @@ pulse_detections = st.dictionaries(
 
 
 def detections_from(station, by_pulse):
-    return detections(
-        station, [(d, p, tick * TICK) for p, rows in by_pulse.items() for d, tick in rows]
-    )
+    return detections(station, [(d, p, t) for p, rows in by_pulse.items() for d, t in rows])
 
 
 class TestMatchingOracle:
     @settings(max_examples=300, deadline=None)
     @given(rows_a=pulse_detections, rows_b=pulse_detections,
-           window_ticks=st.sampled_from([0, 1, 2, 4]))
-    def test_same_records_as_greedy_loop(self, rows_a, rows_b, window_ticks):
+           window_ps=st.sampled_from([0, 1, 2, 4]))
+    def test_same_records_as_greedy_loop(self, rows_a, rows_b, window_ps):
         a, b = detections_from("A", rows_a), detections_from("B", rows_b)
-        window = window_ticks * TICK
-        assert record_rows(match_coincidences(a, b, window)) == oracle_records(a, b, window)
+        rec = match_coincidences(a, b, window_ps)
+        assert record_rows(rec) == oracle_records(a, b, window_ps)
 
     def test_same_records_on_a_boosted_run(self, monkeypatch):
         config = desk_boosted(seed=3)
         seen = []  # the detections process_run matches
 
-        def match(a, b, window):
+        def match(a, b, window_ps):
             seen.append((a, b))
-            return match_coincidences(a, b, window)
+            return match_coincidences(a, b, window_ps)
 
         monkeypatch.setattr(coinc, "match_coincidences", match)
         rec = process_run(simulate_run(config, 0), config).records
         # multi-pair pulses are present, so the lockstep walk takes several passes
         assert np.any(np.diff(rec.pulse_number) == 0)
-        assert record_rows(rec) == oracle_records(*seen[0], config.analysis.window)
+        assert record_rows(rec) == oracle_records(*seen[0], config.analysis.window_ps)
 
 
 class TestAccidentals:
@@ -194,13 +210,13 @@ class TestAccidentals:
             accidental_estimate(-1, 1, 1, 1)
 
 
-def one_record(oa, ob, pulse=0, intra=100e-9):
+def one_record(oa, ob, pulse=0, intra_ps=100_000):
     return Coincidences(
         pulse_number=np.array([pulse], np.int64),
         oa=np.array([oa], np.int8),
         ob=np.array([ob], np.int8),
-        intra_time=np.array([intra], np.float64),
-        delta_t=np.array([0.0]),
+        intra_ps=np.array([intra_ps], np.int64),
+        delta_t_ps=np.array([0], np.int64),
     )
 
 
@@ -209,7 +225,7 @@ QUAD = ("ab", "ab'", "a'b", "a'b'")
 
 def session_counts(runs, session="s1"):
     """Counts of [(setting, records), ...] runs, binned run by run and summed."""
-    grid, edges = SlotGrid.for_period(4e-9, 2e-6), delta_t_histogram(Coincidences.empty())[0]
+    grid, edges = SlotGrid.for_period(4000, 2_000_000), delta_t_edges(WINDOW_PS)
 
     def zeros():
         return SlotCounts.zeros(session, grid, QUAD, [(0.0, 0.0)] * 4, edges)
@@ -269,8 +285,8 @@ class TestTables:
             pulse_number=np.arange(n, dtype=np.int64),
             oa=rng.choice([-1, 1], n).astype(np.int8),
             ob=rng.choice([-1, 1], n).astype(np.int8),
-            intra_time=rng.uniform(0, 2e-6, n),
-            delta_t=np.zeros(n),
+            intra_ps=rng.integers(0, 2_000_000, n),
+            delta_t_ps=np.zeros(n, np.int64),
         )
         counts = session_counts([("ab", rec)])
         assert not counts.off_grid.any()
@@ -279,7 +295,7 @@ class TestTables:
         )
 
     def test_slot_overflow_kept_in_totals_only(self):
-        counts = session_counts([("ab", one_record(1, 1, intra=3e-6))])  # past 2 us
+        counts = session_counts([("ab", one_record(1, 1, intra_ps=3_000_000))])  # past 2 us
         assert counts.coincidences.sum() == 0
         assert counts.off_grid[0].tolist() == [1, 0, 0, 0]
         assert counts.totals().sum() == 1
@@ -314,9 +330,10 @@ class TestDeltaHistogram:
         (trig_a, dets_a), (trig_b, dets_b) = a.split_triggers(), b.split_triggers()
         det_a = assign_to_pulses(dets_a, trig_a, st.trigger_delay, "A")
         det_b = assign_to_pulses(dets_b, trig_b, st.trigger_delay, "B")
-        rec = match_coincidences(det_a, det_b, window=20e-9)
+        rec = match_coincidences(det_a, det_b, 20_000)
         assert len(rec) > 5000
-        assert np.std(rec.delta_t) == pytest.approx(2e-9 * math.sqrt(2), rel=0.10)
-        edges, hist = delta_t_histogram(rec, bin_width=1e-9, half_range=20e-9)
+        assert np.std(rec.delta_t_ps) == pytest.approx(2000 * math.sqrt(2), rel=0.10)
+        edges = np.arange(-20_000, 20_001, 1000)
+        hist = delta_t_histogram(rec, edges)
         assert hist.sum() <= len(rec)
         assert edges.size == hist.size + 1

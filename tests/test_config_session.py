@@ -8,6 +8,7 @@ import pytest
 from bellstrobe.analysis import AnalysisError
 from bellstrobe.coinc import SessionMixError
 from bellstrobe.config import (
+    AnalysisParams,
     ConfigError,
     ExperimentConfig,
     SessionPlan,
@@ -45,6 +46,17 @@ class TestConfig:
         assert c.session.runs_per_experiment == 32
         assert c.station_a.dark_rate == 200.0
         assert c.station_a.trigger_delay == pytest.approx(57e-9)
+
+    def test_times_must_be_whole_picoseconds(self):
+        with pytest.raises(ConfigError, match="slot_width"):
+            AnalysisParams(slot_width=4.0005e-9)
+        with pytest.raises(ConfigError, match="window"):
+            AnalysisParams(window=4.0005e-9)
+        with pytest.raises(ConfigError, match="base_period"):
+            apply_overrides(ExperimentConfig(), {"pulses.base_period": 2.0000005e-6})
+        assert (AnalysisParams(slot_width=20e-9).slot_ps, AnalysisParams().window_ps) == (
+            20_000, 4000
+        )
 
     def test_json_roundtrip(self, tmp_path):
         c = desk_boosted(seed=9)
@@ -214,8 +226,8 @@ class TestAnalyzeSession:
         summary, _ = analyze_session(simulate_session(c, tmp_path))
         assert len(summary.sync_reports) == 4
         for rep in summary.sync_reports:
-            assert rep.pulse_offset == 0
-            assert abs(rep.rate_ratio - 1.0) < 1e-6
+            assert rep.fit.pulse_offset == 0
+            assert abs(rep.fit.rate_ratio - 1.0) < 1e-6
 
 
 class TestScanSession:
@@ -361,6 +373,10 @@ class TestReportFromCounts:
         np.savez(counts_path, mode="chsh_4", **{k: arrays[k] for k in arrays if k != "off_grid"})
         assert str(counts_path) in self._error_line(capsys, argv)  # another layout
 
+        seconds = {k: arrays[k] for k in arrays if k != "slot_ps"}
+        np.savez(counts_path, slot_width=arrays["slot_ps"] / 1e12, **seconds)
+        assert str(counts_path) in self._error_line(capsys, argv)  # slot width in seconds
+
         arrays["coincidences"][0, 10, 0] += 1
         np.savez(counts_path, **arrays)
         assert str(counts_path) in self._error_line(capsys, argv)
@@ -373,8 +389,9 @@ class TestReportFromCounts:
         with np.load(tmp_path / "counts.npz") as npz:
             assert str(npz["session_id"]) == summary.session_id
             assert "mode" not in npz.files
-            assert float(npz["slot_width"]) == series.grid.slot_width
+            assert int(npz["slot_ps"]) == series.grid.slot_ps == 20_000
             assert int(npz["n_slots"]) == series.grid.n_slots
+            assert npz["delta_t_edges"].dtype == np.int64
             assert tuple(npz["setting_labels"]) == series.setting_labels
             singles, coincidences = npz["singles"], npz["coincidences"]
         assert singles.dtype == coincidences.dtype == np.int64

@@ -19,6 +19,7 @@ from bellstrobe.sim import (
 from bellstrobe.sync import assign_to_pulses
 from bellstrobe.coinc import match_coincidences
 
+WINDOW_PS = 4000  # the configured 4 ns coincidence window
 NO_NOISE = StationConfig(
     detector_efficiency=1.0, dark_rate=0.0, detector_jitter_sigma=0.0
 )
@@ -94,7 +95,7 @@ class TestEmitTrivials:
         )
         det_a = assign(a, NO_NOISE.trigger_delay, "A")
         det_b = assign(b, NO_NOISE.trigger_delay, "B")
-        rec = match_coincidences(det_a, det_b)
+        rec = match_coincidences(det_a, det_b, WINDOW_PS)
         assert len(rec) > 1000
         assert np.all(rec.oa == rec.ob)
 
@@ -140,7 +141,7 @@ class TestEmitStatistics:
             a, b = emit_events(plan, src, (NO_NOISE, NO_NOISE), setting, model, 23)
             det_a = assign(a, NO_NOISE.trigger_delay, "A")
             det_b = assign(b, NO_NOISE.trigger_delay, "B")
-            rec = match_coincidences(det_a, det_b)
+            rec = match_coincidences(det_a, det_b, WINDOW_PS)
             n = len(rec)
             assert n > 250_000
             counts = np.bincount(rec.outcome_index(), minlength=4)
@@ -162,7 +163,7 @@ class TestEmitStatistics:
         )
         det_a = assign(a, NO_NOISE.trigger_delay, "A")
         det_b = assign(b, NO_NOISE.trigger_delay, "B")
-        rec = match_coincidences(det_a, det_b)
+        rec = match_coincidences(det_a, det_b, WINDOW_PS)
         v_hat = 2 * np.mean(rec.oa == rec.ob) - 1  # E = V_eff at equal angles
         assert v_hat == pytest.approx(0.98 * 0.94, abs=0.01)
 
@@ -175,7 +176,7 @@ class TestEmitStatistics:
             QmStateModel(1.0), 9,
         )
         det = assign(a, st.trigger_delay, "A")
-        out_of_pulse = det.intra_time >= plan.pulse_duration
+        out_of_pulse = det.intra_ps >= plan.pulse_duration * 1e12
         live = 30.0 * (1.0 - plan.duty_cycle)
         rate = out_of_pulse.sum() / live / 2  # two detector channels
         assert abs(rate - st.dark_rate) / st.dark_rate < 0.05

@@ -173,13 +173,13 @@ class TestAssignment:
     def test_exact_pulse_start(self):
         det = self._assign([1], [57_000])
         assert det.pulse_number[0] == 0
-        assert det.intra_time[0] == 0.0
+        assert det.intra_ps[0] == 0
 
     def test_delay_subtraction(self):
         # trigger at T, detection at T + 57 ns + 123 ns -> intra 123 ns
         det = self._assign([2], [2_000_000 + 57_000 + 123_000])
         assert det.pulse_number[0] == 1
-        assert det.intra_time[0] == pytest.approx(123e-9)
+        assert det.intra_ps[0] == 123_000
         assert det.detector[0] == -1
 
     def test_detection_before_first_trigger_dropped(self):
@@ -226,8 +226,9 @@ class TestAssignment:
         assert np.all(det.pulse_number >= 0)
         assert np.all(det.pulse_number < self.TRIGGERS.size)
         # intra times stay below the period of their pulse
-        assert np.all(det.intra_time >= 0)
-        assert np.all(det.intra_time < 2e-6 + 1e-12)
+        assert det.intra_ps.dtype == np.int64
+        assert np.all(det.intra_ps >= 0)
+        assert np.all(det.intra_ps < 2_000_000)
 
     def test_pulse_offset_translation(self):
         det = self._assign([1], [57_000])

@@ -125,6 +125,11 @@ def _corrupt_version(raw):
     return raw
 
 
+def _corrupt_resolution(raw):
+    raw[12] = 10  # 10 ps per tick: the timestamps would not be picoseconds
+    return raw
+
+
 def _corrupt_channel(raw):
     raw[HEADER_SIZE + 2 * RECORD_SIZE] = 4
     return raw
@@ -145,6 +150,7 @@ def _corrupt_count(raw):
 CONTRACT = {
     "magic": (_corrupt_magic, "bad magic", None),
     "version": (_corrupt_version, "unsupported version", None),
+    "resolution": (_corrupt_resolution, "clock resolution 10", None),
     "truncated": (lambda raw: raw[:-5], "truncated record", 3),
     "channel": (_corrupt_channel, "channel 4 out of range", 2),
     "order": (_corrupt_order, "monotonicity violation", 3),
