@@ -135,6 +135,15 @@ class ExperimentConfig:
             )
         if not 0.0 <= self.visibility <= 1.0:
             raise ConfigError("visibility must be in [0, 1]")
+        self.trigger_delays_ps  # ConfigError unless both are whole picoseconds
+
+    @property
+    def trigger_delays_ps(self) -> tuple[int, int]:
+        """Stations A and B's trigger-vs-photon path delays in picoseconds."""
+        return (
+            to_ps(self.station_a.trigger_delay, "station_a.trigger_delay"),
+            to_ps(self.station_b.trigger_delay, "station_b.trigger_delay"),
+        )
 
     @property
     def state_model(self) -> QmStateModel:

@@ -290,16 +290,15 @@ def process_run(run: RunData, config: ExperimentConfig) -> RunProducts:
     """Sync, assign, match and bin one run's tag streams."""
     trig_a, dets_a = run.tags_a.split_triggers()
     trig_b, dets_b = run.tags_b.split_triggers()
-    series_a = sy.extract_period_series(trig_a)
-    series_b = sy.extract_period_series(trig_b)
+    series_a = sy.extract_period_series(trig_a[: sy.ALIGN_WINDOW + 1])
+    series_b = sy.extract_period_series(trig_b[: sy.ALIGN_WINDOW + 1])
     offset = sy.align_pulse_numbering(series_a, series_b)
     fit = sy.fit_clock_relation(trig_a, trig_b, offset)
 
-    det_a = sy.assign_to_pulses(
-        dets_a, trig_a, config.station_a.trigger_delay, station="A"
-    )
+    delay_a, delay_b = config.trigger_delays_ps
+    det_a = sy.assign_to_pulses(dets_a, trig_a, delay_a, station="A")
     det_b = sy.assign_to_pulses(
-        dets_b, trig_b, config.station_b.trigger_delay, station="B"
+        dets_b, trig_b, delay_b, station="B"
     ).with_pulse_offset(offset)
 
     records = co.match_coincidences(det_a, det_b, config.analysis.window_ps)

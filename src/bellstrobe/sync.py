@@ -10,11 +10,19 @@ attributed to pulses by their time distance to the nearest preceding trigger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .sim import CHANNEL_TRIGGER, PS_PER_SECOND, TagStream
+
+
+# Trigger intervals align_pulse_numbering reads by default: its default
+# max_lag plus two default FM pattern lengths (2 x 127 bits x 100 pulses).
+# process_run extracts no more of either period series.
+ALIGN_WINDOW = 4096 + 25400
+FIT_CHUNK = 1 << 15  # matched trigger pairs per step of each fit_clock_relation pass
 
 
 class SyncError(Exception):
@@ -91,7 +99,7 @@ def extract_period_series(times: np.ndarray) -> PeriodSeries:
     """Consecutive differences of one station's trigger timestamps (ps)."""
     if times.size < 2:
         raise SyncError(f"need at least 2 trigger tags, got {times.size}")
-    return PeriodSeries(np.diff(times.astype(np.int64)))
+    return PeriodSeries(np.diff(np.asarray(times, dtype=np.int64)))
 
 
 def _binarize(intervals_ps: np.ndarray) -> np.ndarray:
@@ -141,7 +149,7 @@ def align_pulse_numbering(
     max_lag: int = 4096,
     min_corr: float = 0.9,
     margin: float = 1.5,
-    window: int | None = None,
+    window: int = ALIGN_WINDOW,
 ) -> int:
     """Pulse offset such that B's pulse k lines up with A's pulse k + offset.
 
@@ -150,13 +158,10 @@ def align_pulse_numbering(
     `min_corr` and exceed the best correlation outside the main peak's
     neighborhood by `margin`, otherwise AlignmentAmbiguousError is raised.
     Only lags within +-max_lag are searched, over the first `window` intervals
-    of each series (default max_lag + 25400, enough for two default FM
-    pattern lengths).
+    of each series (ALIGN_WINDOW by default).
 
     Requires both series to span at least one full FM pattern.
     """
-    if window is None:
-        window = max_lag + 25400
     a = _binarize(series_a.intervals_ps[:window])
     b = _binarize(series_b.intervals_ps[:window])
 
@@ -182,6 +187,13 @@ def align_pulse_numbering(
     return int(lags[best_i])
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product without BLAS. A threaded BLAS dot hands every chunk to its
+    worker threads; on a 2-core virtual machine that had been idle, that
+    stretched a 5 M-pair fit from 0.1 s to 1 s."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def fit_clock_relation(
     triggers_a: np.ndarray, triggers_b: np.ndarray, pulse_offset: int
 ) -> ClockFit:
@@ -191,46 +203,84 @@ def fit_clock_relation(
     trigger-vs-photon path delay is per-station configuration and is NOT
     absorbed here; it is subtracted later, when detections are assigned to
     pulses.
-    """
-    ta = triggers_a.astype(np.float64) / PS_PER_SECOND
-    tb = triggers_b.astype(np.float64) / PS_PER_SECOND
 
+    The fit makes three passes over FIT_CHUNK pairs at a time (means, centred
+    sums, residual), so its memory does not grow with the run. Each pass reads
+    x, A's time since the first matched A trigger, and z = y - x, where y is
+    B's time since the first matched B trigger, both as exact int64
+    picoseconds. Fitting z = c + (rate_ratio - 1) * x keeps the slope's
+    rounding error relative to the drift, not to 1.
+    """
     k0 = max(0, -pulse_offset)
-    k1 = min(tb.size, ta.size - pulse_offset)
+    k1 = min(triggers_b.size, triggers_a.size - pulse_offset)
     if k1 - k0 < 10:
         raise SyncError(f"only {max(0, k1 - k0)} matched trigger pairs; need >= 10")
-    x = ta[k0 + pulse_offset : k1 + pulse_offset]
-    y = tb[k0:k1]
+    ta = np.asarray(triggers_a, dtype=np.int64)[k0 + pulse_offset : k1 + pulse_offset]
+    tb = np.asarray(triggers_b, dtype=np.int64)[k0:k1]
+    n = ta.size
+    x0, z0 = int(ta[0]), int(tb[0]) - int(ta[0])
 
-    xm = x.mean()
-    ym = y.mean()
-    dx = x - xm
-    slope = float(np.dot(dx, y - ym) / np.dot(dx, dx))
-    intercept = float(ym - slope * xm)
-    resid = y - (intercept + slope * x)
+    def chunks():
+        """(x, z) as int64 picoseconds, FIT_CHUNK pairs at a time."""
+        for i in range(0, n, FIT_CHUNK):
+            a, b = ta[i : i + FIT_CHUNK], tb[i : i + FIT_CHUNK]
+            z = b - a
+            z -= z0
+            yield a - x0, z
+
+    sums = [(x.sum(dtype=np.float64), z.sum(dtype=np.float64)) for x, z in chunks()]
+    xm = math.fsum(sx for sx, _ in sums) / n
+    zm = math.fsum(sz for _, sz in sums) / n
+    sxx = sxz = 0.0
+    for x, z in chunks():
+        dx = x - xm
+        sxx += _dot(dx, dx)
+        sxz += _dot(dx, z - zm)
+    if sxx == 0.0:
+        raise ClockFitError("all matched A triggers share one timestamp")
+    drift = sxz / sxx
+
+    # A residual can be tiny against drift * x (0.3 ps of tag rounding against
+    # 1e11 ps over a 200 s run), so drift * x is split: drift_hi (24 significant
+    # bits) times x_hi (x with its low 24 bits cleared) is exact for x below
+    # 2**53 ps (2.5 h), and only the small rest, drift_hi * (x - x_hi) +
+    # drift_lo * x, is rounded.
+    drift_hi = float(np.float32(drift))
+    drift_lo = drift - drift_hi
+    line_at_0 = zm - drift * xm
+    sq = 0.0
+    for x, z in chunks():
+        x_hi = x & ~np.int64(0xFFFFFF)
+        r = z - drift_hi * x_hi
+        r -= drift_hi * (x - x_hi) + drift_lo * x
+        r -= line_at_0
+        sq += _dot(r, r)
+    # t_B = tb0 + x + z, with x = t_A - ta0 and z = zm + drift * (x - xm)
+    intercept_ps = z0 + zm - drift * (x0 + xm)
     return ClockFit(
         pulse_offset=int(pulse_offset),
-        time_offset=intercept,
-        rate_ratio=slope,
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        n_pairs=int(k1 - k0),
+        time_offset=intercept_ps / PS_PER_SECOND,
+        rate_ratio=1.0 + drift,
+        residual_rms=math.sqrt(sq / n) / PS_PER_SECOND,
+        n_pairs=n,
     )
 
 
 def assign_to_pulses(
     detections: TagStream,
     triggers_ps: np.ndarray,
-    trigger_delay: float,
+    delay_ps: int,
     station: str = "A",
 ) -> Detections:
     """Attribute detection tags to the latest trigger at or before them.
 
     `detections` holds detection channels only (the second part of
-    TagStream.split_triggers). The configured trigger-vs-photon path delay is
-    subtracted from each detection timestamp first, so intra_ps is measured
-    from the pulse start as seen by the photons. Detections preceding
-    the first trigger, or trailing the last pulse by at least one median
-    period, are dropped and counted, not fatal.
+    TagStream.split_triggers). The configured trigger-vs-photon path delay,
+    `delay_ps` (`ExperimentConfig.trigger_delays_ps`), is subtracted from each
+    detection timestamp first, so intra_ps is measured from the pulse start as
+    seen by the photons. Detections preceding the first trigger, or trailing
+    the last pulse by at least one median period, are dropped and counted, not
+    fatal.
     """
     triggers_ps = np.asarray(triggers_ps, dtype=np.int64)
     if triggers_ps.size == 0:
@@ -239,8 +289,7 @@ def assign_to_pulses(
     if ch.size and ch.max() >= CHANNEL_TRIGGER:
         raise ValueError("trigger tags among detections; use TagStream.split_triggers")
 
-    delay_ps = np.int64(round(trigger_delay * PS_PER_SECOND))
-    shifted = t - delay_ps
+    shifted = t - np.int64(delay_ps)
     idx = np.searchsorted(triggers_ps, shifted, side="right") - 1
     before = idx < 0
 

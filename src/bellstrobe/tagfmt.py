@@ -22,6 +22,7 @@ Records are sorted by timestamp, ties broken by ascending channel; duplicate
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ MAGIC = b"BSTROBE1"
 VERSION = 1
 HEADER_STRUCT = struct.Struct("<8sHBxIQ16s")
 HEADER_SIZE = HEADER_STRUCT.size
-VALID_CHANNELS = (1, 2, 3)
+CHUNK_RECORDS = 1 << 16  # records the reader reads and checks at a time (1 MiB)
 
 # numpy view of one record; "pad" must stay zeroed.
 RECORD_DTYPE = np.dtype([("channel", "<u1"), ("pad", "V7"), ("timestamp", "<u8")])
@@ -97,22 +98,20 @@ class TagFileHeader:
         )
 
 
-def _check_records(channels: np.ndarray, timestamps: np.ndarray) -> None:
-    """Channel range and the (timestamp, channel) sort invariant; `timestamps`
-    must be uint64 so that the comparison matches the on-disk order."""
-    valid = np.isin(channels, VALID_CHANNELS)
-    if not valid.all():
-        i = int(np.argmin(valid))
-        raise TagFormatError(f"channel {channels[i]} out of range", index=i)
-    if timestamps.size < 2:
-        return
+def _check_records(channels: np.ndarray, timestamps: np.ndarray, first: int = 0) -> None:
+    """Channel range and the (timestamp, channel) sort invariant of records
+    `first`, `first` + 1, ...; `channels` must be uint8 and `timestamps`
+    uint64, so that the comparison matches the on-disk order."""
+    bad = channels - np.uint8(1) > 2  # outside 1..3; channel 0 wraps to 255
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise TagFormatError(f"channel {channels[i]} out of range", index=first + i)
     t0, t1 = timestamps[:-1], timestamps[1:]
     bad = (t1 < t0) | ((t1 == t0) & (channels[1:] <= channels[:-1]))
-    if np.any(bad):
-        i = int(np.argmax(bad)) + 1
+    if bad.any():
         raise TagFormatError(
             "records not sorted by (timestamp, channel): monotonicity violation",
-            index=i,
+            index=first + int(np.argmax(bad)) + 1,
         )
 
 
@@ -147,10 +146,10 @@ def write_tags(
     if isinstance(sink, (str, Path)):
         with open(sink, "wb") as fh:
             fh.write(header.pack())
-            fh.write(packed.tobytes())
+            fh.write(packed)
     else:
         sink.write(header.pack())
-        sink.write(packed.tobytes())
+        sink.write(packed)
     return HEADER_SIZE + RECORD_SIZE * channels.size
 
 
@@ -159,33 +158,42 @@ def read_tag_arrays(
 ) -> tuple[TagFileHeader, np.ndarray, np.ndarray]:
     """Load and validate a whole tag file as (header, channels, timestamps_ps).
 
-    A path is read straight into RECORD_DTYPE records; bytes are viewed in
-    place. Every violation of docs/tagfile-format.md raises TagFormatError,
-    with the offending record index where the format defines one. Timestamps
-    come back as int64 picoseconds.
+    Every violation of docs/tagfile-format.md raises TagFormatError, with the
+    offending record index where the format defines one. Timestamps come back
+    as int64 picoseconds.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            header = TagFileHeader.unpack(fh.read(HEADER_SIZE))
-            body_size = os.fstat(fh.fileno()).st_size - HEADER_SIZE
-            packed = np.fromfile(fh, dtype=RECORD_DTYPE, count=body_size // RECORD_SIZE)
-    else:
-        header = TagFileHeader.unpack(bytes(source[:HEADER_SIZE]))
-        body_size = len(source) - HEADER_SIZE
-        packed = np.frombuffer(
-            source, dtype=RECORD_DTYPE, count=body_size // RECORD_SIZE, offset=HEADER_SIZE
-        )
-    if body_size % RECORD_SIZE:
-        raise TagFormatError(
-            f"truncated record: trailing {body_size % RECORD_SIZE} bytes",
-            index=body_size // RECORD_SIZE,
-        )
-    if packed.size != header.record_count:
+            return _read_records(fh, os.fstat(fh.fileno()).st_size)
+    return _read_records(io.BytesIO(source), len(source))
+
+
+def _read_records(
+    fh: BinaryIO, size: int
+) -> tuple[TagFileHeader, np.ndarray, np.ndarray]:
+    """The reader behind read_tag_arrays. Only the output arrays and one
+    CHUNK_RECORDS buffer are allocated; each chunk is checked together with
+    the last record of the chunk before it, so an order violation across a
+    chunk boundary is caught and reported with its index in the file."""
+    header = TagFileHeader.unpack(fh.read(HEADER_SIZE))
+    n, tail = divmod(size - HEADER_SIZE, RECORD_SIZE)
+    if tail:
+        raise TagFormatError(f"truncated record: trailing {tail} bytes", index=n)
+    if n != header.record_count:
         raise TagFormatError(
             f"record_count mismatch: header says {header.record_count}, "
-            f"file holds {packed.size}"
+            f"file holds {n}"
         )
-    channels = packed["channel"].astype(np.uint8)
-    timestamps = packed["timestamp"].astype(np.int64)
-    _check_records(channels, timestamps.view(np.uint64))
+    channels = np.empty(n, np.uint8)
+    timestamps = np.empty(n, np.int64)
+    buffer = np.empty(min(n, CHUNK_RECORDS), RECORD_DTYPE)
+    for start in range(0, n, CHUNK_RECORDS):
+        stop = min(start + CHUNK_RECORDS, n)
+        chunk = buffer[: stop - start]
+        if fh.readinto(chunk.view(np.uint8)) != chunk.nbytes:
+            raise TagFormatError("file shrank while being read", index=start)
+        channels[start:stop] = chunk["channel"]
+        timestamps[start:stop] = chunk["timestamp"]
+        first = max(start - 1, 0)
+        _check_records(channels[first:stop], timestamps[first:stop].view(np.uint64), first)
     return header, channels, timestamps

@@ -64,7 +64,7 @@ def assigned_tags(offsets_ps):
     triggers = np.arange(3, dtype=np.int64) * 2_040_000
     times = np.sort(np.asarray(offsets_ps, np.int64)) + DELAY_PS
     tags = TagStream(np.ones(times.size, np.uint8), times)
-    return assign_to_pulses(tags, triggers, DELAY_PS / 1e12, "A")
+    return assign_to_pulses(tags, triggers, DELAY_PS, "A")
 
 
 class TestBinning:

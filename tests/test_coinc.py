@@ -15,7 +15,7 @@ from bellstrobe.coinc import (
     delta_t_histogram,
     match_coincidences,
 )
-from bellstrobe.config import SessionPlan, desk_boosted
+from bellstrobe.config import SessionPlan, desk_boosted, to_ps
 from bellstrobe.session import analyze_products, process_run, simulate_run
 from bellstrobe.sync import Detections
 
@@ -328,8 +328,9 @@ class TestDeltaHistogram:
         a, b = emit_events(plan, SourceConfig(pair_yield=0.2), (st, st),
                            AngleSetting(0, 0), QmStateModel(1.0), 17)
         (trig_a, dets_a), (trig_b, dets_b) = a.split_triggers(), b.split_triggers()
-        det_a = assign_to_pulses(dets_a, trig_a, st.trigger_delay, "A")
-        det_b = assign_to_pulses(dets_b, trig_b, st.trigger_delay, "B")
+        delay_ps = to_ps(st.trigger_delay, "trigger_delay")
+        det_a = assign_to_pulses(dets_a, trig_a, delay_ps, "A")
+        det_b = assign_to_pulses(dets_b, trig_b, delay_ps, "B")
         rec = match_coincidences(det_a, det_b, 20_000)
         assert len(rec) > 5000
         assert np.std(rec.delta_t_ps) == pytest.approx(2000 * math.sqrt(2), rel=0.10)

@@ -17,6 +17,7 @@ from bellstrobe.config import (
     desk_default,
 )
 from bellstrobe.model import TransientModel
+from bellstrobe.sim import CHANNEL_TRIGGER
 from bellstrobe.session import (
     analyze_session,
     run_session_in_memory,
@@ -57,6 +58,12 @@ class TestConfig:
         assert (AnalysisParams(slot_width=20e-9).slot_ps, AnalysisParams().window_ps) == (
             20_000, 4000
         )
+
+    @pytest.mark.parametrize("station", ["station_a", "station_b"])
+    def test_trigger_delay_must_be_whole_picoseconds(self, station):
+        with pytest.raises(ConfigError, match=f"{station}.trigger_delay"):
+            apply_overrides(ExperimentConfig(), {f"{station}.trigger_delay": 57.0004e-9})
+        assert ExperimentConfig().trigger_delays_ps == (57_000, 57_000)
 
     def test_json_roundtrip(self, tmp_path):
         c = desk_boosted(seed=9)
@@ -199,6 +206,23 @@ class TestAnalyzeSession:
         assert "rate_ratio" in runs["skipped"][0]["reason"]
         assert runs["used"] == 7
         assert summary.to_dict()["degraded"] is True
+
+    def test_missing_trigger_channel_skips_only_that_run(self, tmp_path):
+        # run 1's B file keeps its detections but loses every trigger tag
+        c = tiny_config(runs_per_experiment=8)
+        manifest_path = simulate_session(c, tmp_path)
+        victim = tmp_path / "run001_B.tags"
+        header, channels, times = read_tag_arrays(victim)
+        detections = channels != CHANNEL_TRIGGER
+        write_tags(header, (channels[detections], times[detections].astype(np.uint64)), victim)
+        summary, _ = analyze_session(manifest_path)
+        write_summary_json(summary, tmp_path / "summary.json")
+        runs = json.loads((tmp_path / "summary.json").read_text())["runs"]
+        assert runs["skipped"] == [
+            {"run": 1, "reason": "need at least 2 trigger tags, got 0"}
+        ]
+        assert runs["used"] == 7
+        assert [r.run_index for r in summary.sync_reports] == [0, 2, 3, 4, 5, 6, 7]
 
     def test_all_runs_unusable_errors(self, tmp_path):
         c = tiny_config(glitch_probability=0.999999)

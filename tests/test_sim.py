@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellstrobe.config import to_ps
 from bellstrobe.model import AngleSetting, Geometry, QmStateModel, qm_joint_probs
 from bellstrobe.sim import (
     CHANNEL_TRIGGER,
@@ -28,7 +29,8 @@ NO_NOISE = StationConfig(
 def assign(stream, trigger_delay, station):
     """Pulse-attributed detections of one simulated station stream."""
     triggers, detections = stream.split_triggers()
-    return assign_to_pulses(detections, triggers, trigger_delay, station)
+    delay_ps = to_ps(trigger_delay, "trigger_delay")
+    return assign_to_pulses(detections, triggers, delay_ps, station)
 
 
 class TestPrbs:
@@ -123,7 +125,7 @@ class TestEmitStatistics:
         occupied = set()
         for stream in (a, b):
             det = stream.split_triggers()[1].times_ps
-            delay = np.int64(round(st.trigger_delay * 1e12))
+            delay = to_ps(st.trigger_delay, "trigger_delay")
             idx = np.searchsorted(trig_a, det - delay, side="right") - 1
             occupied.update(idx[idx >= 0].tolist())
         fraction = len(occupied) / plan.n_pulses

@@ -1,8 +1,12 @@
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from bellstrobe import sync
 from bellstrobe.sim import (
     CHANNEL_TRIGGER,
     ClockModel,
@@ -13,6 +17,7 @@ from bellstrobe.sim import (
 from bellstrobe.sync import (
     AlignmentAmbiguousError,
     ClockFit,
+    ClockFitError,
     PatternAbsentError,
     PeriodSeries,
     SyncError,
@@ -119,6 +124,20 @@ class TestAlignment:
         assert wins == 20
 
 
+def exact_fit(a: list[int], b: list[int]) -> tuple[Fraction, Fraction, float]:
+    """Least-squares b = c + r * a over integer picoseconds in exact rational
+    arithmetic: (r, c in ps, residual rms in ps)."""
+    n = len(a)
+    sa, sb = sum(a), sum(b)
+    saa = n * sum(x * x for x in a) - sa * sa
+    sab = n * sum(x * y for x, y in zip(a, b)) - sa * sb
+    sbb = n * sum(y * y for y in b) - sb * sb
+    rate = Fraction(sab, saa)
+    intercept = Fraction(sb, n) - rate * Fraction(sa, n)
+    rss = Fraction(sbb - sab * rate, n)  # n * the residual sum of squares
+    return rate, intercept, math.sqrt(rss / n)
+
+
 class TestClockFit:
     def test_identity_fit(self, global_starts):
         s = trigger_times(global_starts, ClockModel())
@@ -157,6 +176,40 @@ class TestClockFit:
         resid = tb - (fit.time_offset + fit.rate_ratio * ta)
         assert abs(resid.mean()) < fit.residual_rms / math.sqrt(resid.size)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(10, 300),
+        # 200 s: past 140 s, 2**16 int64 offsets from the first pair can sum past 2**63
+        span_s=st.one_of(st.floats(1e-4, 30.0), st.just(200.0)),
+        offset_s=st.floats(-1e-3, 1e-3),
+        drift=st.floats(-5e-4, 5e-4),
+        jitter_ps=st.sampled_from([0.0, 0.3, 20.0, 2000.0]),
+        chunk=st.sampled_from([7, 64, sync.FIT_CHUNK]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the hard corner: a residual of tag rounding alone under a long, steep line
+    @example(n=10, span_s=200.0, offset_s=0.0, drift=5e-4, jitter_ps=0.0, chunk=7, seed=10)
+    def test_fit_matches_exact_rational_fit(
+        self, n, span_s, offset_s, drift, jitter_ps, chunk, seed
+    ):
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, span_s, n)) + 2e-3
+        a = np.unique(np.rint(t * 1e12 + rng.normal(0.0, jitter_ps, n)).astype(np.int64))
+        b = np.rint(
+            (offset_s + (1.0 + drift) * a / 1e12) * 1e12 + rng.normal(0.0, jitter_ps, a.size)
+        ).astype(np.int64)
+        with mock.patch.object(sync, "FIT_CHUNK", chunk):
+            fit = fit_clock_relation(a, b, 0)
+        rate, offset_ps, rms_ps = exact_fit(a.tolist(), b.tolist())
+        assert abs(Fraction(fit.rate_ratio) - rate) <= Fraction(1, 10**15) * rate
+        assert abs(Fraction(fit.time_offset) * 10**12 - offset_ps) <= Fraction(1, 100)
+        assert fit.residual_rms * 1e12 == pytest.approx(rms_ps, rel=1e-6, abs=0.0)
+
+    def test_single_a_timestamp_rejected(self):
+        a = np.full(20, 5_000_000, np.int64)
+        with pytest.raises(ClockFitError, match="one timestamp"):
+            fit_clock_relation(a, np.arange(20, dtype=np.int64) * 2_000_000, 0)
+
     def test_implausible_ratio_rejected(self):
         with pytest.raises(ValueError):
             ClockFit(pulse_offset=0, time_offset=0.0, rate_ratio=1.01,
@@ -168,7 +221,7 @@ class TestAssignment:
 
     def _assign(self, channels, times):
         tags = TagStream(np.asarray(channels, np.uint8), np.asarray(times, np.int64))
-        return assign_to_pulses(tags, self.TRIGGERS, 57e-9, "A")
+        return assign_to_pulses(tags, self.TRIGGERS, 57_000, "A")
 
     def test_exact_pulse_start(self):
         det = self._assign([1], [57_000])
@@ -200,7 +253,7 @@ class TestAssignment:
         times = [500_000 + delay, 10_000_000 + delay + 999_999,
                  10_000_000 + delay + 1_000_000, 10_000_000 + delay + 1_500_000]
         tags = TagStream(np.ones(len(times), np.uint8), np.asarray(times, np.int64))
-        det = assign_to_pulses(tags, triggers, 57e-9, "A")
+        det = assign_to_pulses(tags, triggers, 57_000, "A")
         assert det.pulse_number.tolist() == [0, 3]
         assert det.dropped_after_last == 2
 
@@ -220,7 +273,7 @@ class TestAssignment:
         times = rng.integers(0, 6_500_000, n).astype(np.int64)
         channels = rng.integers(1, 3, n).astype(np.uint8)
         tags = TagStream.from_unsorted(channels, times)
-        det = assign_to_pulses(tags, self.TRIGGERS, 57e-9, "A")
+        det = assign_to_pulses(tags, self.TRIGGERS, 57_000, "A")
         total = len(det) + det.dropped_before_first + det.dropped_after_last
         assert total == len(tags)
         assert np.all(det.pulse_number >= 0)

@@ -1,10 +1,12 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellstrobe.tagfmt import (
+    CHUNK_RECORDS,
     HEADER_SIZE,
     RECORD_SIZE,
     TagFileHeader,
@@ -115,6 +117,11 @@ def _swap_records(raw, i, j):
     )
 
 
+def _copy_record(raw, src, dst):
+    a, b = HEADER_SIZE + RECORD_SIZE * src, HEADER_SIZE + RECORD_SIZE * dst
+    raw[b:b + RECORD_SIZE] = raw[a:a + RECORD_SIZE]
+
+
 def _corrupt_magic(raw):
     raw[0] ^= 0xFF
     return raw
@@ -132,6 +139,11 @@ def _corrupt_resolution(raw):
 
 def _corrupt_channel(raw):
     raw[HEADER_SIZE + 2 * RECORD_SIZE] = 4
+    return raw
+
+
+def _corrupt_channel_zero(raw):
+    raw[HEADER_SIZE + 1 * RECORD_SIZE] = 0
     return raw
 
 
@@ -153,6 +165,7 @@ CONTRACT = {
     "resolution": (_corrupt_resolution, "clock resolution 10", None),
     "truncated": (lambda raw: raw[:-5], "truncated record", 3),
     "channel": (_corrupt_channel, "channel 4 out of range", 2),
+    "channel0": (_corrupt_channel_zero, "channel 0 out of range", 1),
     "order": (_corrupt_order, "monotonicity violation", 3),
     "count": (_corrupt_count, "record_count mismatch", None),
 }
@@ -209,5 +222,58 @@ def test_roundtrip_property(data):
     assert len(buf.getvalue()) == size
     header, ch2, t2 = read_tag_arrays(buf.getvalue())
     assert header.record_count == len(channels)
+    assert np.array_equal(ch2, channels)
+    assert np.array_equal(t2.astype(np.uint64), times)
+
+
+def _written(kind, raw, tmp_path):
+    """The file's bytes, or a path holding them."""
+    if kind == "bytes":
+        return raw
+    path = tmp_path / "station.tags"
+    path.write_bytes(raw)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes"])
+@pytest.mark.parametrize("at", [CHUNK_RECORDS, CHUNK_RECORDS + 1])
+def test_order_violation_at_a_chunk_boundary_reports_its_index(at, kind, tmp_path):
+    # record `at` repeats its predecessor; at == CHUNK_RECORDS is the first
+    # record of the second chunk, compared only with the last of the first
+    n = CHUNK_RECORDS + 5
+    buf = io.BytesIO()
+    write_tags(TagFileHeader(station_id=0, record_count=n),
+               (np.full(n, 3, np.uint8), np.arange(n, dtype=np.uint64)), buf)
+    raw = bytearray(buf.getvalue())
+    _copy_record(raw, at - 1, at)
+    with pytest.raises(TagFormatError, match="monotonicity") as exc:
+        read_tag_arrays(_written(kind, bytes(raw), tmp_path))
+    assert exc.value.index == at
+
+
+def test_file_shrinking_while_read_reports_the_short_chunk(tmp_path):
+    # the header and the size seen at open promise two chunks; the second is gone
+    path = tmp_path / "station.tags"
+    n = CHUNK_RECORDS + 10
+    header = TagFileHeader(station_id=0, record_count=n)
+    write_tags(header, (np.full(n, 3, np.uint8), np.arange(n, dtype=np.uint64)), path)
+    path.write_bytes(path.read_bytes()[: HEADER_SIZE + RECORD_SIZE * CHUNK_RECORDS])
+    at_open = mock.Mock(st_size=HEADER_SIZE + RECORD_SIZE * n)
+    with mock.patch("bellstrobe.tagfmt.os.fstat", return_value=at_open):
+        with pytest.raises(TagFormatError, match="file shrank") as exc:
+            read_tag_arrays(path)
+    assert exc.value.index == CHUNK_RECORDS
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes"])
+def test_roundtrip_over_a_partial_last_chunk(kind, tmp_path):
+    channels, times = make_records(np.random.default_rng(8), 2 * CHUNK_RECORDS + 123)
+    assert channels.size % CHUNK_RECORDS != 0
+    buf = io.BytesIO()
+    write_tags(TagFileHeader(station_id=1, record_count=channels.size),
+               (channels, times), buf)
+    header, ch2, t2 = read_tag_arrays(_written(kind, buf.getvalue(), tmp_path))
+    assert header.record_count == channels.size
+    assert ch2.dtype == np.uint8 and t2.dtype == np.int64
     assert np.array_equal(ch2, channels)
     assert np.array_equal(t2.astype(np.uint64), times)
