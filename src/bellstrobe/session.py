@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis as ana
 from . import coinc as co
 from . import sync as sy
-from .config import ExperimentConfig, SCHEMA_VERSION
+from .config import ConfigError, ExperimentConfig, SCHEMA_VERSION
 from .model import OUTCOME_LABELS, AngleSetting, TSIRELSON
 from .sim import PS_PER_SECOND, PulsePlan, TagStream, emit_events
 from .tagfmt import TagFileHeader, TagFormatError, read_tag_arrays, write_tags
@@ -194,6 +194,22 @@ def iter_simulated_runs(config: ExperimentConfig) -> Iterable[RunData]:
         yield simulate_run(config, i)
 
 
+def _check_first_timestamp(
+    config: ExperimentConfig, run_index: int, station_id: int, stream: TagStream
+) -> None:
+    """Tag files hold unsigned timestamps; a sorted stream is negative
+    nowhere if its first tag is not."""
+    if len(stream) and stream.times_ps[0] < 0:
+        name = f"station_{'ab'[station_id]}"
+        sigma = getattr(config, name).clock.jitter_sigma
+        least = f"several jitter_sigma ({sigma:g} s)" if sigma > 0 else "0"
+        raise ConfigError(
+            f"run {run_index}: station {'AB'[station_id]} has a negative local "
+            f"timestamp ({int(stream.times_ps[0])} ps); set {name}.clock.offset "
+            f"to at least {least}"
+        )
+
+
 def simulate_session(config: ExperimentConfig, outdir: str | Path) -> Path:
     """Simulate a session into tag files plus a run manifest; returns the
     manifest path. Glitched runs (see session.glitch_probability) are written
@@ -216,17 +232,13 @@ def simulate_session(config: ExperimentConfig, outdir: str | Path) -> Path:
             status = "glitched"
         file_a = outdir / f"run{run.index:03d}_A.tags"
         file_b = outdir / f"run{run.index:03d}_B.tags"
-        for path, stream, station_id in (
-            (file_a, run.tags_a, 0),
-            (file_b, run.tags_b, 1),
-        ):
-            if len(stream) and stream.times_ps.min() < 0:
-                raise ValueError(
-                    "negative local timestamps; choose non-negative clock offsets"
-                )
+        streams = ((file_a, run.tags_a, 0), (file_b, run.tags_b, 1))
+        for _, stream, station_id in streams:
+            _check_first_timestamp(config, run.index, station_id, stream)
+        for path, stream, station_id in streams:
             write_tags(
                 TagFileHeader(station_id=station_id, record_count=len(stream)),
-                (stream.channels, stream.times_ps.astype(np.uint64)),
+                (stream.channels, stream.times_ps),
                 path,
             )
         alpha, beta = angles[run.setting_label]

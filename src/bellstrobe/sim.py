@@ -79,8 +79,8 @@ class FmPattern:
 
     def labels(self, n_pulses: int) -> np.ndarray:
         """Per-pulse pattern bit, repeating the sequence cyclically."""
-        idx = (np.arange(n_pulses) // self.pulses_per_bit) % len(self.bits)
-        return np.asarray(self.bits, dtype=np.uint8)[idx]
+        cycle = np.repeat(np.asarray(self.bits, dtype=np.uint8), self.pulses_per_bit)
+        return np.resize(cycle, n_pulses)
 
     @staticmethod
     def constant() -> "FmPattern":
@@ -120,9 +120,12 @@ class PulsePlan:
             )
 
     def period_seconds(self) -> np.ndarray:
-        """Interval following each pulse, shaped (n_pulses,)."""
-        labels = self.fm_pattern.labels(self.n_pulses)
-        return self.base_period * (1.0 + self.fm_pattern.lengthen_fraction * labels)
+        """Interval following each pulse, shaped (n_pulses,): one pattern
+        cycle looked up in the two-entry period table, repeated."""
+        fm = self.fm_pattern
+        table = self.base_period * (1.0 + fm.lengthen_fraction * np.array([0, 1], np.uint8))
+        cycle = table[fm.labels(len(fm.bits) * fm.pulses_per_bit)]
+        return np.resize(cycle, self.n_pulses)
 
     def start_times(self) -> np.ndarray:
         return _starts_of(self.period_seconds())
@@ -214,23 +217,6 @@ class TagStream:
         np.logical_not(mask, out=mask)  # reuse the buffer: one mask alive
         return triggers, TagStream(self.channels[mask], self.times_ps[mask])
 
-    @classmethod
-    def from_unsorted(cls, channels: np.ndarray, times_ps: np.ndarray) -> "TagStream":
-        """Sort by (timestamp, channel) and drop duplicate (t, channel) tags.
-
-        Channels fit in 2 bits, so (t, channel) packs into one int64 sort key;
-        a single-key sort is about twice as fast as a two-key lexsort here.
-        """
-        channels = np.asarray(channels, dtype=np.uint8)
-        times_ps = np.asarray(times_ps, dtype=np.int64)
-        key = np.sort(times_ps * 4 + channels)
-        if key.size > 1:
-            keep = np.empty(key.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(key[1:], key[:-1], out=keep[1:])
-            key = key[keep]
-        return cls((key & 3).astype(np.uint8), key >> 2)
-
 
 def _sample_pulse_envelope(rng: np.random.Generator, n: int, plan: PulsePlan) -> np.ndarray:
     """Emission times under the trapezoidal pulse envelope, in [0, duration)."""
@@ -266,20 +252,19 @@ def _sample_outcomes(
     return oa, ob
 
 
-def _station_true_tags(
+def _station_events(
     rng: np.random.Generator,
     station: StationConfig,
     pulse_start: np.ndarray,
     t_emit: np.ndarray,
     outcome: np.ndarray,
     eta_factor: np.ndarray,
-    trigger_starts: np.ndarray,
     duration: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Detection thinning, jitter, darks and triggers for one station.
+    """Detection thinning, jitter and darks for one station.
 
-    Returns unsorted (channels, times in true seconds); the clock transform
-    sorts once at the end.
+    Returns unsorted (channels, times in true seconds) of the detections and
+    dark counts; the trigger tags join them in _local_stream.
     """
     keep = rng.random(outcome.size) < station.detector_efficiency * eta_factor
     jitter = (
@@ -294,32 +279,61 @@ def _station_true_tags(
     t_det = (pulse_start + t_emit + station.trigger_delay + jitter)[keep]
     ch_det = np.where(outcome[keep] > 0, CHANNEL_PLUS, CHANNEL_MINUS).astype(np.uint8)
 
-    times = np.concatenate([t_det, dark_plus, dark_minus, trigger_starts])
+    times = np.concatenate([t_det, dark_plus, dark_minus])
     channels = np.concatenate(
         [
             ch_det,
             np.full(dark_plus.size, CHANNEL_PLUS, dtype=np.uint8),
             np.full(dark_minus.size, CHANNEL_MINUS, dtype=np.uint8),
-            np.full(trigger_starts.size, CHANNEL_TRIGGER, dtype=np.uint8),
         ]
     )
     return channels, times
 
 
-def _to_local_clock(
-    channels: np.ndarray, times_s: np.ndarray, clock: ClockModel, seed
+def _local_stream(
+    channels: np.ndarray,
+    times_s: np.ndarray,
+    trigger_starts: np.ndarray,
+    clock: ClockModel,
+    seed,
 ) -> TagStream:
-    """Transform true-time tags (seconds) into a station's local clock.
+    """One station's sorted local-clock stream from its events (true seconds)
+    and its trigger starts.
 
     t_local = offset + (1 + drift_rate)*t + N(0, jitter_sigma), rounded once
-    to the 1 ps grid; the stream is re-sorted afterwards.
+    to the 1 ps grid, with one jitter draw over the events then the triggers.
+    Everything happens in one float64 buffer and its int64 (t*4 + channel)
+    keys. The stable sort (timsort for int64) merges the ascending trigger
+    train with the events in near-linear time and still sorts fully when the
+    jitter reorders triggers. Duplicate (t, channel) tags are dropped.
     """
-    rng = np.random.default_rng(seed)
-    local = clock.offset + (1.0 + clock.drift_rate) * times_s
+    n_events = times_s.size
+    t = np.empty(n_events + trigger_starts.size)
+    t[:n_events] = times_s
+    t[n_events:] = trigger_starts
+    t *= 1.0 + clock.drift_rate
+    t += clock.offset
     if clock.jitter_sigma > 0:
-        local = local + rng.normal(0.0, clock.jitter_sigma, times_s.size)
-    ps = np.rint(local * PS_PER_SECOND).astype(np.int64)
-    return TagStream.from_unsorted(channels, ps)
+        t += np.random.default_rng(seed).normal(0.0, clock.jitter_sigma, t.size)
+    t *= PS_PER_SECOND
+    np.rint(t, out=t)
+    key = t.view(np.int64)
+    key[...] = t  # cast in place: each element is read before it is overwritten
+    del t
+    key *= 4
+    key[:n_events] += channels
+    key[n_events:] += CHANNEL_TRIGGER
+    key.sort(kind="stable")
+    if key.size > 1:
+        keep = np.empty(key.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        if not keep.all():
+            key = key[keep]
+    channels = np.empty(key.size, np.uint8)
+    np.bitwise_and(key, 3, out=channels, casting="unsafe")
+    key >>= 2
+    return TagStream(channels, key)
 
 
 def emit_events(
@@ -380,26 +394,19 @@ def emit_events(
     oa, ob = _sample_outcomes(rng_src, v_eff, setting)
 
     pulse_start = starts[pulse_idx]
-    ch_a, t_a = _station_true_tags(
-        np.random.default_rng(key_det_a),
-        stations[0],
-        pulse_start,
-        t_emit,
-        oa,
-        eta_factor,
-        starts,
-        duration,
-    )
-    ch_b, t_b = _station_true_tags(
-        np.random.default_rng(key_det_b),
-        stations[1],
-        pulse_start,
-        t_emit,
-        ob,
-        eta_factor,
-        starts,
-        duration,
-    )
-    tags_a = _to_local_clock(ch_a, t_a, stations[0].clock, key_clk_a)
-    tags_b = _to_local_clock(ch_b, t_b, stations[1].clock, key_clk_b)
-    return tags_a, tags_b
+    streams = []
+    for station, outcome, key_det, key_clk in (
+        (stations[0], oa, key_det_a, key_clk_a),
+        (stations[1], ob, key_det_b, key_clk_b),
+    ):
+        channels, times = _station_events(
+            np.random.default_rng(key_det),
+            station,
+            pulse_start,
+            t_emit,
+            outcome,
+            eta_factor,
+            duration,
+        )
+        streams.append(_local_stream(channels, times, starts, station.clock, key_clk))
+    return streams[0], streams[1]

@@ -22,10 +22,11 @@ Records are sorted by timestamp, ties broken by ascending channel; duplicate
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO
 
@@ -35,7 +36,7 @@ MAGIC = b"BSTROBE1"
 VERSION = 1
 HEADER_STRUCT = struct.Struct("<8sHBxIQ16s")
 HEADER_SIZE = HEADER_STRUCT.size
-CHUNK_RECORDS = 1 << 16  # records the reader reads and checks at a time (1 MiB)
+CHUNK_RECORDS = 1 << 16  # records read, checked or written at a time (1 MiB)
 
 # numpy view of one record; "pad" must stay zeroed.
 RECORD_DTYPE = np.dtype([("channel", "<u1"), ("pad", "V7"), ("timestamp", "<u8")])
@@ -122,35 +123,39 @@ def write_tags(
 ) -> int:
     """Write a tag file; returns the byte count (40 + 16*N).
 
-    `records` is a (channels, timestamps) array pair. Records must already
-    satisfy the sort invariant and channel range; violations raise
-    TagFormatError.
+    `records` is a (channels, timestamps) array pair; timestamps are taken as
+    int64 picoseconds. Records must already satisfy the sort invariant and
+    channel range, and no timestamp may be negative; violations raise
+    TagFormatError with the record index, and nothing is written. Every chunk
+    is checked before the first byte goes out, then the records are packed
+    and written one CHUNK_RECORDS buffer at a time.
     """
-    channels = np.asarray(records[0]).astype(np.uint8, copy=False)
-    timestamps = np.asarray(records[1]).astype(np.uint64, copy=False)
+    channels, timestamps = np.asarray(records[0]), np.asarray(records[1])
     if channels.shape != timestamps.shape:
         raise ValueError("channels and timestamps must have equal length")
-    _check_records(channels, timestamps)
-    if header.record_count != channels.size:
-        header = TagFileHeader(
-            station_id=header.station_id,
-            record_count=int(channels.size),
-            version=header.version,
-            clock_resolution_ps=header.clock_resolution_ps,
+    n = channels.size
+    for start in range(0, n, CHUNK_RECORDS):
+        first = max(start - 1, 0)  # overlap the chunk before by one record
+        stop = min(start + CHUNK_RECORDS, n)
+        times = timestamps[first:stop].astype(np.int64, copy=False)
+        negative = times < 0
+        if negative.any():
+            i = int(np.argmax(negative))
+            raise TagFormatError(f"negative timestamp {times[i]}", index=first + i)
+        _check_records(
+            channels[first:stop].astype(np.uint8, copy=False), times.view(np.uint64), first
         )
 
-    packed = np.zeros(channels.size, dtype=RECORD_DTYPE)
-    packed["channel"] = channels
-    packed["timestamp"] = timestamps
-
-    if isinstance(sink, (str, Path)):
-        with open(sink, "wb") as fh:
-            fh.write(header.pack())
-            fh.write(packed)
-    else:
-        sink.write(header.pack())
-        sink.write(packed)
-    return HEADER_SIZE + RECORD_SIZE * channels.size
+    buffer = np.zeros(min(n, CHUNK_RECORDS), RECORD_DTYPE)  # pad bytes stay zero
+    path = isinstance(sink, (str, Path))
+    with open(sink, "wb") if path else contextlib.nullcontext(sink) as fh:
+        fh.write(replace(header, record_count=n).pack())
+        for start in range(0, n, CHUNK_RECORDS):
+            chunk = buffer[: min(CHUNK_RECORDS, n - start)]
+            chunk["channel"] = channels[start : start + chunk.size]
+            chunk["timestamp"] = timestamps[start : start + chunk.size]
+            fh.write(chunk)
+    return HEADER_SIZE + RECORD_SIZE * n
 
 
 def read_tag_arrays(

@@ -507,6 +507,29 @@ class TestCli:
         manifest_path.write_text('{"session_id": ')
         self._assert_one_line_error(capsys, ["analyze", str(manifest_path)])
 
+    @pytest.mark.parametrize(
+        "override", ["station_b.clock.jitter_sigma=2e-11", "station_b.clock.offset=-1e-3"]
+    )
+    def test_negative_local_timestamp_errors_before_writing_the_run(
+        self, tmp_path, capsys, override
+    ):
+        # the first trigger sits at t = 0: jitter or a negative offset moves it
+        # below zero (with seed 1 the jitter does so in run 2)
+        from bellstrobe.cli import main
+
+        capsys.readouterr()
+        assert main([
+            "simulate", "--name", "neg", "--output", str(tmp_path), "--seed", "1",
+            "--set", "session.run_duration=0.02", "--set", override,
+        ]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: run ")
+        assert "station B has a negative local timestamp" in err[0]
+        assert "station_b.clock.offset" in err[0]
+        run = int(err[0].split()[2].rstrip(":"))
+        written = {p.name for p in (tmp_path / "neg").iterdir()}
+        assert written == {f"run{i:03d}_{s}.tags" for i in range(run) for s in "AB"}
+
     def test_drifting_clock_session_errors(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         tiny_config().to_json(cfg_path)

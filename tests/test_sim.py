@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bellstrobe.config import to_ps
 from bellstrobe.model import AngleSetting, Geometry, QmStateModel, qm_joint_probs
@@ -13,7 +14,7 @@ from bellstrobe.sim import (
     SourceConfig,
     StationConfig,
     TagStream,
-    _to_local_clock,
+    _local_stream,
     emit_events,
     prbs_bits,
 )
@@ -190,8 +191,8 @@ class TestApplyClock:
     TIMES_PS = np.array([0, 1_000_000, 30_000_000_000_000], dtype=np.int64)
 
     def _local(self, clock, seed=0, times_ps=TIMES_PS):
-        channels = np.full(times_ps.size, 3, np.uint8)
-        return _to_local_clock(channels, times_ps / 1e12, clock, seed)
+        no_events = np.empty(0, np.uint8), np.empty(0)
+        return _local_stream(*no_events, times_ps / 1e12, clock, seed)
 
     def test_identity(self):
         out = self._local(ClockModel())
@@ -210,6 +211,76 @@ class TestApplyClock:
         times = np.arange(0, 10_000, 100, dtype=np.int64)
         out = self._local(ClockModel(jitter_sigma=1e-9), seed=3, times_ps=times)
         assert np.all(np.diff(out.times_ps) >= 0)
+
+
+def reference_local_clock(channels, times_s, clock, seed):
+    """Oracle for _local_stream: the clock transform on the concatenated
+    tags, then a full sort by (timestamp, channel) and a dedupe, each step on
+    fresh arrays."""
+    rng = np.random.default_rng(seed)
+    local = clock.offset + (1.0 + clock.drift_rate) * times_s
+    if clock.jitter_sigma > 0:
+        local = local + rng.normal(0.0, clock.jitter_sigma, times_s.size)
+    ps = np.rint(local * 1e12).astype(np.int64)
+    key = np.sort(ps * 4 + np.asarray(channels, dtype=np.uint8))
+    if key.size > 1:
+        keep = np.empty(key.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+    return TagStream((key & 3).astype(np.uint8), key >> 2)
+
+
+# Event times on a 50 ps grid over 2 ns, so that equal times (on one channel:
+# duplicates; on different channels: ties) are common; trigger spacings of
+# 1-500 ps, so that a 1 ns jitter reorders the trigger train.
+events_st = st.lists(
+    st.tuples(st.sampled_from([1, 2, 3]), st.integers(0, 40)), max_size=30
+)
+spacings_st = st.lists(st.integers(1, 500), max_size=40)
+clock_st = st.builds(
+    ClockModel,
+    offset=st.sampled_from([0.0, 1.3e-3]),
+    drift_rate=st.sampled_from([0.0, 20e-6]),
+    jitter_sigma=st.sampled_from([0.0, 2e-12, 1e-9]),
+)
+
+
+class TestLocalStream:
+    @settings(max_examples=300, deadline=None)
+    @given(events=events_st, spacings=spacings_st, clock=clock_st, seed=st.integers(0, 99))
+    @example(events=[], spacings=[10, 20], clock=ClockModel(jitter_sigma=1e-9), seed=1)
+    @example(events=[(1, 3)], spacings=[], clock=ClockModel(), seed=0)
+    @example(events=[], spacings=[7], clock=ClockModel(offset=1.3e-3), seed=0)
+    @example(
+        events=[(2, 4), (2, 4), (1, 4), (3, 4)], spacings=[200, 1],
+        clock=ClockModel(), seed=0,
+    )
+    def test_matches_sort_of_concatenated_tags(self, events, spacings, clock, seed):
+        channels = np.array([c for c, _ in events], np.uint8)
+        times = np.array([50e-12 * k for _, k in events], np.float64)
+        triggers = np.cumsum(np.array(spacings, np.float64)) * 1e-12
+        out = _local_stream(channels, times, triggers, clock, seed)
+        want = reference_local_clock(
+            np.concatenate([channels, np.full(triggers.size, CHANNEL_TRIGGER, np.uint8)]),
+            np.concatenate([times, triggers]),
+            clock,
+            seed,
+        )
+        assert out.channels.dtype == np.uint8 and out.times_ps.dtype == np.int64
+        assert out == want
+
+    def test_jitter_that_reorders_the_trigger_train(self):
+        # 1 ns jitter on a 100 ps trigger spacing: the jittered train is out
+        # of order, so a merge that trusted its order would go wrong
+        triggers = np.arange(50) * 1e-10
+        clock = ClockModel(jitter_sigma=1e-9)
+        jittered = triggers + np.random.default_rng(4).normal(0.0, 1e-9, 50)
+        assert np.any(np.diff(jittered) < 0)
+        out = _local_stream(np.empty(0, np.uint8), np.empty(0), triggers, clock, 4)
+        assert out == reference_local_clock(
+            np.full(50, CHANNEL_TRIGGER, np.uint8), triggers, clock, 4
+        )
 
 
 class TestTriggerInvariant:

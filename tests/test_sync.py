@@ -272,7 +272,8 @@ class TestAssignment:
         n = 5000
         times = rng.integers(0, 6_500_000, n).astype(np.int64)
         channels = rng.integers(1, 3, n).astype(np.uint8)
-        tags = TagStream.from_unsorted(channels, times)
+        key = np.unique(times * 4 + channels)  # sorted by (t, channel), no duplicates
+        tags = TagStream((key & 3).astype(np.uint8), key >> 2)
         det = assign_to_pulses(tags, self.TRIGGERS, 57_000, "A")
         total = len(det) + det.dropped_before_first + det.dropped_after_last
         assert total == len(tags)

@@ -277,3 +277,36 @@ def test_roundtrip_over_a_partial_last_chunk(kind, tmp_path):
     assert ch2.dtype == np.uint8 and t2.dtype == np.int64
     assert np.array_equal(ch2, channels)
     assert np.array_equal(t2.astype(np.uint64), times)
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes"])
+def test_writer_rejects_an_order_violation_in_the_last_chunk_and_writes_nothing(
+    kind, tmp_path
+):
+    # every chunk is checked before the first byte goes out
+    n = 2 * CHUNK_RECORDS + 5
+    at = n - 2
+    times = np.arange(n, dtype=np.int64)
+    times[at] = times[at - 1]
+    sink = tmp_path / "station.tags" if kind == "path" else io.BytesIO()
+    with pytest.raises(TagFormatError, match="monotonicity") as exc:
+        write_tags(TagFileHeader(station_id=0, record_count=n),
+                   (np.full(n, 3, np.uint8), times), sink)
+    assert exc.value.index == at
+    if kind == "path":
+        assert not sink.exists()
+    else:
+        assert sink.getvalue() == b""
+
+
+def test_writer_rejects_a_negative_timestamp_with_its_index():
+    # cast to uint64 it would wrap and surface one record later as "not sorted"
+    n = CHUNK_RECORDS + 10
+    times = np.arange(n, dtype=np.int64)
+    times[CHUNK_RECORDS + 3] = -7
+    buf = io.BytesIO()
+    with pytest.raises(TagFormatError, match="negative timestamp -7") as exc:
+        write_tags(TagFileHeader(station_id=0, record_count=n),
+                   (np.full(n, 3, np.uint8), times), buf)
+    assert exc.value.index == CHUNK_RECORDS + 3
+    assert buf.getvalue() == b""
