@@ -19,11 +19,19 @@ from typing import Sequence
 import numpy as np
 
 from .coinc import Coincidences, SessionMixError, delta_t_histogram
-from .model import OUTCOME_LABELS
+from .model import OUTCOME_LABELS, OUTCOME_ORDER
 from .sim import PS_PER_SECOND
 from .sync import Detections
 
 DETECTOR_KEYS = ("A+", "A-", "B+", "B-")
+SEARCH_TAUS = 2.0  # detect_transient searches the first SEARCH_TAUS * tau of a pulse
+# oa * ob of each outcome: +1 where the two stations agree.
+OUTCOME_PARITY = np.array([oa * ob for oa, ob in OUTCOME_ORDER])
+# DETECTOR_OUTCOMES[d, o] is 1 when detector DETECTOR_KEYS[d] fired in outcome o.
+DETECTOR_OUTCOMES = np.array(
+    [[int(pair[station] == sign) for pair in OUTCOME_ORDER]
+     for station in (0, 1) for sign in (1, -1)]
+)
 
 
 class AnalysisError(Exception):
@@ -70,27 +78,23 @@ def _slot_index(intra_ps: np.ndarray, grid: SlotGrid) -> tuple[np.ndarray, np.nd
     return slots, (slots >= 0) & (slots < grid.n_slots)
 
 
-def bin_singles(events: Detections, grid: SlotGrid) -> dict[str, np.ndarray]:
-    """Per-detector singles counts on the slot grid.
+def bin_singles(events: Detections, grid: SlotGrid) -> np.ndarray:
+    """(2, n_slots) singles counts of one station's + and - detectors on the
+    slot grid.
 
     Tags beyond the base period (dark counts in FM-lengthened pulses) fall off
     the grid and are not counted; they are a <~2% slice of the off phase.
     """
-    out = {}
     slots, ok = _slot_index(events.intra_ps, grid)
-    for sign, suffix in ((1, "+"), (-1, "-")):
-        sel = ok & (events.detector == sign)
-        out[f"{events.station}{suffix}"] = np.bincount(
-            slots[sel], minlength=grid.n_slots
-        )
-    return out
+    flat = slots[ok] + grid.n_slots * events.minus[ok].astype(np.int64)
+    return np.bincount(flat, minlength=2 * grid.n_slots).reshape(2, grid.n_slots)
 
 
 def bin_coincidences(records: Coincidences, grid: SlotGrid) -> np.ndarray:
     """(n_slots, 4) outcome counts by station A's slot; off-grid records are
     not counted."""
     slots, ok = _slot_index(records.intra_ps, grid)
-    flat = slots[ok] * 4 + records.outcome_index()[ok]
+    flat = slots[ok] * 4 + records.outcome[ok]
     return np.bincount(flat, minlength=grid.n_slots * 4).reshape(grid.n_slots, 4)
 
 
@@ -144,12 +148,11 @@ class SlotCounts:
                 f"setting {setting!r} is not one of {list(self.setting_labels)}"
             )
         s = self.setting_labels.index(setting)
-        for events in detections:
-            for key, arr in bin_singles(events, self.grid).items():
-                self.singles[DETECTOR_KEYS.index(key)] += arr
+        for k, events in enumerate(detections):  # station A, then B
+            self.singles[2 * k : 2 * k + 2] += bin_singles(events, self.grid)
         on_grid = bin_coincidences(records, self.grid)
         self.coincidences[s] += on_grid
-        self.off_grid[s] += np.bincount(records.outcome_index(), minlength=4)
+        self.off_grid[s] += np.bincount(records.outcome, minlength=4)
         self.off_grid[s] -= on_grid.sum(axis=0)
         self.delta_t_counts += delta_t_histogram(records, self.delta_t_edges)
 
@@ -201,7 +204,7 @@ def correlator_series(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = np.asarray(counts, dtype=np.float64)
     n = c.sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = (c[..., 0] + c[..., 3] - c[..., 1] - c[..., 2]) / n
+        e = (c @ OUTCOME_PARITY) / n
         sig = np.sqrt(np.clip(1.0 - e * e, 0.0, None) / n)
     return e, sig
 
@@ -224,7 +227,8 @@ def chsh_from_correlators(
 def efficiency_series(
     coincidences_with_detector: np.ndarray, singles_of_detector: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """eta(t) = coincidences/singles for one detector, with binomial errors.
+    """eta = coincidences/singles, elementwise (one detector's slots, or a
+    (4, n_slots) array of them), with binomial errors.
 
     Slots with zero singles are undefined (NaN).
     """
@@ -276,20 +280,21 @@ def in_pulse_slots(singles_total: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SlotSeries:
-    """All per-slot reconstructions for one session."""
+    """All per-slot reconstructions for one session. Per-detector series are
+    (4, n_slots) arrays with rows in DETECTOR_KEYS order."""
 
     grid: SlotGrid
     setting_labels: tuple[str, str, str, str]
-    singles: dict[str, np.ndarray]  # per detector, (n_slots,)
+    singles: np.ndarray  # (4, n_slots)
     coincidences: np.ndarray  # (4 settings, n_slots, 4 outcomes)
     e: np.ndarray = field(init=False)  # (4, n_slots)
     sigma_e: np.ndarray = field(init=False)
     s: np.ndarray = field(init=False)  # (n_slots,)
     sigma_s: np.ndarray = field(init=False)
-    eta: dict[str, np.ndarray] = field(init=False)
-    sigma_eta: dict[str, np.ndarray] = field(init=False)
-    product: dict[str, np.ndarray] = field(init=False)  # S(t)*eta_det(t)
-    sigma_product: dict[str, np.ndarray] = field(init=False)
+    eta: np.ndarray = field(init=False)  # (4, n_slots)
+    sigma_eta: np.ndarray = field(init=False)
+    product: np.ndarray = field(init=False)  # S(t)*eta_det(t), (4, n_slots)
+    sigma_product: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.coincidences = np.asarray(self.coincidences, dtype=np.int64)
@@ -300,29 +305,15 @@ class SlotSeries:
             )
         self.e, self.sigma_e = correlator_series(self.coincidences)
         self.s, self.sigma_s = chsh_from_correlators(self.e, self.sigma_e)
-        self.eta, self.sigma_eta = {}, {}
-        self.product, self.sigma_product = {}, {}
-        for det in self.singles:
-            coinc_det = self._coincidences_with(det)
-            self.eta[det], self.sigma_eta[det] = efficiency_series(
-                coinc_det, self.singles[det]
-            )
-            self.product[det], self.sigma_product[det] = product_series(
-                self.s, self.sigma_s, self.eta[det], self.sigma_eta[det]
-            )
-
-    def _coincidences_with(self, detector: str) -> np.ndarray:
-        """Per-slot coincidences involving one detector, summed over settings."""
-        station, sign = detector[0], detector[1]
-        if station == "A":
-            cols = [0, 1] if sign == "+" else [2, 3]  # oa = +
-        else:
-            cols = [0, 2] if sign == "+" else [1, 3]  # ob = +
-        return self.coincidences[:, :, cols].sum(axis=(0, 2))
+        with_detector = DETECTOR_OUTCOMES @ self.coincidences.sum(axis=0).T
+        self.eta, self.sigma_eta = efficiency_series(with_detector, self.singles)
+        self.product, self.sigma_product = product_series(
+            self.s, self.sigma_s, self.eta, self.sigma_eta
+        )
 
     @property
     def singles_total(self) -> np.ndarray:
-        return sum(self.singles.values())
+        return self.singles.sum(axis=0)
 
     def setting_totals(self) -> np.ndarray:
         """Unresolved (4, 4) per-setting outcome totals over the slot grid."""
@@ -374,23 +365,15 @@ def plateau_summary(series: SlotSeries) -> PlateauSummary:
     )
     consistent = abs(time_avg_s - float(s_all)) < 2.0 * sigma_cmp
 
-    tavg_eta, tdisp_eta, all_eta, all_eta_sig = {}, {}, {}, {}
-    for det, eta in series.eta.items():
-        vals = eta[mask]
-        vals = vals[~np.isnan(vals)]
-        tavg_eta[det] = float(vals.mean()) if vals.size else math.nan
-        tdisp_eta[det] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-        singles_sum = float(series.singles[det].sum())
-        coinc_sum = float(series._coincidences_with(det).sum())
-        if singles_sum > 0:
-            eta_all = coinc_sum / singles_sum
-            all_eta[det] = eta_all
-            all_eta_sig[det] = math.sqrt(
-                max(0.0, eta_all * (1.0 - eta_all)) / singles_sum
-            )
-        else:
-            all_eta[det] = math.nan
-            all_eta_sig[det] = math.nan
+    tavg_eta, tdisp_eta = [], []
+    for eta in series.eta[:, mask]:
+        vals = eta[~np.isnan(eta)]
+        tavg_eta.append(float(vals.mean()) if vals.size else math.nan)
+        tdisp_eta.append(float(vals.std(ddof=1)) if vals.size > 1 else 0.0)
+    all_eta, all_eta_sig = efficiency_series(
+        DETECTOR_OUTCOMES @ series.setting_totals().sum(axis=0),
+        series.singles.sum(axis=1),
+    )
 
     return PlateauSummary(
         in_pulse_range=(int(idx[0]), int(idx[-1]) + 1),
@@ -400,10 +383,10 @@ def plateau_summary(series: SlotSeries) -> PlateauSummary:
         all_data_s=float(s_all),
         all_data_s_sigma=float(s_all_sigma),
         s_consistent=bool(consistent),
-        time_avg_eta=tavg_eta,
-        time_dispersion_eta=tdisp_eta,
-        all_data_eta=all_eta,
-        all_data_eta_sigma=all_eta_sig,
+        time_avg_eta=dict(zip(DETECTOR_KEYS, tavg_eta)),
+        time_dispersion_eta=dict(zip(DETECTOR_KEYS, tdisp_eta)),
+        all_data_eta=dict(zip(DETECTOR_KEYS, all_eta.tolist())),
+        all_data_eta_sigma=dict(zip(DETECTOR_KEYS, all_eta_sig.tolist())),
     )
 
 
@@ -447,14 +430,13 @@ def detect_transient(
     slot_width: float,
     k_sigma: float = 3.0,
     plateau_reference: float | None = None,
-    search_window: float | None = None,
 ) -> TransientVerdict:
     """Flag a short-time deviation in a per-slot series.
 
     A transient requires at least ceil(tau/slot_width) CONSECUTIVE significant
     slots, all deviating from the plateau reference in the same direction by
-    more than k_sigma, inside the search window after the pulse start (default
-    2*tau: the region a light-crossing-time deviation must live in). The
+    more than k_sigma, inside the first SEARCH_TAUS * tau after the pulse start
+    (the region a light-crossing-time deviation must live in). The
     plateau reference defaults to the inverse-variance mean of significant
     slots starting at or after 2*tau.
     """
@@ -463,7 +445,7 @@ def detect_transient(
     sig = np.asarray(significant, dtype=bool) & np.isfinite(v) & np.isfinite(s) & (s > 0)
 
     min_run = math.ceil(tau / slot_width)
-    window = 2.0 * tau if search_window is None else search_window
+    window = SEARCH_TAUS * tau
     # Only slots fully contained in the window; a flagged range must lie
     # inside [pulse start, pulse start + window].
     n_search = min(v.size, int(math.floor(window / slot_width + 1e-9)))
@@ -539,9 +521,8 @@ def angle_scan_curves(
     if th.size < 3:
         raise AnalysisError("need at least 3 scan angles to fit a fringe")
     design = np.column_stack([np.ones_like(th), np.cos(2 * th), np.sin(2 * th)])
-    signs = (1.0, -1.0, -1.0, 1.0)  # ++, +-, -+, --
     out = {}
-    for o, (label, sgn) in enumerate(zip(OUTCOME_LABELS, signs)):
+    for o, (label, sgn) in enumerate(zip(OUTCOME_LABELS, OUTCOME_PARITY)):
         c, *_ = np.linalg.lstsq(design, counts[:, o], rcond=None)
         if not np.isfinite(c).all() or c[0] <= 0:
             raise AnalysisError(f"degenerate fringe fit for outcome {label}")

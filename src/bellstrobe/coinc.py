@@ -27,24 +27,18 @@ class Coincidences:
     """Matched pairs as parallel arrays sorted by (pulse_number, A's time)."""
 
     pulse_number: np.ndarray  # int64
-    oa: np.ndarray  # int8
-    ob: np.ndarray  # int8
+    outcome: np.ndarray  # uint8 OUTCOME_ORDER index, 2 * minus_A + minus_B
     intra_ps: np.ndarray  # int64, A's intra-pulse time in picoseconds
     delta_t_ps: np.ndarray  # int64 picoseconds, B minus A
 
     def __len__(self) -> int:
         return int(self.pulse_number.size)
 
-    def outcome_index(self) -> np.ndarray:
-        """Index into OUTCOME_ORDER: ++ -> 0, +- -> 1, -+ -> 2, -- -> 3."""
-        return ((1 - self.oa) + (1 - self.ob) // 2).astype(np.int64)
-
     @staticmethod
     def empty() -> "Coincidences":
         return Coincidences(
             np.empty(0, np.int64),
-            np.empty(0, np.int8),
-            np.empty(0, np.int8),
+            np.empty(0, np.uint8),
             np.empty(0, np.int64),
             np.empty(0, np.int64),
         )
@@ -100,8 +94,7 @@ def match_coincidences(
     idx_b = partner[idx_a]
     return Coincidences(
         pulse_number=pa[idx_a],
-        oa=events_a.detector[idx_a],
-        ob=events_b.detector[idx_b],
+        outcome=2 * events_a.minus[idx_a] + events_b.minus[idx_b],
         intra_ps=ta[idx_a],
         delta_t_ps=tb[idx_b] - ta[idx_a],
     )

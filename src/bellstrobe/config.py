@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Geometry, QmStateModel, SettingsQuad, TransientModel
-from .sim import PS_PER_SECOND, ClockModel, FmPattern, SourceConfig, StationConfig
+from .sim import PS_PER_SECOND, ClockModel, FmPattern, PulsePlan, SourceConfig, StationConfig
 
 SCHEMA_VERSION = 1
 
@@ -136,6 +136,13 @@ class ExperimentConfig:
         if not 0.0 <= self.visibility <= 1.0:
             raise ConfigError("visibility must be in [0, 1]")
         self.trigger_delays_ps  # ConfigError unless both are whole picoseconds
+        self.run_plan()  # ValueError unless the pulse plan is valid
+        period_ps, slot_ps = self.pulses.period_ps, self.analysis.slot_ps
+        if self.session.mode == "chsh_4" and period_ps % slot_ps:
+            raise ConfigError(
+                f"analysis.slot_width ({slot_ps} ps) does not divide "
+                f"pulses.base_period ({period_ps} ps)"
+            )
 
     @property
     def trigger_delays_ps(self) -> tuple[int, int]:
@@ -151,6 +158,17 @@ class ExperimentConfig:
 
     def pulses_per_run(self) -> int:
         return max(1, round(self.session.run_duration / self.pulses.base_period))
+
+    def run_plan(self) -> PulsePlan:
+        """The pulse train every run of the session is simulated with."""
+        return PulsePlan(
+            n_pulses=self.pulses_per_run(),
+            base_period=self.pulses.base_period,
+            pulse_duration=self.pulses.pulse_duration,
+            rise_time=self.pulses.rise_time,
+            fall_time=self.pulses.fall_time,
+            fm_pattern=self.pulses.fm_pattern(),
+        )
 
     def setting_labels(self) -> list[str]:
         if self.session.mode == "chsh_4":
@@ -236,8 +254,12 @@ class ExperimentConfig:
                 quad=SettingsQuad(**data.pop("quad", {})),
                 master_seed=int(data.pop("master_seed", 1)),
             )
+        except ConfigError:
+            raise
         except TypeError as exc:
             raise ConfigError(f"bad config field: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"bad config value: {exc}") from exc
 
     def to_json(self, path: str | Path | None = None) -> str:
         text = json.dumps(self.to_dict(), indent=2, sort_keys=True)

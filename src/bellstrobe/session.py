@@ -13,7 +13,7 @@ import json
 import logging
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,7 +24,7 @@ from . import coinc as co
 from . import sync as sy
 from .config import ConfigError, ExperimentConfig, SCHEMA_VERSION
 from .model import OUTCOME_LABELS, AngleSetting, TSIRELSON
-from .sim import PS_PER_SECOND, PulsePlan, TagStream, emit_events
+from .sim import PS_PER_SECOND, TagStream, emit_events
 from .tagfmt import TagFileHeader, TagFormatError, read_tag_arrays, write_tags
 
 log = logging.getLogger("bellstrobe")
@@ -101,20 +101,7 @@ class SessionSummary:
             "sync": [r.to_dict() for r in self.sync_reports],
         }
         if self.plateau is not None:
-            p = self.plateau
-            out["plateau"] = {
-                "in_pulse_range": list(p.in_pulse_range),
-                "n_in_pulse": p.n_in_pulse,
-                "time_avg_s": p.time_avg_s,
-                "time_dispersion_s": p.time_dispersion_s,
-                "all_data_s": p.all_data_s,
-                "all_data_s_sigma": p.all_data_s_sigma,
-                "s_consistent": p.s_consistent,
-                "time_avg_eta": p.time_avg_eta,
-                "time_dispersion_eta": p.time_dispersion_eta,
-                "all_data_eta": p.all_data_eta,
-                "all_data_eta_sigma": p.all_data_eta_sigma,
-            }
+            out["plateau"] = asdict(self.plateau)
         if self.flatness is not None:
             out["flatness"] = {
                 "chi2_reduced": self.flatness[0],
@@ -139,31 +126,13 @@ class SessionSummary:
         if self.significance is not None:
             out["significance"] = self.significance
         if self.scan_fits is not None:
-            out["scan_fits"] = {
-                lab: {
-                    "amplitude": f.amplitude,
-                    "visibility": f.visibility,
-                    "phase": f.phase,
-                }
-                for lab, f in self.scan_fits.items()
-            }
+            out["scan_fits"] = {lab: asdict(f) for lab, f in self.scan_fits.items()}
         if self.tables is not None:
             out["tables"] = self.tables
         return out
 
 
 # --- Simulation -------------------------------------------------------------
-
-
-def _run_plan(config: ExperimentConfig) -> PulsePlan:
-    return PulsePlan(
-        n_pulses=config.pulses_per_run(),
-        base_period=config.pulses.base_period,
-        pulse_duration=config.pulses.pulse_duration,
-        rise_time=config.pulses.rise_time,
-        fall_time=config.pulses.fall_time,
-        fm_pattern=config.pulses.fm_pattern(),
-    )
 
 
 def simulate_run(config: ExperimentConfig, run_index: int) -> RunData:
@@ -178,7 +147,7 @@ def simulate_run(config: ExperimentConfig, run_index: int) -> RunData:
     )
     session_time = run_index * (config.session.run_duration + config.session.dead_time)
     tags_a, tags_b = emit_events(
-        _run_plan(config),
+        config.run_plan(),
         config.source,
         (config.station_a, config.station_b),
         AngleSetting(alpha, beta),
@@ -302,16 +271,12 @@ def process_run(run: RunData, config: ExperimentConfig) -> RunProducts:
     """Sync, assign, match and bin one run's tag streams."""
     trig_a, dets_a = run.tags_a.split_triggers()
     trig_b, dets_b = run.tags_b.split_triggers()
-    series_a = sy.extract_period_series(trig_a[: sy.ALIGN_WINDOW + 1])
-    series_b = sy.extract_period_series(trig_b[: sy.ALIGN_WINDOW + 1])
-    offset = sy.align_pulse_numbering(series_a, series_b)
+    offset = sy.align_pulse_numbering(trig_a, trig_b)
     fit = sy.fit_clock_relation(trig_a, trig_b, offset)
 
     delay_a, delay_b = config.trigger_delays_ps
-    det_a = sy.assign_to_pulses(dets_a, trig_a, delay_a, station="A")
-    det_b = sy.assign_to_pulses(
-        dets_b, trig_b, delay_b, station="B"
-    ).with_pulse_offset(offset)
+    det_a = sy.assign_to_pulses(dets_a, trig_a, delay_a)
+    det_b = sy.assign_to_pulses(dets_b, trig_b, delay_b).with_pulse_offset(offset)
 
     records = co.match_coincidences(det_a, det_b, config.analysis.window_ps)
     report = SyncReport(
@@ -417,7 +382,7 @@ def _summary_of(
     summary.series = ana.SlotSeries(
         grid=counts.grid,
         setting_labels=counts.setting_labels,
-        singles=dict(zip(ana.DETECTOR_KEYS, counts.singles)),
+        singles=counts.singles,
         coincidences=counts.coincidences,
     )
     summary.plateau = ana.plateau_summary(summary.series)
@@ -431,14 +396,14 @@ def _summary_of(
 def _eq1_block(
     series: ana.SlotSeries, plateau: ana.PlateauSummary, expectations: dict
 ) -> dict:
-    """Product-bound bookkeeping for the headline detector A+.
+    """Product-bound bookkeeping for the headline detector A+ (row 0).
 
     The measured product must stay below 2 everywhere (limited efficiency);
     under fair sampling, dividing by the configured eta0 should recover the
     ideal 2*sqrt(2)*V on the plateau.
     """
-    prod = series.product["A+"]
-    sig = series.sigma_product["A+"]
+    prod = series.product[0]
+    sig = series.sigma_product[0]
     defined = ~np.isnan(prod)
     mask = ana.in_pulse_slots(series.singles_total)
     eta0 = expectations["eta0"]["A+"]
@@ -570,14 +535,14 @@ def write_slots_csv(series: ana.SlotSeries, path: str | Path) -> None:
         writer.writerow(header)
         for i in range(grid.n_slots):
             row: list = [i, f"{starts[i]:.3f}", f"{centers[i]:.3f}"]
-            row += [int(series.singles[d][i]) for d in ana.DETECTOR_KEYS]
+            row += [int(n) for n in series.singles[:, i]]
             row += [int(totals[s, i]) for s in range(4)]
             for s in range(4):
                 row += [_fmt(series.e[s, i]), _fmt(series.sigma_e[s, i])]
             row += [_fmt(series.s[i]), _fmt(series.sigma_s[i])]
-            for d in ana.DETECTOR_KEYS:
-                row += [_fmt(series.eta[d][i]), _fmt(series.sigma_eta[d][i])]
-            row += [_fmt(series.product["A+"][i]), _fmt(series.sigma_product["A+"][i])]
+            for d in range(4):
+                row += [_fmt(series.eta[d, i]), _fmt(series.sigma_eta[d, i])]
+            row += [_fmt(series.product[0, i]), _fmt(series.sigma_product[0, i])]
             writer.writerow(row)
 
 
@@ -650,12 +615,13 @@ def summary_from_counts(summary_path: str | Path) -> SessionSummary:
     return summary
 
 
-def write_report_bundle(
-    summary: SessionSummary, outdir: str | Path, zoom_ns: float = 100.0
-) -> list[Path]:
-    """Plot-ready CSV subsets: full-period and first-100 ns series for S, eta
-    and the product; the 16-type coincidence grid; plus a comparison table of
-    plateau values against configured expectations."""
+REPORT_ZOOM_NS = 100.0  # the zoom CSVs hold the slots starting before this
+
+
+def write_report_bundle(summary: SessionSummary, outdir: str | Path) -> list[Path]:
+    """Plot-ready CSV subsets: full-period and first-REPORT_ZOOM_NS series for
+    S, eta and the product at detector A+; the 16-type coincidence grid; plus
+    a comparison table of plateau values against configured expectations."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -688,17 +654,17 @@ def write_report_bundle(
                 )
         written.append(p)
 
-    zoom = grid.starts() * 1e9 < zoom_ns
+    zoom = grid.starts() * 1e9 < REPORT_ZOOM_NS
     for tag, mask in (("full", None), ("zoom", zoom)):
         emit(f"s_chsh_{tag}.csv", {"S": series.s, "sigma": series.sigma_s}, mask)
         emit(
             f"eta_Aplus_{tag}.csv",
-            {"eta": series.eta["A+"], "sigma": series.sigma_eta["A+"]},
+            {"eta": series.eta[0], "sigma": series.sigma_eta[0]},
             mask,
         )
         emit(
             f"product_Aplus_{tag}.csv",
-            {"product": series.product["A+"], "sigma": series.sigma_product["A+"]},
+            {"product": series.product[0], "sigma": series.sigma_product[0]},
             mask,
         )
 

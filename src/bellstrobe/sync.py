@@ -15,13 +15,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sim import CHANNEL_TRIGGER, PS_PER_SECOND, TagStream
+from .sim import CHANNEL_PLUS, CHANNEL_TRIGGER, PS_PER_SECOND, TagStream
 
 
-# Trigger intervals align_pulse_numbering reads by default: its default
-# max_lag plus two default FM pattern lengths (2 x 127 bits x 100 pulses).
-# process_run extracts no more of either period series.
-ALIGN_WINDOW = 4096 + 25400
+# align_pulse_numbering searches lags within +-MAX_LAG pulses over the first
+# ALIGN_WINDOW trigger intervals (MAX_LAG plus two default FM pattern lengths,
+# 2 x 127 bits x 100 pulses). The winning correlation must reach MIN_CORR and
+# exceed the best one away from its peak by the factor MARGIN.
+MAX_LAG = 4096
+ALIGN_WINDOW = MAX_LAG + 25400
+MIN_CORR = 0.9
+MARGIN = 1.5
 FIT_CHUNK = 1 << 15  # matched trigger pairs per step of each fit_clock_relation pass
 
 
@@ -40,22 +44,6 @@ class AlignmentAmbiguousError(SyncError):
 class ClockFitError(SyncError, ValueError):
     """The fitted clock relation is implausible (rate far from 1, or a
     non-finite residual); the run cannot be synchronized."""
-
-
-@dataclass(frozen=True)
-class PeriodSeries:
-    """Inter-trigger intervals in picoseconds; interval k starts at pulse k."""
-
-    intervals_ps: np.ndarray
-
-    def __post_init__(self) -> None:
-        iv = np.asarray(self.intervals_ps, dtype=np.int64)
-        object.__setattr__(self, "intervals_ps", iv)
-        if iv.size and iv.min() <= 0:
-            raise ValueError("intervals must be positive")
-
-    def __len__(self) -> int:
-        return int(self.intervals_ps.size)
 
 
 @dataclass(frozen=True)
@@ -80,8 +68,7 @@ class Detections:
     """Pulse-attributed detections for one station, as parallel arrays sorted
     by (pulse_number, intra_ps)."""
 
-    station: str
-    detector: np.ndarray  # int8, +1 / -1
+    minus: np.ndarray  # uint8: 0 for the + detector, 1 for the - detector
     pulse_number: np.ndarray  # int64
     intra_ps: np.ndarray  # int64 picoseconds since the pulse start
     dropped_before_first: int = 0
@@ -95,11 +82,15 @@ class Detections:
         return replace(self, pulse_number=self.pulse_number + int(offset))
 
 
-def extract_period_series(times: np.ndarray) -> PeriodSeries:
-    """Consecutive differences of one station's trigger timestamps (ps)."""
+def extract_period_series(times: np.ndarray) -> np.ndarray:
+    """Consecutive differences of one station's trigger timestamps, as int64
+    picoseconds; interval k starts at pulse k."""
     if times.size < 2:
         raise SyncError(f"need at least 2 trigger tags, got {times.size}")
-    return PeriodSeries(np.diff(np.asarray(times, dtype=np.int64)))
+    intervals = np.diff(np.asarray(times, dtype=np.int64))
+    if intervals.min() <= 0:
+        raise SyncError("trigger intervals must be positive")
+    return intervals
 
 
 def _binarize(intervals_ps: np.ndarray) -> np.ndarray:
@@ -143,31 +134,23 @@ def _median_run_length(bits: np.ndarray) -> int:
     return int(np.median(np.diff(edges)))
 
 
-def align_pulse_numbering(
-    series_a: PeriodSeries,
-    series_b: PeriodSeries,
-    max_lag: int = 4096,
-    min_corr: float = 0.9,
-    margin: float = 1.5,
-    window: int = ALIGN_WINDOW,
-) -> int:
+def align_pulse_numbering(triggers_a: np.ndarray, triggers_b: np.ndarray) -> int:
     """Pulse offset such that B's pulse k lines up with A's pulse k + offset.
 
-    Both interval series are binarized against their own two-level midpoint
-    (see _binarize) and cross-correlated; the winning lag must reach
-    `min_corr` and exceed the best correlation outside the main peak's
-    neighborhood by `margin`, otherwise AlignmentAmbiguousError is raised.
-    Only lags within +-max_lag are searched, over the first `window` intervals
-    of each series (ALIGN_WINDOW by default).
+    The interval series of each station's first ALIGN_WINDOW + 1 trigger
+    timestamps (ps) are binarized against their own two-level midpoint (see
+    _binarize) and cross-correlated; the winning lag within +-MAX_LAG must
+    reach MIN_CORR and exceed the best correlation outside the main peak's
+    neighborhood by MARGIN, otherwise AlignmentAmbiguousError is raised.
 
     Requires both series to span at least one full FM pattern.
     """
-    a = _binarize(series_a.intervals_ps[:window])
-    b = _binarize(series_b.intervals_ps[:window])
+    a = _binarize(extract_period_series(triggers_a[: ALIGN_WINDOW + 1]))
+    b = _binarize(extract_period_series(triggers_b[: ALIGN_WINDOW + 1]))
 
     lags, raw = _xcorr_full(a, b)
     overlap = np.minimum(a.size, b.size + lags) - np.maximum(0, lags)
-    valid = (np.abs(lags) <= max_lag) & (overlap > 0)
+    valid = (np.abs(lags) <= MAX_LAG) & (overlap > 0)
     if not np.any(valid):
         raise AlignmentAmbiguousError("no overlap within the searched lag range")
     corr = np.full(lags.size, -np.inf)
@@ -179,10 +162,10 @@ def align_pulse_numbering(
     outside = valid & (np.abs(lags - lags[best_i]) > exclusion)
     second = float(np.max(corr[outside])) if np.any(outside) else -np.inf
 
-    if best < min_corr or (second > 0 and best < margin * second):
+    if best < MIN_CORR or (second > 0 and best < MARGIN * second):
         raise AlignmentAmbiguousError(
             f"alignment peak {best:.3f} (second best {second:.3f}) fails the "
-            f"uniqueness margin (need >= {min_corr} and {margin}x second best)"
+            f"uniqueness margin (need >= {MIN_CORR} and {MARGIN}x second best)"
         )
     return int(lags[best_i])
 
@@ -270,7 +253,6 @@ def assign_to_pulses(
     detections: TagStream,
     triggers_ps: np.ndarray,
     delay_ps: int,
-    station: str = "A",
 ) -> Detections:
     """Attribute detection tags to the latest trigger at or before them.
 
@@ -299,10 +281,8 @@ def assign_to_pulses(
         after &= intra_ps >= np.median(np.diff(triggers_ps))
 
     keep = ~(before | after)
-    detector = np.where(ch[keep] == 1, 1, -1).astype(np.int8)
     return Detections(
-        station=station,
-        detector=detector,
+        minus=(ch[keep] != CHANNEL_PLUS).astype(np.uint8),
         pulse_number=idx[keep].astype(np.int64),
         intra_ps=intra_ps[keep],
         dropped_before_first=int(np.count_nonzero(before)),

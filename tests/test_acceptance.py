@@ -16,7 +16,7 @@ from bellstrobe.coinc import accidental_estimate
 from bellstrobe.config import desk_boosted
 from bellstrobe.session import analyze_session, simulate_session
 from bellstrobe.sim import ClockModel, PulsePlan
-from bellstrobe.sync import align_pulse_numbering, extract_period_series, fit_clock_relation
+from bellstrobe.sync import align_pulse_numbering, fit_clock_relation
 from bellstrobe.tagfmt import TagFileHeader, read_tag_arrays, write_tags
 from conftest import DEMO_SEED
 
@@ -150,7 +150,7 @@ def test_criterion_07_synchronization():
         )
         a = station(max(0, -offset), clk_a)
         b = station(max(0, offset), clk_b)
-        got = align_pulse_numbering(extract_period_series(a), extract_period_series(b))
+        got = align_pulse_numbering(a, b)
         fit = fit_clock_relation(a, b, got)
         true_ratio = (1 + clk_b.drift_rate) / (1 + clk_a.drift_rate)
         err_ppm = abs(fit.rate_ratio - true_ratio) * 1e6

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellstrobe.analysis import (
+    DETECTOR_KEYS,
+    DETECTOR_OUTCOMES,
+    OUTCOME_PARITY,
     AnalysisError,
     SignificanceError,
     SlotCounts,
@@ -25,7 +28,7 @@ from bellstrobe.analysis import (
     significance_mask,
 )
 from bellstrobe.coinc import Coincidences, delta_t_edges, delta_t_histogram
-from bellstrobe.model import TSIRELSON, OUTCOME_LABELS
+from bellstrobe.model import TSIRELSON, OUTCOME_LABELS, OUTCOME_ORDER
 from bellstrobe.sim import TagStream
 from bellstrobe.sync import Detections, assign_to_pulses
 
@@ -47,12 +50,11 @@ class TestSlotGrid:
             SlotGrid.for_period(3000, PERIOD_PS)
 
 
-def make_detections(station, intra_ps, detectors=None, pulses=None):
+def make_detections(intra_ps, minus=None, pulses=None):
     n = len(intra_ps)
     order = np.argsort(intra_ps, kind="stable")
     return Detections(
-        station=station,
-        detector=np.asarray(detectors if detectors is not None else [1] * n, np.int8)[order],
+        minus=np.asarray(minus if minus is not None else [0] * n, np.uint8)[order],
         pulse_number=np.asarray(pulses if pulses is not None else [0] * n, np.int64)[order],
         intra_ps=np.asarray(intra_ps, np.int64)[order],
     )
@@ -64,30 +66,31 @@ def assigned_tags(offsets_ps):
     triggers = np.arange(3, dtype=np.int64) * 2_040_000
     times = np.sort(np.asarray(offsets_ps, np.int64)) + DELAY_PS
     tags = TagStream(np.ones(times.size, np.uint8), times)
-    return assign_to_pulses(tags, triggers, DELAY_PS, "A")
+    return assign_to_pulses(tags, triggers, DELAY_PS)
 
 
 class TestBinning:
     def test_slot_indexing(self):
         grid = SlotGrid.for_period(4000, PERIOD_PS)
-        det = make_detections("A", [0, 123_000])
+        det = make_detections([0, 123_000])
         singles = bin_singles(det, grid)
-        assert singles["A+"][0] == 1
-        assert singles["A+"][30] == 1  # floor(123/4)
-        assert singles["A+"].sum() == 2
+        assert singles.shape == (2, 500)
+        assert singles[0, 0] == 1
+        assert singles[0, 30] == 1  # floor(123/4)
+        assert singles[0].sum() == 2 and singles[1].sum() == 0
 
     @pytest.mark.parametrize("slot_ps", [4000, 20_000])
     def test_tag_on_a_slot_boundary_starts_that_slot(self, slot_ps):
         grid = SlotGrid.for_period(slot_ps, PERIOD_PS)
         det = assigned_tags(np.arange(grid.n_slots) * slot_ps)
         assert np.array_equal(det.intra_ps, np.arange(grid.n_slots) * slot_ps)
-        assert bin_singles(det, grid)["A+"].tolist() == [1] * grid.n_slots
+        assert bin_singles(det, grid)[0].tolist() == [1] * grid.n_slots
 
     def test_one_full_period_is_off_grid(self):
         det = assigned_tags([PERIOD_PS])
         assert det.intra_ps.tolist() == [PERIOD_PS]
         for grid in GRIDS.values():
-            assert bin_singles(det, grid)["A+"].sum() == 0
+            assert bin_singles(det, grid)[0].sum() == 0
 
     @settings(max_examples=100, deadline=None)
     @given(intra_ps=st.lists(st.one_of(st.integers(-8000, 3_000_000), on_boundary), max_size=50),
@@ -98,27 +101,26 @@ class TestBinning:
         for t in intra_ps:
             if 0 <= t // grid.slot_ps < grid.n_slots:
                 expected[t // grid.slot_ps] += 1
-        assert bin_singles(make_detections("A", intra_ps), grid)["A+"].tolist() == expected
+        assert bin_singles(make_detections(intra_ps), grid)[0].tolist() == expected
 
     def test_uniform_pulse_occupies_first_125_slots(self, rng):
         grid = SlotGrid.for_period(4000, PERIOD_PS)
-        det = make_detections("A", rng.integers(0, 500_000, 50_000))
-        singles = bin_singles(det, grid)["A+"]
+        det = make_detections(rng.integers(0, 500_000, 50_000))
+        singles = bin_singles(det, grid)[0]
         assert np.all(singles[:125] > 0)
         assert np.all(singles[125:] == 0)
 
     def test_beyond_grid_dropped(self):
         grid = SlotGrid.for_period(4000, PERIOD_PS)
-        det = make_detections("A", [2_500_000])
-        assert bin_singles(det, grid)["A+"].sum() == 0
+        det = make_detections([2_500_000])
+        assert bin_singles(det, grid)[0].sum() == 0
 
     def test_coincidences_share_the_singles_slots(self):
         grid = SlotGrid.for_period(4000, PERIOD_PS)
         intra = [0, 123_000, 123_000, -1000, 2_500_000]
         rec = Coincidences(
             pulse_number=np.arange(5, dtype=np.int64),
-            oa=np.array([1, 1, -1, 1, 1], np.int8),
-            ob=np.array([1, -1, -1, 1, 1], np.int8),
+            outcome=np.array([0, 1, 3, 0, 0], np.uint8),
             intra_ps=np.array(intra, np.int64),
             delta_t_ps=np.zeros(5, np.int64),
         )
@@ -127,21 +129,22 @@ class TestBinning:
         assert counts[0].tolist() == [1, 0, 0, 0]
         assert counts[30].tolist() == [0, 1, 0, 1]  # floor(123/4), +- and --
         assert counts.sum() == 3  # before the pulse start and beyond the grid: dropped
-        singles = bin_singles(make_detections("A", intra), grid)["A+"]
+        singles = bin_singles(make_detections(intra), grid)[0]
         assert np.array_equal(singles, counts.sum(axis=1))
 
 
 SETTINGS = ("ab", "ab'", "a'b", "a'b'")
 EDGES = delta_t_edges(4000)  # 500 ps bins over +-6 ns
 
-# One coincidence per row: (oa, ob, A's intra_ps, delta_t_ps). Times run past
+# One coincidence per row: (A's minus bit, B's minus bit, A's intra_ps,
+# delta_t_ps); a minus bit is 1 where the - detector fired. Times run past
 # the 2 us grid, so some records fall off it; about half the times sit on a
 # slot boundary (one full period among them), and about half the differences
 # on a histogram bin edge.
 record_rows = st.lists(
     st.tuples(
-        st.sampled_from([-1, 1]),
-        st.sampled_from([-1, 1]),
+        st.sampled_from([0, 1]),
+        st.sampled_from([0, 1]),
         st.one_of(st.integers(0, 3_000_000), on_boundary),
         st.one_of(st.integers(-8000, 8000), st.integers(-16, 16).map(lambda k: k * 500)),
     ),
@@ -154,11 +157,11 @@ runs_of_rows = st.lists(
 
 def rows_to_run(rows):
     """(A detections, B detections, records) of coincidence rows."""
-    oa, ob, intra, dt = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    pulse = np.arange(oa.size, dtype=np.int64)
-    records = Coincidences(pulse, oa.astype(np.int8), ob.astype(np.int8), intra, dt)
-    det_a = Detections("A", oa.astype(np.int8), pulse, intra)
-    det_b = Detections("B", ob.astype(np.int8), pulse, intra + dt)
+    ma, mb, intra, dt = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    pulse = np.arange(ma.size, dtype=np.int64)
+    records = Coincidences(pulse, (2 * ma + mb).astype(np.uint8), intra, dt)
+    det_a = Detections(ma.astype(np.uint8), pulse, intra)
+    det_b = Detections(mb.astype(np.uint8), pulse, intra + dt)
     return det_a, det_b, records
 
 
@@ -205,13 +208,13 @@ class TestSlotCounts:
         expected = np.zeros((4, 4), dtype=np.int64)
         for lab, rows in runs:
             expected[SETTINGS.index(lab)] += np.bincount(
-                rows_to_run(rows)[2].outcome_index(), minlength=4
+                rows_to_run(rows)[2].outcome, minlength=4
             )
         assert np.array_equal(counts.coincidences.sum(axis=1) + counts.off_grid, expected)
         assert np.array_equal(counts.totals(), expected)
 
     def test_off_grid_holds_records_past_the_period(self):
-        rows = [(1, 1, 1_000_000, 0), (1, -1, 2_200_000, 0), (-1, -1, PERIOD_PS, 0)]
+        rows = [(0, 0, 1_000_000, 0), (0, 1, 2_200_000, 0), (1, 1, PERIOD_PS, 0)]
         for mode in GRIDS:
             counts = run_counts(mode, "ab", rows)
             assert counts.off_grid[0].tolist() == [0, 1, 0, 1]
@@ -232,6 +235,51 @@ class TestSlotCounts:
         with tempfile.TemporaryDirectory() as tmp:
             counts.save(Path(tmp) / "counts.npz")
             assert_counts_equal(SlotCounts.load(Path(tmp) / "counts.npz"), counts)
+
+
+# One detection per entry: (minus bit, intra_ps).
+detection_rows = st.lists(
+    st.tuples(st.sampled_from([0, 1]), st.one_of(st.integers(-8000, 3_000_000), on_boundary)),
+    max_size=40,
+)
+
+
+def bincount_on_grid(intra_ps, grid):
+    """Oracle slot histogram: times inside [0, one period) only."""
+    t = np.asarray(intra_ps, dtype=np.int64)
+    t = t[(t >= 0) & (t < grid.slot_ps * grid.n_slots)]
+    return np.bincount(t // grid.slot_ps, minlength=grid.n_slots)
+
+
+class TestDetectorRows:
+    def test_constants_follow_outcome_order(self):
+        for o, (oa, ob) in enumerate(OUTCOME_ORDER):
+            assert o == 2 * (oa < 0) + (ob < 0)  # the Coincidences.outcome index
+            assert OUTCOME_PARITY[o] == oa * ob
+            fired = {"A" + "+-"[oa < 0], "B" + "+-"[ob < 0]}
+            assert [DETECTOR_OUTCOMES[d, o] for d in range(4)] == [
+                int(key in fired) for key in DETECTOR_KEYS
+            ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=detection_rows, b=detection_rows, rows=record_rows)
+    def test_singles_and_eta_rows_match_a_per_detector_oracle(self, a, b, rows):
+        grid = GRIDS["chsh_4"]
+        counts = zero_counts("chsh_4")
+        stations = [np.array(a, np.int64).reshape(-1, 2), np.array(b, np.int64).reshape(-1, 2)]
+        detections = [make_detections(x[:, 1], x[:, 0]) for x in stations]
+        counts.add_run("ab", detections, rows_to_run(rows)[2])
+        series = SlotSeries(grid, SETTINGS, counts.singles, counts.coincidences)
+
+        rec = np.array(rows, np.int64).reshape(-1, 4)
+        for d, key in enumerate(DETECTOR_KEYS):
+            k, minus = "AB".index(key[0]), "+-".index(key[1])
+            singles = bincount_on_grid(stations[k][stations[k][:, 0] == minus, 1], grid)
+            assert np.array_equal(counts.singles[d], singles), key
+            coinc = bincount_on_grid(rec[rec[:, k] == minus, 2], grid).astype(float)
+            eta = np.full(grid.n_slots, np.nan)
+            eta[singles > 0] = coinc[singles > 0] / singles[singles > 0]
+            np.testing.assert_array_equal(series.eta[d], eta, err_msg=key)
 
 
 class TestCorrelator:
@@ -277,7 +325,7 @@ def s_from_slot_series(counts):
     series = SlotSeries(
         grid=SlotGrid(slot_ps=4000, n_slots=counts.shape[1]),
         setting_labels=("ab", "ab'", "a'b", "a'b'"),
-        singles={},
+        singles=np.zeros((4, counts.shape[1]), dtype=np.int64),
         coincidences=counts,
     )
     return series.s, series.sigma_s
@@ -441,11 +489,8 @@ def build_series(e_plus=0.7, n_each_slot=1000, n_slots=100, in_pulse=25,
     tables = np.zeros((4, n_slots, 4), dtype=np.int64)
     for i in range(4):
         tables[i, :in_pulse, :] = per_setting[i]
-    singles = {}
-    for det in ("A+", "A-", "B+", "B-"):
-        arr = np.full(n_slots, singles_out, dtype=np.int64)
-        arr[:in_pulse] = singles_in
-        singles[det] = arr
+    singles = np.full((4, n_slots), singles_out, dtype=np.int64)
+    singles[:, :in_pulse] = singles_in
     grid = SlotGrid(slot_ps=20_000, n_slots=n_slots)
     return SlotSeries(
         grid=grid,

@@ -16,6 +16,7 @@ from bellstrobe.coinc import (
     match_coincidences,
 )
 from bellstrobe.config import SessionPlan, desk_boosted, to_ps
+from bellstrobe.model import OUTCOME_LABELS, OUTCOME_ORDER
 from bellstrobe.session import analyze_products, process_run, simulate_run
 from bellstrobe.sync import Detections
 
@@ -23,12 +24,11 @@ from bellstrobe.sync import Detections
 WINDOW_PS = 4000  # the configured 4 ns coincidence window
 
 
-def detections(station, rows):
-    """rows: list of (detector, pulse, intra_ps)."""
+def detections(rows):
+    """rows: list of (minus, pulse, intra_ps); minus is 1 for the - detector."""
     rows = sorted(rows, key=lambda r: (r[1], r[2]))
     return Detections(
-        station=station,
-        detector=np.array([r[0] for r in rows], np.int8),
+        minus=np.array([r[0] for r in rows], np.uint8),
         pulse_number=np.array([r[1] for r in rows], np.int64),
         intra_ps=np.array([r[2] for r in rows], np.int64),
     )
@@ -36,23 +36,23 @@ def detections(station, rows):
 
 class TestMatching:
     def test_basic_pair(self):
-        a = detections("A", [(1, 7, 100_000)])
-        b = detections("B", [(-1, 7, 101_000)])
+        a = detections([(0, 7, 100_000)])
+        b = detections([(1, 7, 101_000)])
         rec = match_coincidences(a, b, WINDOW_PS)
         assert len(rec) == 1
-        assert (rec.oa[0], rec.ob[0]) == (1, -1)
+        assert rec.outcome[0] == OUTCOME_LABELS.index("+-")
         assert rec.delta_t_ps[0] == 1000
         assert rec.intra_ps[0] == 100_000
         assert rec.pulse_number[0] == 7
 
     def test_pulse_number_gate(self):
-        a = detections("A", [(1, 7, 100_000)])
-        b = detections("B", [(1, 8, 100_000)])
+        a = detections([(0, 7, 100_000)])
+        b = detections([(0, 8, 100_000)])
         assert len(match_coincidences(a, b, WINDOW_PS)) == 0
 
     def test_window_gate(self):
-        a = detections("A", [(1, 7, 100_000)])
-        b = detections("B", [(1, 7, 105_000)])
+        a = detections([(0, 7, 100_000)])
+        b = detections([(0, 7, 105_000)])
         assert len(match_coincidences(a, b, 4000)) == 0
         assert len(match_coincidences(a, b, 6000)) == 1
 
@@ -62,9 +62,9 @@ class TestMatching:
         # the whole 2 us period
         ta = np.arange(0, 2_000_000, 7, dtype=np.int64)
         pulses = np.arange(ta.size, dtype=np.int64)
-        ones = np.ones(ta.size, np.int8)
-        a = Detections("A", ones, pulses, ta)
-        b = Detections("B", ones, pulses, ta + sign * WINDOW_PS)
+        plus = np.zeros(ta.size, np.uint8)
+        a = Detections(plus, pulses, ta)
+        b = Detections(plus, pulses, ta + sign * WINDOW_PS)
         rec = match_coincidences(a, b, WINDOW_PS)
         assert len(rec) == ta.size
         assert np.all(rec.delta_t_ps == sign * WINDOW_PS)
@@ -72,24 +72,23 @@ class TestMatching:
 
     def test_greedy_earliest_first(self):
         # two A and two B in one pulse; earliest pair with earliest
-        a = detections("A", [(1, 3, 100_000), (-1, 3, 102_000)])
-        b = detections("B", [(1, 3, 101_000), (-1, 3, 103_000)])
+        a = detections([(0, 3, 100_000), (1, 3, 102_000)])
+        b = detections([(0, 3, 101_000), (1, 3, 103_000)])
         rec = match_coincidences(a, b, WINDOW_PS)
         assert len(rec) == 2
-        assert list(rec.oa) == [1, -1]
-        assert list(rec.ob) == [1, -1]
+        assert [OUTCOME_LABELS[o] for o in rec.outcome] == ["++", "--"]
 
     def test_each_detection_used_once(self):
-        a = detections("A", [(1, 3, 100_000)])
-        b = detections("B", [(1, 3, 101_000), (1, 3, 102_000)])
+        a = detections([(0, 3, 100_000)])
+        b = detections([(0, 3, 101_000), (0, 3, 102_000)])
         assert len(match_coincidences(a, b, WINDOW_PS)) == 1
 
     def test_record_count_bounded_per_pulse(self, rng):
-        rows_a = [(1, int(p), int(t)) for p, t in
+        rows_a = [(0, int(p), int(t)) for p, t in
                   zip(rng.integers(0, 40, 300), rng.integers(0, 500_000, 300))]
-        rows_b = [(1, int(p), int(t)) for p, t in
+        rows_b = [(0, int(p), int(t)) for p, t in
                   zip(rng.integers(0, 40, 200), rng.integers(0, 500_000, 200))]
-        a, b = detections("A", rows_a), detections("B", rows_b)
+        a, b = detections(rows_a), detections(rows_b)
         rec = match_coincidences(a, b, 500_000)
         for pulse in range(40):
             na = np.sum(a.pulse_number == pulse)
@@ -98,17 +97,19 @@ class TestMatching:
 
     def test_symmetric_under_station_exchange(self, rng):
         rows_a = [(int(d), int(p), int(t)) for d, p, t in
-                  zip(rng.choice([-1, 1], 200), rng.integers(0, 30, 200),
+                  zip(rng.choice([0, 1], 200), rng.integers(0, 30, 200),
                       rng.integers(0, 500_000, 200))]
         rows_b = [(int(d), int(p), int(t)) for d, p, t in
-                  zip(rng.choice([-1, 1], 180), rng.integers(0, 30, 180),
+                  zip(rng.choice([0, 1], 180), rng.integers(0, 30, 180),
                       rng.integers(0, 500_000, 180))]
-        a, b = detections("A", rows_a), detections("B", rows_b)
+        a, b = detections(rows_a), detections(rows_b)
         fwd = match_coincidences(a, b, 6000)
         rev = match_coincidences(b, a, 6000)
         assert len(fwd) == len(rev)
-        key_f = sorted(zip(fwd.pulse_number, fwd.oa, fwd.ob, fwd.delta_t_ps))
-        key_r = sorted(zip(rev.pulse_number, rev.ob, rev.oa, -rev.delta_t_ps))
+        # exchanging the stations swaps the two minus bits of each outcome
+        swapped = 2 * (rev.outcome % 2) + rev.outcome // 2
+        key_f = sorted(zip(fwd.pulse_number, fwd.outcome, fwd.delta_t_ps))
+        key_r = sorted(zip(rev.pulse_number, swapped, -rev.delta_t_ps))
         assert key_f == key_r
 
 
@@ -131,8 +132,8 @@ def greedy_pairs(ta, tb, window):
 
 def oracle_records(a, b, window):
     """Reference matcher: greedy_pairs applied pulse by pulse, in pure Python.
-    Rows are (pulse, oa, ob, A's time, B minus A) in pulse order, then in
-    A's order within the pulse."""
+    Rows are (pulse, outcome, A's time, B minus A) in pulse order, then in
+    A's order within the pulse; the outcome is 2 * A's minus bit + B's."""
     def groups(pulses):
         out = {}
         for k, pulse in enumerate(pulses.tolist()):
@@ -141,19 +142,19 @@ def oracle_records(a, b, window):
 
     ga, gb = groups(a.pulse_number), groups(b.pulse_number)
     ta, tb = a.intra_ps.tolist(), b.intra_ps.tolist()
-    da, db = a.detector.tolist(), b.detector.tolist()
+    ma, mb = a.minus.tolist(), b.minus.tolist()
     rows = []
     for pulse in sorted(ga.keys() & gb.keys()):
         ia, ib = ga[pulse], gb[pulse]
         for i, j in greedy_pairs([ta[k] for k in ia], [tb[k] for k in ib], window):
             ka, kb = ia[i], ib[j]
-            rows.append((pulse, da[ka], db[kb], ta[ka], tb[kb] - ta[ka]))
+            rows.append((pulse, 2 * ma[ka] + mb[kb], ta[ka], tb[kb] - ta[ka]))
     return rows
 
 
 def record_rows(rec):
     return list(zip(
-        rec.pulse_number.tolist(), rec.oa.tolist(), rec.ob.tolist(),
+        rec.pulse_number.tolist(), rec.outcome.tolist(),
         rec.intra_ps.tolist(), rec.delta_t_ps.tolist(),
     ))
 
@@ -162,13 +163,13 @@ def record_rows(rec):
 # are common.
 pulse_detections = st.dictionaries(
     st.integers(0, 6),
-    st.lists(st.tuples(st.sampled_from([-1, 1]), st.integers(0, 12)), min_size=1, max_size=8),
+    st.lists(st.tuples(st.sampled_from([0, 1]), st.integers(0, 12)), min_size=1, max_size=8),
     max_size=5,
 )
 
 
-def detections_from(station, by_pulse):
-    return detections(station, [(d, p, t) for p, rows in by_pulse.items() for d, t in rows])
+def detections_from(by_pulse):
+    return detections([(m, p, t) for p, rows in by_pulse.items() for m, t in rows])
 
 
 class TestMatchingOracle:
@@ -176,7 +177,7 @@ class TestMatchingOracle:
     @given(rows_a=pulse_detections, rows_b=pulse_detections,
            window_ps=st.sampled_from([0, 1, 2, 4]))
     def test_same_records_as_greedy_loop(self, rows_a, rows_b, window_ps):
-        a, b = detections_from("A", rows_a), detections_from("B", rows_b)
+        a, b = detections_from(rows_a), detections_from(rows_b)
         rec = match_coincidences(a, b, window_ps)
         assert record_rows(rec) == oracle_records(a, b, window_ps)
 
@@ -210,11 +211,10 @@ class TestAccidentals:
             accidental_estimate(-1, 1, 1, 1)
 
 
-def one_record(oa, ob, pulse=0, intra_ps=100_000):
+def one_record(label, pulse=0, intra_ps=100_000):
     return Coincidences(
         pulse_number=np.array([pulse], np.int64),
-        oa=np.array([oa], np.int8),
-        ob=np.array([ob], np.int8),
+        outcome=np.array([OUTCOME_LABELS.index(label)], np.uint8),
         intra_ps=np.array([intra_ps], np.int64),
         delta_t_ps=np.array([0], np.int64),
     )
@@ -240,22 +240,25 @@ def session_counts(runs, session="s1"):
 
 class TestTables:
     def test_single_record(self):
-        counts = session_counts([("ab", one_record(1, 1))])
+        counts = session_counts([("ab", one_record("++"))])
         assert counts.totals()[0].tolist() == [1, 0, 0, 0]
         assert counts.totals().sum() == 1
 
     def test_outcome_index_order(self):
-        for (oa, ob), expect in zip([(1, 1), (1, -1), (-1, 1), (-1, -1)], range(4)):
-            assert one_record(oa, ob).outcome_index()[0] == expect
+        # a matched pair's outcome is its index in OUTCOME_ORDER
+        for expect, (oa, ob) in enumerate(OUTCOME_ORDER):
+            a = detections([(int(oa < 0), 0, 100_000)])
+            b = detections([(int(ob < 0), 0, 100_000)])
+            assert match_coincidences(a, b, WINDOW_PS).outcome.tolist() == [expect]
 
     def test_session_mixing_rejected(self):
-        one = session_counts([("ab", one_record(1, 1))], session="s1")
-        two = session_counts([("ab", one_record(1, 1))], session="s2")
+        one = session_counts([("ab", one_record("++"))], session="s1")
+        two = session_counts([("ab", one_record("++"))], session="s2")
         with pytest.raises(SessionMixError):
             one + two
 
     def test_same_session_accumulates(self):
-        counts = session_counts([("ab", one_record(1, 1)), ("ab", one_record(-1, -1))])
+        counts = session_counts([("ab", one_record("++")), ("ab", one_record("--"))])
         assert counts.totals()[0].tolist() == [1, 0, 0, 1]
 
     def test_unlabeled_run_rejected(self):
@@ -276,26 +279,25 @@ class TestTables:
             analyze_products(products, scan)
 
     def test_four_settings_symmetric_totals(self):
-        runs = [(QUAD[i % 4], one_record(1, -1, pulse=i)) for i in range(8)]
+        runs = [(QUAD[i % 4], one_record("+-", pulse=i)) for i in range(8)]
         assert session_counts(runs).totals().sum(axis=1).tolist() == [2, 2, 2, 2]
 
     def test_slot_counts_sum_to_totals(self, rng):
         n = 500
         rec = Coincidences(
             pulse_number=np.arange(n, dtype=np.int64),
-            oa=rng.choice([-1, 1], n).astype(np.int8),
-            ob=rng.choice([-1, 1], n).astype(np.int8),
+            outcome=rng.integers(0, 4, n).astype(np.uint8),
             intra_ps=rng.integers(0, 2_000_000, n),
             delta_t_ps=np.zeros(n, np.int64),
         )
         counts = session_counts([("ab", rec)])
         assert not counts.off_grid.any()
         assert np.array_equal(
-            counts.coincidences[0].sum(axis=0), np.bincount(rec.outcome_index(), minlength=4)
+            counts.coincidences[0].sum(axis=0), np.bincount(rec.outcome, minlength=4)
         )
 
     def test_slot_overflow_kept_in_totals_only(self):
-        counts = session_counts([("ab", one_record(1, 1, intra_ps=3_000_000))])  # past 2 us
+        counts = session_counts([("ab", one_record("++", intra_ps=3_000_000))])  # past 2 us
         assert counts.coincidences.sum() == 0
         assert counts.off_grid[0].tolist() == [1, 0, 0, 0]
         assert counts.totals().sum() == 1
@@ -329,8 +331,8 @@ class TestDeltaHistogram:
                            AngleSetting(0, 0), QmStateModel(1.0), 17)
         (trig_a, dets_a), (trig_b, dets_b) = a.split_triggers(), b.split_triggers()
         delay_ps = to_ps(st.trigger_delay, "trigger_delay")
-        det_a = assign_to_pulses(dets_a, trig_a, delay_ps, "A")
-        det_b = assign_to_pulses(dets_b, trig_b, delay_ps, "B")
+        det_a = assign_to_pulses(dets_a, trig_a, delay_ps)
+        det_b = assign_to_pulses(dets_b, trig_b, delay_ps)
         rec = match_coincidences(det_a, det_b, 20_000)
         assert len(rec) > 5000
         assert np.std(rec.delta_t_ps) == pytest.approx(2000 * math.sqrt(2), rel=0.10)

@@ -164,9 +164,7 @@ class TestAnalyzeSession:
         summary_mem = run_session_in_memory(c)
         assert np.array_equal(summary_file.series.coincidences,
                               summary_mem.series.coincidences)
-        for det in summary_file.series.singles:
-            assert np.array_equal(summary_file.series.singles[det],
-                                  summary_mem.series.singles[det])
+        assert np.array_equal(summary_file.series.singles, summary_mem.series.singles)
 
     def test_glitched_runs_excluded(self, tmp_path):
         # seed 9 glitches runs 4 and 6 while keeping every setting covered
@@ -419,9 +417,7 @@ class TestReportFromCounts:
             assert tuple(npz["setting_labels"]) == series.setting_labels
             singles, coincidences = npz["singles"], npz["coincidences"]
         assert singles.dtype == coincidences.dtype == np.int64
-        assert np.array_equal(
-            singles, np.stack([series.singles[d] for d in ("A+", "A-", "B+", "B-")])
-        )
+        assert np.array_equal(singles, series.singles)  # rows A+, A-, B+, B-
         assert np.array_equal(coincidences, series.coincidences)
 
 
@@ -469,6 +465,23 @@ class TestCli:
         from bellstrobe.cli import main
 
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("override", [
+        "station_a.detector_efficiency=2",
+        "source.pair_yield=-1",
+        "pulses.fm_pulses_per_bit=0",
+        "pulses.pulse_duration=3e-6",
+        "analysis.slot_width=3e-9",  # does not divide the 2 us period
+    ])
+    def test_invalid_config_value_errors_before_writing(self, tmp_path, capsys, override):
+        from bellstrobe.cli import main
+
+        capsys.readouterr()
+        argv = ["simulate", "--name", "bad", "--output", str(tmp_path), "--set", override]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "bad").exists()
 
     def _assert_one_line_error(self, capsys, argv):
         from bellstrobe.cli import main

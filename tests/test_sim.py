@@ -18,6 +18,7 @@ from bellstrobe.sim import (
     emit_events,
     prbs_bits,
 )
+from bellstrobe.analysis import OUTCOME_PARITY
 from bellstrobe.sync import assign_to_pulses
 from bellstrobe.coinc import match_coincidences
 
@@ -27,11 +28,11 @@ NO_NOISE = StationConfig(
 )
 
 
-def assign(stream, trigger_delay, station):
+def assign(stream, trigger_delay):
     """Pulse-attributed detections of one simulated station stream."""
     triggers, detections = stream.split_triggers()
     delay_ps = to_ps(trigger_delay, "trigger_delay")
-    return assign_to_pulses(detections, triggers, delay_ps, station)
+    return assign_to_pulses(detections, triggers, delay_ps)
 
 
 class TestPrbs:
@@ -96,11 +97,11 @@ class TestEmitTrivials:
             plan, src, (NO_NOISE, NO_NOISE), AngleSetting(0.3, 0.3),
             QmStateModel(1.0), 7,
         )
-        det_a = assign(a, NO_NOISE.trigger_delay, "A")
-        det_b = assign(b, NO_NOISE.trigger_delay, "B")
+        det_a = assign(a, NO_NOISE.trigger_delay)
+        det_b = assign(b, NO_NOISE.trigger_delay)
         rec = match_coincidences(det_a, det_b, WINDOW_PS)
         assert len(rec) > 1000
-        assert np.all(rec.oa == rec.ob)
+        assert np.all(OUTCOME_PARITY[rec.outcome] == 1)  # ++ or --: the stations agree
 
     def test_determinism(self):
         plan = PulsePlan(n_pulses=5000)
@@ -142,12 +143,12 @@ class TestEmitStatistics:
         model = QmStateModel(1.0)
         for setting in SettingsQuad().settings():
             a, b = emit_events(plan, src, (NO_NOISE, NO_NOISE), setting, model, 23)
-            det_a = assign(a, NO_NOISE.trigger_delay, "A")
-            det_b = assign(b, NO_NOISE.trigger_delay, "B")
+            det_a = assign(a, NO_NOISE.trigger_delay)
+            det_b = assign(b, NO_NOISE.trigger_delay)
             rec = match_coincidences(det_a, det_b, WINDOW_PS)
             n = len(rec)
             assert n > 250_000
-            counts = np.bincount(rec.outcome_index(), minlength=4)
+            counts = np.bincount(rec.outcome, minlength=4)
             probs = qm_joint_probs(setting, model)
             for k in range(4):
                 sigma = math.sqrt(n * probs[k] * (1 - probs[k]))
@@ -164,10 +165,10 @@ class TestEmitStatistics:
             plan, src, (NO_NOISE, NO_NOISE), AngleSetting(0, 0), model, 13,
             session_time=10 * 3600.0,
         )
-        det_a = assign(a, NO_NOISE.trigger_delay, "A")
-        det_b = assign(b, NO_NOISE.trigger_delay, "B")
+        det_a = assign(a, NO_NOISE.trigger_delay)
+        det_b = assign(b, NO_NOISE.trigger_delay)
         rec = match_coincidences(det_a, det_b, WINDOW_PS)
-        v_hat = 2 * np.mean(rec.oa == rec.ob) - 1  # E = V_eff at equal angles
+        v_hat = np.mean(OUTCOME_PARITY[rec.outcome])  # E = V_eff at equal angles
         assert v_hat == pytest.approx(0.98 * 0.94, abs=0.01)
 
     def test_dark_rate_recovered_over_30s_run(self):
@@ -178,7 +179,7 @@ class TestEmitStatistics:
             plan, SourceConfig(pair_yield=0.0), (st, st), AngleSetting(0, 0),
             QmStateModel(1.0), 9,
         )
-        det = assign(a, st.trigger_delay, "A")
+        det = assign(a, st.trigger_delay)
         out_of_pulse = det.intra_ps >= plan.pulse_duration * 1e12
         live = 30.0 * (1.0 - plan.duty_cycle)
         rate = out_of_pulse.sum() / live / 2  # two detector channels
