@@ -51,11 +51,19 @@ class PulseParams:
     def __post_init__(self) -> None:
         if self.period_ps <= 0:
             raise ConfigError("base_period must be positive")
+        self.plan(1)  # ValueError unless the pulse shape and FM pattern are valid
 
-    def fm_pattern(self) -> FmPattern:
-        return FmPattern(
-            pulses_per_bit=self.fm_pulses_per_bit,
-            lengthen_fraction=self.fm_lengthen_fraction,
+    def plan(self, n_pulses: int) -> PulsePlan:
+        return PulsePlan(
+            n_pulses=n_pulses,
+            base_period=self.base_period,
+            pulse_duration=self.pulse_duration,
+            rise_time=self.rise_time,
+            fall_time=self.fall_time,
+            fm_pattern=FmPattern(
+                pulses_per_bit=self.fm_pulses_per_bit,
+                lengthen_fraction=self.fm_lengthen_fraction,
+            ),
         )
 
     @property
@@ -82,8 +90,8 @@ class SessionPlan:
     def __post_init__(self) -> None:
         if self.mode not in ("chsh_4", "scan_34"):
             raise ConfigError(f"unknown session mode {self.mode!r}")
-        if self.run_duration <= 0:
-            raise ConfigError("run_duration must be positive")
+        if not 0 < self.run_duration < math.inf:  # NaN fails too
+            raise ConfigError("run_duration must be positive and finite")
         n = 4 if self.mode == "chsh_4" else self.scan_points
         if self.runs_per_experiment < n or self.runs_per_experiment % n:
             raise ConfigError(
@@ -136,7 +144,6 @@ class ExperimentConfig:
         if not 0.0 <= self.visibility <= 1.0:
             raise ConfigError("visibility must be in [0, 1]")
         self.trigger_delays_ps  # ConfigError unless both are whole picoseconds
-        self.run_plan()  # ValueError unless the pulse plan is valid
         period_ps, slot_ps = self.pulses.period_ps, self.analysis.slot_ps
         if self.session.mode == "chsh_4" and period_ps % slot_ps:
             raise ConfigError(
@@ -161,14 +168,7 @@ class ExperimentConfig:
 
     def run_plan(self) -> PulsePlan:
         """The pulse train every run of the session is simulated with."""
-        return PulsePlan(
-            n_pulses=self.pulses_per_run(),
-            base_period=self.pulses.base_period,
-            pulse_duration=self.pulses.pulse_duration,
-            rise_time=self.pulses.rise_time,
-            fall_time=self.pulses.fall_time,
-            fm_pattern=self.pulses.fm_pattern(),
-        )
+        return self.pulses.plan(self.pulses_per_run())
 
     def setting_labels(self) -> list[str]:
         if self.session.mode == "chsh_4":
@@ -229,29 +229,26 @@ class ExperimentConfig:
             if "bits" in data.get("pulses", {}):
                 raise ConfigError("fm bits are derived, not configurable")
 
-            def station(block: dict) -> StationConfig:
-                block = dict(block)
-                clock = block.pop("clock", {})
-                return StationConfig(clock=ClockModel(**clock), **block)
+            def station(path: str) -> StationConfig:
+                fields = dict(data.pop(path, {}))
+                clock = _block(f"{path}.clock", ClockModel, fields.pop("clock", {}))
+                return _block(path, StationConfig, {**fields, "clock": clock})
 
+            transient = _block(
+                "source.transient",
+                TransientModel,
+                {k: (tuple(v) if isinstance(v, list) else v) for k, v in transient.items()},
+            )
             return cls(
-                geometry=Geometry(**geometry) if geometry else Geometry(24.0),
+                geometry=_block("geometry", Geometry, geometry) if geometry else Geometry(24.0),
                 visibility=data.pop("visibility", 0.980198),
-                pulses=PulseParams(**data.pop("pulses", {})),
-                source=SourceConfig(
-                    transient=TransientModel(
-                        **{
-                            k: (tuple(v) if isinstance(v, list) else v)
-                            for k, v in transient.items()
-                        }
-                    ),
-                    **source,
-                ),
-                station_a=station(data.pop("station_a", {})),
-                station_b=station(data.pop("station_b", {})),
-                session=SessionPlan(**data.pop("session", {})),
-                analysis=AnalysisParams(**data.pop("analysis", {})),
-                quad=SettingsQuad(**data.pop("quad", {})),
+                pulses=_block("pulses", PulseParams, data.pop("pulses", {})),
+                source=_block("source", SourceConfig, {**source, "transient": transient}),
+                station_a=station("station_a"),
+                station_b=station("station_b"),
+                session=_block("session", SessionPlan, data.pop("session", {})),
+                analysis=_block("analysis", AnalysisParams, data.pop("analysis", {})),
+                quad=_block("quad", SettingsQuad, data.pop("quad", {})),
                 master_seed=int(data.pop("master_seed", 1)),
             )
         except ConfigError:
@@ -279,6 +276,17 @@ class ExperimentConfig:
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return dataclasses.replace(self, **kwargs)
+
+
+def _block(path: str, factory, fields: dict):
+    """One config block built from its fields; an error names the block by
+    its dotted path."""
+    try:
+        return factory(**fields)
+    except TypeError as exc:
+        raise ConfigError(f"bad config field: {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad config value: {path}: {exc}") from exc
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict[str, object]) -> ExperimentConfig:

@@ -182,8 +182,11 @@ def _check_first_timestamp(
 def simulate_session(config: ExperimentConfig, outdir: str | Path) -> Path:
     """Simulate a session into tag files plus a run manifest; returns the
     manifest path. Glitched runs (see session.glitch_probability) are written
-    but marked for exclusion."""
+    but marked for exclusion. A session is written whole or not at all: on
+    any error the files written so far are removed, and the directory too if
+    this call created it, before the error propagates."""
     outdir = Path(outdir)
+    created = not outdir.exists()
     outdir.mkdir(parents=True, exist_ok=True)
     session_id = config.session_id()
     n_runs = config.session.runs_per_experiment
@@ -193,47 +196,57 @@ def simulate_session(config: ExperimentConfig, outdir: str | Path) -> Path:
 
     runs_meta = []
     angles = config.setting_angles()
-    for run in iter_simulated_runs(config):
-        status = "ok"
-        if config.session.glitch_probability > 0 and (
-            glitch_rng.random() < config.session.glitch_probability
-        ):
-            status = "glitched"
-        file_a = outdir / f"run{run.index:03d}_A.tags"
-        file_b = outdir / f"run{run.index:03d}_B.tags"
-        streams = ((file_a, run.tags_a, 0), (file_b, run.tags_b, 1))
-        for _, stream, station_id in streams:
-            _check_first_timestamp(config, run.index, station_id, stream)
-        for path, stream, station_id in streams:
-            write_tags(
-                TagFileHeader(station_id=station_id, record_count=len(stream)),
-                (stream.channels, stream.times_ps),
-                path,
+    written: list[Path] = []
+    try:
+        for run in iter_simulated_runs(config):
+            status = "ok"
+            if config.session.glitch_probability > 0 and (
+                glitch_rng.random() < config.session.glitch_probability
+            ):
+                status = "glitched"
+            file_a = outdir / f"run{run.index:03d}_A.tags"
+            file_b = outdir / f"run{run.index:03d}_B.tags"
+            streams = ((file_a, run.tags_a, 0), (file_b, run.tags_b, 1))
+            for _, stream, station_id in streams:
+                _check_first_timestamp(config, run.index, station_id, stream)
+            for path, stream, station_id in streams:
+                written.append(path)
+                write_tags(
+                    TagFileHeader(station_id=station_id, record_count=len(stream)),
+                    (stream.channels, stream.times_ps),
+                    path,
+                )
+            alpha, beta = angles[run.setting_label]
+            runs_meta.append(
+                {
+                    "index": run.index,
+                    "setting": run.setting_label,
+                    "alpha": alpha,
+                    "beta": beta,
+                    "file_a": file_a.name,
+                    "file_b": file_b.name,
+                    "session_time": run.session_time,
+                    "duration": config.session.run_duration,
+                    "status": status,
+                }
             )
-        alpha, beta = angles[run.setting_label]
-        runs_meta.append(
-            {
-                "index": run.index,
-                "setting": run.setting_label,
-                "alpha": alpha,
-                "beta": beta,
-                "file_a": file_a.name,
-                "file_b": file_b.name,
-                "session_time": run.session_time,
-                "duration": config.session.run_duration,
-                "status": status,
-            }
-        )
 
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "session_id": session_id,
-        "mode": config.session.mode,
-        "config": config.to_dict(),
-        "runs": runs_meta,
-    }
-    manifest_path = outdir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        manifest = {
+            "schema_version": SCHEMA_VERSION,
+            "session_id": session_id,
+            "mode": config.session.mode,
+            "config": config.to_dict(),
+            "runs": runs_meta,
+        }
+        manifest_path = outdir / "manifest.json"
+        written.append(manifest_path)
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        if created:
+            outdir.rmdir()
+        raise
     return manifest_path
 
 

@@ -6,6 +6,12 @@ counts, and independently drifting station clocks. All randomness flows from
 a single seed through numpy SeedSequence spawning, split per purpose (source,
 station A, station B) so the two stations could be generated in parallel
 without changing the output.
+
+The draws with one value per pulse or per tag (pairs per pulse, clock
+jitter) are taken DRAW_CHUNK values at a time from the same generator, so no
+pulse-length temporary exists for them. Generator.poisson and
+Generator.normal fill sequentially: consecutive blocks give the same values
+as one whole draw, and the tags do not depend on DRAW_CHUNK.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ CHANNEL_MINUS = 2
 CHANNEL_TRIGGER = 3
 
 PS_PER_SECOND = 1e12
+
+# Values per draw for the pulse- and tag-length random streams.
+DRAW_CHUNK = 1 << 16
 
 
 def prbs_bits(order: int = 7, taps: tuple[int, int] = (7, 6), seed: int = 0b1) -> tuple[int, ...]:
@@ -301,7 +310,8 @@ def _local_stream(
     and its trigger starts.
 
     t_local = offset + (1 + drift_rate)*t + N(0, jitter_sigma), rounded once
-    to the 1 ps grid, with one jitter draw over the events then the triggers.
+    to the 1 ps grid, with one jitter stream over the events then the
+    triggers, added in place DRAW_CHUNK tags at a time.
     Everything happens in one float64 buffer and its int64 (t*4 + channel)
     keys. The stable sort (timsort for int64) merges the ascending trigger
     train with the events in near-linear time and still sorts fully when the
@@ -314,7 +324,10 @@ def _local_stream(
     t *= 1.0 + clock.drift_rate
     t += clock.offset
     if clock.jitter_sigma > 0:
-        t += np.random.default_rng(seed).normal(0.0, clock.jitter_sigma, t.size)
+        rng = np.random.default_rng(seed)
+        for lo in range(0, t.size, DRAW_CHUNK):
+            block = t[lo : lo + DRAW_CHUNK]
+            block += rng.normal(0.0, clock.jitter_sigma, block.size)
     t *= PS_PER_SECOND
     np.rint(t, out=t)
     key = t.view(np.int64)
@@ -334,6 +347,18 @@ def _local_stream(
     np.bitwise_and(key, 3, out=channels, casting="unsafe")
     key >>= 2
     return TagStream(channels, key)
+
+
+def _pair_pulses(rng: np.random.Generator, pair_yield: float, n_pulses: int) -> np.ndarray:
+    """Pulse index of every pair, ascending: Poisson(pair_yield) pairs per
+    pulse, drawn DRAW_CHUNK pulses at a time. Equal to
+    np.repeat(np.arange(n_pulses), rng.poisson(pair_yield, n_pulses))."""
+    blocks = []
+    for start in range(0, n_pulses, DRAW_CHUNK):
+        n = rng.poisson(pair_yield, min(DRAW_CHUNK, n_pulses - start))
+        hit = np.flatnonzero(n)
+        blocks.append(np.repeat(hit + start, n[hit]))
+    return np.concatenate(blocks)
 
 
 def emit_events(
@@ -367,8 +392,7 @@ def emit_events(
     starts = _starts_of(periods)
     duration = float(np.sum(periods))
 
-    n_pairs = rng_src.poisson(source.pair_yield, plan.n_pulses)
-    pulse_idx = np.repeat(np.arange(plan.n_pulses), n_pairs)
+    pulse_idx = _pair_pulses(rng_src, source.pair_yield, plan.n_pulses)
     k = pulse_idx.size
     t_emit = _sample_pulse_envelope(rng_src, k, plan)
 
@@ -381,11 +405,14 @@ def emit_events(
         )
     else:
         carry = 0.0
+    del periods
     s_factor, eta_factor = transient_factors(
         t_emit, transient, eta0, model.visibility, carried=carry
     )
 
-    wall_hours = (session_time + starts[pulse_idx]) / 3600.0
+    pulse_start = starts[pulse_idx]
+    del pulse_idx
+    wall_hours = (session_time + pulse_start) / 3600.0
     v_eff = np.clip(
         model.visibility * (1.0 - source.visibility_drift * wall_hours) * s_factor,
         0.0,
@@ -393,7 +420,6 @@ def emit_events(
     )
     oa, ob = _sample_outcomes(rng_src, v_eff, setting)
 
-    pulse_start = starts[pulse_idx]
     streams = []
     for station, outcome, key_det, key_clk in (
         (stations[0], oa, key_det_a, key_clk_a),

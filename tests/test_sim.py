@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from bellstrobe.config import to_ps
 from bellstrobe.model import AngleSetting, Geometry, QmStateModel, qm_joint_probs
 from bellstrobe.sim import (
     CHANNEL_TRIGGER,
+    DRAW_CHUNK,
     ClockModel,
     FmPattern,
     PulsePlan,
@@ -15,6 +17,7 @@ from bellstrobe.sim import (
     StationConfig,
     TagStream,
     _local_stream,
+    _pair_pulses,
     emit_events,
     prbs_bits,
 )
@@ -282,6 +285,55 @@ class TestLocalStream:
         assert out == reference_local_clock(
             np.full(50, CHANNEL_TRIGGER, np.uint8), triggers, clock, 4
         )
+
+
+class TestDrawBlocks:
+    """The pulse- and tag-length draws come DRAW_CHUNK values at a time and
+    must equal one whole draw, on both sides of every block boundary."""
+
+    @pytest.mark.parametrize(
+        "n", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 3]
+    )
+    @pytest.mark.parametrize("pair_yield", [0.0, 0.106, 3.0])
+    def test_pair_pulses_match_one_whole_draw(self, n, pair_yield):
+        rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = _pair_pulses(rng, pair_yield, n)
+        want = np.repeat(np.arange(n), oracle_rng.poisson(pair_yield, n))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng.random() == oracle_rng.random()  # the next draw is unchanged
+
+    def test_jittered_drifting_clock_across_blocks(self):
+        rng = np.random.default_rng(6)
+        triggers = np.arange(2 * DRAW_CHUNK + 3) * 2e-6
+        channels = rng.integers(1, 3, 5000).astype(np.uint8)
+        times = rng.random(5000) * triggers[-1]
+        clock = ClockModel(offset=1.3e-3, drift_rate=20e-6, jitter_sigma=20e-12)
+        out = _local_stream(channels, times, triggers, clock, 7)
+        assert out == reference_local_clock(
+            np.concatenate([channels, np.full(triggers.size, CHANNEL_TRIGGER, np.uint8)]),
+            np.concatenate([times, triggers]),
+            clock,
+            7,
+        )
+
+    def test_emit_events_holds_no_pulse_length_temporaries(self):
+        # default config for 2 s with a jittered B clock. Beyond the returned
+        # streams only the trigger starts and pair-length arrays need to be
+        # alive at once (about 1.7 float64 arrays of pulse length); whole
+        # pulse-length draws or index arrays would add one each
+        plan = PulsePlan(n_pulses=1_000_000)
+        clock_b = ClockModel(offset=1e-3, jitter_sigma=20e-12)
+        tracemalloc.start()
+        try:
+            streams = emit_events(
+                plan, SourceConfig(), (StationConfig(), StationConfig(clock=clock_b)),
+                AngleSetting(0, math.pi / 8), QmStateModel(0.98), 1,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(s.channels.nbytes + s.times_ps.nbytes for s in streams)
+        assert peak - held <= 2.5 * 8 * plan.n_pulses
 
 
 class TestTriggerInvariant:
