@@ -279,8 +279,12 @@ class ExperimentConfig:
 
 
 def _block(path: str, factory, fields: dict):
-    """One config block built from its fields; an error names the block by
-    its dotted path."""
+    """One config block built from its fields; an error names the block, or
+    the field of a NaN or infinite value (json.loads accepts both, and NaN
+    passes a range check written as a comparison), by its dotted path."""
+    for name, value in fields.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"bad config value: {path}.{name} must be finite, got {value}")
     try:
         return factory(**fields)
     except TypeError as exc:

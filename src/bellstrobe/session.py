@@ -15,7 +15,7 @@ import math
 import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class RunData:
     setting_label: str
     tags_a: TagStream
     tags_b: TagStream
-    session_time: float = 0.0
 
 
 @dataclass
@@ -76,14 +75,23 @@ class SessionSummary:
     eq1: dict | None = None
     significance: dict | None = None
     scan_fits: dict[str, ana.ScanFit] | None = None
-    sync_reports: list[SyncReport] = field(default_factory=list)
-    runs_total: int = 0
-    runs_used: int = 0
+    sync_reports: list[SyncReport] = field(default_factory=list)  # one per used run
     runs_glitched: int = 0
     runs_skipped: list[dict] = field(default_factory=list)  # {run, reason}
     tables: dict[str, dict[str, int]] | None = None
     transient_error: str | None = None
-    degraded: bool = False
+
+    @property
+    def runs_used(self) -> int:
+        return len(self.sync_reports)
+
+    @property
+    def runs_total(self) -> int:  # every run is used, glitched or skipped
+        return self.runs_used + self.runs_glitched + len(self.runs_skipped)
+
+    @property
+    def degraded(self) -> bool:
+        return bool(self.runs_skipped)
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -135,27 +143,47 @@ class SessionSummary:
 # --- Simulation -------------------------------------------------------------
 
 
+def plan_runs(config: ExperimentConfig) -> list[dict]:
+    """The session's run records, as the manifest's `runs` list holds them.
+    A run is "glitched" (simulated and written, never analysed) with
+    probability session.glitch_probability, drawn from the seed's last
+    spawned child; else "ok"."""
+    session, labels = config.session, config.run_settings()
+    seeds = np.random.SeedSequence(config.master_seed).spawn(len(labels) + 1)
+    glitched = np.random.default_rng(seeds[-1]).random(len(labels)) < session.glitch_probability
+    angles = config.setting_angles()
+    return [
+        {
+            "index": i,
+            "setting": label,
+            "alpha": angles[label][0],
+            "beta": angles[label][1],
+            "file_a": f"run{i:03d}_A.tags",
+            "file_b": f"run{i:03d}_B.tags",
+            "session_time": i * (session.run_duration + session.dead_time),
+            "duration": session.run_duration,
+            "status": "glitched" if bad else "ok",
+        }
+        for i, (label, bad) in enumerate(zip(labels, glitched))
+    ]
+
+
 def simulate_run(config: ExperimentConfig, run_index: int) -> RunData:
     """Simulate one run; deterministic in (config, master_seed, run_index)."""
-    labels = config.run_settings()
-    if not 0 <= run_index < len(labels):
+    plan = plan_runs(config)
+    if not 0 <= run_index < len(plan):
         raise ValueError(f"run_index {run_index} outside the session plan")
-    label = labels[run_index]
-    alpha, beta = config.setting_angles()[label]
-    seeds = np.random.SeedSequence(config.master_seed).spawn(
-        config.session.runs_per_experiment + 1
-    )
-    session_time = run_index * (config.session.run_duration + config.session.dead_time)
+    meta = plan[run_index]
     tags_a, tags_b = emit_events(
         config.run_plan(),
         config.source,
         (config.station_a, config.station_b),
-        AngleSetting(alpha, beta),
+        AngleSetting(meta["alpha"], meta["beta"]),
         config.state_model,
-        seeds[run_index],
-        session_time=session_time,
+        np.random.SeedSequence(config.master_seed).spawn(len(plan) + 1)[run_index],
+        session_time=meta["session_time"],
     )
-    return RunData(run_index, label, tags_a, tags_b, session_time)
+    return RunData(run_index, meta["setting"], tags_a, tags_b)
 
 
 def iter_simulated_runs(config: ExperimentConfig) -> Iterable[RunData]:
@@ -180,63 +208,34 @@ def _check_first_timestamp(
 
 
 def simulate_session(config: ExperimentConfig, outdir: str | Path) -> Path:
-    """Simulate a session into tag files plus a run manifest; returns the
-    manifest path. Glitched runs (see session.glitch_probability) are written
-    but marked for exclusion. A session is written whole or not at all: on
-    any error the files written so far are removed, and the directory too if
-    this call created it, before the error propagates."""
+    """Simulate every run of `plan_runs` into its two tag files, then write
+    the records as the manifest; returns its path. A session is written
+    whole or not at all: on any error the files written so far are removed,
+    and the directory too if this call created it, before it propagates."""
     outdir = Path(outdir)
     created = not outdir.exists()
     outdir.mkdir(parents=True, exist_ok=True)
-    session_id = config.session_id()
-    n_runs = config.session.runs_per_experiment
-    glitch_rng = np.random.default_rng(
-        np.random.SeedSequence(config.master_seed).spawn(n_runs + 1)[n_runs]
-    )
-
-    runs_meta = []
-    angles = config.setting_angles()
+    records = plan_runs(config)
     written: list[Path] = []
     try:
-        for run in iter_simulated_runs(config):
-            status = "ok"
-            if config.session.glitch_probability > 0 and (
-                glitch_rng.random() < config.session.glitch_probability
-            ):
-                status = "glitched"
-            file_a = outdir / f"run{run.index:03d}_A.tags"
-            file_b = outdir / f"run{run.index:03d}_B.tags"
-            streams = ((file_a, run.tags_a, 0), (file_b, run.tags_b, 1))
-            for _, stream, station_id in streams:
+        for meta in records:
+            run = simulate_run(config, meta["index"])
+            streams = {outdir / meta["file_a"]: run.tags_a, outdir / meta["file_b"]: run.tags_b}
+            for station_id, (path, stream) in enumerate(streams.items()):
                 _check_first_timestamp(config, run.index, station_id, stream)
-            for path, stream, station_id in streams:
                 written.append(path)
                 write_tags(
                     TagFileHeader(station_id=station_id, record_count=len(stream)),
                     (stream.channels, stream.times_ps),
                     path,
                 )
-            alpha, beta = angles[run.setting_label]
-            runs_meta.append(
-                {
-                    "index": run.index,
-                    "setting": run.setting_label,
-                    "alpha": alpha,
-                    "beta": beta,
-                    "file_a": file_a.name,
-                    "file_b": file_b.name,
-                    "session_time": run.session_time,
-                    "duration": config.session.run_duration,
-                    "status": status,
-                }
-            )
 
         manifest = {
             "schema_version": SCHEMA_VERSION,
-            "session_id": session_id,
+            "session_id": config.session_id(),
             "mode": config.session.mode,
             "config": config.to_dict(),
-            "runs": runs_meta,
+            "runs": records,
         }
         manifest_path = outdir / "manifest.json"
         written.append(manifest_path)
@@ -258,8 +257,6 @@ class RunProducts:
     """Per-run pipeline output: coincidence records with shared (station A)
     pulse numbering, the sync report and the run's binned counts."""
 
-    index: int
-    setting_label: str
     records: co.Coincidences
     report: SyncReport
     counts: ana.SlotCounts
@@ -300,7 +297,7 @@ def process_run(run: RunData, config: ExperimentConfig) -> RunProducts:
     )
     counts = _zero_counts(config)
     counts.add_run(run.setting_label, (det_a, det_b), records)
-    return RunProducts(run.index, run.setting_label, records, report, counts)
+    return RunProducts(records, report, counts)
 
 
 def _expectations(config: ExperimentConfig) -> dict:
@@ -320,7 +317,6 @@ def _expectations(config: ExperimentConfig) -> dict:
 def analyze_products(
     products: Sequence[RunProducts],
     config: ExperimentConfig,
-    runs_total: int | None = None,
     runs_glitched: int = 0,
     skipped: Sequence[dict] = (),
 ) -> SessionSummary:
@@ -337,11 +333,8 @@ def analyze_products(
         config.session.mode,
         expectations,
         sync_reports=[p.report for p in products],
-        runs_total=runs_total if runs_total is not None else len(products),
-        runs_used=len(products),
         runs_glitched=runs_glitched,
         runs_skipped=list(skipped),
-        degraded=bool(skipped),
     )
     series = summary.series
     if series is None:
@@ -444,27 +437,69 @@ def _eq1_block(
     }
 
 
+def _run_session(
+    records: Iterable[dict], load: Callable[[dict], RunData], config: ExperimentConfig
+) -> SessionSummary:
+    """The one session run loop: each ok run record is loaded and processed
+    in order; a glitched run is counted, and a run whose load or processing
+    raises TagFormatError, SyncError or OSError is skipped with its reason."""
+    products: list[RunProducts] = []
+    skipped: list[dict] = []
+    glitched = 0
+    for meta in records:
+        if meta["status"] != "ok":
+            glitched += 1
+            continue
+        try:
+            run = load(meta)
+            products.append(process_run(run, config))
+        except (TagFormatError, sy.SyncError, OSError) as exc:
+            log.warning("skipping run %s: %s", meta["index"], exc)
+            skipped.append({"run": meta["index"], "reason": str(exc)})
+    return analyze_products(products, config, runs_glitched=glitched, skipped=skipped)
+
+
 def run_session_in_memory(config: ExperimentConfig) -> SessionSummary:
-    """Simulate and analyze a whole session without touching disk."""
-    products = [process_run(r, config) for r in iter_simulated_runs(config)]
-    return analyze_products(products, config)
+    """Simulate and analyze a whole session without touching disk, with the
+    run plan, glitches and per-run skips of `simulate` then `analyze`."""
+    return _run_session(
+        plan_runs(config), lambda meta: simulate_run(config, meta["index"]), config
+    )
 
 
-def _read_manifest(path: Path) -> dict:
-    """Parsed manifest; AnalysisError naming the path and any missing key."""
-    data = json.loads(path.read_text())
+def _require_keys(path: Path, data, keys: Sequence[str], run_keys: Sequence[str] = ()) -> dict:
+    """`data` if it is a JSON object with every key in `keys`, and every
+    record of its `runs` list with every key in `run_keys`; else
+    AnalysisError naming `path` and each missing key."""
     top = data if isinstance(data, dict) else {}
-    missing = [k for k in ("session_id", "config", "runs") if k not in top]
+    missing = [k for k in keys if k not in top]
     missing += [
         f"runs[{n}].{k}"
-        for n, meta in enumerate(top.get("runs", []))
-        for k in ("index", "setting", "status", "file_a", "file_b")
+        for n, meta in enumerate(top.get("runs", []) if run_keys else [])
+        for k in run_keys
         if not isinstance(meta, dict) or k not in meta
     ]
     if missing:
-        raise ana.AnalysisError(f"manifest {path}: missing key(s) {', '.join(missing)}")
-    data["_dir"] = path.parent
+        raise ana.AnalysisError(f"{path}: missing key(s) {', '.join(missing)}")
+    return top
+
+
+def _read_manifest(path: Path) -> dict:
+    """Parsed manifest, each run record holding its directory under "_dir"."""
+    run_keys = ("index", "setting", "status", "file_a", "file_b")
+    data = _require_keys(
+        path, json.loads(path.read_text()), ("session_id", "config", "runs"), run_keys
+    )
+    for meta in data["runs"]:
+        meta["_dir"] = path.parent
     return data
+
+
+def _read_run(meta: dict) -> RunData:
+    """A manifest run record's two tag files."""
+    _, ch_a, t_a = read_tag_arrays(meta["_dir"] / meta["file_a"])
+    _, ch_b, t_b = read_tag_arrays(meta["_dir"] / meta["file_b"])
+    return RunData(meta["index"], meta["setting"], TagStream(ch_a, t_a), TagStream(ch_b, t_b))
 
 
 def analyze_session(
@@ -482,40 +517,10 @@ def analyze_session(
     manifests = [_read_manifest(Path(p)) for p in manifest_paths]
     session_ids = {m["session_id"] for m in manifests}
     if len(session_ids) > 1:
-        raise co.SessionMixError(
-            f"manifests belong to different sessions: {sorted(session_ids)}"
-        )
+        raise co.SessionMixError(f"manifests belong to different sessions: {sorted(session_ids)}")
     config = ExperimentConfig.from_dict(manifests[0]["config"])
-
-    products: list[RunProducts] = []
-    skipped: list[dict] = []
-    glitched = 0
-    total = 0
-    for m in manifests:
-        for meta in m["runs"]:
-            total += 1
-            if meta["status"] != "ok":
-                glitched += 1
-                continue
-            try:
-                _, ch_a, t_a = read_tag_arrays(m["_dir"] / meta["file_a"])
-                _, ch_b, t_b = read_tag_arrays(m["_dir"] / meta["file_b"])
-                run = RunData(
-                    index=meta["index"],
-                    setting_label=meta["setting"],
-                    tags_a=TagStream(ch_a, t_a),
-                    tags_b=TagStream(ch_b, t_b),
-                    session_time=meta.get("session_time", 0.0),
-                )
-                products.append(process_run(run, config))
-            except (TagFormatError, sy.SyncError, OSError) as exc:
-                log.warning("skipping run %s: %s", meta["index"], exc)
-                skipped.append({"run": meta["index"], "reason": str(exc)})
-    if not products:
-        raise ana.AnalysisError("no usable runs in the manifest(s)")
-    return analyze_products(
-        products, config, runs_total=total, runs_glitched=glitched, skipped=skipped
-    ), config
+    records = [meta for m in manifests for meta in m["runs"]]
+    return _run_session(records, _read_run, config), config
 
 
 # --- Emission of results ----------------------------------------------------
@@ -600,7 +605,8 @@ def summary_from_counts(summary_path: str | Path) -> SessionSummary:
     verdict fields stay empty.
 
     Raises AnalysisError naming the file when either file is missing or
-    unreadable, when the counts belong to another session, or when their
+    unreadable, when the summary lacks `session_id`, `mode` or
+    `expectations`, when the counts belong to another session, or when their
     per-setting totals differ from the summary's `tables`.
     """
     summary_path = Path(summary_path)
@@ -609,15 +615,17 @@ def summary_from_counts(summary_path: str | Path) -> SessionSummary:
         raise ana.AnalysisError(f"no analysis summary at {summary_path}")
     if not counts_path.exists():
         raise ana.AnalysisError(f"no {counts_path}; run bellstrobe analyze to write it")
-    data = json.loads(summary_path.read_text())
+    data = _require_keys(
+        summary_path, json.loads(summary_path.read_text()), ("session_id", "mode", "expectations")
+    )
     try:
         counts = ana.SlotCounts.load(counts_path)
     except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         raise ana.AnalysisError(f"{counts_path}: unreadable counts ({exc})") from exc
-    if counts.session_id != data.get("session_id"):
+    if counts.session_id != data["session_id"]:
         raise ana.AnalysisError(
             f"{counts_path}: session {counts.session_id} does not match "
-            f"{data.get('session_id')} in {summary_path}"
+            f"{data['session_id']} in {summary_path}"
         )
     summary = _summary_of(counts, data["mode"], data["expectations"])
     if summary.tables != data.get("tables"):

@@ -23,7 +23,6 @@ import numpy as np
 
 from .model import (
     AngleSetting,
-    Geometry,
     QmStateModel,
     TransientModel,
     carried_deficit,
@@ -115,18 +114,6 @@ class PulsePlan:
             raise ValueError("pulse_duration must be shorter than the period")
         if self.rise_time + self.fall_time > self.pulse_duration:
             raise ValueError("rise + fall exceed the pulse duration")
-
-    @property
-    def duty_cycle(self) -> float:
-        return self.pulse_duration / self.base_period
-
-    def validate_geometry(self, geometry: Geometry) -> None:
-        """Pulse duration must span at least 5 light-travel times."""
-        if self.pulse_duration < 5.0 * geometry.tau:
-            raise ValueError(
-                f"pulse duration {self.pulse_duration} shorter than 5*tau = "
-                f"{5.0 * geometry.tau}"
-            )
 
     def period_seconds(self) -> np.ndarray:
         """Interval following each pulse, shaped (n_pulses,): one pattern

@@ -18,7 +18,8 @@ from bellstrobe.config import (
     desk_default,
 )
 from bellstrobe.model import TransientModel
-from bellstrobe.sim import CHANNEL_TRIGGER
+from bellstrobe import session as session_module
+from bellstrobe.sim import CHANNEL_TRIGGER, TagStream
 from bellstrobe.session import (
     analyze_session,
     run_session_in_memory,
@@ -34,6 +35,27 @@ def tiny_config(seed=5, **session_kwargs):
     kwargs = dict(run_duration=0.04, runs_per_experiment=4, dead_time=1.0)
     kwargs.update(session_kwargs)
     return desk_boosted(seed=seed).replace(session=SessionPlan(**kwargs))
+
+
+def glitched_config():
+    """seed 9 glitches runs 4 and 6 while keeping every setting covered"""
+    return tiny_config(seed=9, runs_per_experiment=8, glitch_probability=0.25)
+
+
+def float_fields(node, prefix=""):
+    """Dotted path of every float leaf of a config dict."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from float_fields(value, f"{prefix}{key}.")
+        elif isinstance(value, float):
+            yield prefix + key
+
+
+NON_FINITE_OVERRIDES = [
+    f"{path}={value}"
+    for path in [*float_fields(ExperimentConfig().to_dict()), "source.transient.osc_period"]
+    for value in ("NaN", "Infinity")
+]
 
 
 class TestConfig:
@@ -159,17 +181,43 @@ class TestSimulateSession:
 
 class TestAnalyzeSession:
     def test_file_roundtrip_matches_in_memory(self, tmp_path):
-        c = tiny_config()
-        manifest_path = simulate_session(c, tmp_path)
-        summary_file, _ = analyze_session(manifest_path)
-        summary_mem = run_session_in_memory(c)
-        assert np.array_equal(summary_file.series.coincidences,
-                              summary_mem.series.coincidences)
-        assert np.array_equal(summary_file.series.singles, summary_mem.series.singles)
+        # the in-memory session follows the same run plan and glitches
+        for name, c in [("plain", tiny_config()), ("glitched", glitched_config())]:
+            summary_file, _ = analyze_session(simulate_session(c, tmp_path / name))
+            summary_mem = run_session_in_memory(c)
+            # json.dumps spells NaN alike on both sides; NaN != NaN in a dict
+            assert json.dumps(summary_file.to_dict(), sort_keys=True) == json.dumps(
+                summary_mem.to_dict(), sort_keys=True
+            ), name
+            assert np.array_equal(summary_file.series.coincidences,
+                                  summary_mem.series.coincidences)
+            assert np.array_equal(summary_file.series.singles, summary_mem.series.singles)
+        assert summary_mem.runs_glitched == 2 and summary_mem.runs_used == 6
+
+    def test_in_memory_run_without_triggers_skips_only_that_run(self, monkeypatch):
+        # run 1's station B keeps its detections but loses every trigger tag
+        c = tiny_config(runs_per_experiment=8)
+        simulate = session_module.simulate_run
+
+        def without_b_triggers(config, run_index):
+            run = simulate(config, run_index)
+            if run_index == 1:
+                keep = run.tags_b.channels != CHANNEL_TRIGGER
+                run.tags_b = TagStream(run.tags_b.channels[keep], run.tags_b.times_ps[keep])
+            return run
+
+        monkeypatch.setattr(session_module, "simulate_run", without_b_triggers)
+        summary = run_session_in_memory(c)
+        runs = summary.to_dict()["runs"]
+        assert runs["skipped"] == [
+            {"run": 1, "reason": "need at least 2 trigger tags, got 0"}
+        ]
+        assert runs["used"] == 7 and runs["total"] == 8
+        assert summary.degraded
+        assert [r.run_index for r in summary.sync_reports] == [0, 2, 3, 4, 5, 6, 7]
 
     def test_glitched_runs_excluded(self, tmp_path):
-        # seed 9 glitches runs 4 and 6 while keeping every setting covered
-        c = tiny_config(seed=9, runs_per_experiment=8, glitch_probability=0.25)
+        c = glitched_config()
         manifest_path = simulate_session(c, tmp_path)
         manifest = json.loads(manifest_path.read_text())
         n_glitched = sum(m["status"] == "glitched" for m in manifest["runs"])
@@ -405,6 +453,27 @@ class TestReportFromCounts:
         assert str(counts_path) in self._error_line(capsys, argv)
         assert not (dirs[0] / "report").exists()
 
+    @pytest.mark.parametrize(
+        "drop", ["mode", "session_id", "expectations", None],
+        ids=["mode", "session_id", "expectations", "json_list"],
+    )
+    def test_malformed_summary_errors(self, tmp_path, capsys, drop):
+        from bellstrobe.cli import main
+
+        manifest_path = simulate_session(tiny_config(), tmp_path)
+        assert main(["analyze", str(manifest_path)]) == 0
+        summary_path = tmp_path / "summary.json"
+        data = json.loads(summary_path.read_text())
+        if drop is None:  # a JSON list, not an object
+            data, missing = list(data), "session_id, mode, expectations"
+        else:
+            del data[drop]
+            missing = drop
+        summary_path.write_text(json.dumps(data))
+        line = self._error_line(capsys, ["report", str(summary_path)])
+        assert line == f"error: {summary_path}: missing key(s) {missing}"
+        assert not (tmp_path / "report").exists()
+
     def test_counts_round_trip(self, tmp_path):
         summary, _ = analyze_session(simulate_session(tiny_config(), tmp_path))
         series = summary.series
@@ -473,8 +542,7 @@ class TestCli:
         "pulses.fm_pulses_per_bit=0",
         "pulses.pulse_duration=3e-6",
         "analysis.slot_width=3e-9",  # does not divide the 2 us period
-        "session.run_duration=NaN",
-        "session.run_duration=Infinity",
+        *NON_FINITE_OVERRIDES,
     ])
     def test_invalid_config_value_errors_before_writing(self, tmp_path, capsys, override):
         from bellstrobe.cli import main
@@ -484,8 +552,16 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        # the message names the block: "station_a: ..." or "analysis.slot_width ..."
-        assert re.search(rf"\b{override.split('.')[0]}[.:]", err[0])
+        path = override.split("=")[0]
+        if override in NON_FINITE_OVERRIDES:
+            # a NaN or infinite value is named by its dotted field; the
+            # top-level visibility by its own range check
+            assert f"bad config value: {path} must be finite" in err[0] or (
+                err[0] == "error: visibility must be in [0, 1]"
+            )
+        else:
+            # the message names the block: "station_a: ..." or "analysis.slot_width ..."
+            assert re.search(rf"\b{path.split('.')[0]}[.:]", err[0])
         assert not (tmp_path / "bad").exists()
 
     def _assert_one_line_error(self, capsys, argv):

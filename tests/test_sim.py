@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bellstrobe.config import to_ps
-from bellstrobe.model import AngleSetting, Geometry, QmStateModel, qm_joint_probs
+from bellstrobe.model import AngleSetting, QmStateModel, qm_joint_probs
 from bellstrobe.sim import (
     CHANNEL_TRIGGER,
     DRAW_CHUNK,
@@ -72,15 +72,6 @@ class TestTriggerTrain:
         bits = prbs_bits()
         assert list(labels[:100]) == [bits[0]] * 100
         assert list(labels[100:200]) == [bits[1]] * 100
-
-    def test_geometry_validation(self):
-        plan = PulsePlan(n_pulses=10)
-        plan.validate_geometry(Geometry(24.0))  # 500 ns >= 5 * 80 ns
-        with pytest.raises(ValueError):
-            plan.validate_geometry(Geometry(75.0))  # tau 250 ns needs 1250 ns
-
-    def test_duty_cycle(self):
-        assert PulsePlan(n_pulses=1).duty_cycle == pytest.approx(0.25)
 
 
 class TestEmitTrivials:
@@ -184,7 +175,7 @@ class TestEmitStatistics:
         )
         det = assign(a, st.trigger_delay)
         out_of_pulse = det.intra_ps >= plan.pulse_duration * 1e12
-        live = 30.0 * (1.0 - plan.duty_cycle)
+        live = 30.0 * (1.0 - plan.pulse_duration / plan.base_period)
         rate = out_of_pulse.sum() / live / 2  # two detector channels
         assert abs(rate - st.dark_rate) / st.dark_rate < 0.05
 
