@@ -117,7 +117,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     """Fast subset of the acceptance checks (the full set lives in the test
     suite; run `pytest tests/test_acceptance.py -v`)."""
     from . import coinc, tagfmt
-    from .sim import FmPattern, PulsePlan
+    from .sim import PulsePlan
 
     ok = True
     acc = coinc.accidental_estimate(200.0, 200.0, 4e-9, 30.0)
@@ -160,12 +160,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         f"{size} bytes",
     )
 
-    plan = PulsePlan(n_pulses=3, fm_pattern=FmPattern.constant())
-    ok &= _check(
-        "trigger train",
-        np.allclose(plan.start_times(), [0.0, 2e-6, 4e-6])
-        and not plan.fm_pattern.synchronizable,
-    )
+    starts = PulsePlan().start_times(3)  # the first FM bits are 0
+    ok &= _check("trigger train", np.allclose(starts, [0.0, 2e-6, 4e-6]))
 
     print("selftest:", "all checks passed" if ok else "FAILURES above")
     return 0 if ok else 1

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Geometry, QmStateModel, SettingsQuad, TransientModel
-from .sim import PS_PER_SECOND, ClockModel, FmPattern, PulsePlan, SourceConfig, StationConfig
+from .sim import PS_PER_SECOND, ClockModel, PulsePlan, SourceConfig, StationConfig
 
 SCHEMA_VERSION = 1
 
@@ -34,41 +34,6 @@ def to_ps(seconds: float, name: str) -> int:
     if abs(seconds * PS_PER_SECOND - ps) > 1e-3:
         raise ConfigError(f"{name} {seconds} s is not a whole number of picoseconds")
     return ps
-
-
-@dataclass(frozen=True)
-class PulseParams:
-    """Pulse-train knobs; the per-run PulsePlan derives its n_pulses from the
-    session's run_duration."""
-
-    base_period: float = 2e-6
-    pulse_duration: float = 500e-9
-    rise_time: float = 20e-9
-    fall_time: float = 20e-9
-    fm_pulses_per_bit: int = 100
-    fm_lengthen_fraction: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.period_ps <= 0:
-            raise ConfigError("base_period must be positive")
-        self.plan(1)  # ValueError unless the pulse shape and FM pattern are valid
-
-    def plan(self, n_pulses: int) -> PulsePlan:
-        return PulsePlan(
-            n_pulses=n_pulses,
-            base_period=self.base_period,
-            pulse_duration=self.pulse_duration,
-            rise_time=self.rise_time,
-            fall_time=self.fall_time,
-            fm_pattern=FmPattern(
-                pulses_per_bit=self.fm_pulses_per_bit,
-                lengthen_fraction=self.fm_lengthen_fraction,
-            ),
-        )
-
-    @property
-    def period_ps(self) -> int:
-        return to_ps(self.base_period, "pulses.base_period")
 
 
 @dataclass(frozen=True)
@@ -125,7 +90,7 @@ class AnalysisParams:
 class ExperimentConfig:
     geometry: Geometry = field(default_factory=lambda: Geometry(24.0))
     visibility: float = 0.980198  # 1:100 polarizer contrast
-    pulses: PulseParams = field(default_factory=PulseParams)
+    pulses: PulsePlan = field(default_factory=PulsePlan)
     source: SourceConfig = field(default_factory=SourceConfig)
     station_a: StationConfig = field(default_factory=StationConfig)
     station_b: StationConfig = field(default_factory=StationConfig)
@@ -144,12 +109,17 @@ class ExperimentConfig:
         if not 0.0 <= self.visibility <= 1.0:
             raise ConfigError("visibility must be in [0, 1]")
         self.trigger_delays_ps  # ConfigError unless both are whole picoseconds
-        period_ps, slot_ps = self.pulses.period_ps, self.analysis.slot_ps
+        period_ps, slot_ps = self.period_ps, self.analysis.slot_ps
         if self.session.mode == "chsh_4" and period_ps % slot_ps:
             raise ConfigError(
                 f"analysis.slot_width ({slot_ps} ps) does not divide "
                 f"pulses.base_period ({period_ps} ps)"
             )
+
+    @property
+    def period_ps(self) -> int:
+        """The base pulse period in picoseconds."""
+        return to_ps(self.pulses.base_period, "pulses.base_period")
 
     @property
     def trigger_delays_ps(self) -> tuple[int, int]:
@@ -165,10 +135,6 @@ class ExperimentConfig:
 
     def pulses_per_run(self) -> int:
         return max(1, round(self.session.run_duration / self.pulses.base_period))
-
-    def run_plan(self) -> PulsePlan:
-        """The pulse train every run of the session is simulated with."""
-        return self.pulses.plan(self.pulses_per_run())
 
     def setting_labels(self) -> list[str]:
         if self.session.mode == "chsh_4":
@@ -226,8 +192,6 @@ class ExperimentConfig:
             geometry = data.pop("geometry", {})
             source = dict(data.pop("source", {}))
             transient = source.pop("transient", {})
-            if "bits" in data.get("pulses", {}):
-                raise ConfigError("fm bits are derived, not configurable")
 
             def station(path: str) -> StationConfig:
                 fields = dict(data.pop(path, {}))
@@ -242,7 +206,7 @@ class ExperimentConfig:
             return cls(
                 geometry=_block("geometry", Geometry, geometry) if geometry else Geometry(24.0),
                 visibility=data.pop("visibility", 0.980198),
-                pulses=_block("pulses", PulseParams, data.pop("pulses", {})),
+                pulses=_block("pulses", PulsePlan, data.pop("pulses", {})),
                 source=_block("source", SourceConfig, {**source, "transient": transient}),
                 station_a=station("station_a"),
                 station_b=station("station_b"),

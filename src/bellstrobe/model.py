@@ -33,9 +33,6 @@ class AngleSetting:
     alpha: float
     beta: float
 
-    def normalized(self) -> "AngleSetting":
-        return AngleSetting(normalize_angle(self.alpha), normalize_angle(self.beta))
-
     @property
     def difference(self) -> float:
         return self.alpha - self.beta

@@ -175,7 +175,8 @@ def simulate_run(config: ExperimentConfig, run_index: int) -> RunData:
         raise ValueError(f"run_index {run_index} outside the session plan")
     meta = plan[run_index]
     tags_a, tags_b = emit_events(
-        config.run_plan(),
+        config.pulses,
+        config.pulses_per_run(),
         config.source,
         (config.station_a, config.station_b),
         AngleSetting(meta["alpha"], meta["beta"]),
@@ -265,7 +266,7 @@ class RunProducts:
 def _zero_counts(config: ExperimentConfig) -> ana.SlotCounts:
     """Empty counts in the session's layout: slots over one base period, or
     in scan_34 mode a single slot spanning it."""
-    period_ps = config.pulses.period_ps
+    period_ps = config.period_ps
     if config.session.mode == "scan_34":
         grid = ana.SlotGrid(period_ps, 1)
     else:
@@ -468,14 +469,26 @@ def run_session_in_memory(config: ExperimentConfig) -> SessionSummary:
 
 
 def _require_keys(path: Path, data, keys: Sequence[str], run_keys: Sequence[str] = ()) -> dict:
-    """`data` if it is a JSON object with every key in `keys`, and every
-    record of its `runs` list with every key in `run_keys`; else
-    AnalysisError naming `path` and each missing key."""
+    """`data` if it is a JSON object with every key in `keys` (a dotted key
+    names one inside nested objects), and every record of its `runs` list
+    with every key in `run_keys`; else AnalysisError naming `path` and each
+    missing key, or the object holding it if that is missing too."""
     top = data if isinstance(data, dict) else {}
-    missing = [k for k in keys if k not in top]
+    missing = []
+    for key in keys:
+        node, parts = top, key.split(".")
+        for depth, part in enumerate(parts):
+            if not isinstance(node, dict) or part not in node:
+                missing.append(".".join(parts[: depth + 1]))
+                break
+            node = node[part]
+    missing = list(dict.fromkeys(missing))
+    runs = top.get("runs", []) if run_keys else []
+    if not isinstance(runs, list):
+        raise ana.AnalysisError(f"{path}: runs is not a list")
     missing += [
         f"runs[{n}].{k}"
-        for n, meta in enumerate(top.get("runs", []) if run_keys else [])
+        for n, meta in enumerate(runs)
         for k in run_keys
         if not isinstance(meta, dict) or k not in meta
     ]
@@ -605,8 +618,9 @@ def summary_from_counts(summary_path: str | Path) -> SessionSummary:
     verdict fields stay empty.
 
     Raises AnalysisError naming the file when either file is missing or
-    unreadable, when the summary lacks `session_id`, `mode` or
-    `expectations`, when the counts belong to another session, or when their
+    unreadable, when the summary lacks `session_id`, `mode` or one of the
+    `expectations` the report prints (`s_ideal` and the `eta0` of each
+    detector), when the counts belong to another session, or when their
     per-setting totals differ from the summary's `tables`.
     """
     summary_path = Path(summary_path)
@@ -615,8 +629,9 @@ def summary_from_counts(summary_path: str | Path) -> SessionSummary:
         raise ana.AnalysisError(f"no analysis summary at {summary_path}")
     if not counts_path.exists():
         raise ana.AnalysisError(f"no {counts_path}; run bellstrobe analyze to write it")
+    expected = ["expectations.s_ideal"] + [f"expectations.eta0.{d}" for d in ana.DETECTOR_KEYS]
     data = _require_keys(
-        summary_path, json.loads(summary_path.read_text()), ("session_id", "mode", "expectations")
+        summary_path, json.loads(summary_path.read_text()), ["session_id", "mode", *expected]
     )
     try:
         counts = ana.SlotCounts.load(counts_path)

@@ -59,72 +59,48 @@ def prbs_bits(order: int = 7, taps: tuple[int, int] = (7, 6), seed: int = 0b1) -
     return tuple(bits)
 
 
-@dataclass(frozen=True)
-class FmPattern:
-    """Pulse-period modulation schedule.
-
-    Each pattern bit spans `pulses_per_bit` consecutive pulses; a 1 bit
-    lengthens the period following those pulses by `lengthen_fraction`.
-    The default 127-bit PRBS gives an unambiguous alignment fingerprint at
-    any relative offset within one pattern length (12700 pulses).
-    """
-
-    bits: tuple[int, ...] = field(default_factory=prbs_bits)
-    pulses_per_bit: int = 100
-    lengthen_fraction: float = 0.02
-
-    def __post_init__(self) -> None:
-        if not self.bits or any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be a nonempty 0/1 sequence")
-        if self.pulses_per_bit < 1:
-            raise ValueError("pulses_per_bit must be >= 1")
-        if not 0.0 < self.lengthen_fraction < 1.0:
-            raise ValueError("lengthen_fraction must be in (0, 1)")
-
-    @property
-    def synchronizable(self) -> bool:
-        return len(set(self.bits)) > 1
-
-    def labels(self, n_pulses: int) -> np.ndarray:
-        """Per-pulse pattern bit, repeating the sequence cyclically."""
-        cycle = np.repeat(np.asarray(self.bits, dtype=np.uint8), self.pulses_per_bit)
-        return np.resize(cycle, n_pulses)
-
-    @staticmethod
-    def constant() -> "FmPattern":
-        """Degenerate unmodulated pattern (not synchronizable)."""
-        return FmPattern(bits=(0,))
+FM_BITS = prbs_bits()
 
 
 @dataclass(frozen=True)
 class PulsePlan:
-    """Pump pulse train: 500 ns pulses at 500 kHz by default, FM-modulated."""
+    """The `pulses` config block: the pump pulse train, 500 ns pulses at
+    500 kHz by default, frequency-modulated by FM_BITS.
 
-    n_pulses: int
+    Each FM bit spans `fm_pulses_per_bit` consecutive pulses; a 1 bit
+    lengthens the period following those pulses by `fm_lengthen_fraction`.
+    The 127-bit PRBS gives an unambiguous alignment fingerprint at any
+    relative offset within one pattern length (12700 pulses by default).
+    """
+
     base_period: float = 2e-6
     pulse_duration: float = 500e-9
     rise_time: float = 20e-9
     fall_time: float = 20e-9
-    fm_pattern: FmPattern = field(default_factory=FmPattern)
+    fm_pulses_per_bit: int = 100
+    fm_lengthen_fraction: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.n_pulses < 1:
-            raise ValueError("n_pulses must be >= 1")
+        if not self.base_period > 0:
+            raise ValueError("base_period must be positive")
         if self.pulse_duration >= self.base_period:
-            raise ValueError("pulse_duration must be shorter than the period")
+            raise ValueError("pulse_duration must be shorter than base_period")
         if self.rise_time + self.fall_time > self.pulse_duration:
-            raise ValueError("rise + fall exceed the pulse duration")
+            raise ValueError("rise_time + fall_time exceed pulse_duration")
+        if self.fm_pulses_per_bit < 1:
+            raise ValueError("fm_pulses_per_bit must be >= 1")
+        if not 0.0 < self.fm_lengthen_fraction < 1.0:
+            raise ValueError("fm_lengthen_fraction must be in (0, 1)")
 
-    def period_seconds(self) -> np.ndarray:
-        """Interval following each pulse, shaped (n_pulses,): one pattern
-        cycle looked up in the two-entry period table, repeated."""
-        fm = self.fm_pattern
-        table = self.base_period * (1.0 + fm.lengthen_fraction * np.array([0, 1], np.uint8))
-        cycle = table[fm.labels(len(fm.bits) * fm.pulses_per_bit)]
-        return np.resize(cycle, self.n_pulses)
+    def period_seconds(self, n_pulses: int) -> np.ndarray:
+        """Interval following each of `n_pulses` pulses: one FM cycle looked
+        up in the two-entry period table, repeated."""
+        table = self.base_period * (1.0 + self.fm_lengthen_fraction * np.array([0, 1], np.uint8))
+        cycle = table[np.repeat(np.asarray(FM_BITS, np.uint8), self.fm_pulses_per_bit)]
+        return np.resize(cycle, n_pulses)
 
-    def start_times(self) -> np.ndarray:
-        return _starts_of(self.period_seconds())
+    def start_times(self, n_pulses: int) -> np.ndarray:
+        return _starts_of(self.period_seconds(n_pulses))
 
 
 def _starts_of(periods: np.ndarray) -> np.ndarray:
@@ -350,6 +326,7 @@ def _pair_pulses(rng: np.random.Generator, pair_yield: float, n_pulses: int) -> 
 
 def emit_events(
     plan: PulsePlan,
+    n_pulses: int,
     source: SourceConfig,
     stations: tuple[StationConfig, StationConfig],
     setting: AngleSetting,
@@ -357,7 +334,8 @@ def emit_events(
     seed,
     session_time: float = 0.0,
 ) -> tuple[TagStream, TagStream]:
-    """Simulate one run and return the two stations' local-clock tag streams.
+    """Simulate one run of `n_pulses` pulses of `plan` and return the two
+    stations' local-clock tag streams.
 
     Per pulse, Poisson(pair_yield) pairs are emitted at envelope-distributed
     times; outcomes follow the joint quantum distribution with visibility
@@ -375,11 +353,11 @@ def emit_events(
     key_det_b, key_clk_b = key_b.spawn(2)
     rng_src = np.random.default_rng(key_source)
 
-    periods = plan.period_seconds()
+    periods = plan.period_seconds(n_pulses)
     starts = _starts_of(periods)
     duration = float(np.sum(periods))
 
-    pulse_idx = _pair_pulses(rng_src, source.pair_yield, plan.n_pulses)
+    pulse_idx = _pair_pulses(rng_src, source.pair_yield, n_pulses)
     k = pulse_idx.size
     t_emit = _sample_pulse_envelope(rng_src, k, plan)
 

@@ -59,8 +59,6 @@ class TagFormatError(ValueError):
 class TagFileHeader:
     station_id: int
     record_count: int
-    version: int = VERSION
-    clock_resolution_ps: int = 1
 
     def __post_init__(self) -> None:
         if not 0 <= self.station_id <= 255:
@@ -71,9 +69,9 @@ class TagFileHeader:
     def pack(self) -> bytes:
         return HEADER_STRUCT.pack(
             MAGIC,
-            self.version,
+            VERSION,
             self.station_id,
-            self.clock_resolution_ps,
+            1,  # clock resolution: picoseconds per tick
             self.record_count,
             b"\x00" * 16,
         )
@@ -91,12 +89,7 @@ class TagFileHeader:
             raise TagFormatError(f"unsupported version {version}, expected {VERSION}")
         if resolution != 1:
             raise TagFormatError(f"clock resolution {resolution} ps per tick, expected 1")
-        return cls(
-            station_id=station_id,
-            record_count=count,
-            version=version,
-            clock_resolution_ps=resolution,
-        )
+        return cls(station_id=station_id, record_count=count)
 
 
 def _check_records(channels: np.ndarray, timestamps: np.ndarray, first: int = 0) -> None:

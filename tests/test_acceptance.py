@@ -129,7 +129,7 @@ def test_criterion_06_transient_end_to_end(transient_monotone_study, transient_o
 
 
 def test_criterion_07_synchronization():
-    starts = PulsePlan(n_pulses=16_000).start_times()
+    starts = PulsePlan().start_times(16_000)
     rng = np.random.default_rng(2026)
 
     def station(first, clock):

@@ -326,8 +326,8 @@ class TestDeltaHistogram:
 
         st = StationConfig(detector_efficiency=1.0, dark_rate=0.0,
                            detector_jitter_sigma=2e-9)
-        plan = PulsePlan(n_pulses=60_000)
-        a, b = emit_events(plan, SourceConfig(pair_yield=0.2), (st, st),
+        plan, n_pulses = PulsePlan(), 60_000
+        a, b = emit_events(plan, n_pulses, SourceConfig(pair_yield=0.2), (st, st),
                            AngleSetting(0, 0), QmStateModel(1.0), 17)
         (trig_a, dets_a), (trig_b, dets_b) = a.split_triggers(), b.split_triggers()
         delay_ps = to_ps(st.trigger_delay, "trigger_delay")

@@ -453,9 +453,18 @@ class TestReportFromCounts:
         assert str(counts_path) in self._error_line(capsys, argv)
         assert not (dirs[0] / "report").exists()
 
+    # the expectations the report prints, and the keys an edit of them leaves missing
+    BAD_EXPECTATIONS = {
+        "empty_expectations": ({}, "expectations.s_ideal, expectations.eta0"),
+        "partial_expectations": (
+            {"s_ideal": 2.77, "eta0": {"A+": 0.9, "B+": 0.9}},
+            "expectations.eta0.A-, expectations.eta0.B-",
+        ),
+    }
+
     @pytest.mark.parametrize(
-        "drop", ["mode", "session_id", "expectations", None],
-        ids=["mode", "session_id", "expectations", "json_list"],
+        "drop", ["mode", "session_id", "expectations", *BAD_EXPECTATIONS, None],
+        ids=["mode", "session_id", "expectations", *BAD_EXPECTATIONS, "json_list"],
     )
     def test_malformed_summary_errors(self, tmp_path, capsys, drop):
         from bellstrobe.cli import main
@@ -466,6 +475,8 @@ class TestReportFromCounts:
         data = json.loads(summary_path.read_text())
         if drop is None:  # a JSON list, not an object
             data, missing = list(data), "session_id, mode, expectations"
+        elif drop in self.BAD_EXPECTATIONS:
+            data["expectations"], missing = self.BAD_EXPECTATIONS[drop]
         else:
             del data[drop]
             missing = drop
@@ -540,6 +551,7 @@ class TestCli:
         "station_a.detector_efficiency=2",
         "source.pair_yield=-1",
         "pulses.fm_pulses_per_bit=0",
+        "pulses.fm_lengthen_fraction=1.5",
         "pulses.pulse_duration=3e-6",
         "analysis.slot_width=3e-9",  # does not divide the 2 us period
         *NON_FINITE_OVERRIDES,
@@ -560,8 +572,11 @@ class TestCli:
                 err[0] == "error: visibility must be in [0, 1]"
             )
         else:
-            # the message names the block: "station_a: ..." or "analysis.slot_width ..."
-            assert re.search(rf"\b{path.split('.')[0]}[.:]", err[0])
+            # the message names the block ("station_a: ..." or
+            # "analysis.slot_width ...") and the field as the config spells it
+            block, leaf = path.split(".")
+            assert re.search(rf"\b{block}[.:]", err[0])
+            assert re.search(rf"\b{leaf}\b", err[0])
         assert not (tmp_path / "bad").exists()
 
     def _assert_one_line_error(self, capsys, argv):
@@ -584,6 +599,7 @@ class TestCli:
         for manifest, key in [
             ({"session_id": "x"}, "config"),
             ({"session_id": "x", "config": {}, "runs": [run]}, "runs[0].setting"),
+            ({"session_id": "x", "config": {}, "runs": 5}, "runs is not a list"),
         ]:
             path.write_text(json.dumps(manifest))
             capsys.readouterr()

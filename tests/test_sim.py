@@ -10,8 +10,8 @@ from bellstrobe.model import AngleSetting, QmStateModel, qm_joint_probs
 from bellstrobe.sim import (
     CHANNEL_TRIGGER,
     DRAW_CHUNK,
+    FM_BITS,
     ClockModel,
-    FmPattern,
     PulsePlan,
     SourceConfig,
     StationConfig,
@@ -41,6 +41,7 @@ def assign(stream, trigger_delay):
 class TestPrbs:
     def test_maximal_length_and_balance(self):
         bits = prbs_bits()
+        assert bits == FM_BITS
         assert len(bits) == 127
         assert sum(bits) == 64
         # maximal sequence: all cyclic 7-bit windows distinct
@@ -53,42 +54,42 @@ class TestPrbs:
 
 
 class TestTriggerTrain:
-    def test_constant_period_starts(self):
-        plan = PulsePlan(n_pulses=3, fm_pattern=FmPattern.constant())
-        assert np.allclose(plan.start_times(), [0.0, 2e-6, 4e-6])
-        assert not plan.fm_pattern.synchronizable
+    def test_default_plan_starts(self):
+        # the first five FM bits are 0: the train starts at the base period
+        assert np.allclose(PulsePlan().start_times(3), [0.0, 2e-6, 4e-6])
 
     def test_prbs_intervals_reproduce_the_sequence(self):
-        plan = PulsePlan(n_pulses=127 * 100 + 1)
-        intervals = np.diff(plan.start_times())
-        bits = prbs_bits()
-        expected = 2e-6 * (1.0 + 0.02 * np.repeat(bits, 100))
+        n = 127 * 100 + 1
+        plan = PulsePlan()
+        intervals = np.diff(plan.start_times(n))
+        expected = 2e-6 * (1.0 + 0.02 * np.repeat(FM_BITS, 100))
         assert np.allclose(intervals, expected[: intervals.size], rtol=1e-12)
-        assert plan.fm_pattern.synchronizable
+        assert np.allclose(plan.period_seconds(n)[:-1], intervals, rtol=1e-12)
 
     def test_labels_follow_pattern(self):
-        plan = PulsePlan(n_pulses=350)
-        labels = plan.fm_pattern.labels(plan.n_pulses)
-        bits = prbs_bits()
-        assert list(labels[:100]) == [bits[0]] * 100
-        assert list(labels[100:200]) == [bits[1]] * 100
+        plan = PulsePlan(fm_pulses_per_bit=3)
+        labels = plan.period_seconds(127 * 3 + 5) > plan.base_period
+        assert list(labels[:6]) == [FM_BITS[0]] * 3 + [FM_BITS[1]] * 3
+        assert list(labels) == list(np.resize(np.repeat(FM_BITS, 3), labels.size))
 
 
 class TestEmitTrivials:
     def test_silent_source_yields_only_triggers(self):
-        plan = PulsePlan(n_pulses=500)
+        plan, n_pulses = PulsePlan(), 500
         src = SourceConfig(pair_yield=0.0)
         st = StationConfig(dark_rate=0.0)
-        a, b = emit_events(plan, src, (st, st), AngleSetting(0, 0), QmStateModel(), 1)
+        a, b = emit_events(
+            plan, n_pulses, src, (st, st), AngleSetting(0, 0), QmStateModel(), 1
+        )
         assert np.all(a.channels == CHANNEL_TRIGGER)
         assert np.all(b.channels == CHANNEL_TRIGGER)
         assert len(a) == len(b) == 500
 
     def test_equal_angles_give_only_equal_outcomes(self):
-        plan = PulsePlan(n_pulses=20_000)
+        plan, n_pulses = PulsePlan(), 20_000
         src = SourceConfig(pair_yield=0.2)
         a, b = emit_events(
-            plan, src, (NO_NOISE, NO_NOISE), AngleSetting(0.3, 0.3),
+            plan, n_pulses, src, (NO_NOISE, NO_NOISE), AngleSetting(0.3, 0.3),
             QmStateModel(1.0), 7,
         )
         det_a = assign(a, NO_NOISE.trigger_delay)
@@ -98,10 +99,11 @@ class TestEmitTrivials:
         assert np.all(OUTCOME_PARITY[rec.outcome] == 1)  # ++ or --: the stations agree
 
     def test_determinism(self):
-        plan = PulsePlan(n_pulses=5000)
+        plan, n_pulses = PulsePlan(), 5000
         src = SourceConfig()
         st = StationConfig()
-        args = (plan, src, (st, st), AngleSetting(0, math.pi / 8), QmStateModel(0.98))
+        setting = AngleSetting(0, math.pi / 8)
+        args = (plan, n_pulses, src, (st, st), setting, QmStateModel(0.98))
         a1, b1 = emit_events(*args, 42)
         a2, b2 = emit_events(*args, 42)
         assert a1 == a2 and b1 == b2
@@ -112,10 +114,10 @@ class TestEmitTrivials:
 class TestEmitStatistics:
     def test_two_percent_of_pulses_detected(self):
         # tuning target for the default pair_yield at 0.1 efficiency per station
-        plan = PulsePlan(n_pulses=1_000_000)
+        plan, n_pulses = PulsePlan(), 1_000_000
         st = StationConfig(dark_rate=0.0)
         a, b = emit_events(
-            plan, SourceConfig(), (st, st), AngleSetting(0, 0), QmStateModel(1.0), 11
+            plan, n_pulses, SourceConfig(), (st, st), AngleSetting(0, 0), QmStateModel(1.0), 11
         )
         trig_a = a.split_triggers()[0]
         occupied = set()
@@ -124,7 +126,7 @@ class TestEmitStatistics:
             delay = to_ps(st.trigger_delay, "trigger_delay")
             idx = np.searchsorted(trig_a, det - delay, side="right") - 1
             occupied.update(idx[idx >= 0].tolist())
-        fraction = len(occupied) / plan.n_pulses
+        fraction = len(occupied) / n_pulses
         assert abs(fraction - 0.02) < 0.001
 
     def test_joint_frequencies_match_model(self):
@@ -132,11 +134,11 @@ class TestEmitStatistics:
         # >= 1e6 pairs across the 4 settings
         from bellstrobe.model import SettingsQuad
 
-        plan = PulsePlan(n_pulses=900_000)
+        plan, n_pulses = PulsePlan(), 900_000
         src = SourceConfig(pair_yield=0.3, visibility_drift=0.0)
         model = QmStateModel(1.0)
         for setting in SettingsQuad().settings():
-            a, b = emit_events(plan, src, (NO_NOISE, NO_NOISE), setting, model, 23)
+            a, b = emit_events(plan, n_pulses, src, (NO_NOISE, NO_NOISE), setting, model, 23)
             det_a = assign(a, NO_NOISE.trigger_delay)
             det_b = assign(b, NO_NOISE.trigger_delay)
             rec = match_coincidences(det_a, det_b, WINDOW_PS)
@@ -152,11 +154,11 @@ class TestEmitStatistics:
 
     def test_visibility_drift_lowers_correlation(self):
         # 0.006/h for 10 h of session wall time knocks 6% off the visibility
-        plan = PulsePlan(n_pulses=600_000)
+        plan, n_pulses = PulsePlan(), 600_000
         src = SourceConfig(pair_yield=0.3, visibility_drift=0.006)
         model = QmStateModel(0.98)
         a, b = emit_events(
-            plan, src, (NO_NOISE, NO_NOISE), AngleSetting(0, 0), model, 13,
+            plan, n_pulses, src, (NO_NOISE, NO_NOISE), AngleSetting(0, 0), model, 13,
             session_time=10 * 3600.0,
         )
         det_a = assign(a, NO_NOISE.trigger_delay)
@@ -167,10 +169,10 @@ class TestEmitStatistics:
 
     def test_dark_rate_recovered_over_30s_run(self):
         # out-of-pulse singles, scaled back to a rate, must match dark_rate
-        plan = PulsePlan(n_pulses=15_000_000)  # 30 s at 500 kHz
+        plan, n_pulses = PulsePlan(), 15_000_000  # 30 s at 500 kHz
         st = StationConfig()  # 200/s darks
         a, _ = emit_events(
-            plan, SourceConfig(pair_yield=0.0), (st, st), AngleSetting(0, 0),
+            plan, n_pulses, SourceConfig(pair_yield=0.0), (st, st), AngleSetting(0, 0),
             QmStateModel(1.0), 9,
         )
         det = assign(a, st.trigger_delay)
@@ -312,33 +314,33 @@ class TestDrawBlocks:
         # streams only the trigger starts and pair-length arrays need to be
         # alive at once (about 1.7 float64 arrays of pulse length); whole
         # pulse-length draws or index arrays would add one each
-        plan = PulsePlan(n_pulses=1_000_000)
+        plan, n_pulses = PulsePlan(), 1_000_000
         clock_b = ClockModel(offset=1e-3, jitter_sigma=20e-12)
         tracemalloc.start()
         try:
             streams = emit_events(
-                plan, SourceConfig(), (StationConfig(), StationConfig(clock=clock_b)),
+                plan, n_pulses, SourceConfig(), (StationConfig(), StationConfig(clock=clock_b)),
                 AngleSetting(0, math.pi / 8), QmStateModel(0.98), 1,
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         held = sum(s.channels.nbytes + s.times_ps.nbytes for s in streams)
-        assert peak - held <= 2.5 * 8 * plan.n_pulses
+        assert peak - held <= 2.5 * 8 * n_pulses
 
 
 class TestTriggerInvariant:
     def test_triggers_differ_only_by_clock_transform(self):
-        plan = PulsePlan(n_pulses=30_000)
+        plan, n_pulses = PulsePlan(), 30_000
         clock_b = ClockModel(offset=2e-3, drift_rate=15e-6)
         st_a = StationConfig(dark_rate=0.0)
         st_b = StationConfig(dark_rate=0.0, clock=clock_b)
         a, b = emit_events(
-            plan, SourceConfig(pair_yield=0.05), (st_a, st_b),
+            plan, n_pulses, SourceConfig(pair_yield=0.05), (st_a, st_b),
             AngleSetting(0, 0), QmStateModel(1.0), 31,
         )
         ta = a.split_triggers()[0].astype(np.float64)
         tb = b.split_triggers()[0].astype(np.float64)
-        assert ta.size == tb.size == plan.n_pulses
+        assert ta.size == tb.size == n_pulses
         undone = (tb - clock_b.offset * 1e12) / (1.0 + clock_b.drift_rate)
         assert np.max(np.abs(undone - ta)) < 1.0  # within the 1 ps grid

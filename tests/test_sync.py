@@ -10,7 +10,6 @@ from bellstrobe import sync
 from bellstrobe.sim import (
     CHANNEL_TRIGGER,
     ClockModel,
-    FmPattern,
     PulsePlan,
     TagStream,
 )
@@ -37,7 +36,7 @@ def trigger_times(starts_s: np.ndarray, clock: ClockModel, rng=None) -> np.ndarr
 
 @pytest.fixture(scope="module")
 def global_starts():
-    return PulsePlan(n_pulses=16_000).start_times()
+    return PulsePlan().start_times(16_000)
 
 
 class TestPeriodSeries:
@@ -57,10 +56,10 @@ class TestPeriodSeries:
             extract_period_series(np.array([0, 2_000_000, 2_000_000], np.int64))
 
     def test_prbs_intervals_match_plan(self, rng):
-        plan = PulsePlan(n_pulses=2000)
-        s = trigger_times(plan.start_times(), ClockModel(jitter_sigma=2e-9), rng)
+        plan = PulsePlan()
+        s = trigger_times(plan.start_times(2000), ClockModel(jitter_sigma=2e-9), rng)
         intervals = extract_period_series(s)
-        expected = plan.period_seconds()[:-1] * 1e12
+        expected = plan.period_seconds(2000)[:-1] * 1e12
         assert np.max(np.abs(intervals - expected)) < 20_000  # 20 ns
 
 
@@ -84,8 +83,7 @@ class TestAlignment:
         assert align_pulse_numbering(a, b) == -d
 
     def test_constant_period_is_pattern_absent(self):
-        plan = PulsePlan(n_pulses=14_000, fm_pattern=FmPattern.constant())
-        s = trigger_times(plan.start_times(), ClockModel())
+        s = trigger_times(np.arange(14_000) * 2e-6, ClockModel())
         with pytest.raises(PatternAbsentError):
             align_pulse_numbering(s, s)
 
