@@ -24,7 +24,7 @@ from . import coinc as co
 from . import sync as sy
 from .config import ConfigError, ExperimentConfig, SCHEMA_VERSION
 from .model import OUTCOME_LABELS, AngleSetting, TSIRELSON
-from .sim import PS_PER_SECOND, TagStream, emit_events
+from .sim import CHANNEL_TRIGGER, PS_PER_SECOND, TagStream, emit_events
 from .tagfmt import TagFileHeader, TagFormatError, read_tag_arrays, write_tags
 
 log = logging.getLogger("bellstrobe")
@@ -280,14 +280,14 @@ def _zero_counts(config: ExperimentConfig) -> ana.SlotCounts:
 
 def process_run(run: RunData, config: ExperimentConfig) -> RunProducts:
     """Sync, assign, match and bin one run's tag streams."""
-    trig_a, dets_a = run.tags_a.split_triggers()
-    trig_b, dets_b = run.tags_b.split_triggers()
+    trig_a = run.tags_a.times_ps[run.tags_a.channels == CHANNEL_TRIGGER]
+    trig_b = run.tags_b.times_ps[run.tags_b.channels == CHANNEL_TRIGGER]
     offset = sy.align_pulse_numbering(trig_a, trig_b)
     fit = sy.fit_clock_relation(trig_a, trig_b, offset)
 
     delay_a, delay_b = config.trigger_delays_ps
-    det_a = sy.assign_to_pulses(dets_a, trig_a, delay_a)
-    det_b = sy.assign_to_pulses(dets_b, trig_b, delay_b).with_pulse_offset(offset)
+    det_a = sy.assign_to_pulses(run.tags_a, trig_a, delay_a)
+    det_b = sy.assign_to_pulses(run.tags_b, trig_b, delay_b).with_pulse_offset(offset)
 
     records = co.match_coincidences(det_a, det_b, config.analysis.window_ps)
     report = SyncReport(
@@ -503,6 +503,8 @@ def _read_manifest(path: Path) -> dict:
     data = _require_keys(
         path, json.loads(path.read_text()), ("session_id", "config", "runs"), run_keys
     )
+    if not isinstance(data["config"], dict):
+        raise ana.AnalysisError(f"{path}: config is not an object")
     for meta in data["runs"]:
         meta["_dir"] = path.parent
     return data
@@ -620,8 +622,9 @@ def summary_from_counts(summary_path: str | Path) -> SessionSummary:
     Raises AnalysisError naming the file when either file is missing or
     unreadable, when the summary lacks `session_id`, `mode` or one of the
     `expectations` the report prints (`s_ideal` and the `eta0` of each
-    detector), when the counts belong to another session, or when their
-    per-setting totals differ from the summary's `tables`.
+    detector) or holds one that is not a number, when the counts belong to
+    another session, or when their per-setting totals differ from the
+    summary's `tables`.
     """
     summary_path = Path(summary_path)
     counts_path = summary_path.parent / "counts.npz"
@@ -633,6 +636,11 @@ def summary_from_counts(summary_path: str | Path) -> SessionSummary:
     data = _require_keys(
         summary_path, json.loads(summary_path.read_text()), ["session_id", "mode", *expected]
     )
+    exp = data["expectations"]
+    values = [exp["s_ideal"], *(exp["eta0"][d] for d in ana.DETECTOR_KEYS)]
+    bad = [k for k, v in zip(expected, values) if type(v) not in (int, float)]  # not bool
+    if bad:
+        raise ana.AnalysisError(f"{summary_path}: not a number: {', '.join(bad)}")
     try:
         counts = ana.SlotCounts.load(counts_path)
     except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:

@@ -182,13 +182,6 @@ class TagStream:
             self.times_ps, other.times_ps
         )
 
-    def split_triggers(self) -> tuple[np.ndarray, "TagStream"]:
-        """Trigger timestamps and the detection-only stream, from one mask."""
-        mask = self.channels == CHANNEL_TRIGGER
-        triggers = self.times_ps[mask]
-        np.logical_not(mask, out=mask)  # reuse the buffer: one mask alive
-        return triggers, TagStream(self.channels[mask], self.times_ps[mask])
-
 
 def _sample_pulse_envelope(rng: np.random.Generator, n: int, plan: PulsePlan) -> np.ndarray:
     """Emission times under the trapezoidal pulse envelope, in [0, duration)."""

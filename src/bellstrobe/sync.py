@@ -6,6 +6,9 @@ intervals are binarized against their own median (immune to clock-rate
 scaling) and cross-correlated. After alignment, an affine fit of matched
 trigger times gives the inter-station clock relation, and detections are
 attributed to pulses by their time distance to the nearest preceding trigger.
+That trigger is read off the detection's place in the station's sorted tag
+stream (the trigger tags before it) and checked against the trigger train;
+only detections the check refutes are binary-searched.
 """
 
 from __future__ import annotations
@@ -250,40 +253,58 @@ def fit_clock_relation(
 
 
 def assign_to_pulses(
-    detections: TagStream,
+    stream: TagStream,
     triggers_ps: np.ndarray,
     delay_ps: int,
 ) -> Detections:
-    """Attribute detection tags to the latest trigger at or before them.
+    """Attribute the detection tags of `stream` to the latest trigger at or
+    before them.
 
-    `detections` holds detection channels only (the second part of
-    TagStream.split_triggers). The configured trigger-vs-photon path delay,
+    `stream` is one station's whole tag stream; its trigger tags are skipped,
+    neither assigned nor dropped. The configured trigger-vs-photon path delay,
     `delay_ps` (`ExperimentConfig.trigger_delays_ps`), is subtracted from each
     detection timestamp first, so intra_ps is measured from the pulse start as
     seen by the photons. Detections preceding the first trigger, or trailing
     the last pulse by at least one median period, are dropped and counted, not
     fatal.
+
+    The `j`-th detection (from 0) sits at stream position `pos[j]`, behind
+    `pos[j] - j` trigger tags, so its pulse is guessed as `pos[j] - j - 1`
+    (at most the last trigger's index). The guess stands where its two
+    neighbouring triggers bracket the detection, `triggers_ps[idx] <=
+    t - delay_ps < triggers_ps[idx + 1]`. Only the rest are binary-searched:
+    detections the delay moves back across their trigger, ties with a trigger
+    at delay 0, and every detection of a stream without trigger tags. The
+    pulse is therefore `searchsorted(triggers_ps, t - delay_ps, "right") - 1`
+    for any sorted `triggers_ps`.
     """
     triggers_ps = np.asarray(triggers_ps, dtype=np.int64)
-    if triggers_ps.size == 0:
+    n_trig = triggers_ps.size
+    if n_trig == 0:
         raise SyncError("no triggers to assign against")
-    t, ch = detections.times_ps, detections.channels
-    if ch.size and ch.max() >= CHANNEL_TRIGGER:
-        raise ValueError("trigger tags among detections; use TagStream.split_triggers")
+    pos = np.flatnonzero(stream.channels != CHANNEL_TRIGGER)
+    ch = stream.channels[pos]
+    shifted = stream.times_ps[pos] - np.int64(delay_ps)
 
-    shifted = t - np.int64(delay_ps)
-    idx = np.searchsorted(triggers_ps, shifted, side="right") - 1
+    idx = pos - np.arange(1, pos.size + 1)
+    np.minimum(idx, n_trig - 1, out=idx)
+    start = triggers_ps[np.maximum(idx, 0)]
+    ok = (start <= shifted) | (idx < 0)
+    ok &= (shifted < triggers_ps[np.minimum(idx + 1, n_trig - 1)]) | (idx == n_trig - 1)
+    miss = np.flatnonzero(~ok)
+    idx[miss] = np.searchsorted(triggers_ps, shifted[miss], side="right") - 1
+    start[miss] = triggers_ps[np.maximum(idx[miss], 0)]
     before = idx < 0
 
-    intra_ps = shifted - triggers_ps[np.maximum(idx, 0)]
-    after = (idx == triggers_ps.size - 1) & (triggers_ps.size > 1)
+    intra_ps = shifted - start
+    after = (idx == n_trig - 1) & (n_trig > 1)
     if np.any(after):  # the median period matters only in the last pulse
         after &= intra_ps >= np.median(np.diff(triggers_ps))
 
     keep = ~(before | after)
     return Detections(
         minus=(ch[keep] != CHANNEL_PLUS).astype(np.uint8),
-        pulse_number=idx[keep].astype(np.int64),
+        pulse_number=idx[keep],
         intra_ps=intra_ps[keep],
         dropped_before_first=int(np.count_nonzero(before)),
         dropped_after_last=int(np.count_nonzero(after)),

@@ -321,7 +321,9 @@ class TestDeltaHistogram:
         # simulated pairs with 2 ns detector jitter on both stations: the
         # delta_t spread is sqrt(2) x 2 ns (window widened so nothing truncates)
         from bellstrobe.model import AngleSetting, QmStateModel
-        from bellstrobe.sim import PulsePlan, SourceConfig, StationConfig, emit_events
+        from bellstrobe.sim import (
+            CHANNEL_TRIGGER, PulsePlan, SourceConfig, StationConfig, emit_events,
+        )
         from bellstrobe.sync import assign_to_pulses
 
         st = StationConfig(detector_efficiency=1.0, dark_rate=0.0,
@@ -329,10 +331,11 @@ class TestDeltaHistogram:
         plan, n_pulses = PulsePlan(), 60_000
         a, b = emit_events(plan, n_pulses, SourceConfig(pair_yield=0.2), (st, st),
                            AngleSetting(0, 0), QmStateModel(1.0), 17)
-        (trig_a, dets_a), (trig_b, dets_b) = a.split_triggers(), b.split_triggers()
         delay_ps = to_ps(st.trigger_delay, "trigger_delay")
-        det_a = assign_to_pulses(dets_a, trig_a, delay_ps)
-        det_b = assign_to_pulses(dets_b, trig_b, delay_ps)
+        det_a, det_b = (
+            assign_to_pulses(s, s.times_ps[s.channels == CHANNEL_TRIGGER], delay_ps)
+            for s in (a, b)
+        )
         rec = match_coincidences(det_a, det_b, 20_000)
         assert len(rec) > 5000
         assert np.std(rec.delta_t_ps) == pytest.approx(2000 * math.sqrt(2), rel=0.10)

@@ -453,12 +453,20 @@ class TestReportFromCounts:
         assert str(counts_path) in self._error_line(capsys, argv)
         assert not (dirs[0] / "report").exists()
 
-    # the expectations the report prints, and the keys an edit of them leaves missing
+    # edits of the expectations the report prints, and the error each gives
+    ETA0 = {"A+": 0.9, "A-": 0.9, "B+": 0.9, "B-": 0.9}
     BAD_EXPECTATIONS = {
-        "empty_expectations": ({}, "expectations.s_ideal, expectations.eta0"),
+        "empty_expectations": ({}, "missing key(s) expectations.s_ideal, expectations.eta0"),
         "partial_expectations": (
             {"s_ideal": 2.77, "eta0": {"A+": 0.9, "B+": 0.9}},
-            "expectations.eta0.A-, expectations.eta0.B-",
+            "missing key(s) expectations.eta0.A-, expectations.eta0.B-",
+        ),
+        "s_ideal_text": (
+            {"s_ideal": "x", "eta0": ETA0}, "not a number: expectations.s_ideal"
+        ),
+        "eta0_null_and_bool": (
+            {"s_ideal": 2.77, "eta0": {**ETA0, "A+": None, "B-": True}},
+            "not a number: expectations.eta0.A+, expectations.eta0.B-",
         ),
     }
 
@@ -474,15 +482,15 @@ class TestReportFromCounts:
         summary_path = tmp_path / "summary.json"
         data = json.loads(summary_path.read_text())
         if drop is None:  # a JSON list, not an object
-            data, missing = list(data), "session_id, mode, expectations"
+            data, problem = list(data), "missing key(s) session_id, mode, expectations"
         elif drop in self.BAD_EXPECTATIONS:
-            data["expectations"], missing = self.BAD_EXPECTATIONS[drop]
+            data["expectations"], problem = self.BAD_EXPECTATIONS[drop]
         else:
             del data[drop]
-            missing = drop
+            problem = f"missing key(s) {drop}"
         summary_path.write_text(json.dumps(data))
         line = self._error_line(capsys, ["report", str(summary_path)])
-        assert line == f"error: {summary_path}: missing key(s) {missing}"
+        assert line == f"error: {summary_path}: {problem}"
         assert not (tmp_path / "report").exists()
 
     def test_counts_round_trip(self, tmp_path):
@@ -600,6 +608,11 @@ class TestCli:
             ({"session_id": "x"}, "config"),
             ({"session_id": "x", "config": {}, "runs": [run]}, "runs[0].setting"),
             ({"session_id": "x", "config": {}, "runs": 5}, "runs is not a list"),
+            (
+                {"session_id": "x", "config": 5,
+                 "runs": [{**run, "setting": "ab", "file_a": "a", "file_b": "b"}]},
+                "config is not an object",
+            ),
         ]:
             path.write_text(json.dumps(manifest))
             capsys.readouterr()

@@ -11,8 +11,16 @@ import numpy as np
 import pytest
 
 from bellstrobe.config import desk_boosted
-from bellstrobe.session import analyze_session, run_session_in_memory, simulate_session
-from bellstrobe.sim import ClockModel
+from bellstrobe.session import (
+    RunData,
+    analyze_session,
+    process_run,
+    run_session_in_memory,
+    simulate_run,
+    simulate_session,
+)
+from bellstrobe.sim import CHANNEL_TRIGGER, ClockModel, TagStream
+from bellstrobe.sync import ALIGN_WINDOW
 
 
 def count_arrays(counts) -> dict[str, np.ndarray]:
@@ -67,3 +75,41 @@ def test_reversed_manifest_runs_leave_counts_and_plateau_unchanged(tmp_path):
         plateau[name] = json.dumps(summary.to_dict()["plateau"], sort_keys=True)
     assert_same_arrays(npz["forward"], npz["reversed"])
     assert plateau["forward"] == plateau["reversed"]
+
+
+def test_cut_run_counts_sum_to_the_whole_run():
+    # run 0 cut at one trigger index on both stations: each half syncs on its
+    # own, and with no detection from one period before the cut to the
+    # trigger delay after it, no pulse spans the cut and the halves' counts
+    # add up to the whole run's. The pulse just after the cut has detections
+    # on both stations, so the second half's first pulse is checked too.
+    config = desk_boosted(1)
+    run = simulate_run(config, 0)
+    streams = (run.tags_a, run.tags_b)
+    triggers = [np.flatnonzero(s.channels == CHANNEL_TRIGGER) for s in streams]
+    assert triggers[0].size == triggers[1].size > 2 * (ALIGN_WINDOW + 1)
+
+    good = True
+    for tags, at, delay in zip(streams, triggers, config.trigger_delays_ps):
+        detections = tags.times_ps[tags.channels != CHANNEL_TRIGGER]
+        t = tags.times_ps[at]
+        before, start, end = (
+            np.searchsorted(detections, edge)
+            for edge in (t - config.period_ps, t + delay, t + delay + config.period_ps)
+        )
+        good &= (before == start) & (end > start)
+    middle = triggers[0].size // 2
+    cut = middle + int(np.argmax(good[middle:]))
+    assert good[cut]
+
+    halves = ([], [])
+    for tags, at in zip(streams, triggers):
+        p = at[cut]
+        halves[0].append(TagStream(tags.channels[:p], tags.times_ps[:p]))
+        halves[1].append(TagStream(tags.channels[p:], tags.times_ps[p:]))
+    parts = [process_run(RunData(run.index, run.setting_label, *h), config) for h in halves]
+    assert all(len(part.records) > 0 and part.report.fit.pulse_offset == 0 for part in parts)
+    assert_same_arrays(
+        count_arrays(parts[0].counts + parts[1].counts),
+        count_arrays(process_run(run, config).counts),
+    )

@@ -31,11 +31,15 @@ NO_NOISE = StationConfig(
 )
 
 
+def triggers_of(stream):
+    """The trigger timestamps of one station stream."""
+    return stream.times_ps[stream.channels == CHANNEL_TRIGGER]
+
+
 def assign(stream, trigger_delay):
     """Pulse-attributed detections of one simulated station stream."""
-    triggers, detections = stream.split_triggers()
     delay_ps = to_ps(trigger_delay, "trigger_delay")
-    return assign_to_pulses(detections, triggers, delay_ps)
+    return assign_to_pulses(stream, triggers_of(stream), delay_ps)
 
 
 class TestPrbs:
@@ -119,10 +123,10 @@ class TestEmitStatistics:
         a, b = emit_events(
             plan, n_pulses, SourceConfig(), (st, st), AngleSetting(0, 0), QmStateModel(1.0), 11
         )
-        trig_a = a.split_triggers()[0]
+        trig_a = triggers_of(a)
         occupied = set()
         for stream in (a, b):
-            det = stream.split_triggers()[1].times_ps
+            det = stream.times_ps[stream.channels != CHANNEL_TRIGGER]
             delay = to_ps(st.trigger_delay, "trigger_delay")
             idx = np.searchsorted(trig_a, det - delay, side="right") - 1
             occupied.update(idx[idx >= 0].tolist())
@@ -339,8 +343,8 @@ class TestTriggerInvariant:
             plan, n_pulses, SourceConfig(pair_yield=0.05), (st_a, st_b),
             AngleSetting(0, 0), QmStateModel(1.0), 31,
         )
-        ta = a.split_triggers()[0].astype(np.float64)
-        tb = b.split_triggers()[0].astype(np.float64)
+        ta = triggers_of(a).astype(np.float64)
+        tb = triggers_of(b).astype(np.float64)
         assert ta.size == tb.size == n_pulses
         undone = (tb - clock_b.offset * 1e12) / (1.0 + clock_b.drift_rate)
         assert np.max(np.abs(undone - ta)) < 1.0  # within the 1 ps grid

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bellstrobe import sync
 from bellstrobe.sim import (
+    CHANNEL_MINUS,
     CHANNEL_TRIGGER,
     ClockModel,
     PulsePlan,
@@ -250,15 +251,15 @@ class TestAssignment:
         assert det.pulse_number.tolist() == [0, 3]
         assert det.dropped_after_last == 2
 
-    def test_split_triggers(self):
-        tags = TagStream(np.array([3, 1, 2, 3], np.uint8), np.array([0, 5, 6, 9], np.int64))
-        triggers, dets = tags.split_triggers()
-        assert triggers.tolist() == [0, 9]
-        assert dets == TagStream(np.array([1, 2], np.uint8), np.array([5, 6], np.int64))
-
-    def test_trigger_tags_rejected(self):
-        with pytest.raises(ValueError, match="trigger"):
-            self._assign([1, CHANNEL_TRIGGER], [57_000, 2_000_000])
+    def test_trigger_tags_neither_assigned_nor_dropped(self):
+        # the whole stream, triggers included: only its two detections come out
+        channels = [CHANNEL_TRIGGER, 1, CHANNEL_TRIGGER, 2, CHANNEL_TRIGGER]
+        times = [0, 57_000 + 5, 2_000_000, 2_000_000 + 57_000 + 6, 4_000_000]
+        det = self._assign(channels, times)
+        assert det.pulse_number.tolist() == [0, 1]
+        assert det.intra_ps.tolist() == [5, 6]
+        assert det.minus.tolist() == [0, 1]
+        assert det.dropped_before_first == det.dropped_after_last == 0
 
     def test_partition_invariant(self, rng):
         # every in-run detection lands in exactly one pulse; sum + drops = total
@@ -281,3 +282,69 @@ class TestAssignment:
         det = self._assign([1], [57_000])
         shifted = det.with_pulse_offset(250)
         assert shifted.pulse_number[0] == 250
+
+
+def reference_assign(stream: TagStream, triggers: np.ndarray, delay: int) -> dict:
+    """assign_to_pulses by one binary search per detection over the whole
+    trigger train, with its drop rules spelled out."""
+    det = stream.channels != CHANNEL_TRIGGER
+    shifted = stream.times_ps[det] - delay
+    idx = np.searchsorted(triggers, shifted, side="right") - 1
+    intra = shifted - triggers[np.maximum(idx, 0)]
+    limit = np.median(np.diff(triggers)) if triggers.size > 1 else np.inf
+    before = idx < 0
+    after = (idx == triggers.size - 1) & (intra >= limit)
+    keep = ~(before | after)
+    return {
+        "minus": (stream.channels[det][keep] == CHANNEL_MINUS).astype(np.uint8),
+        "pulse_number": idx[keep],
+        "intra_ps": intra[keep],
+        "dropped_before_first": int(before.sum()),
+        "dropped_after_last": int(after.sum()),
+    }
+
+
+class TestAssignmentExactness:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_triggers=st.integers(1, 40),
+        n_detections=st.integers(0, 80),
+        period=st.integers(1, 1000),
+        # 0 (ties with triggers), negative, and several periods: the position
+        # guess then misses and the binary search must take over
+        delay_periods=st.sampled_from([0.0, -0.5, -2.0, 0.3, 1.0, 3.7]),
+        n_ties=st.integers(0, 5),
+        # the stream holds every trigger tag, none, or twice those passed
+        tagged=st.sampled_from(["all", "none", "twice"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a detection and a trigger at the same timestamp, at delay 0
+    @example(n_triggers=3, n_detections=0, period=10, delay_periods=0.0, n_ties=1,
+             tagged="all", seed=0)
+    # one trigger, passed apart from a detection-only stream
+    @example(n_triggers=1, n_detections=5, period=10, delay_periods=0.3, n_ties=1,
+             tagged="none", seed=1)
+    def test_matches_binary_search_over_the_trigger_train(
+        self, n_triggers, n_detections, period, delay_periods, n_ties, tagged, seed
+    ):
+        rng = np.random.default_rng(seed)
+        triggers = 5 * period + np.cumsum(rng.integers(1, 2 * period + 1, n_triggers))
+        span = int(triggers[-1]) + 5 * period
+        times = np.concatenate([
+            rng.integers(0, span, n_detections),
+            rng.choice(triggers, n_ties),  # detections on a trigger's timestamp
+        ])
+        channels = rng.integers(1, 3, times.size)
+        keys = np.unique(times * 4 + channels)
+        if tagged != "none":
+            keys = np.sort(np.concatenate([keys, triggers * 4 + CHANNEL_TRIGGER]))
+        if tagged == "twice":
+            triggers = triggers[::2]
+        stream = TagStream((keys & 3).astype(np.uint8), keys >> 2)
+        delay = int(round(delay_periods * period))
+
+        det = assign_to_pulses(stream, triggers, delay)
+        expected = reference_assign(stream, triggers, delay)
+        assert det.pulse_number.dtype == det.intra_ps.dtype == np.int64
+        for name, value in expected.items():
+            assert np.array_equal(getattr(det, name), value), name
