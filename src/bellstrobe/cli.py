@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from . import model
 from .analysis import AnalysisError
-from .coinc import SessionMixError
 from .config import ConfigError, ExperimentConfig, apply_overrides, desk_default
 from .session import (
     analyze_session,
@@ -60,7 +59,7 @@ def _parse_set(values: list[str]) -> dict[str, object]:
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
-        config = ExperimentConfig.from_json(Path(args.config))
+        config = ExperimentConfig.from_json(args.config)
     else:
         config = desk_default()
     overrides = _parse_set(args.set or [])
@@ -81,7 +80,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     summary, _config = analyze_session(args.manifest)
-    outdir = Path(args.manifest[0]).parent if args.output is None else _out_root(args.output)
+    outdir = Path(args.manifest).parent if args.output is None else _out_root(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     if summary.series is not None:
         write_slots_csv(summary.series, outdir / "slots.csv")
@@ -189,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_ana = sub.add_parser("analyze", help="run the pipeline on session manifests")
-    p_ana.add_argument("manifest", nargs="+", help="manifest.json path(s), one session")
+    p_ana = sub.add_parser("analyze", help="run the pipeline on a session manifest")
+    p_ana.add_argument("manifest", help="the manifest.json that simulate wrote")
     p_ana.add_argument("--output", help="where to write slots.csv / summary.json")
     p_ana.add_argument(
         "--stamp",
@@ -225,7 +224,6 @@ def main(argv: list[str] | None = None) -> int:
         AnalysisError,
         SyncError,
         TagFormatError,
-        SessionMixError,
         json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

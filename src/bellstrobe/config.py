@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Geometry, QmStateModel, SettingsQuad, TransientModel
-from .sim import PS_PER_SECOND, ClockModel, PulsePlan, SourceConfig, StationConfig
+from .sim import PS_PER_SECOND, PulsePlan, SourceConfig, StationConfig
 
 SCHEMA_VERSION = 1
 
@@ -88,7 +88,7 @@ class AnalysisParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    geometry: Geometry = field(default_factory=lambda: Geometry(24.0))
+    geometry: Geometry = field(default_factory=Geometry)
     visibility: float = 0.980198  # 1:100 polarizer contrast
     pulses: PulsePlan = field(default_factory=PulsePlan)
     source: SourceConfig = field(default_factory=SourceConfig)
@@ -168,59 +168,18 @@ class ExperimentConfig:
         return digest[:12]
 
     def to_dict(self) -> dict:
-        def unpack(obj):
-            if dataclasses.is_dataclass(obj):
-                return {
-                    f.name: unpack(getattr(obj, f.name))
-                    for f in dataclasses.fields(obj)
-                }
-            if isinstance(obj, tuple):
-                return list(obj)
-            return obj
-
-        data = unpack(self)
-        data["schema_version"] = SCHEMA_VERSION
-        return data
+        return {**dataclasses.asdict(self), "schema_version": SCHEMA_VERSION}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """The inverse of `to_dict` (see `_decode`)."""
+        if not isinstance(data, dict):
+            raise ConfigError("bad config value: config is not an object")
         data = dict(data)
         version = data.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported config schema_version {version}")
-        try:
-            geometry = data.pop("geometry", {})
-            source = dict(data.pop("source", {}))
-            transient = source.pop("transient", {})
-
-            def station(path: str) -> StationConfig:
-                fields = dict(data.pop(path, {}))
-                clock = _block(f"{path}.clock", ClockModel, fields.pop("clock", {}))
-                return _block(path, StationConfig, {**fields, "clock": clock})
-
-            transient = _block(
-                "source.transient",
-                TransientModel,
-                {k: (tuple(v) if isinstance(v, list) else v) for k, v in transient.items()},
-            )
-            return cls(
-                geometry=_block("geometry", Geometry, geometry) if geometry else Geometry(24.0),
-                visibility=data.pop("visibility", 0.980198),
-                pulses=_block("pulses", PulsePlan, data.pop("pulses", {})),
-                source=_block("source", SourceConfig, {**source, "transient": transient}),
-                station_a=station("station_a"),
-                station_b=station("station_b"),
-                session=_block("session", SessionPlan, data.pop("session", {})),
-                analysis=_block("analysis", AnalysisParams, data.pop("analysis", {})),
-                quad=_block("quad", SettingsQuad, data.pop("quad", {})),
-                master_seed=int(data.pop("master_seed", 1)),
-            )
-        except ConfigError:
-            raise
-        except TypeError as exc:
-            raise ConfigError(f"bad config field: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+        return _decode(cls, data)
 
     def to_json(self, path: str | Path | None = None) -> str:
         text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -229,32 +188,53 @@ class ExperimentConfig:
         return text
 
     @classmethod
-    def from_json(cls, source: str | Path) -> "ExperimentConfig":
-        p = Path(source)
-        text = p.read_text() if p.exists() else str(source)
+    def from_json(cls, path: str | Path) -> "ExperimentConfig":
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 
-    def replace(self, **kwargs) -> "ExperimentConfig":
-        return dataclasses.replace(self, **kwargs)
 
-
-def _block(path: str, factory, fields: dict):
-    """One config block built from its fields; an error names the block, or
-    the field of a NaN or infinite value (json.loads accepts both, and NaN
-    passes a range check written as a comparison), by its dotted path."""
-    for name, value in fields.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"bad config value: {path}.{name} must be finite, got {value}")
+def _decode(cls, data: dict, path: str = ""):
+    """A `cls` dataclass built from its `dataclasses.asdict` form. A field
+    whose default is a dataclass is decoded as a nested block; a missing
+    field keeps its default. An error names the field or block by its dotted
+    path: an unknown key, a block that is not an object, a NaN or infinite
+    value (json.loads accepts both, and NaN passes a range check written as
+    a comparison), or a value that is not an int where the default is one.
+    The checks of `cls` itself are prefixed with the block's path."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = [repr(f"{path}.{key}" if path else key) for key in data if key not in fields]
+    if unknown:
+        raise ConfigError(f"unknown config field {', '.join(unknown)}")
+    kwargs = {}
+    for name, value in data.items():
+        where = f"{path}.{name}" if path else name
+        f = fields[name]
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        if dataclasses.is_dataclass(default):
+            if not isinstance(value, dict):
+                raise ConfigError(f"bad config value: {where} is not an object")
+            value = _decode(type(default), value, where)
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"bad config value: {where} must be finite, got {value}")
+        elif type(default) is int and type(value) is not int:
+            raise ConfigError(f"bad config value: {where} must be an integer, got {value!r}")
+        kwargs[name] = value
+    prefix = f"{path}: " if path else ""
     try:
-        return factory(**fields)
+        return cls(**kwargs)
     except TypeError as exc:
-        raise ConfigError(f"bad config field: {path}: {exc}") from exc
+        raise ConfigError(f"bad config field: {prefix}{exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"bad config value: {path}: {exc}") from exc
+        if isinstance(exc, ConfigError) and not path:
+            raise
+        raise ConfigError(f"bad config value: {prefix}{exc}") from exc
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict[str, object]) -> ExperimentConfig:
@@ -267,8 +247,6 @@ def apply_overrides(config: ExperimentConfig, overrides: dict[str, object]) -> E
             if key not in node or not isinstance(node[key], dict):
                 raise ConfigError(f"unknown config path {path!r}")
             node = node[key]
-        if leaf not in node:
-            raise ConfigError(f"unknown config field {path!r}")
         node[leaf] = value
     return ExperimentConfig.from_dict(data)
 
@@ -323,7 +301,7 @@ def desk_boosted(seed: int = 1, transient: TransientModel | None = None) -> Expe
 
 def desk_transient(mode: str, seed: int = 1) -> ExperimentConfig:
     """desk_boosted with an injected transient: theta = tau, floor 2."""
-    tau = Geometry(24.0).tau
+    tau = Geometry().tau
     transient = TransientModel(
         mode=mode,
         tau=tau,

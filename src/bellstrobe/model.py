@@ -9,7 +9,7 @@ pi-periodic. Outcomes are dichotomic (+1 / -1) at each station.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,8 +103,8 @@ class QmStateModel:
 class Geometry:
     """Straight-line station separation L and the light travel time tau = L/c."""
 
-    distance_straight_line: float
-    tau: float = field(default=0.0)
+    distance_straight_line: float = 24.0
+    tau: float = 0.0
 
     def __post_init__(self) -> None:
         if self.distance_straight_line <= 0:

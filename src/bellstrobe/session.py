@@ -498,44 +498,34 @@ def _require_keys(path: Path, data, keys: Sequence[str], run_keys: Sequence[str]
 
 
 def _read_manifest(path: Path) -> dict:
-    """Parsed manifest, each run record holding its directory under "_dir"."""
+    """Parsed manifest, its run records checked for the keys a run needs."""
     run_keys = ("index", "setting", "status", "file_a", "file_b")
     data = _require_keys(
         path, json.loads(path.read_text()), ("session_id", "config", "runs"), run_keys
     )
     if not isinstance(data["config"], dict):
         raise ana.AnalysisError(f"{path}: config is not an object")
-    for meta in data["runs"]:
-        meta["_dir"] = path.parent
     return data
 
 
-def _read_run(meta: dict) -> RunData:
+def _read_run(directory: Path, meta: dict) -> RunData:
     """A manifest run record's two tag files."""
-    _, ch_a, t_a = read_tag_arrays(meta["_dir"] / meta["file_a"])
-    _, ch_b, t_b = read_tag_arrays(meta["_dir"] / meta["file_b"])
+    _, ch_a, t_a = read_tag_arrays(directory / meta["file_a"])
+    _, ch_b, t_b = read_tag_arrays(directory / meta["file_b"])
     return RunData(meta["index"], meta["setting"], TagStream(ch_a, t_a), TagStream(ch_b, t_b))
 
 
-def analyze_session(
-    manifest_paths: Sequence[str | Path] | str | Path,
-) -> tuple[SessionSummary, ExperimentConfig]:
-    """File-based analysis of one session's manifest(s).
+def analyze_session(manifest_path: str | Path) -> tuple[SessionSummary, ExperimentConfig]:
+    """File-based analysis of the session a manifest lists.
 
-    Multiple manifests are accepted only if they carry the same session id
-    (data from different sessions are never summed). Unreadable ok-marked
-    runs are skipped with a warning and mark the summary degraded; zero
-    usable runs is an error.
+    Unreadable ok-marked runs are skipped with a warning and mark the
+    summary degraded; zero usable runs is an error.
     """
-    if isinstance(manifest_paths, (str, Path)):
-        manifest_paths = [manifest_paths]
-    manifests = [_read_manifest(Path(p)) for p in manifest_paths]
-    session_ids = {m["session_id"] for m in manifests}
-    if len(session_ids) > 1:
-        raise co.SessionMixError(f"manifests belong to different sessions: {sorted(session_ids)}")
-    config = ExperimentConfig.from_dict(manifests[0]["config"])
-    records = [meta for m in manifests for meta in m["runs"]]
-    return _run_session(records, _read_run, config), config
+    path = Path(manifest_path)
+    manifest = _read_manifest(path)
+    config = ExperimentConfig.from_dict(manifest["config"])
+    summary = _run_session(manifest["runs"], lambda meta: _read_run(path.parent, meta), config)
+    return summary, config
 
 
 # --- Emission of results ----------------------------------------------------

@@ -262,7 +262,8 @@ class TestTables:
         assert counts.totals()[0].tolist() == [1, 0, 0, 1]
 
     def test_unlabeled_run_rejected(self):
-        config = desk_boosted(seed=3).replace(
+        config = replace(
+            desk_boosted(seed=3),
             session=SessionPlan(run_duration=0.04, runs_per_experiment=4, dead_time=1.0)
         )
         run = simulate_run(config, 0)
@@ -271,7 +272,8 @@ class TestTables:
             process_run(run, config)
         run.setting_label = "ab"
         products = [process_run(run, config)]
-        scan = config.replace(
+        scan = replace(
+            config,
             session=replace(config.session, mode="scan_34", runs_per_experiment=34)
         )
         # the run's setting "ab" is unknown to a scan session's counts

@@ -1,13 +1,14 @@
 import json
 import math
 import re
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from bellstrobe.analysis import AnalysisError
-from bellstrobe.coinc import SessionMixError
 from bellstrobe.config import (
     AnalysisParams,
     ConfigError,
@@ -16,6 +17,7 @@ from bellstrobe.config import (
     apply_overrides,
     desk_boosted,
     desk_default,
+    desk_transient,
 )
 from bellstrobe.model import TransientModel
 from bellstrobe import session as session_module
@@ -34,7 +36,7 @@ from bellstrobe.tagfmt import read_tag_arrays, write_tags
 def tiny_config(seed=5, **session_kwargs):
     kwargs = dict(run_duration=0.04, runs_per_experiment=4, dead_time=1.0)
     kwargs.update(session_kwargs)
-    return desk_boosted(seed=seed).replace(session=SessionPlan(**kwargs))
+    return replace(desk_boosted(seed=seed), session=SessionPlan(**kwargs))
 
 
 def glitched_config():
@@ -50,6 +52,29 @@ def float_fields(node, prefix=""):
         elif isinstance(value, float):
             yield prefix + key
 
+
+def config_dict_with(path, value):
+    """ExperimentConfig().to_dict() with the dotted `path` set to `value`."""
+    data = ExperimentConfig().to_dict()
+    *parents, leaf = path.split(".")
+    node = data
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    return data
+
+
+INT_FIELDS = [
+    "pulses.fm_pulses_per_bit",
+    "session.runs_per_experiment",
+    "session.scan_points",
+    "analysis.min_coincidences",
+    "master_seed",
+]
+BLOCKS = [
+    "geometry", "pulses", "source", "source.transient", "station_a",
+    "station_a.clock", "station_b", "station_b.clock", "session", "analysis", "quad",
+]
 
 NON_FINITE_OVERRIDES = [
     f"{path}={value}"
@@ -88,17 +113,50 @@ class TestConfig:
             apply_overrides(ExperimentConfig(), {f"{station}.trigger_delay": 57.0004e-9})
         assert ExperimentConfig().trigger_delays_ps == (57_000, 57_000)
 
-    def test_json_roundtrip(self, tmp_path):
-        c = desk_boosted(seed=9)
+    @pytest.mark.parametrize(
+        "c", [desk_boosted(seed=9), desk_transient("oscillatory", 3)], ids=["boosted", "osc"]
+    )
+    def test_json_roundtrip(self, tmp_path, c):
         p = tmp_path / "config.json"
         c.to_json(p)
-        assert ExperimentConfig.from_json(p) == c
+        back = ExperimentConfig.from_json(p)
+        assert back == c
+        assert back.session_id() == c.session_id()
 
     def test_roundtrip_with_transient(self):
         c = desk_boosted(
             seed=3, transient=TransientModel(mode="monotone", tau=8e-8, theta=8e-8)
         )
         assert ExperimentConfig.from_dict(c.to_dict()) == c
+
+    def test_missing_fields_and_blocks_take_their_defaults(self):
+        assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+        for block in BLOCKS:
+            assert ExperimentConfig.from_dict(config_dict_with(block, {})) == ExperimentConfig()
+
+    @pytest.mark.parametrize("path", ["master_sed", "session.bogus", "station_a.clock.ofset"])
+    def test_unknown_key_rejected_with_its_path(self, path):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config field '{path}'")):
+            ExperimentConfig.from_dict(config_dict_with(path, 5))
+
+    @pytest.mark.parametrize("value", [4.0, True, "4"], ids=["float", "bool", "str"])
+    @pytest.mark.parametrize("path", INT_FIELDS)
+    def test_int_field_rejects_other_types_with_its_path(self, path, value):
+        with pytest.raises(ConfigError, match=re.escape(f"{path} must be an integer")):
+            ExperimentConfig.from_dict(config_dict_with(path, value))
+
+    @pytest.mark.parametrize("value", [5, [], None, "x"])
+    def test_block_that_is_not_an_object_rejected(self, value):
+        with pytest.raises(ConfigError, match="station_a is not an object"):
+            ExperimentConfig.from_dict(config_dict_with("station_a", value))
+        with pytest.raises(ConfigError, match="config is not an object"):
+            ExperimentConfig.from_dict(value)
+
+    def test_docs_config_example_is_the_default_config(self):
+        docs = Path(__file__).resolve().parents[1] / "docs" / "output-schemas.md"
+        section = docs.read_text().split("## `config.json` schema", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(example) == ExperimentConfig().to_dict()
 
     def test_pulse_duration_must_cover_5_tau(self):
         from bellstrobe.model import Geometry
@@ -128,7 +186,8 @@ class TestConfig:
         assert c8.run_settings() == ["ab", "ab'", "a'b", "a'b'"] * 2
 
     def test_scan_mode_settings(self):
-        c = desk_default().replace(
+        c = replace(
+            desk_default(),
             session=SessionPlan(run_duration=0.02, runs_per_experiment=34,
                                 mode="scan_34")
         )
@@ -279,19 +338,6 @@ class TestAnalyzeSession:
         with pytest.raises(AnalysisError):
             analyze_session(manifest_path)
 
-    def test_sessions_never_merged(self, tmp_path):
-        p1 = simulate_session(tiny_config(seed=5), tmp_path / "one")
-        p2 = simulate_session(tiny_config(seed=6), tmp_path / "two")
-        with pytest.raises(SessionMixError):
-            analyze_session([p1, p2])
-
-    def test_same_session_manifests_merge(self, tmp_path):
-        c = tiny_config()
-        p1 = simulate_session(c, tmp_path / "one")
-        p2 = simulate_session(c, tmp_path / "two")
-        summary, _ = analyze_session([p1, p2])
-        assert summary.runs_used == 8
-
     def test_sync_reports_present(self, tmp_path):
         c = tiny_config()
         summary, _ = analyze_session(simulate_session(c, tmp_path))
@@ -303,7 +349,8 @@ class TestAnalyzeSession:
 
 class TestScanSession:
     def test_scan_34_fits(self):
-        c = desk_boosted(seed=8).replace(
+        c = replace(
+            desk_boosted(seed=8),
             session=SessionPlan(run_duration=0.03, runs_per_experiment=34,
                                 mode="scan_34", dead_time=0.5),
             visibility=0.95,
@@ -373,7 +420,8 @@ class TestOutputs:
 
 
 def scan_config():
-    return desk_boosted(seed=8).replace(
+    return replace(
+        desk_boosted(seed=8),
         session=SessionPlan(run_duration=0.03, runs_per_experiment=34,
                             mode="scan_34", dead_time=0.5),
     )
@@ -550,15 +598,49 @@ class TestCli:
         assert manifest["config"]["master_seed"] == 99
         assert manifest["config"]["session"]["run_duration"] == 0.02
 
-    def test_missing_config_errors(self, tmp_path):
+    def test_missing_config_errors(self, tmp_path, capsys):
         from bellstrobe.cli import main
 
-        assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
+        missing, invalid = tmp_path / "nope.json", tmp_path / "invalid.json"
+        invalid.write_text('{"master_seed": ')
+        for path in (missing, invalid):
+            capsys.readouterr()
+            argv = ["simulate", "--config", str(path), "--name", "s", "--output", str(tmp_path)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+            assert not (tmp_path / "s").exists()
+
+    def test_unknown_config_key_errors_before_writing(self, tmp_path, capsys):
+        from bellstrobe.cli import main
+
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"master_sed": 5}))
+        capsys.readouterr()
+        argv = ["simulate", "--config", str(cfg_path), "--name", "s", "--output", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown config field 'master_sed'"
+        ]
+        assert not (tmp_path / "s").exists()
+
+    def test_analyze_takes_one_manifest(self, tmp_path, capsys):
+        from bellstrobe.cli import main
+
+        manifest = str(simulate_session(tiny_config(), tmp_path))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            main(["analyze", manifest, manifest])
+        assert exit_.value.code == 2
+        err = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(err) == 1 and manifest in err[0]
 
     @pytest.mark.parametrize("override", [
         "station_a.detector_efficiency=2",
         "source.pair_yield=-1",
         "pulses.fm_pulses_per_bit=0",
+        "pulses.fm_pulses_per_bit=1.5",
+        "session.runs_per_experiment=4.0",
         "pulses.fm_lengthen_fraction=1.5",
         "pulses.pulse_duration=3e-6",
         "analysis.slot_width=3e-9",  # does not divide the 2 us period

@@ -48,7 +48,8 @@ def test_station_b_clock_offset_leaves_counts_unchanged(boosted_counts, offset):
     # a whole-ps offset with no jitter moves every B tag by the same integer:
     # B's detections keep their place against B's own triggers
     config = desk_boosted(1)
-    config = config.replace(
+    config = replace(
+        config,
         station_b=replace(config.station_b, clock=ClockModel(offset=offset))
     )
     shifted = run_session_in_memory(config).counts
