@@ -11,14 +11,11 @@ __version__ = "0.1.0"
 from .model import (
     AngleSetting,
     Geometry,
-    OutcomePair,
-    QmStateModel,
     SettingsQuad,
     TransientModel,
     chsh_ideal,
     min_counts_for_gap,
     qm_classical_gap,
-    qm_joint_prob,
     transient_factors,
     visibility_from_contrast,
 )
@@ -30,9 +27,7 @@ __all__ = [
     "ClockModel",
     "ExperimentConfig",
     "Geometry",
-    "OutcomePair",
     "PulsePlan",
-    "QmStateModel",
     "SettingsQuad",
     "SourceConfig",
     "StationConfig",
@@ -41,7 +36,6 @@ __all__ = [
     "chsh_ideal",
     "min_counts_for_gap",
     "qm_classical_gap",
-    "qm_joint_prob",
     "transient_factors",
     "visibility_from_contrast",
     "__version__",

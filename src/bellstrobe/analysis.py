@@ -19,14 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from .coinc import Coincidences, SessionMixError, delta_t_histogram
-from .model import OUTCOME_LABELS, OUTCOME_ORDER
+from .model import OUTCOME_LABELS, OUTCOME_ORDER, OUTCOME_PARITY
 from .sim import PS_PER_SECOND
 from .sync import Detections
 
 DETECTOR_KEYS = ("A+", "A-", "B+", "B-")
 SEARCH_TAUS = 2.0  # detect_transient searches the first SEARCH_TAUS * tau of a pulse
-# oa * ob of each outcome: +1 where the two stations agree.
-OUTCOME_PARITY = np.array([oa * ob for oa, ob in OUTCOME_ORDER])
 # DETECTOR_OUTCOMES[d, o] is 1 when detector DETECTOR_KEYS[d] fired in outcome o.
 DETECTOR_OUTCOMES = np.array(
     [[int(pair[station] == sign) for pair in OUTCOME_ORDER]

@@ -133,8 +133,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     at_quad = model.qm_classical_gap()
     ok &= _check(
         "quantum-classical gap",
-        abs(scan.gap - 0.052) < 1e-3 and abs(at_quad.gap - 0.052) < 1e-3,
-        f"scan {scan.gap:.4f}, at pi/8 {at_quad.gap:.4f}",
+        abs(scan - 0.052) < 1e-3 and abs(at_quad - 0.052) < 1e-3,
+        f"scan {scan:.4f}, at pi/8 {at_quad:.4f}",
     )
 
     rng = np.random.default_rng(7)
@@ -220,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (
         ConfigError,
-        FileNotFoundError,
+        OSError,
         AnalysisError,
         SyncError,
         TagFormatError,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Geometry, QmStateModel, SettingsQuad, TransientModel
+from .model import Geometry, SettingsQuad, TransientModel
 from .sim import PS_PER_SECOND, PulsePlan, SourceConfig, StationConfig
 
 SCHEMA_VERSION = 1
@@ -129,10 +129,6 @@ class ExperimentConfig:
             to_ps(self.station_b.trigger_delay, "station_b.trigger_delay"),
         )
 
-    @property
-    def state_model(self) -> QmStateModel:
-        return QmStateModel(visibility=self.visibility)
-
     def pulses_per_run(self) -> int:
         return max(1, round(self.session.run_duration / self.pulses.base_period))
 
@@ -206,8 +202,10 @@ def _decode(cls, data: dict, path: str = ""):
     field keeps its default. An error names the field or block by its dotted
     path: an unknown key, a block that is not an object, a NaN or infinite
     value (json.loads accepts both, and NaN passes a range check written as
-    a comparison), or a value that is not an int where the default is one.
-    The checks of `cls` itself are prefixed with the block's path."""
+    a comparison), a value that is not an int where the default is one, or
+    one that is not an int or a float (a bool, a string, null) where the
+    default is a float. The checks of `cls` itself are prefixed with the
+    block's path."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = [repr(f"{path}.{key}" if path else key) for key in data if key not in fields]
     if unknown:
@@ -225,6 +223,8 @@ def _decode(cls, data: dict, path: str = ""):
             raise ConfigError(f"bad config value: {where} must be finite, got {value}")
         elif type(default) is int and type(value) is not int:
             raise ConfigError(f"bad config value: {where} must be an integer, got {value!r}")
+        elif type(default) is float and type(value) not in (int, float):
+            raise ConfigError(f"bad config value: {where} must be a number, got {value!r}")
         kwargs[name] = value
     prefix = f"{path}: " if path else ""
     try:

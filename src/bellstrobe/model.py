@@ -19,11 +19,8 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 # Canonical outcome order used for all 4-vectors of counts/probabilities.
 OUTCOME_ORDER = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 OUTCOME_LABELS = ("++", "+-", "-+", "--")
-
-
-def normalize_angle(theta: float) -> float:
-    """Map an analyzer angle into [0, pi)."""
-    return float(theta) % math.pi
+# oa * ob of each outcome: +1 where the two stations agree.
+OUTCOME_PARITY = np.array([oa * ob for oa, ob in OUTCOME_ORDER])
 
 
 @dataclass(frozen=True)
@@ -48,9 +45,9 @@ class SettingsQuad:
     b_prime: float = 3 * math.pi / 8
 
     def __post_init__(self) -> None:
-        if normalize_angle(self.a) == normalize_angle(self.a_prime):
+        if self.a % math.pi == self.a_prime % math.pi:
             raise ValueError("a and a' must be distinct modulo pi")
-        if normalize_angle(self.b) == normalize_angle(self.b_prime):
+        if self.b % math.pi == self.b_prime % math.pi:
             raise ValueError("b and b' must be distinct modulo pi")
 
     def settings(self) -> tuple[AngleSetting, AngleSetting, AngleSetting, AngleSetting]:
@@ -65,38 +62,6 @@ class SettingsQuad:
     @property
     def labels(self) -> tuple[str, str, str, str]:
         return ("ab", "ab'", "a'b", "a'b'")
-
-
-@dataclass(frozen=True)
-class OutcomePair:
-    """Dichotomic outcome pair: oa at station A, ob at station B, each +1 or -1."""
-
-    oa: int
-    ob: int
-
-    def __post_init__(self) -> None:
-        if self.oa not in (1, -1) or self.ob not in (1, -1):
-            raise ValueError(f"outcomes must be +1 or -1, got ({self.oa}, {self.ob})")
-
-    @property
-    def index(self) -> int:
-        """Position in OUTCOME_ORDER."""
-        return OUTCOME_ORDER.index((self.oa, self.ob))
-
-
-@dataclass(frozen=True)
-class QmStateModel:
-    """phi+ state with symmetric visibility loss.
-
-    The singles marginal is 1/2 per output regardless of setting; only the
-    correlation term carries the visibility.
-    """
-
-    visibility: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
 
 
 @dataclass(frozen=True)
@@ -118,25 +83,18 @@ class Geometry:
             )
 
 
-def qm_joint_prob(pair: OutcomePair, setting: AngleSetting, model: QmStateModel) -> float:
-    """Joint outcome probability for the phi+ state with reduced visibility.
-
-    P(oa, ob) = 1/4 * [1 + oa*ob*V*cos 2(alpha - beta)].
-    """
-    v = model.visibility
-    return 0.25 * (1.0 + pair.oa * pair.ob * v * math.cos(2.0 * setting.difference))
-
-
-def qm_joint_probs(setting: AngleSetting, model: QmStateModel) -> np.ndarray:
-    """All four joint probabilities, in OUTCOME_ORDER."""
-    return np.array(
-        [qm_joint_prob(OutcomePair(oa, ob), setting, model) for oa, ob in OUTCOME_ORDER]
-    )
-
-
-def qm_coincidence_prob(delta: float | np.ndarray, visibility: float = 1.0) -> float | np.ndarray:
-    """(+,+) coincidence probability vs angle difference: 1/4*(1 + V*cos 2*delta)."""
+def qm_coincidence_prob(
+    delta: float | np.ndarray, visibility: float | np.ndarray = 1.0
+) -> float | np.ndarray:
+    """(+,+) coincidence probability vs angle difference: 1/4*(1 + V*cos 2*delta).
+    With oa*ob*V in place of V it is the joint probability P(oa, ob)."""
     return 0.25 * (1.0 + visibility * np.cos(2.0 * np.asarray(delta, dtype=float)))
+
+
+def qm_joint_probs(setting: AngleSetting, visibility: float) -> np.ndarray:
+    """All four joint probabilities of the phi+ state with visibility V, in
+    OUTCOME_ORDER: P(oa, ob) = 1/4 * [1 + oa*ob*V*cos 2(alpha - beta)]."""
+    return qm_coincidence_prob(setting.difference, OUTCOME_PARITY * visibility)
 
 
 def classical_coincidence_prob(delta: float | np.ndarray) -> float | np.ndarray:
@@ -151,13 +109,7 @@ def classical_coincidence_prob(delta: float | np.ndarray) -> float | np.ndarray:
     return 0.5 * (1.0 - 2.0 * folded / np.pi)
 
 
-@dataclass(frozen=True)
-class GapResult:
-    gap: float
-    settings: tuple[float, ...]
-
-
-def qm_classical_gap() -> GapResult:
+def qm_classical_gap() -> float:
     """Quantum-classical coincidence-probability difference at the CHSH settings.
 
     Evaluated at the angle differences pi/8 and 3*pi/8, where the difference is
@@ -168,17 +120,15 @@ def qm_classical_gap() -> GapResult:
         abs(float(qm_coincidence_prob(d)) - float(classical_coincidence_prob(d)))
         for d in deltas
     ]
-    return GapResult(gap=gaps[0], settings=deltas)
+    return gaps[0]
 
 
-def scan_qm_classical_gap(step: float = 1e-4) -> GapResult:
+def scan_qm_classical_gap(step: float = 1e-4) -> float:
     """Brute-force |QM - classical| scan of the angle difference over [0, pi/2)."""
     if step <= 0:
         raise ValueError("step must be positive")
     d = np.arange(0.0, math.pi / 2, step)
-    gap = np.abs(qm_coincidence_prob(d) - classical_coincidence_prob(d))
-    i = int(np.argmax(gap))
-    return GapResult(gap=float(gap[i]), settings=(float(d[i]),))
+    return float(np.max(np.abs(qm_coincidence_prob(d) - classical_coincidence_prob(d))))
 
 
 def min_counts_for_gap(gap: float, k_sigma: float) -> int:
@@ -264,9 +214,7 @@ def _relaxation(t: np.ndarray, model: TransientModel, suppression: float) -> np.
     return f
 
 
-def carried_deficit(
-    model: TransientModel, pulse_duration: float, gap: float | np.ndarray
-) -> float | np.ndarray:
+def carried_deficit(model: TransientModel, pulse_duration: float, gap: np.ndarray) -> np.ndarray:
     """Suppression deficit carried across pulses when inter_pulse_memory > 0.
 
     One-pulse-memory approximation: the deviation still present at the end of
@@ -274,23 +222,20 @@ def carried_deficit(
     gap, and a fraction inter_pulse_memory of it re-enters the next pulse.
     """
     if model.mode == "none" or model.inter_pulse_memory == 0.0:
-        return np.zeros_like(np.asarray(gap, dtype=float)) if np.ndim(gap) else 0.0
+        return np.zeros_like(gap, dtype=float)
     # Suppression depth is independent of V here; callers pass the deficit on
     # the normalized product, which transient_factors rescales via its own F0.
-    end = _relaxation(np.atleast_1d(pulse_duration), model, 0.0)[0]
-    out = model.inter_pulse_memory * (1.0 - end) * np.exp(
-        -np.asarray(gap, dtype=float) / model.theta
-    )
-    return out if np.ndim(gap) else float(out)
+    end = _relaxation(np.array([pulse_duration]), model, 0.0)[0]
+    return model.inter_pulse_memory * (1.0 - end) * np.exp(-gap / model.theta)
 
 
 def transient_factors(
-    t: float | np.ndarray,
+    t: np.ndarray,
     model: TransientModel,
     eta0: float,
     visibility: float,
     carried: float | np.ndarray = 0.0,
-) -> tuple[float | np.ndarray, float | np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Multiplicative deviation factors at time t after the pulse start.
 
     Returns (s_factor, eta_factor): s_factor scales the correlation visibility,
@@ -300,31 +245,27 @@ def transient_factors(
     t >> tau. eta_factor is capped so eta0*eta_factor never exceeds 1 (the
     oscillatory mode can overshoot the quantum baseline).
 
-    Accepts a scalar or an array of times; returns matching shapes.
+    Takes an array of times and returns two arrays of its shape.
     """
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(tt < 0):
+    if np.any(t < 0):
         raise ValueError("t must be >= 0")
     if model.mode == "none":
-        ones = np.ones_like(tt)
-        return (1.0, 1.0) if scalar else (ones, ones)
+        ones = np.ones_like(t)
+        return ones, ones
 
     qm_product = TSIRELSON * visibility
     suppression = min(1.0, model.floor_product / qm_product) if qm_product > 0 else 1.0
-    f = _relaxation(tt, model, suppression)
+    f = _relaxation(t, model, suppression)
 
     carried_arr = np.asarray(carried, dtype=float)
     if np.any(carried_arr > 0.0):
         # Carried-over deviation from the previous pulse (see carried_deficit);
         # rescaled to this pulse's depth. Deepening only, so the floor holds.
-        extra = 1.0 - carried_arr * (1.0 - suppression) * np.exp(-tt / model.theta)
+        extra = 1.0 - carried_arr * (1.0 - suppression) * np.exp(-t / model.theta)
         f = np.minimum(f, extra)
 
     eta_factor = f**model.eta_share
     s_factor = f ** (1.0 - model.eta_share)
     if eta0 > 0:
         np.minimum(eta_factor, 1.0 / eta0, out=eta_factor)
-    if scalar:
-        return float(s_factor[0]), float(eta_factor[0])
     return s_factor, eta_factor

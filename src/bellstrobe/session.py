@@ -180,7 +180,7 @@ def simulate_run(config: ExperimentConfig, run_index: int) -> RunData:
         config.source,
         (config.station_a, config.station_b),
         AngleSetting(meta["alpha"], meta["beta"]),
-        config.state_model,
+        config.visibility,
         np.random.SeedSequence(config.master_seed).spawn(len(plan) + 1)[run_index],
         session_time=meta["session_time"],
     )
@@ -509,10 +509,18 @@ def _read_manifest(path: Path) -> dict:
 
 
 def _read_run(directory: Path, meta: dict) -> RunData:
-    """A manifest run record's two tag files."""
-    _, ch_a, t_a = read_tag_arrays(directory / meta["file_a"])
-    _, ch_b, t_b = read_tag_arrays(directory / meta["file_b"])
-    return RunData(meta["index"], meta["setting"], TagStream(ch_a, t_a), TagStream(ch_b, t_b))
+    """A manifest run record's two tag files; TagFormatError naming the file
+    if its header's station_id is not 0 for file_a and 1 for file_b."""
+    streams = []
+    for station_id, key in enumerate(("file_a", "file_b")):
+        header, channels, times = read_tag_arrays(directory / meta[key])
+        if header.station_id != station_id:
+            raise TagFormatError(
+                f"{meta[key]}: station_id {header.station_id} in a file listed as "
+                f"{key} (station {'AB'[station_id]} is {station_id})"
+            )
+        streams.append(TagStream(channels, times))
+    return RunData(meta["index"], meta["setting"], *streams)
 
 
 def analyze_session(manifest_path: str | Path) -> tuple[SessionSummary, ExperimentConfig]:

@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    AngleSetting,
-    QmStateModel,
-    TransientModel,
-    carried_deficit,
-    transient_factors,
-)
+from .model import AngleSetting, TransientModel, carried_deficit, transient_factors
 
 CHANNEL_PLUS = 1
 CHANNEL_MINUS = 2
@@ -323,7 +317,7 @@ def emit_events(
     source: SourceConfig,
     stations: tuple[StationConfig, StationConfig],
     setting: AngleSetting,
-    model: QmStateModel,
+    visibility: float,
     seed,
     session_time: float = 0.0,
 ) -> tuple[TagStream, TagStream]:
@@ -365,14 +359,14 @@ def emit_events(
         carry = 0.0
     del periods
     s_factor, eta_factor = transient_factors(
-        t_emit, transient, eta0, model.visibility, carried=carry
+        t_emit, transient, eta0, visibility, carried=carry
     )
 
     pulse_start = starts[pulse_idx]
     del pulse_idx
     wall_hours = (session_time + pulse_start) / 3600.0
     v_eff = np.clip(
-        model.visibility * (1.0 - source.visibility_drift * wall_hours) * s_factor,
+        visibility * (1.0 - source.visibility_drift * wall_hours) * s_factor,
         0.0,
         1.0,
     )

@@ -66,11 +66,11 @@ def test_criterion_04_gap_verification():
         )
         assert abs(g - 0.052) < 1e-3
     scanned = model.scan_qm_classical_gap(step=1e-4)
-    assert scanned.gap == pytest.approx(gap.max(), abs=1e-9)
+    assert scanned == pytest.approx(gap.max(), abs=1e-9)
     report(
         "criterion 4",
-        f"scan max gap {scanned.gap:.4f}; gap at pi/8 and 3pi/8 = "
-        f"{model.qm_classical_gap().gap:.4f}",
+        f"scan max gap {scanned:.4f}; gap at pi/8 and 3pi/8 = "
+        f"{model.qm_classical_gap():.4f}",
     )
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from bellstrobe.analysis import (
     DETECTOR_KEYS,
     DETECTOR_OUTCOMES,
-    OUTCOME_PARITY,
     AnalysisError,
     SignificanceError,
     SlotCounts,
@@ -28,7 +27,7 @@ from bellstrobe.analysis import (
     significance_mask,
 )
 from bellstrobe.coinc import Coincidences, delta_t_edges, delta_t_histogram
-from bellstrobe.model import TSIRELSON, OUTCOME_LABELS, OUTCOME_ORDER
+from bellstrobe.model import TSIRELSON, OUTCOME_LABELS, OUTCOME_ORDER, OUTCOME_PARITY
 from bellstrobe.sim import TagStream
 from bellstrobe.sync import Detections, assign_to_pulses
 
@@ -310,12 +309,11 @@ class TestCorrelator:
 
 def ideal_slot_counts(visibility, n_each_slot, n_slots=25):
     """Noise-free per-slot counts for the 4 quad settings (rounded)."""
-    from bellstrobe.model import SettingsQuad, QmStateModel, qm_joint_probs
+    from bellstrobe.model import SettingsQuad, qm_joint_probs
 
     tables = np.zeros((4, n_slots, 4), dtype=np.int64)
-    model = QmStateModel(visibility)
     for i, setting in enumerate(SettingsQuad().settings()):
-        probs = qm_joint_probs(setting, model)
+        probs = qm_joint_probs(setting, visibility)
         tables[i, :, :] = np.round(probs * n_each_slot).astype(np.int64)
     return tables
 

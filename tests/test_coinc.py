@@ -322,7 +322,7 @@ class TestDeltaHistogram:
     def test_spread_matches_quadrature_jitter(self):
         # simulated pairs with 2 ns detector jitter on both stations: the
         # delta_t spread is sqrt(2) x 2 ns (window widened so nothing truncates)
-        from bellstrobe.model import AngleSetting, QmStateModel
+        from bellstrobe.model import AngleSetting
         from bellstrobe.sim import (
             CHANNEL_TRIGGER, PulsePlan, SourceConfig, StationConfig, emit_events,
         )
@@ -332,7 +332,7 @@ class TestDeltaHistogram:
                            detector_jitter_sigma=2e-9)
         plan, n_pulses = PulsePlan(), 60_000
         a, b = emit_events(plan, n_pulses, SourceConfig(pair_yield=0.2), (st, st),
-                           AngleSetting(0, 0), QmStateModel(1.0), 17)
+                           AngleSetting(0, 0), 1.0, 17)
         delay_ps = to_ps(st.trigger_delay, "trigger_delay")
         det_a, det_b = (
             assign_to_pulses(s, s.times_ps[s.channels == CHANNEL_TRIGGER], delay_ps)

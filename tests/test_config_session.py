@@ -145,6 +145,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{path} must be an integer")):
             ExperimentConfig.from_dict(config_dict_with(path, value))
 
+    @pytest.mark.parametrize("value", ["abc", True, None], ids=["str", "bool", "null"])
+    @pytest.mark.parametrize(
+        "path", ["visibility", "session.run_duration", "station_a.clock.offset"]
+    )
+    def test_float_field_rejects_other_types_with_its_path(self, path, value):
+        message = f"bad config value: {path} must be a number, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_dict(config_dict_with(path, value))
+
     @pytest.mark.parametrize("value", [5, [], None, "x"])
     def test_block_that_is_not_an_object_rejected(self, value):
         with pytest.raises(ConfigError, match="station_a is not an object"):
@@ -295,6 +304,20 @@ class TestAnalyzeSession:
         assert summary.degraded
         assert summary.runs_skipped == [{"run": 1, "reason": mock.ANY}]
         assert "truncated record" in summary.runs_skipped[0]["reason"]
+        assert summary.runs_used == 7
+
+    def test_swapped_station_files_skip_only_that_run(self, tmp_path):
+        # run 1's manifest record lists its B file as file_a and its A file
+        # as file_b: read as they stand, A's and B's rows would be exchanged
+        c = tiny_config(runs_per_experiment=8)
+        manifest_path = simulate_session(c, tmp_path)
+        manifest = json.loads(manifest_path.read_text())
+        run = manifest["runs"][1]
+        run["file_a"], run["file_b"] = run["file_b"], run["file_a"]
+        manifest_path.write_text(json.dumps(manifest))
+        summary, _ = analyze_session(manifest_path)
+        assert summary.runs_skipped == [{"run": 1, "reason": mock.ANY}]
+        assert summary.runs_skipped[0]["reason"].startswith("run001_B.tags: station_id 1")
         assert summary.runs_used == 7
 
     def test_clock_fit_failure_skips_only_that_run(self, tmp_path):
@@ -624,6 +647,14 @@ class TestCli:
         ]
         assert not (tmp_path / "s").exists()
 
+    def test_analyze_on_a_directory_errors(self, tmp_path, capsys):
+        from bellstrobe.cli import main
+
+        capsys.readouterr()
+        assert main(["analyze", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path) in err[0]
+
     def test_analyze_takes_one_manifest(self, tmp_path, capsys):
         from bellstrobe.cli import main
 
@@ -644,6 +675,8 @@ class TestCli:
         "pulses.fm_lengthen_fraction=1.5",
         "pulses.pulse_duration=3e-6",
         "analysis.slot_width=3e-9",  # does not divide the 2 us period
+        "session.run_duration=abc",
+        "station_b.dark_rate=true",
         *NON_FINITE_OVERRIDES,
     ])
     def test_invalid_config_value_errors_before_writing(self, tmp_path, capsys, override):

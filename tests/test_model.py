@@ -4,51 +4,46 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bellstrobe.config import ConfigError, ExperimentConfig
 from bellstrobe.model import (
+    OUTCOME_ORDER,
     TSIRELSON,
     AngleSetting,
     Geometry,
-    OutcomePair,
-    QmStateModel,
     SettingsQuad,
     TransientModel,
+    carried_deficit,
     chsh_ideal,
     classical_coincidence_prob,
     min_counts_for_gap,
     qm_classical_gap,
     qm_coincidence_prob,
-    qm_joint_prob,
     qm_joint_probs,
     scan_qm_classical_gap,
     transient_factors,
     visibility_from_contrast,
 )
 
-V1 = QmStateModel(visibility=1.0)
-
 
 class TestJointProbability:
     def test_perfect_correlation_at_equal_angles(self):
-        s = AngleSetting(0.0, 0.0)
-        assert qm_joint_prob(OutcomePair(1, 1), s, V1) == pytest.approx(0.5)
-        assert qm_joint_prob(OutcomePair(1, -1), s, V1) == pytest.approx(0.0)
+        probs = qm_joint_probs(AngleSetting(0.0, 0.0), 1.0)
+        assert probs[OUTCOME_ORDER.index((1, 1))] == pytest.approx(0.5)
+        assert probs[OUTCOME_ORDER.index((1, -1))] == pytest.approx(0.0)
 
     def test_pi_eighth_value(self):
         # independent oracle: P(+,+) = cos^2(alpha-beta)/2 for the phi+ state
         expected = 0.5 * math.cos(math.pi / 8) ** 2
-        got = qm_joint_prob(OutcomePair(1, 1), AngleSetting(0.0, math.pi / 8), V1)
+        got = qm_joint_probs(AngleSetting(0.0, math.pi / 8), 1.0)[OUTCOME_ORDER.index((1, 1))]
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.42678, abs=5e-6)
 
     def test_invalid_visibility_rejected(self):
-        with pytest.raises(ValueError):
-            QmStateModel(visibility=1.2)
-        with pytest.raises(ValueError):
-            QmStateModel(visibility=-0.1)
-
-    def test_invalid_outcome_rejected(self):
-        with pytest.raises(ValueError):
-            OutcomePair(0, 1)
+        # V is checked once, where it enters the config
+        with pytest.raises(ConfigError):
+            ExperimentConfig(visibility=1.2)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(visibility=-0.1)
 
     @given(
         alpha=st.floats(-10, 10),
@@ -56,9 +51,7 @@ class TestJointProbability:
         v=st.floats(0, 1),
     )
     def test_normalization_and_marginals(self, alpha, beta, v):
-        model = QmStateModel(visibility=v)
-        setting = AngleSetting(alpha, beta)
-        probs = qm_joint_probs(setting, model)
+        probs = qm_joint_probs(AngleSetting(alpha, beta), v)
         assert np.all(probs >= 0) and np.all(probs <= 1)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         # marginal of A's + outcome and B's + outcome are exactly 1/2
@@ -70,20 +63,17 @@ class TestJointProbability:
         for _ in range(100):
             alpha, beta1, beta2 = rng.uniform(0, math.pi, 3)
             v = rng.uniform(0, 1)
-            m = QmStateModel(visibility=v)
-            p1 = qm_joint_probs(AngleSetting(alpha, beta1), m)
-            p2 = qm_joint_probs(AngleSetting(alpha, beta2), m)
+            p1 = qm_joint_probs(AngleSetting(alpha, beta1), v)
+            p2 = qm_joint_probs(AngleSetting(alpha, beta2), v)
             assert p1[0] + p1[1] == pytest.approx(p2[0] + p2[1], abs=1e-12)
-            p3 = qm_joint_probs(AngleSetting(beta1, alpha), m)
-            p4 = qm_joint_probs(AngleSetting(beta2, alpha), m)
+            p3 = qm_joint_probs(AngleSetting(beta1, alpha), v)
+            p4 = qm_joint_probs(AngleSetting(beta2, alpha), v)
             assert p3[0] + p3[2] == pytest.approx(p4[0] + p4[2], abs=1e-12)
 
 
 class TestClassicalGap:
     def test_gap_at_chsh_settings(self):
-        result = qm_classical_gap()
-        assert result.gap == pytest.approx(0.052, abs=1e-3)
-        assert result.settings == pytest.approx((math.pi / 8, 3 * math.pi / 8))
+        assert qm_classical_gap() == pytest.approx(0.052, abs=1e-3)
 
     def test_gap_vanishes_at_aligned_settings(self):
         assert qm_coincidence_prob(0.0) == pytest.approx(classical_coincidence_prob(0.0))
@@ -98,8 +88,8 @@ class TestClassicalGap:
         p_cl = 0.5 * (1 - 2 * np.abs(d) / math.pi)
         oracle_max = np.max(np.abs(p_qm - p_cl))
         scanned = scan_qm_classical_gap(step=1e-4)
-        assert scanned.gap == pytest.approx(oracle_max, abs=1e-9)
-        assert abs(scanned.gap - 0.052) < 1e-3
+        assert scanned == pytest.approx(oracle_max, abs=1e-9)
+        assert abs(scanned - 0.052) < 1e-3
 
 
 class TestMinCounts:
@@ -175,20 +165,19 @@ class TestTransientFactors:
     TAU = 80e-9
 
     def test_none_mode_is_identity(self):
-        m = TransientModel()
-        for t in (0.0, 1e-9, 1e-3):
-            assert transient_factors(t, m, 0.1, 1.0) == (1.0, 1.0)
+        s, e = transient_factors(np.array([0.0, 1e-9, 1e-3]), TransientModel(), 0.1, 1.0)
+        assert s.tolist() == e.tolist() == [1.0, 1.0, 1.0]
 
     def test_monotone_floor_at_zero(self):
         m = TransientModel(mode="monotone", tau=self.TAU, theta=self.TAU)
-        s, e = transient_factors(0.0, m, 1.0, 1.0)
-        assert s == pytest.approx(2 / (2 * math.sqrt(2)), abs=1e-12)
-        assert e == 1.0
+        s, e = transient_factors(np.array([0.0]), m, 1.0, 1.0)
+        assert s[0] == pytest.approx(2 / (2 * math.sqrt(2)), abs=1e-12)
+        assert e[0] == 1.0
 
     def test_relaxed_after_ten_theta(self):
         m = TransientModel(mode="monotone", tau=self.TAU, theta=self.TAU)
-        s, e = transient_factors(self.TAU + 10 * self.TAU, m, 1.0, 1.0)
-        assert abs(s - 1.0) < 1e-4 and abs(e - 1.0) < 1e-4
+        s, e = transient_factors(np.array([self.TAU + 10 * self.TAU]), m, 1.0, 1.0)
+        assert abs(s[0] - 1.0) < 1e-4 and abs(e[0] - 1.0) < 1e-4
 
     def test_oscillatory_requires_longer_period(self):
         with pytest.raises(ValueError):
@@ -214,9 +203,9 @@ class TestTransientFactors:
 
     def test_eta_share_splits_suppression(self):
         m = TransientModel(mode="monotone", tau=self.TAU, theta=self.TAU, eta_share=0.5)
-        s, e = transient_factors(0.0, m, 0.5, 1.0)
-        assert s == pytest.approx(e)
-        assert s * e == pytest.approx(2 / TSIRELSON)
+        s, e = transient_factors(np.array([0.0]), m, 0.5, 1.0)
+        assert s[0] == pytest.approx(e[0])
+        assert s[0] * e[0] == pytest.approx(2 / TSIRELSON)
 
     def test_eta_factor_capped_by_unit_efficiency(self):
         # oscillatory overshoot must never push eta0*eta_factor above 1
@@ -229,16 +218,14 @@ class TestTransientFactors:
     def test_negative_time_rejected(self):
         m = TransientModel(mode="monotone")
         with pytest.raises(ValueError):
-            transient_factors(-1e-9, m, 1.0, 1.0)
+            transient_factors(np.array([-1e-9]), m, 1.0, 1.0)
 
     def test_inter_pulse_memory_deepens_start(self):
         base = TransientModel(mode="monotone", tau=self.TAU, theta=10 * self.TAU)
-        from bellstrobe.model import carried_deficit
-
         mem = TransientModel(mode="monotone", tau=self.TAU, theta=10 * self.TAU,
                              inter_pulse_memory=1.0)
-        carry = carried_deficit(mem, pulse_duration=500e-9, gap=1.5e-6)
-        assert carry > 0
+        carry = carried_deficit(mem, pulse_duration=500e-9, gap=np.array([1.5e-6]))
+        assert carry[0] > 0
         t = np.array([2 * self.TAU])  # just after the floor window
         s_base, _ = transient_factors(t, base, 1.0, 1.0)
         s_mem, _ = transient_factors(t, mem, 1.0, 1.0, carried=carry)

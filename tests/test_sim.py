@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bellstrobe.config import to_ps
-from bellstrobe.model import AngleSetting, QmStateModel, qm_joint_probs
+from bellstrobe.model import OUTCOME_PARITY, AngleSetting, Geometry, TransientModel, qm_joint_probs
 from bellstrobe.sim import (
     CHANNEL_TRIGGER,
     DRAW_CHUNK,
@@ -21,7 +21,6 @@ from bellstrobe.sim import (
     emit_events,
     prbs_bits,
 )
-from bellstrobe.analysis import OUTCOME_PARITY
 from bellstrobe.sync import assign_to_pulses
 from bellstrobe.coinc import match_coincidences
 
@@ -83,7 +82,7 @@ class TestEmitTrivials:
         src = SourceConfig(pair_yield=0.0)
         st = StationConfig(dark_rate=0.0)
         a, b = emit_events(
-            plan, n_pulses, src, (st, st), AngleSetting(0, 0), QmStateModel(), 1
+            plan, n_pulses, src, (st, st), AngleSetting(0, 0), 1.0, 1
         )
         assert np.all(a.channels == CHANNEL_TRIGGER)
         assert np.all(b.channels == CHANNEL_TRIGGER)
@@ -94,7 +93,7 @@ class TestEmitTrivials:
         src = SourceConfig(pair_yield=0.2)
         a, b = emit_events(
             plan, n_pulses, src, (NO_NOISE, NO_NOISE), AngleSetting(0.3, 0.3),
-            QmStateModel(1.0), 7,
+            1.0, 7,
         )
         det_a = assign(a, NO_NOISE.trigger_delay)
         det_b = assign(b, NO_NOISE.trigger_delay)
@@ -107,12 +106,38 @@ class TestEmitTrivials:
         src = SourceConfig()
         st = StationConfig()
         setting = AngleSetting(0, math.pi / 8)
-        args = (plan, n_pulses, src, (st, st), setting, QmStateModel(0.98))
+        args = (plan, n_pulses, src, (st, st), setting, 0.98)
         a1, b1 = emit_events(*args, 42)
         a2, b2 = emit_events(*args, 42)
         assert a1 == a2 and b1 == b2
         a3, _ = emit_events(*args, 43)
         assert a3 != a1
+
+
+class TestEmitTransient:
+    def test_inter_pulse_memory_only_removes_detections(self):
+        # With eta_share 1 the whole suppression is in the efficiency
+        # channel, and a carried deficit can only lower eta_factor: the same
+        # draws keep a subset of the detections. The oscillatory family is
+        # used because only there does a carry change a factor today; in
+        # monotone mode the relaxation already lies below the carried term.
+        tau = Geometry().tau
+        station = StationConfig(detector_efficiency=0.9, detector_jitter_sigma=0.5e-9)
+        tags = {}
+        for memory in (0.3, 0.0):
+            transient = TransientModel(
+                mode="oscillatory", tau=tau, theta=10 * tau, osc_period=6 * tau,
+                eta_share=1.0, inter_pulse_memory=memory,
+            )
+            source = SourceConfig(pair_yield=0.2, transient=transient)
+            streams = emit_events(
+                PulsePlan(), 20_000, source, (station, station), AngleSetting(0, 0), 0.98, 5
+            )
+            tags[memory] = [
+                set(zip(s.channels.tolist(), s.times_ps.tolist())) for s in streams
+            ]
+        for with_memory, without in zip(tags[0.3], tags[0.0]):
+            assert with_memory < without
 
 
 class TestEmitStatistics:
@@ -121,7 +146,7 @@ class TestEmitStatistics:
         plan, n_pulses = PulsePlan(), 1_000_000
         st = StationConfig(dark_rate=0.0)
         a, b = emit_events(
-            plan, n_pulses, SourceConfig(), (st, st), AngleSetting(0, 0), QmStateModel(1.0), 11
+            plan, n_pulses, SourceConfig(), (st, st), AngleSetting(0, 0), 1.0, 11
         )
         trig_a = triggers_of(a)
         occupied = set()
@@ -134,22 +159,21 @@ class TestEmitStatistics:
         assert abs(fraction - 0.02) < 0.001
 
     def test_joint_frequencies_match_model(self):
-        # full-pipeline frequencies vs qm_joint_prob, 4 sigma binomial,
+        # full-pipeline frequencies vs qm_joint_probs, 4 sigma binomial,
         # >= 1e6 pairs across the 4 settings
         from bellstrobe.model import SettingsQuad
 
         plan, n_pulses = PulsePlan(), 900_000
         src = SourceConfig(pair_yield=0.3, visibility_drift=0.0)
-        model = QmStateModel(1.0)
         for setting in SettingsQuad().settings():
-            a, b = emit_events(plan, n_pulses, src, (NO_NOISE, NO_NOISE), setting, model, 23)
+            a, b = emit_events(plan, n_pulses, src, (NO_NOISE, NO_NOISE), setting, 1.0, 23)
             det_a = assign(a, NO_NOISE.trigger_delay)
             det_b = assign(b, NO_NOISE.trigger_delay)
             rec = match_coincidences(det_a, det_b, WINDOW_PS)
             n = len(rec)
             assert n > 250_000
             counts = np.bincount(rec.outcome, minlength=4)
-            probs = qm_joint_probs(setting, model)
+            probs = qm_joint_probs(setting, 1.0)
             for k in range(4):
                 sigma = math.sqrt(n * probs[k] * (1 - probs[k]))
                 assert abs(counts[k] - n * probs[k]) < 4 * sigma, (
@@ -160,9 +184,8 @@ class TestEmitStatistics:
         # 0.006/h for 10 h of session wall time knocks 6% off the visibility
         plan, n_pulses = PulsePlan(), 600_000
         src = SourceConfig(pair_yield=0.3, visibility_drift=0.006)
-        model = QmStateModel(0.98)
         a, b = emit_events(
-            plan, n_pulses, src, (NO_NOISE, NO_NOISE), AngleSetting(0, 0), model, 13,
+            plan, n_pulses, src, (NO_NOISE, NO_NOISE), AngleSetting(0, 0), 0.98, 13,
             session_time=10 * 3600.0,
         )
         det_a = assign(a, NO_NOISE.trigger_delay)
@@ -177,7 +200,7 @@ class TestEmitStatistics:
         st = StationConfig()  # 200/s darks
         a, _ = emit_events(
             plan, n_pulses, SourceConfig(pair_yield=0.0), (st, st), AngleSetting(0, 0),
-            QmStateModel(1.0), 9,
+            1.0, 9,
         )
         det = assign(a, st.trigger_delay)
         out_of_pulse = det.intra_ps >= plan.pulse_duration * 1e12
@@ -324,7 +347,7 @@ class TestDrawBlocks:
         try:
             streams = emit_events(
                 plan, n_pulses, SourceConfig(), (StationConfig(), StationConfig(clock=clock_b)),
-                AngleSetting(0, math.pi / 8), QmStateModel(0.98), 1,
+                AngleSetting(0, math.pi / 8), 0.98, 1,
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -341,7 +364,7 @@ class TestTriggerInvariant:
         st_b = StationConfig(dark_rate=0.0, clock=clock_b)
         a, b = emit_events(
             plan, n_pulses, SourceConfig(pair_yield=0.05), (st_a, st_b),
-            AngleSetting(0, 0), QmStateModel(1.0), 31,
+            AngleSetting(0, 0), 1.0, 31,
         )
         ta = triggers_of(a).astype(np.float64)
         tb = triggers_of(b).astype(np.float64)
