@@ -267,13 +267,11 @@ def in_pulse_slots(singles_total: np.ndarray) -> np.ndarray:
 
     The overall median seeds the split (valid for duty cycles below 50%), then
     the threshold is refined against the median of the slots left outside.
+    Counts are non-negative, so the slots at or below the median stay outside.
     """
     s = np.asarray(singles_total, dtype=np.float64)
     rough = s > 10.0 * np.median(s)
-    if rough.all() or not rough.any():
-        return s > 10.0 * np.median(s)
-    out_median = np.median(s[~rough])
-    return s > 10.0 * out_median
+    return s > 10.0 * np.median(s[~rough])
 
 
 @dataclass
@@ -293,6 +291,7 @@ class SlotSeries:
     sigma_eta: np.ndarray = field(init=False)
     product: np.ndarray = field(init=False)  # S(t)*eta_det(t), (4, n_slots)
     sigma_product: np.ndarray = field(init=False)
+    in_pulse: np.ndarray = field(init=False)  # (n_slots,) bool, in_pulse_slots
 
     def __post_init__(self) -> None:
         self.coincidences = np.asarray(self.coincidences, dtype=np.int64)
@@ -308,6 +307,7 @@ class SlotSeries:
         self.product, self.sigma_product = product_series(
             self.s, self.sigma_s, self.eta, self.sigma_eta
         )
+        self.in_pulse = in_pulse_slots(self.singles_total)
 
     @property
     def singles_total(self) -> np.ndarray:
@@ -342,7 +342,7 @@ def plateau_summary(series: SlotSeries) -> PlateauSummary:
     over the defined in-pulse slots; all-data values come from totals over the
     whole grid, so the all-data eta sees the out-of-pulse dark singles too.
     """
-    mask = in_pulse_slots(series.singles_total)
+    mask = series.in_pulse
     if not mask.any():
         raise AnalysisError("empty in-pulse slot range")
     idx = np.flatnonzero(mask)

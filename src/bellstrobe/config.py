@@ -202,9 +202,10 @@ def _decode(cls, data: dict, path: str = ""):
     field keeps its default. An error names the field or block by its dotted
     path: an unknown key, a block that is not an object, a NaN or infinite
     value (json.loads accepts both, and NaN passes a range check written as
-    a comparison), a value that is not an int where the default is one, or
+    a comparison), a value that is not an int where the default is one,
     one that is not an int or a float (a bool, a string, null) where the
-    default is a float. The checks of `cls` itself are prefixed with the
+    default is a float, or one that is neither a number nor null where the
+    default is null. The checks of `cls` itself are prefixed with the
     block's path."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = [repr(f"{path}.{key}" if path else key) for key in data if key not in fields]
@@ -225,6 +226,10 @@ def _decode(cls, data: dict, path: str = ""):
             raise ConfigError(f"bad config value: {where} must be an integer, got {value!r}")
         elif type(default) is float and type(value) not in (int, float):
             raise ConfigError(f"bad config value: {where} must be a number, got {value!r}")
+        elif default is None and value is not None and type(value) not in (int, float):
+            raise ConfigError(
+                f"bad config value: {where} must be a number or null, got {value!r}"
+            )
         kwargs[name] = value
     prefix = f"{path}: " if path else ""
     try:

@@ -243,7 +243,9 @@ def transient_factors(
     the efficiency-normalized product 2*sqrt(2)*V*s_factor*eta_factor is held at
     min(floor_product, QM value) for t <= tau and relaxes to the QM value for
     t >> tau. eta_factor is capped so eta0*eta_factor never exceeds 1 (the
-    oscillatory mode can overshoot the quantum baseline).
+    oscillatory mode can overshoot the quantum baseline). A `carried` deficit
+    c (see carried_deficit) lowers the factor on the product by
+    c*(1 - F0)*exp(-t/theta), F0 being its floor, and never below 0.
 
     Takes an array of times and returns two arrays of its shape.
     """
@@ -259,10 +261,11 @@ def transient_factors(
 
     carried_arr = np.asarray(carried, dtype=float)
     if np.any(carried_arr > 0.0):
-        # Carried-over deviation from the previous pulse (see carried_deficit);
-        # rescaled to this pulse's depth. Deepening only, so the floor holds.
-        extra = 1.0 - carried_arr * (1.0 - suppression) * np.exp(-t / model.theta)
-        f = np.minimum(f, extra)
+        # Carried-over deviation from the previous pulse (see carried_deficit),
+        # rescaled to this pulse's depth and added to its deficit. Deepening
+        # only, so the floor holds.
+        f = f - carried_arr * (1.0 - suppression) * np.exp(-t / model.theta)
+        np.maximum(f, 0.0, out=f)
 
     eta_factor = f**model.eta_share
     s_factor = f ** (1.0 - model.eta_share)

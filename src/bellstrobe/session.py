@@ -344,10 +344,9 @@ def analyze_products(
     significant = ana.significance_mask(
         series.coincidences, config.analysis.min_coincidences
     )
-    in_pulse = ana.in_pulse_slots(series.singles_total)
     try:
         summary.flatness = ana.chi_square_vs_constant(
-            series.s, series.sigma_s, in_pulse
+            series.s, series.sigma_s, series.in_pulse
         )
     except ana.AnalysisError:
         pass
@@ -365,11 +364,11 @@ def analyze_products(
         log.warning("transient test not run: %s", exc)
         summary.transient_error = str(exc)
 
-    summary.eq1 = _eq1_block(series, summary.plateau, expectations)
+    summary.eq1 = _eq1_block(series, expectations)
     summary.significance = {
         "min_coincidences": config.analysis.min_coincidences,
         "n_significant_slots": int(significant.sum()),
-        "n_in_pulse_slots": int(in_pulse.sum()),
+        "n_in_pulse_slots": int(series.in_pulse.sum()),
     }
     return summary
 
@@ -400,9 +399,7 @@ def _summary_of(
     return summary
 
 
-def _eq1_block(
-    series: ana.SlotSeries, plateau: ana.PlateauSummary, expectations: dict
-) -> dict:
+def _eq1_block(series: ana.SlotSeries, expectations: dict) -> dict:
     """Product-bound bookkeeping for the headline detector A+ (row 0).
 
     The measured product must stay below 2 everywhere (limited efficiency);
@@ -412,10 +409,9 @@ def _eq1_block(
     prod = series.product[0]
     sig = series.sigma_product[0]
     defined = ~np.isnan(prod)
-    mask = ana.in_pulse_slots(series.singles_total)
     eta0 = expectations["eta0"]["A+"]
 
-    plateau_sel = mask & defined
+    plateau_sel = series.in_pulse & defined
     rescaled_mean = float(np.mean(prod[plateau_sel]) / eta0) if plateau_sel.any() else math.nan
     rescaled_sigma = (
         float(np.sqrt(np.mean(sig[plateau_sel] ** 2) / plateau_sel.sum()) / eta0)
@@ -509,11 +505,15 @@ def _read_manifest(path: Path) -> dict:
 
 
 def _read_run(directory: Path, meta: dict) -> RunData:
-    """A manifest run record's two tag files; TagFormatError naming the file
-    if its header's station_id is not 0 for file_a and 1 for file_b."""
+    """A manifest run record's two tag files. A TagFormatError names the
+    file: the reader's own, or one raised when the header's station_id is
+    not 0 for file_a and 1 for file_b."""
     streams = []
     for station_id, key in enumerate(("file_a", "file_b")):
-        header, channels, times = read_tag_arrays(directory / meta[key])
+        try:
+            header, channels, times = read_tag_arrays(directory / meta[key])
+        except TagFormatError as exc:
+            raise TagFormatError(f"{meta[key]}: {exc}") from exc
         if header.station_id != station_id:
             raise TagFormatError(
                 f"{meta[key]}: station_id {header.station_id} in a file listed as "
@@ -541,54 +541,61 @@ def analyze_session(manifest_path: str | Path) -> tuple[SessionSummary, Experime
 SLOTS_CSV_VERSION = 1
 
 
+def _write_csv(
+    path: str | Path, columns: dict[str, Sequence], first_row: Sequence[str] = ()
+) -> None:
+    """`first_row` if given, the header of `columns`' names, then one row per
+    index of their equal-length value lists."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if first_row:
+            writer.writerow(first_row)
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
+
+
+def _formatted(values: np.ndarray, spec: str = ".6g") -> list[str]:
+    """Each value in `spec`; NaN (an undefined slot) as an empty field."""
+    return ["" if math.isnan(x) else format(x, spec) for x in values.tolist()]
+
+
+def _slot_columns(series: ana.SlotSeries) -> dict[str, list]:
+    """Every slots.csv column by its header, each value formatted once."""
+    grid, labels = series.grid, series.setting_labels
+    columns: dict[str, list] = {
+        "slot": list(range(grid.n_slots)),
+        "t_start_ns": _formatted(grid.starts() * 1e9, ".3f"),
+        "t_center_ns": _formatted(grid.centers() * 1e9, ".3f"),
+    }
+    columns.update(zip([f"singles_{d}" for d in ana.DETECTOR_KEYS], series.singles.tolist()))
+    totals = series.coincidences.sum(axis=2).tolist()
+    columns.update(zip([f"coinc_total_{lab}" for lab in labels], totals))
+    pairs = [(f"E_{lab}", e, s) for lab, e, s in zip(labels, series.e, series.sigma_e)]
+    pairs.append(("S", series.s, series.sigma_s))
+    pairs += [
+        (f"eta_{d}", e, s) for d, e, s in zip(ana.DETECTOR_KEYS, series.eta, series.sigma_eta)
+    ]
+    pairs.append(("product_A+", series.product[0], series.sigma_product[0]))
+    for name, value, sigma in pairs:
+        columns[name] = _formatted(value)
+        columns[f"sigma_{name}"] = _formatted(sigma)
+    return columns
+
+
 def write_slots_csv(series: ana.SlotSeries, path: str | Path) -> None:
     """One row per slot with every reconstructed series (schema v1, see
     docs/output-schemas.md)."""
-    grid = series.grid
-    header = ["slot", "t_start_ns", "t_center_ns"]
-    header += [f"singles_{d}" for d in ana.DETECTOR_KEYS]
-    for lab in series.setting_labels:
-        header += [f"coinc_total_{lab}"]
-    for lab in series.setting_labels:
-        header += [f"E_{lab}", f"sigma_E_{lab}"]
-    header += ["S", "sigma_S"]
-    for d in ana.DETECTOR_KEYS:
-        header += [f"eta_{d}", f"sigma_eta_{d}"]
-    header += ["product_A+", "sigma_product_A+"]
-
-    starts = grid.starts() * 1e9
-    centers = grid.centers() * 1e9
-    totals = series.coincidences.sum(axis=2)
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"# bellstrobe slots csv v{SLOTS_CSV_VERSION}"])
-        writer.writerow(header)
-        for i in range(grid.n_slots):
-            row: list = [i, f"{starts[i]:.3f}", f"{centers[i]:.3f}"]
-            row += [int(n) for n in series.singles[:, i]]
-            row += [int(totals[s, i]) for s in range(4)]
-            for s in range(4):
-                row += [_fmt(series.e[s, i]), _fmt(series.sigma_e[s, i])]
-            row += [_fmt(series.s[i]), _fmt(series.sigma_s[i])]
-            for d in range(4):
-                row += [_fmt(series.eta[d, i]), _fmt(series.sigma_eta[d, i])]
-            row += [_fmt(series.product[0, i]), _fmt(series.sigma_product[0, i])]
-            writer.writerow(row)
-
-
-def _fmt(x: float) -> str:
-    return "" if (x is None or (isinstance(x, float) and math.isnan(x))) else f"{x:.6g}"
+    _write_csv(path, _slot_columns(series), [f"# bellstrobe slots csv v{SLOTS_CSV_VERSION}"])
 
 
 def write_delta_t_csv(summary: SessionSummary, path: str | Path) -> None:
     """Diagnostic histogram of coincidence B-minus-A time differences."""
-    edges, hist = summary.counts.delta_t_edges, summary.counts.delta_t_counts
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_low_ns", "bin_high_ns", "counts"])
-        for lo, hi, n in zip(edges[:-1], edges[1:], hist):
-            writer.writerow([f"{lo / 1e3:.4f}", f"{hi / 1e3:.4f}", int(n)])
+    edges_ns = summary.counts.delta_t_edges / 1e3
+    _write_csv(path, {
+        "bin_low_ns": _formatted(edges_ns[:-1], ".4f"),
+        "bin_high_ns": _formatted(edges_ns[1:], ".4f"),
+        "counts": summary.counts.delta_t_counts.tolist(),
+    })
 
 
 def _json_safe(obj):
@@ -672,55 +679,38 @@ def write_report_bundle(summary: SessionSummary, outdir: str | Path) -> list[Pat
         if summary.counts is not None:
             p = outdir / "scan_curves.csv"
             counts = summary.counts
-            with open(p, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["beta_rad", "n_pp", "n_pm", "n_mp", "n_mm"])
-                for beta, row in zip(counts.setting_angles[:, 1], counts.totals()):
-                    writer.writerow([f"{beta:.6g}"] + [int(v) for v in row])
+            _write_csv(p, {
+                "beta_rad": _formatted(counts.setting_angles[:, 1]),
+                **dict(zip(["n_pp", "n_pm", "n_mp", "n_mm"], counts.totals().T.tolist())),
+            })
             written.append(p)
         return written
 
-    grid = series.grid
-    centers = grid.centers() * 1e9
+    # Each series file is three slots.csv columns under new headers; a zoom
+    # file holds the leading rows, the slots that start before REPORT_ZOOM_NS.
+    slots = _slot_columns(series)
+    n_zoom = int(np.count_nonzero(series.grid.starts() * 1e9 < REPORT_ZOOM_NS))
+    for tag, n_rows in (("full", series.grid.n_slots), ("zoom", n_zoom)):
+        for stem, header, name in (
+            ("s_chsh", "S", "S"),
+            ("eta_Aplus", "eta", "eta_A+"),
+            ("product_Aplus", "product", "product_A+"),
+        ):
+            p = outdir / f"{stem}_{tag}.csv"
+            picked = {"t_center_ns": "t_center_ns", header: name, "sigma": f"sigma_{name}"}
+            _write_csv(p, {new: slots[old][:n_rows] for new, old in picked.items()})
+            written.append(p)
 
-    def emit(name: str, columns: dict[str, np.ndarray], mask=None) -> None:
-        p = outdir / name
-        with open(p, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_center_ns"] + list(columns))
-            for i in range(grid.n_slots):
-                if mask is not None and not mask[i]:
-                    continue
-                writer.writerow(
-                    [f"{centers[i]:.3f}"] + [_fmt(col[i]) for col in columns.values()]
-                )
-        written.append(p)
-
-    zoom = grid.starts() * 1e9 < REPORT_ZOOM_NS
-    for tag, mask in (("full", None), ("zoom", zoom)):
-        emit(f"s_chsh_{tag}.csv", {"S": series.s, "sigma": series.sigma_s}, mask)
-        emit(
-            f"eta_Aplus_{tag}.csv",
-            {"eta": series.eta[0], "sigma": series.sigma_eta[0]},
-            mask,
-        )
-        emit(
-            f"product_Aplus_{tag}.csv",
-            {"product": series.product[0], "sigma": series.sigma_product[0]},
-            mask,
-        )
-
+    # Long format: setting, then outcome, then slot varies fastest.
+    n_settings, n_slots, n_outcomes = series.coincidences.shape
     p = outdir / "coincidences_16types.csv"
-    with open(p, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setting", "outcome", "slot", "t_center_ns", "counts"])
-        for s, lab in enumerate(series.setting_labels):
-            for o, out_lab in enumerate(OUTCOME_LABELS):
-                for i in range(grid.n_slots):
-                    writer.writerow(
-                        [lab, out_lab, i, f"{centers[i]:.3f}",
-                         int(series.coincidences[s, i, o])]
-                    )
+    _write_csv(p, {
+        "setting": np.repeat(series.setting_labels, n_outcomes * n_slots).tolist(),
+        "outcome": np.tile(np.repeat(OUTCOME_LABELS, n_slots), n_settings).tolist(),
+        "slot": np.tile(np.arange(n_slots), n_settings * n_outcomes).tolist(),
+        "t_center_ns": slots["t_center_ns"] * (n_settings * n_outcomes),
+        "counts": series.coincidences.transpose(0, 2, 1).ravel().tolist(),
+    })
     written.append(p)
 
     if summary.plateau is not None:

@@ -3,6 +3,10 @@ so the acceptance criteria and the statistical property tests reuse them."""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -14,31 +18,37 @@ from bellstrobe.session import run_session_in_memory
 # one keeps the single-session checks far from their tolerance edges).
 DEMO_SEED = 106
 N_STUDY = 100
+MAX_STUDY_WORKERS = 4
+
+
+def run_sessions(configs, workers: int | None = None) -> list:
+    """`run_session_in_memory` of each config, in order. The sessions run on
+    a pool of `workers` spawned processes (default: one per CPU this process
+    may use, at most MAX_STUDY_WORKERS), or one after another for one worker.
+    Spawned, not forked: forking a process that holds BLAS threads is unsafe."""
+    if workers is None:
+        workers = min(len(os.sched_getaffinity(0)), MAX_STUDY_WORKERS)
+    if workers <= 1:
+        return [run_session_in_memory(c) for c in configs]
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(run_session_in_memory, configs))
 
 
 @pytest.fixture(scope="session")
 def null_study():
     """100 independent null (no-transient) boosted sessions."""
-    out = []
-    for seed in range(N_STUDY):
-        out.append(run_session_in_memory(desk_boosted(seed=seed)))
-    return out
+    return run_sessions([desk_boosted(seed=seed) for seed in range(N_STUDY)])
 
 
 @pytest.fixture(scope="session")
 def transient_monotone_study():
-    return [
-        run_session_in_memory(desk_transient("monotone", seed=seed))
-        for seed in range(N_STUDY)
-    ]
+    return run_sessions([desk_transient("monotone", seed=seed) for seed in range(N_STUDY)])
 
 
 @pytest.fixture(scope="session")
 def transient_oscillatory_study():
-    return [
-        run_session_in_memory(desk_transient("oscillatory", seed=seed))
-        for seed in range(N_STUDY)
-    ]
+    return run_sessions([desk_transient("oscillatory", seed=seed) for seed in range(N_STUDY)])
 
 
 @pytest.fixture(scope="session")

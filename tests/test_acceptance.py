@@ -6,6 +6,7 @@ module runs in a few minutes on a desk machine.
 """
 
 import io
+import json
 import math
 
 import numpy as np
@@ -13,12 +14,12 @@ import pytest
 
 from bellstrobe import model
 from bellstrobe.coinc import accidental_estimate
-from bellstrobe.config import desk_boosted
+from bellstrobe.config import desk_boosted, desk_transient
 from bellstrobe.session import analyze_session, simulate_session
 from bellstrobe.sim import ClockModel, PulsePlan
 from bellstrobe.sync import align_pulse_numbering, fit_clock_relation
 from bellstrobe.tagfmt import TagFileHeader, read_tag_arrays, write_tags
-from conftest import DEMO_SEED
+from conftest import DEMO_SEED, run_sessions
 
 
 def report(criterion: str, detail: str) -> None:
@@ -240,3 +241,18 @@ def test_detector_false_positive_rate(null_study):
     )
     assert false_pos <= 5
     report("detector soundness", f"false positives {false_pos}/100 (<= 5 allowed)")
+
+
+def test_pooled_study_sessions_equal_serial():
+    # the study fixtures run their sessions on a process pool; a pooled
+    # session's summary is byte for byte the one run in this process
+    configs = [
+        desk_boosted(seed=0),
+        desk_transient("monotone", seed=1),
+        desk_transient("oscillatory", seed=2),
+        desk_boosted(seed=3),
+    ]
+    pooled = run_sessions(configs, workers=2)
+    serial = run_sessions(configs, workers=1)
+    dumps = [[json.dumps(s.to_dict(), sort_keys=True) for s in run] for run in (pooled, serial)]
+    assert dumps[0] == dumps[1]

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -145,12 +146,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{path} must be an integer")):
             ExperimentConfig.from_dict(config_dict_with(path, value))
 
-    @pytest.mark.parametrize("value", ["abc", True, None], ids=["str", "bool", "null"])
     @pytest.mark.parametrize(
-        "path", ["visibility", "session.run_duration", "station_a.clock.offset"]
+        "path, value, kind",
+        [
+            pytest.param(path, value, "a number", id=f"{path}-{value_id}")
+            for path in ("visibility", "session.run_duration", "station_a.clock.offset")
+            for value, value_id in (("abc", "str"), (True, "bool"), (None, "null"))
+        ]
+        + [
+            # a field whose default is null takes null or a number
+            pytest.param(
+                "source.transient.osc_period", value, "a number or null",
+                id=f"source.transient.osc_period-{value_id}",
+            )
+            for value, value_id in (("abc", "str"), (True, "bool"))
+        ],
     )
-    def test_float_field_rejects_other_types_with_its_path(self, path, value):
-        message = f"bad config value: {path} must be a number, got {value!r}"
+    def test_float_field_rejects_other_types_with_its_path(self, path, value, kind):
+        message = f"bad config value: {path} must be {kind}, got {value!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
             ExperimentConfig.from_dict(config_dict_with(path, value))
 
@@ -303,7 +316,7 @@ class TestAnalyzeSession:
         summary, _ = analyze_session(manifest_path)
         assert summary.degraded
         assert summary.runs_skipped == [{"run": 1, "reason": mock.ANY}]
-        assert "truncated record" in summary.runs_skipped[0]["reason"]
+        assert summary.runs_skipped[0]["reason"].startswith("run001_A.tags: truncated record")
         assert summary.runs_used == 7
 
     def test_swapped_station_files_skip_only_that_run(self, tmp_path):
@@ -428,6 +441,23 @@ class TestOutputs:
             totals[key] = totals.get(key, 0) + int(counts)
         assert len(totals) == 16
         assert all(v > 0 for v in totals.values())
+        # each series file is three slots.csv columns under new headers, and
+        # its zoom file the leading rows whose slot starts before 100 ns
+        write_slots_csv(s.series, tmp_path / "slots.csv")
+        with open(tmp_path / "slots.csv", newline="") as fh:
+            next(fh)  # the version comment
+            slots = list(csv.DictReader(fh))
+        n_zoom = sum(float(row["t_start_ns"]) < 100.0 for row in slots)
+        for stem, header, column in (
+            ("s_chsh", "S", "S"), ("eta_Aplus", "eta", "eta_A+"),
+            ("product_Aplus", "product", "product_A+"),
+        ):
+            rows = [[r["t_center_ns"], r[column], r[f"sigma_{column}"]] for r in slots]
+            for tag, expected in (("full", rows), ("zoom", rows[:n_zoom])):
+                with open(tmp_path / f"{stem}_{tag}.csv", newline="") as fh:
+                    table = list(csv.reader(fh))
+                assert table[0] == ["t_center_ns", header, "sigma"]
+                assert table[1:] == expected, f"{stem}_{tag}"
 
     def test_report_errors_without_inputs(self, tmp_path, capsys):
         from bellstrobe.cli import main

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,7 +230,66 @@ class TestTransientFactors:
         t = np.array([2 * self.TAU])  # just after the floor window
         s_base, _ = transient_factors(t, base, 1.0, 1.0)
         s_mem, _ = transient_factors(t, mem, 1.0, 1.0, carried=carry)
-        assert s_mem[0] <= s_base[0]
+        assert s_mem[0] < s_base[0]
+
+
+CARRY_TAU = 80e-9
+CARRY_V = 0.98  # floor_product below 2*sqrt(2)*V puts the floor F0 below 1
+CARRY_T = np.linspace(0.0, 20 * CARRY_TAU, 801)
+
+
+@st.composite
+def carry_models(draw):
+    """A monotone or oscillatory transient with its floor F0 in (0.18, 0.91)."""
+    mode = draw(st.sampled_from(["monotone", "oscillatory"]))
+    period = draw(st.floats(1.5, 8.0)) * CARRY_TAU if mode == "oscillatory" else None
+    return TransientModel(
+        mode=mode,
+        tau=CARRY_TAU,
+        theta=draw(st.floats(0.5, 10.0)) * CARRY_TAU,
+        osc_period=period,
+        floor_product=draw(st.floats(0.5, 2.5)),
+    )
+
+
+def carry_floor(model):
+    return model.floor_product / (TSIRELSON * CARRY_V)
+
+
+class TestInterPulseCarry:
+    """A carried deficit c adds c*(1 - F0)*exp(-t/theta) to the deficit of
+    the factor on the product (eta_share 0 puts all of it in s_factor)."""
+
+    @given(model=carry_models(), c=st.floats(1e-6, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_zero_carry_is_bit_identical(self, model, c, seed):
+        # a pulse with no carry is untouched, whatever its neighbours carry
+        carried = np.where(np.random.default_rng(seed).random(CARRY_T.size) < 0.5, c, 0.0)
+        free = carried == 0.0
+        s_mem, e_mem = transient_factors(CARRY_T, model, 0.5, CARRY_V, carried=carried)
+        s, e = transient_factors(CARRY_T, model, 0.5, CARRY_V)
+        assert np.array_equal(s_mem[free], s[free]) and np.array_equal(e_mem[free], e[free])
+        zeros = transient_factors(CARRY_T, model, 0.5, CARRY_V, carried=np.zeros_like(CARRY_T))
+        assert np.array_equal(zeros[0], s) and np.array_equal(zeros[1], e)
+
+    @given(model=carry_models(), c=st.floats(1e-6, 1.0))
+    def test_positive_carry_deepens_the_start(self, model, c):
+        t = np.array([0.0])
+        s_mem, _ = transient_factors(t, model, 1.0, CARRY_V, carried=c)
+        s, _ = transient_factors(t, model, 1.0, CARRY_V)
+        assert s[0] == pytest.approx(carry_floor(model), rel=1e-12)
+        assert s_mem[0] < s[0]
+
+    @given(model=carry_models(), c=st.floats(1e-6, 1.0),
+           eta_share=st.floats(0.0, 1.0), eta0=st.floats(0.05, 1.0))
+    def test_carry_moves_the_factor_by_at_most_its_deficit(self, model, c, eta_share, eta0):
+        s_mem, _ = transient_factors(CARRY_T, model, 1.0, CARRY_V, carried=c)
+        s, _ = transient_factors(CARRY_T, model, 1.0, CARRY_V)
+        assert np.all(s_mem >= 0.0)
+        assert np.all(np.abs(s_mem - s) <= c * (1.0 - carry_floor(model)) + 1e-12)
+        shared = replace(model, eta_share=eta_share)
+        s_mem, e_mem = transient_factors(CARRY_T, shared, eta0, CARRY_V, carried=c)
+        assert np.all(s_mem >= 0.0) and np.all(e_mem >= 0.0)
+        assert np.all(eta0 * e_mem <= 1.0 + 1e-12)
 
 
 class TestSettingsQuad:

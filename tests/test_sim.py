@@ -118,26 +118,26 @@ class TestEmitTransient:
     def test_inter_pulse_memory_only_removes_detections(self):
         # With eta_share 1 the whole suppression is in the efficiency
         # channel, and a carried deficit can only lower eta_factor: the same
-        # draws keep a subset of the detections. The oscillatory family is
-        # used because only there does a carry change a factor today; in
-        # monotone mode the relaxation already lies below the carried term.
+        # draws keep a strict subset of the detections, in both transient
+        # families.
         tau = Geometry().tau
         station = StationConfig(detector_efficiency=0.9, detector_jitter_sigma=0.5e-9)
-        tags = {}
-        for memory in (0.3, 0.0):
-            transient = TransientModel(
-                mode="oscillatory", tau=tau, theta=10 * tau, osc_period=6 * tau,
-                eta_share=1.0, inter_pulse_memory=memory,
-            )
-            source = SourceConfig(pair_yield=0.2, transient=transient)
-            streams = emit_events(
-                PulsePlan(), 20_000, source, (station, station), AngleSetting(0, 0), 0.98, 5
-            )
-            tags[memory] = [
-                set(zip(s.channels.tolist(), s.times_ps.tolist())) for s in streams
-            ]
-        for with_memory, without in zip(tags[0.3], tags[0.0]):
-            assert with_memory < without
+        for mode, period in (("monotone", None), ("oscillatory", 6 * tau)):
+            tags = {}
+            for memory in (0.3, 0.0):
+                transient = TransientModel(
+                    mode=mode, tau=tau, theta=10 * tau, osc_period=period,
+                    eta_share=1.0, inter_pulse_memory=memory,
+                )
+                source = SourceConfig(pair_yield=0.2, transient=transient)
+                streams = emit_events(
+                    PulsePlan(), 20_000, source, (station, station), AngleSetting(0, 0), 0.98, 5
+                )
+                tags[memory] = [
+                    set(zip(s.channels.tolist(), s.times_ps.tolist())) for s in streams
+                ]
+            for with_memory, without in zip(tags[0.3], tags[0.0]):
+                assert with_memory < without, mode
 
 
 class TestEmitStatistics:
