@@ -21,7 +21,7 @@ import numpy as np
 from .coinc import Coincidences, SessionMixError, delta_t_histogram
 from .model import OUTCOME_LABELS, OUTCOME_ORDER, OUTCOME_PARITY
 from .sim import PS_PER_SECOND
-from .sync import Detections
+from .sync import Detections, percentile
 
 DETECTOR_KEYS = ("A+", "A-", "B+", "B-")
 SEARCH_TAUS = 2.0  # detect_transient searches the first SEARCH_TAUS * tau of a pulse
@@ -270,8 +270,8 @@ def in_pulse_slots(singles_total: np.ndarray) -> np.ndarray:
     Counts are non-negative, so the slots at or below the median stay outside.
     """
     s = np.asarray(singles_total, dtype=np.float64)
-    rough = s > 10.0 * np.median(s)
-    return s > 10.0 * np.median(s[~rough])
+    rough = s > 10.0 * percentile(s, 50.0)
+    return s > 10.0 * percentile(s[~rough], 50.0)
 
 
 @dataclass

@@ -220,13 +220,16 @@ def carried_deficit(model: TransientModel, pulse_duration: float, gap: np.ndarra
     One-pulse-memory approximation: the deviation still present at the end of
     a pulse of the given duration decays exponentially over the inter-pulse
     gap, and a fraction inter_pulse_memory of it re-enters the next pulse.
+    A relaxation that ends above its baseline (an oscillatory overshoot)
+    carries nothing.
     """
     if model.mode == "none" or model.inter_pulse_memory == 0.0:
         return np.zeros_like(gap, dtype=float)
     # Suppression depth is independent of V here; callers pass the deficit on
     # the normalized product, which transient_factors rescales via its own F0.
     end = _relaxation(np.array([pulse_duration]), model, 0.0)[0]
-    return model.inter_pulse_memory * (1.0 - end) * np.exp(-gap / model.theta)
+    deficit = model.inter_pulse_memory * (1.0 - end) * np.exp(-gap / model.theta)
+    return np.maximum(deficit, 0.0)
 
 
 def transient_factors(
@@ -244,13 +247,16 @@ def transient_factors(
     min(floor_product, QM value) for t <= tau and relaxes to the QM value for
     t >> tau. eta_factor is capped so eta0*eta_factor never exceeds 1 (the
     oscillatory mode can overshoot the quantum baseline). A `carried` deficit
-    c (see carried_deficit) lowers the factor on the product by
+    c >= 0 (see carried_deficit) lowers the factor on the product by
     c*(1 - F0)*exp(-t/theta), F0 being its floor, and never below 0.
 
     Takes an array of times and returns two arrays of its shape.
     """
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
+    carried_arr = np.asarray(carried, dtype=float)
+    if np.any(carried_arr < 0.0):
+        raise ValueError("carried must be >= 0")
     if model.mode == "none":
         ones = np.ones_like(t)
         return ones, ones
@@ -259,7 +265,6 @@ def transient_factors(
     suppression = min(1.0, model.floor_product / qm_product) if qm_product > 0 else 1.0
     f = _relaxation(t, model, suppression)
 
-    carried_arr = np.asarray(carried, dtype=float)
     if np.any(carried_arr > 0.0):
         # Carried-over deviation from the previous pulse (see carried_deficit),
         # rescaled to this pulse's depth and added to its deficit. Deepening

@@ -3,9 +3,16 @@
 Generates frequency-modulated pulse trains, entangled-pair detections with
 configurable visibility/transient physics, detector imperfections, dark
 counts, and independently drifting station clocks. All randomness flows from
-a single seed through numpy SeedSequence spawning, split per purpose (source,
-station A, station B) so the two stations could be generated in parallel
-without changing the output.
+a single seed through numpy SeedSequence spawning, split per purpose: the
+source, and each station's detection and clock-jitter streams.
+
+emit_events runs a run's independent streams on one worker thread beside the
+caller's: the pairs per pulse (drawn from the source generator) while the
+caller builds the trigger train, then station B's thinning, darks and clock
+transform while the caller does station A's. Each generator is used by one
+thread at a time, in its serial order, and each stage reads only what the
+stages before it returned, so the tags cannot depend on how the threads are
+scheduled.
 
 The draws with one value per pulse or per tag (pairs per pulse, clock
 jitter) are taken DRAW_CHUNK values at a time from the same generator, so no
@@ -17,6 +24,7 @@ as one whole draw, and the tags do not depend on DRAW_CHUNK.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -333,6 +341,15 @@ def emit_events(
 
     `session_time` is the run's start within the session (seconds of wall
     time), used for the slow visibility drift. Deterministic for a fixed seed.
+
+    Two threads share the work, through a one-thread pool. The pool draws the
+    pairs per pulse from the source generator while the caller builds the
+    trigger train; the caller then takes the generator back for the envelope
+    times and outcomes. Station B's events and stream are built on the pool,
+    from B's own generators, while the caller builds A's. The pair-length
+    arrays are dropped once both stations have thinned them, before either
+    stream buffer is allocated. No generator is used by two threads at once
+    and each keeps its draw order, so the tags are those of a serial run.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     key_source, key_a, key_b = ss.spawn(3)
@@ -340,51 +357,63 @@ def emit_events(
     key_det_b, key_clk_b = key_b.spawn(2)
     rng_src = np.random.default_rng(key_source)
 
-    periods = plan.period_seconds(n_pulses)
-    starts = _starts_of(periods)
-    duration = float(np.sum(periods))
+    with ThreadPoolExecutor(1) as worker:
+        pairs = worker.submit(_pair_pulses, rng_src, source.pair_yield, n_pulses)
+        periods = plan.period_seconds(n_pulses)
+        starts = _starts_of(periods)
+        duration = float(np.sum(periods))
+        pulse_idx = pairs.result()
 
-    pulse_idx = _pair_pulses(rng_src, source.pair_yield, n_pulses)
-    k = pulse_idx.size
-    t_emit = _sample_pulse_envelope(rng_src, k, plan)
+        k = pulse_idx.size
+        t_emit = _sample_pulse_envelope(rng_src, k, plan)
 
-    transient = source.transient
-    eta0 = max(stations[0].detector_efficiency, stations[1].detector_efficiency)
-    if transient.mode != "none" and transient.inter_pulse_memory > 0.0:
-        gaps = periods[np.maximum(pulse_idx - 1, 0)] - plan.pulse_duration
-        carry = np.where(
-            pulse_idx > 0, carried_deficit(transient, plan.pulse_duration, gaps), 0.0
+        transient = source.transient
+        eta0 = max(stations[0].detector_efficiency, stations[1].detector_efficiency)
+        if transient.mode != "none" and transient.inter_pulse_memory > 0.0:
+            gaps = periods[np.maximum(pulse_idx - 1, 0)] - plan.pulse_duration
+            carry = np.where(
+                pulse_idx > 0, carried_deficit(transient, plan.pulse_duration, gaps), 0.0
+            )
+        else:
+            carry = 0.0
+        del periods
+        s_factor, eta_factor = transient_factors(
+            t_emit, transient, eta0, visibility, carried=carry
         )
-    else:
-        carry = 0.0
-    del periods
-    s_factor, eta_factor = transient_factors(
-        t_emit, transient, eta0, visibility, carried=carry
-    )
 
-    pulse_start = starts[pulse_idx]
-    del pulse_idx
-    wall_hours = (session_time + pulse_start) / 3600.0
-    v_eff = np.clip(
-        visibility * (1.0 - source.visibility_drift * wall_hours) * s_factor,
-        0.0,
-        1.0,
-    )
-    oa, ob = _sample_outcomes(rng_src, v_eff, setting)
+        pulse_start = starts[pulse_idx]
+        del pulse_idx
+        wall_hours = (session_time + pulse_start) / 3600.0
+        v_eff = np.clip(
+            visibility * (1.0 - source.visibility_drift * wall_hours) * s_factor,
+            0.0,
+            1.0,
+        )
+        oa, ob = _sample_outcomes(rng_src, v_eff, setting)
+        del carry, s_factor, wall_hours, v_eff
 
-    streams = []
-    for station, outcome, key_det, key_clk in (
-        (stations[0], oa, key_det_a, key_clk_a),
-        (stations[1], ob, key_det_b, key_clk_b),
-    ):
-        channels, times = _station_events(
-            np.random.default_rng(key_det),
-            station,
+        thin_b = worker.submit(
+            _station_events,
+            np.random.default_rng(key_det_b),
+            stations[1],
             pulse_start,
             t_emit,
-            outcome,
+            ob,
             eta_factor,
             duration,
         )
-        streams.append(_local_stream(channels, times, starts, station.clock, key_clk))
-    return streams[0], streams[1]
+        events_a = _station_events(
+            np.random.default_rng(key_det_a),
+            stations[0],
+            pulse_start,
+            t_emit,
+            oa,
+            eta_factor,
+            duration,
+        )
+        del pulse_start, t_emit, eta_factor, oa, ob
+        stream_b = worker.submit(
+            _local_stream, *thin_b.result(), starts, stations[1].clock, key_clk_b
+        )
+        stream_a = _local_stream(*events_a, starts, stations[0].clock, key_clk_a)
+        return stream_a, stream_b.result()

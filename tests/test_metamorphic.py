@@ -58,6 +58,34 @@ def test_station_b_clock_offset_leaves_counts_unchanged(boosted_counts, offset):
     assert_same_arrays(count_arrays(shifted), count_arrays(boosted_counts))
 
 
+STATION_CHANGES = {
+    "clock": {"clock": ClockModel(offset=1e-3, drift_rate=2e-5, jitter_sigma=2e-11)},
+    "dark_rate": {"dark_rate": 5e3},
+    "detector_jitter": {"detector_jitter_sigma": 0.0},
+    "trigger_delay": {"trigger_delay": 80e-9},
+}
+
+
+@pytest.fixture(scope="module")
+def boosted_run():
+    return simulate_run(desk_boosted(1), 0)
+
+
+@pytest.mark.parametrize("change", STATION_CHANGES)
+@pytest.mark.parametrize("changed", [0, 1], ids=["A", "B"])
+def test_one_station_leaves_the_other_stream_unchanged(boosted_run, change, changed):
+    # each station draws from its own generators, so one station's setup
+    # cannot reach the other's tags. Efficiency is left out: eta0, the larger
+    # of the two efficiencies, scales the transient factors of both
+    config = desk_boosted(1)
+    name = ("station_a", "station_b")[changed]
+    station = replace(getattr(config, name), **STATION_CHANGES[change])
+    run = simulate_run(replace(config, **{name: station}), 0)
+    streams, base = (run.tags_a, run.tags_b), (boosted_run.tags_a, boosted_run.tags_b)
+    assert streams[changed] != base[changed]
+    assert streams[1 - changed] == base[1 - changed]
+
+
 def test_reversed_manifest_runs_leave_counts_and_plateau_unchanged(tmp_path):
     manifest_path = simulate_session(desk_boosted(1), tmp_path)
     manifest = json.loads(manifest_path.read_text())

@@ -291,6 +291,23 @@ class TestInterPulseCarry:
         assert np.all(s_mem >= 0.0) and np.all(e_mem >= 0.0)
         assert np.all(eta0 * e_mem <= 1.0 + 1e-12)
 
+    def test_an_overshoot_carries_nothing(self):
+        # this relaxation ends the 500 ns pulse above its baseline, which
+        # unclipped carried -0.0367 over the 1.5 us gap
+        model = TransientModel(mode="oscillatory", tau=80e-9, theta=800e-9,
+                               osc_period=300e-9, inter_pulse_memory=0.5)
+        assert np.array_equal(
+            carried_deficit(model, pulse_duration=500e-9, gap=np.array([1.5e-6, 0.0])),
+            [0.0, 0.0],
+        )
+
+    @pytest.mark.parametrize("carried", [-0.01, np.array([0.01, -0.01])], ids=["scalar", "mixed"])
+    def test_negative_carry_rejected(self, carried):
+        # a negative entry would raise the factor, against "deepening only"
+        model = TransientModel(mode="monotone", tau=CARRY_TAU)
+        with pytest.raises(ValueError, match="carried"):
+            transient_factors(np.array([0.0, CARRY_TAU]), model, 1.0, CARRY_V, carried=carried)
+
 
 class TestSettingsQuad:
     def test_default_is_chsh_optimal(self):

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -354,6 +356,30 @@ class TestDrawBlocks:
             tracemalloc.stop()
         held = sum(s.channels.nbytes + s.times_ps.nbytes for s in streams)
         assert peak - held <= 2.5 * 8 * n_pulses
+
+
+class TestThreads:
+    def test_concurrent_calls_equal_serial_calls(self):
+        # each call runs its own worker thread; four callers at once, on a
+        # short switch interval, must still get the serial streams. B's
+        # jittered, drifting clock over more than DRAW_CHUNK tags runs the
+        # block-by-block jitter draw on the worker
+        clock_b = ClockModel(offset=1e-3, drift_rate=2e-5, jitter_sigma=2e-11)
+        stations = (StationConfig(), StationConfig(clock=clock_b))
+        args = (PulsePlan(), 80_000, SourceConfig(pair_yield=0.3), stations,
+                AngleSetting(0, math.pi / 8), 0.98)
+        seeds = range(8)
+        serial = [emit_events(*args, seed) for seed in seeds]
+        assert len(serial[0][1]) > DRAW_CHUNK
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                threaded = list(callers.map(lambda seed: emit_events(*args, seed), seeds,
+                                            timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 class TestTriggerInvariant:

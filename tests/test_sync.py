@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,6 +28,7 @@ from bellstrobe.sync import (
     assign_to_pulses,
     extract_period_series,
     fit_clock_relation,
+    percentile,
 )
 
 
@@ -33,6 +38,33 @@ def trigger_times(starts_s: np.ndarray, clock: ClockModel, rng=None) -> np.ndarr
     if clock.jitter_sigma > 0:
         local = local + rng.normal(0.0, clock.jitter_sigma, starts_s.size)
     return np.sort(np.rint(local * 1e12).astype(np.int64))
+
+
+class TestPercentile:
+    @given(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=40))
+    @example([7])
+    @example([3, -2])
+    def test_equals_numpy_on_integer_values(self, values):
+        # every input in the pipeline is integer-valued: ps intervals, run
+        # lengths, slot counts
+        x = np.array(values, dtype=np.int64)
+        assert percentile(x, 50.0) == np.median(x)
+        assert np.array_equal(percentile(x, [10.0, 90.0]), np.percentile(x, [10.0, 90.0]))
+
+    def test_analysis_never_imports_numpy_ma(self):
+        # np.median and np.percentile import numpy.ma on their first call
+        code = (
+            "import sys\n"
+            "from bellstrobe.config import desk_boosted\n"
+            "from bellstrobe.session import run_session_in_memory\n"
+            "run_session_in_memory(desk_boosted(seed=1))\n"
+            "sys.exit('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(sync.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=120
+        )
+        assert done.returncode == 0
 
 
 @pytest.fixture(scope="module")
