@@ -21,7 +21,7 @@ import numpy as np
 from .coinc import Coincidences, SessionMixError, delta_t_histogram
 from .model import OUTCOME_LABELS, OUTCOME_ORDER, OUTCOME_PARITY
 from .sim import PS_PER_SECOND
-from .sync import Detections, percentile
+from .sync import Detections, percentile, runs
 
 DETECTOR_KEYS = ("A+", "A-", "B+", "B-")
 SEARCH_TAUS = 2.0  # detect_transient searches the first SEARCH_TAUS * tau of a pulse
@@ -184,11 +184,24 @@ class SlotCounts:
 
     @classmethod
     def load(cls, path: str | Path) -> "SlotCounts":
+        """Counts saved by `save`; ValueError naming the first array whose
+        shape disagrees with n_slots, the settings or the delta_t edges."""
         with np.load(path) as npz:
             a = {key: npz[key] for key in npz.files}
         a["grid"] = SlotGrid(int(a.pop("slot_ps")), int(a.pop("n_slots")))
         a["session_id"] = str(a["session_id"])
         a["setting_labels"] = tuple(a["setting_labels"].tolist())
+        n, m, edges = len(a["setting_labels"]), a["grid"].n_slots, a["delta_t_edges"]
+        for name, shape in (
+            ("setting_angles", (n, 2)),
+            ("singles", (4, m)),
+            ("coincidences", (n, m, 4)),
+            ("off_grid", (n, 4)),
+            ("delta_t_edges", (edges.size,)),
+            ("delta_t_counts", (edges.size - 1,)),
+        ):
+            if a[name].shape != shape:
+                raise ValueError(f"{name} has shape {a[name].shape}, not {shape}")
         return cls(**a)
 
 
@@ -388,6 +401,12 @@ def plateau_summary(series: SlotSeries) -> PlateauSummary:
     )
 
 
+def _weighted_mean(v: np.ndarray, s: np.ndarray) -> float:
+    """Inverse-variance mean of values `v` with errors `s`."""
+    w = 1.0 / s**2
+    return float(np.sum(w * v) / np.sum(w))
+
+
 def chi_square_vs_constant(
     values: np.ndarray, sigmas: np.ndarray, mask: np.ndarray | None = None
 ) -> tuple[float, int]:
@@ -400,9 +419,7 @@ def chi_square_vs_constant(
     v, s = v[ok], s[ok]
     if v.size < 2:
         raise AnalysisError("need at least 2 defined slots for the flatness test")
-    w = 1.0 / s**2
-    mean = np.sum(w * v) / np.sum(w)
-    chi2 = float(np.sum(((v - mean) / s) ** 2))
+    chi2 = float(np.sum(((v - _weighted_mean(v, s)) / s) ** 2))
     dof = v.size - 1
     return chi2 / dof, dof
 
@@ -427,16 +444,15 @@ def detect_transient(
     tau: float,
     slot_width: float,
     k_sigma: float = 3.0,
-    plateau_reference: float | None = None,
 ) -> TransientVerdict:
     """Flag a short-time deviation in a per-slot series.
 
     A transient requires at least ceil(tau/slot_width) CONSECUTIVE significant
     slots, all deviating from the plateau reference in the same direction by
     more than k_sigma, inside the first SEARCH_TAUS * tau after the pulse start
-    (the region a light-crossing-time deviation must live in). The
-    plateau reference defaults to the inverse-variance mean of significant
-    slots starting at or after 2*tau.
+    (the region a light-crossing-time deviation must live in). The plateau
+    reference is the inverse-variance mean of the significant slots starting
+    at or after 2*tau. Of several longest such runs, the first is reported.
     """
     v = np.asarray(values, dtype=np.float64)
     s = np.asarray(sigmas, dtype=np.float64)
@@ -448,13 +464,10 @@ def detect_transient(
     # inside [pulse start, pulse start + window].
     n_search = min(v.size, int(math.floor(window / slot_width + 1e-9)))
 
-    starts = np.arange(v.size) * slot_width
-    if plateau_reference is None:
-        ref_slots = sig & (starts >= 2.0 * tau)
-        if not ref_slots.any():
-            raise SignificanceError("no significant slots beyond 2*tau for the plateau")
-        w = 1.0 / s[ref_slots] ** 2
-        plateau_reference = float(np.sum(w * v[ref_slots]) / np.sum(w))
+    ref_slots = sig & (np.arange(v.size) * slot_width >= 2.0 * tau)
+    if not ref_slots.any():
+        raise SignificanceError("no significant slots beyond 2*tau for the plateau")
+    plateau_reference = _weighted_mean(v[ref_slots], s[ref_slots])
 
     tested = sig[:n_search]
     if int(tested.sum()) < min_run:
@@ -465,32 +478,19 @@ def detect_transient(
 
     dev = np.zeros(n_search)
     dev[tested] = (v[:n_search][tested] - plateau_reference) / s[:n_search][tested]
-
-    best: tuple[int, int, int, float] | None = None  # start, stop, direction, max|dev|
-    run_start = None
-    run_sign = 0
-    for i in range(n_search + 1):
-        sign = 0
-        if i < n_search and tested[i] and abs(dev[i]) > k_sigma:
-            sign = 1 if dev[i] > 0 else -1
-        if sign != 0 and sign == run_sign:
-            continue
-        if run_sign != 0 and run_start is not None:
-            length = i - run_start
-            if length >= min_run:
-                peak = float(np.max(np.abs(dev[run_start:i])))
-                if best is None or length > best[1] - best[0]:
-                    best = (run_start, i, run_sign, peak)
-        run_start = i if sign != 0 else None
-        run_sign = sign
-
-    if best is None:
+    # +1 or -1 for a slot deviating up or down by more than k_sigma, else 0
+    sign = np.where(tested & (np.abs(dev) > k_sigma), np.where(dev > 0, 1, -1), 0)
+    starts, stops = runs(sign)
+    length = np.where(sign[starts] != 0, stops - starts, 0)
+    best = int(np.argmax(length))  # the first of the longest
+    if length[best] < min_run:
         return TransientVerdict(kind="none", plateau_reference=plateau_reference)
+    lo, hi = int(starts[best]), int(stops[best])
     return TransientVerdict(
         kind="deviation",
-        slot_range=(best[0], best[1]),
-        direction=best[2],
-        max_sigma=best[3],
+        slot_range=(lo, hi),
+        direction=int(sign[lo]),
+        max_sigma=float(np.max(np.abs(dev[lo:hi]))),
         plateau_reference=plateau_reference,
     )
 

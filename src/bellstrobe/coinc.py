@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sync import Detections
+from .sync import Detections, runs
 
 
 class SessionMixError(ValueError):
@@ -44,12 +44,6 @@ class Coincidences:
         )
 
 
-def _pulse_groups(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(start, end, pulse number) of each run of equal values in sorted p."""
-    starts = np.concatenate(([0], np.flatnonzero(p[1:] != p[:-1]) + 1))
-    return starts, np.append(starts[1:], p.size), p[starts]
-
-
 def match_coincidences(
     events_a: Detections, events_b: Detections, window_ps: int
 ) -> Coincidences:
@@ -70,8 +64,9 @@ def match_coincidences(
         return Coincidences.empty()
 
     # Merge the two sorted lists of pulse groups.
-    a_lo, a_hi, ga = _pulse_groups(pa)
-    b_lo, b_hi, gb = _pulse_groups(pb)
+    a_lo, a_hi = runs(pa)
+    b_lo, b_hi = runs(pb)
+    ga, gb = pa[a_lo], pb[b_lo]
     k = np.minimum(np.searchsorted(gb, ga), gb.size - 1)
     both = gb[k] == ga
     i, i_end = a_lo[both], a_hi[both]

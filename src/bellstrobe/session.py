@@ -61,25 +61,48 @@ class SyncReport:
 
 @dataclass
 class SessionSummary:
-    """One session's products; a field the mode (or the report-side rebuild
-    in `summary_from_counts`) has no value for stays None or empty."""
+    """One session's products. What its counts alone determine is derived
+    from them on construction: the slot series, plateau summary and `tables`
+    block (on-grid per-setting totals) in chsh_4 mode, or the fringe fits of
+    every coincidence's totals in scan_34 mode. A block the mode (or the
+    report-side rebuild in `summary_from_counts`) has no value for stays None
+    or empty."""
 
-    session_id: str
+    counts: ana.SlotCounts
     mode: str
     expectations: dict
-    counts: ana.SlotCounts | None = None
-    series: ana.SlotSeries | None = None
-    plateau: ana.PlateauSummary | None = None
+    series: ana.SlotSeries | None = field(default=None, init=False)
+    plateau: ana.PlateauSummary | None = field(default=None, init=False)
+    scan_fits: dict[str, ana.ScanFit] | None = field(default=None, init=False)
+    tables: dict[str, dict[str, int]] | None = field(default=None, init=False)
     flatness: tuple[float, int] | None = None
     transient: ana.TransientVerdict | None = None
     eq1: dict | None = None
     significance: dict | None = None
-    scan_fits: dict[str, ana.ScanFit] | None = None
     sync_reports: list[SyncReport] = field(default_factory=list)  # one per used run
     runs_glitched: int = 0
     runs_skipped: list[dict] = field(default_factory=list)  # {run, reason}
-    tables: dict[str, dict[str, int]] | None = None
     transient_error: str | None = None
+
+    def __post_init__(self) -> None:
+        counts = self.counts
+        if self.mode == "scan_34":
+            self.scan_fits = ana.angle_scan_curves(
+                counts.setting_angles[:, 1], counts.totals()
+            )
+            return
+        self.series = ana.SlotSeries(
+            counts.grid, counts.setting_labels, counts.singles, counts.coincidences
+        )
+        self.plateau = ana.plateau_summary(self.series)
+        self.tables = {
+            lab: dict(zip(OUTCOME_LABELS, map(int, totals)))
+            for lab, totals in zip(counts.setting_labels, counts.coincidences.sum(axis=1))
+        }
+
+    @property
+    def session_id(self) -> str:
+        return self.counts.session_id
 
     @property
     def runs_used(self) -> int:
@@ -328,11 +351,10 @@ def analyze_products(
     """
     if not products:
         raise ana.AnalysisError("no usable runs to analyze")
-    expectations = _expectations(config)
-    summary = _summary_of(
+    summary = SessionSummary(
         sum((p.counts for p in products), _zero_counts(config)),
         config.session.mode,
-        expectations,
+        _expectations(config),
         sync_reports=[p.report for p in products],
         runs_glitched=runs_glitched,
         runs_skipped=list(skipped),
@@ -364,37 +386,11 @@ def analyze_products(
         log.warning("transient test not run: %s", exc)
         summary.transient_error = str(exc)
 
-    summary.eq1 = _eq1_block(series, expectations)
+    summary.eq1 = _eq1_block(series, summary.expectations)
     summary.significance = {
         "min_coincidences": config.analysis.min_coincidences,
         "n_significant_slots": int(significant.sum()),
         "n_in_pulse_slots": int(series.in_pulse.sum()),
-    }
-    return summary
-
-
-def _summary_of(
-    counts: ana.SlotCounts, mode: str, expectations: dict, **fields
-) -> SessionSummary:
-    """What the session counts alone determine: the slot series, plateau
-    summary and `tables` block (on-grid per-setting totals) in chsh_4 mode,
-    or the fringe fits of every coincidence's totals in scan_34 mode."""
-    summary = SessionSummary(counts.session_id, mode, expectations, counts, **fields)
-    if mode == "scan_34":
-        summary.scan_fits = ana.angle_scan_curves(
-            counts.setting_angles[:, 1], counts.totals()
-        )
-        return summary
-    summary.series = ana.SlotSeries(
-        grid=counts.grid,
-        setting_labels=counts.setting_labels,
-        singles=counts.singles,
-        coincidences=counts.coincidences,
-    )
-    summary.plateau = ana.plateau_summary(summary.series)
-    summary.tables = {
-        lab: dict(zip(OUTCOME_LABELS, map(int, totals)))
-        for lab, totals in zip(counts.setting_labels, counts.coincidences.sum(axis=1))
     }
     return summary
 
@@ -464,11 +460,10 @@ def run_session_in_memory(config: ExperimentConfig) -> SessionSummary:
     )
 
 
-def _require_keys(path: Path, data, keys: Sequence[str], run_keys: Sequence[str] = ()) -> dict:
+def _require_keys(path: Path, data, keys: Sequence[str]) -> dict:
     """`data` if it is a JSON object with every key in `keys` (a dotted key
-    names one inside nested objects), and every record of its `runs` list
-    with every key in `run_keys`; else AnalysisError naming `path` and each
-    missing key, or the object holding it if that is missing too."""
+    names one inside nested objects); else AnalysisError naming `path` and
+    each missing key, or the object holding it if that is missing too."""
     top = data if isinstance(data, dict) else {}
     missing = []
     for key in keys:
@@ -479,28 +474,48 @@ def _require_keys(path: Path, data, keys: Sequence[str], run_keys: Sequence[str]
                 break
             node = node[part]
     missing = list(dict.fromkeys(missing))
-    runs = top.get("runs", []) if run_keys else []
-    if not isinstance(runs, list):
-        raise ana.AnalysisError(f"{path}: runs is not a list")
-    missing += [
-        f"runs[{n}].{k}"
-        for n, meta in enumerate(runs)
-        for k in run_keys
-        if not isinstance(meta, dict) or k not in meta
-    ]
     if missing:
         raise ana.AnalysisError(f"{path}: missing key(s) {', '.join(missing)}")
     return top
 
 
+RUN_RECORD_TYPES = {"index": int, "setting": str, "status": str, "file_a": str, "file_b": str}
+
+
 def _read_manifest(path: Path) -> dict:
-    """Parsed manifest, its run records checked for the keys a run needs."""
-    run_keys = ("index", "setting", "status", "file_a", "file_b")
-    data = _require_keys(
-        path, json.loads(path.read_text()), ("session_id", "config", "runs"), run_keys
-    )
+    """Parsed manifest, or AnalysisError naming `path` and what is wrong:
+    `config` must be an object and `runs` a list of run records, each with an
+    integer `index` (not a bool) that no other record has, string `setting`,
+    `file_a` and `file_b`, and a `status` of "ok" or "glitched"."""
+    data = _require_keys(path, json.loads(path.read_text()), ("session_id", "config", "runs"))
     if not isinstance(data["config"], dict):
         raise ana.AnalysisError(f"{path}: config is not an object")
+    records = data["runs"]
+    if not isinstance(records, list):
+        raise ana.AnalysisError(f"{path}: runs is not a list")
+    missing = [
+        f"runs[{n}].{key}"
+        for n, meta in enumerate(records)
+        for key in RUN_RECORD_TYPES
+        if not isinstance(meta, dict) or key not in meta
+    ]
+    if missing:
+        raise ana.AnalysisError(f"{path}: missing key(s) {', '.join(missing)}")
+    first_of: dict[int, int] = {}
+    for n, meta in enumerate(records):
+        for key, kind in RUN_RECORD_TYPES.items():
+            if type(meta[key]) is not kind:
+                what = "an integer" if kind is int else "a string"
+                raise ana.AnalysisError(f"{path}: runs[{n}].{key} is not {what}")
+        if meta["status"] not in ("ok", "glitched"):
+            raise ana.AnalysisError(
+                f"{path}: runs[{n}].status is {meta['status']!r}, not 'ok' or 'glitched'"
+            )
+        m = first_of.setdefault(meta["index"], n)
+        if m != n:
+            raise ana.AnalysisError(
+                f"{path}: runs[{n}].index {meta['index']} repeats runs[{m}].index"
+            )
     return data
 
 
@@ -655,7 +670,7 @@ def summary_from_counts(summary_path: str | Path) -> SessionSummary:
             f"{counts_path}: session {counts.session_id} does not match "
             f"{data['session_id']} in {summary_path}"
         )
-    summary = _summary_of(counts, data["mode"], data["expectations"])
+    summary = SessionSummary(counts, data["mode"], data["expectations"])
     if summary.tables != data.get("tables"):
         raise ana.AnalysisError(
             f"{counts_path}: coincidence totals differ from the tables in "
@@ -676,15 +691,13 @@ def write_report_bundle(summary: SessionSummary, outdir: str | Path) -> list[Pat
     written: list[Path] = []
     series = summary.series
     if series is None:
-        if summary.counts is not None:
-            p = outdir / "scan_curves.csv"
-            counts = summary.counts
-            _write_csv(p, {
-                "beta_rad": _formatted(counts.setting_angles[:, 1]),
-                **dict(zip(["n_pp", "n_pm", "n_mp", "n_mm"], counts.totals().T.tolist())),
-            })
-            written.append(p)
-        return written
+        p = outdir / "scan_curves.csv"
+        counts = summary.counts
+        _write_csv(p, {
+            "beta_rad": _formatted(counts.setting_angles[:, 1]),
+            **dict(zip(["n_pp", "n_pm", "n_mp", "n_mm"], counts.totals().T.tolist())),
+        })
+        return [p]
 
     # Each series file is three slots.csv columns under new headers; a zoom
     # file holds the leading rows, the slots that start before REPORT_ZOOM_NS.
@@ -713,26 +726,25 @@ def write_report_bundle(summary: SessionSummary, outdir: str | Path) -> list[Pat
     })
     written.append(p)
 
-    if summary.plateau is not None:
-        p = outdir / "plateau_vs_expected.txt"
-        pl = summary.plateau
-        exp = summary.expectations
-        lines = [
-            "quantity            measured          expected",
-            f"time-avg S          {pl.time_avg_s:.4f} +- {pl.time_dispersion_s:.4f}"
-            f"  {exp['s_ideal']:.4f}",
-            f"all-data S          {pl.all_data_s:.4f} +- {pl.all_data_s_sigma:.4f}"
-            f"  {exp['s_ideal']:.4f}",
-        ]
-        for det in ana.DETECTOR_KEYS:
-            lines.append(
-                f"time-avg eta {det}     {pl.time_avg_eta[det]:.4f} +- "
-                f"{pl.time_dispersion_eta[det]:.4f}  {exp['eta0'][det]:.4f}"
-            )
-            lines.append(
-                f"all-data eta {det}     {pl.all_data_eta[det]:.4f} +- "
-                f"{pl.all_data_eta_sigma[det]:.4f}  (< in-pulse with darks on)"
-            )
-        p.write_text("\n".join(lines) + "\n")
-        written.append(p)
+    p = outdir / "plateau_vs_expected.txt"
+    pl = summary.plateau
+    exp = summary.expectations
+    lines = [
+        "quantity            measured          expected",
+        f"time-avg S          {pl.time_avg_s:.4f} +- {pl.time_dispersion_s:.4f}"
+        f"  {exp['s_ideal']:.4f}",
+        f"all-data S          {pl.all_data_s:.4f} +- {pl.all_data_s_sigma:.4f}"
+        f"  {exp['s_ideal']:.4f}",
+    ]
+    for det in ana.DETECTOR_KEYS:
+        lines.append(
+            f"time-avg eta {det}     {pl.time_avg_eta[det]:.4f} +- "
+            f"{pl.time_dispersion_eta[det]:.4f}  {exp['eta0'][det]:.4f}"
+        )
+        lines.append(
+            f"all-data eta {det}     {pl.all_data_eta[det]:.4f} +- "
+            f"{pl.all_data_eta_sigma[det]:.4f}  (< in-pulse with darks on)"
+        )
+    p.write_text("\n".join(lines) + "\n")
+    written.append(p)
     return written

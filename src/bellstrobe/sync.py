@@ -52,6 +52,16 @@ def percentile(values: np.ndarray, q) -> np.ndarray:
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)[()]
 
 
+def runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop indices, [start, stop), of each run of equal
+    consecutive values in the 1-D array `x`, in order."""
+    x = np.asarray(x)
+    edges = np.flatnonzero(x[1:] != x[:-1]) + 1
+    if x.size == 0:
+        return edges, edges
+    return np.concatenate(([0], edges)), np.concatenate((edges, [x.size]))
+
+
 class SyncError(Exception):
     """Synchronization failure (not enough data, no pattern, ambiguity)."""
 
@@ -149,14 +159,6 @@ def _xcorr_full(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lags, np.concatenate([c[nfft - (nb - 1):] if nb > 1 else c[:0], c[:na]])
 
 
-def _median_run_length(bits: np.ndarray) -> int:
-    changes = np.flatnonzero(np.diff(bits) != 0)
-    if changes.size == 0:
-        return bits.size
-    edges = np.concatenate([[-1], changes, [bits.size - 1]])
-    return int(percentile(np.diff(edges), 50.0))
-
-
 def align_pulse_numbering(triggers_a: np.ndarray, triggers_b: np.ndarray) -> int:
     """Pulse offset such that B's pulse k lines up with A's pulse k + offset.
 
@@ -181,7 +183,8 @@ def align_pulse_numbering(triggers_a: np.ndarray, triggers_b: np.ndarray) -> int
 
     best_i = int(np.argmax(corr))
     best = float(corr[best_i])
-    exclusion = 3 * max(_median_run_length(b), 1)
+    starts, stops = runs(b)
+    exclusion = 3 * max(int(percentile(stops - starts, 50.0)), 1)
     outside = valid & (np.abs(lags - lags[best_i]) > exclusion)
     second = float(np.max(corr[outside])) if np.any(outside) else -np.inf
 

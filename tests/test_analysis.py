@@ -4,16 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellstrobe.analysis import (
     DETECTOR_KEYS,
     DETECTOR_OUTCOMES,
+    SEARCH_TAUS,
     AnalysisError,
     SignificanceError,
     SlotCounts,
     SlotGrid,
     SlotSeries,
+    TransientVerdict,
     angle_scan_curves,
     bin_coincidences,
     bin_singles,
@@ -428,6 +430,7 @@ class TestDetectTransient:
         assert lo == 0 and hi >= 25
         assert hi <= 40  # inside the first 2*tau
         assert verdict.max_sigma > 3
+        assert verdict.plateau_reference == pytest.approx(2.77)
 
     def test_short_dip_rejected_by_persistence(self):
         v, s, sig = self._series()
@@ -462,14 +465,74 @@ class TestDetectTransient:
         with pytest.raises(SignificanceError):
             detect_transient(v, s, sig, self.TAU, self.SLOT)
 
-    def test_explicit_plateau_reference(self):
-        v, s, sig = self._series()
-        v[:25] = 2.0
-        verdict = detect_transient(
-            v, s, sig, self.TAU, self.SLOT, plateau_reference=2.77
-        )
-        assert verdict.is_deviation
-        assert verdict.plateau_reference == 2.77
+    N = 16  # slots in the oracle's series
+
+    @given(
+        min_run=st.integers(1, 6),
+        dev=st.lists(st.sampled_from([-6.0, -4.0, -2.0, 0.0, 3.5, 5.0]), min_size=N, max_size=N),
+        significant=st.lists(st.booleans(), min_size=N, max_size=N),
+    )
+    @example(min_run=2, dev=[-4.0, -4.0, 5.0, 5.0] + [0.0] * (N - 4), significant=[True] * N)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_state_machine(self, min_run, dev, significant):
+        # slot width 1 and tau = min_run: the search covers the first
+        # 2 * min_run slots, and the plateau of exactly 1 the slots after them
+        sigmas = np.full(self.N, 0.5)
+        values = 1.0 + sigmas * np.array(dev)
+        values[2 * min_run :] = 1.0
+        args = (values, sigmas, np.array(significant), float(min_run), 1.0)
+        try:
+            expected = reference_transient(*args)
+        except SignificanceError:
+            with pytest.raises(SignificanceError):
+                detect_transient(*args)
+            return
+        got = detect_transient(*args)
+        for name in ("kind", "slot_range", "direction", "max_sigma", "plateau_reference"):
+            assert getattr(got, name) == getattr(expected, name), name
+
+
+def reference_transient(values, sigmas, significant, tau, slot_width, k_sigma=3.0):
+    """`detect_transient` as a per-slot state machine that walks the search
+    window once and keeps the first of the longest same-sign runs."""
+    v = np.asarray(values, dtype=np.float64)
+    s = np.asarray(sigmas, dtype=np.float64)
+    sig = np.asarray(significant, dtype=bool) & np.isfinite(v) & np.isfinite(s) & (s > 0)
+    min_run = math.ceil(tau / slot_width)
+    n_search = min(v.size, int(math.floor(SEARCH_TAUS * tau / slot_width + 1e-9)))
+
+    ref_slots = sig & (np.arange(v.size) * slot_width >= 2.0 * tau)
+    if not ref_slots.any():
+        raise SignificanceError("no plateau slots")
+    w = 1.0 / s[ref_slots] ** 2
+    plateau_reference = float(np.sum(w * v[ref_slots]) / np.sum(w))
+    tested = sig[:n_search]
+    if int(tested.sum()) < min_run:
+        raise SignificanceError("too few significant slots")
+
+    dev = np.zeros(n_search)
+    dev[tested] = (v[:n_search][tested] - plateau_reference) / s[:n_search][tested]
+    best = None  # start, stop, direction, max|dev|
+    run_start = None
+    run_sign = 0
+    for i in range(n_search + 1):
+        sign = 0
+        if i < n_search and tested[i] and abs(dev[i]) > k_sigma:
+            sign = 1 if dev[i] > 0 else -1
+        if sign != 0 and sign == run_sign:
+            continue
+        if run_sign != 0 and run_start is not None:
+            length = i - run_start
+            if length >= min_run:
+                peak = float(np.max(np.abs(dev[run_start:i])))
+                if best is None or length > best[1] - best[0]:
+                    best = (run_start, i, run_sign, peak)
+        run_start = i if sign != 0 else None
+        run_sign = sign
+
+    if best is None:
+        return TransientVerdict(kind="none", plateau_reference=plateau_reference)
+    return TransientVerdict("deviation", best[:2], best[2], best[3], plateau_reference)
 
 
 def build_series(e_plus=0.7, n_each_slot=1000, n_slots=100, in_pulse=25,

@@ -594,6 +594,29 @@ class TestReportFromCounts:
         assert line == f"error: {summary_path}: {problem}"
         assert not (tmp_path / "report").exists()
 
+    @pytest.fixture(scope="class")
+    def analyzed(self, tmp_path_factory):
+        """A tiny session's directory after `analyze`."""
+        from bellstrobe.cli import main
+
+        manifest_path = simulate_session(tiny_config(), tmp_path_factory.mktemp("analyzed"))
+        assert main(["analyze", str(manifest_path)]) == 0
+        return manifest_path.parent
+
+    @pytest.mark.parametrize(
+        "name", ["setting_angles", "singles", "coincidences", "off_grid", "delta_t_counts"]
+    )
+    def test_counts_array_of_the_wrong_shape_errors(self, tmp_path, capsys, analyzed, name):
+        summary_path, counts_path = tmp_path / "summary.json", tmp_path / "counts.npz"
+        summary_path.write_bytes((analyzed / "summary.json").read_bytes())
+        with np.load(analyzed / "counts.npz") as npz:
+            arrays = dict(npz)
+        arrays[name] = arrays[name][..., 1:]  # one entry short on the last axis
+        np.savez(counts_path, **arrays)
+        line = self._error_line(capsys, ["report", str(summary_path)])
+        assert line.startswith(f"error: {counts_path}: unreadable counts ({name} has shape")
+        assert not (tmp_path / "report").exists()
+
     def test_counts_round_trip(self, tmp_path):
         summary, _ = analyze_session(simulate_session(tiny_config(), tmp_path))
         series = summary.series
@@ -765,6 +788,43 @@ class TestCli:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ")
             assert str(path) in err[0] and key in err[0]
+
+    # edits of a tiny session's run records, and the error each gives
+    BAD_RUN_RECORDS = {
+        "duplicated": (
+            lambda runs: runs.append(dict(runs[0])), "runs[4].index 0 repeats runs[0].index"
+        ),
+        "index_text": (
+            lambda runs: runs[1].update(index="x"), "runs[1].index is not an integer"
+        ),
+        "index_bool": (
+            lambda runs: runs[1].update(index=True), "runs[1].index is not an integer"
+        ),
+        "status_weird": (
+            lambda runs: runs[1].update(status="weird"),
+            "runs[1].status is 'weird', not 'ok' or 'glitched'",
+        ),
+        "setting_null": (
+            lambda runs: runs[1].update(setting=None), "runs[1].setting is not a string"
+        ),
+        "file_a_number": (
+            lambda runs: runs[1].update(file_a=5), "runs[1].file_a is not a string"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_RUN_RECORDS))
+    def test_malformed_run_record_errors(self, tmp_path, capsys, case):
+        from bellstrobe.cli import main
+
+        manifest_path = simulate_session(tiny_config(), tmp_path / "s")
+        manifest = json.loads(manifest_path.read_text())
+        edit, problem = self.BAD_RUN_RECORDS[case]
+        edit(manifest["runs"])
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["analyze", str(manifest_path), "--output", str(tmp_path / "a")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {manifest_path}: {problem}"]
+        assert not (tmp_path / "a").exists()
 
     def test_all_glitched_manifest_errors(self, tmp_path, capsys):
         manifest_path = simulate_session(tiny_config(glitch_probability=0.999999), tmp_path)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -29,6 +30,7 @@ from bellstrobe.sync import (
     extract_period_series,
     fit_clock_relation,
     percentile,
+    runs,
 )
 
 
@@ -65,6 +67,21 @@ class TestPercentile:
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=120
         )
         assert done.returncode == 0
+
+
+class TestRuns:
+    @given(st.lists(st.integers(-2, 2), min_size=1, max_size=40))
+    @example([5])
+    def test_equals_groupby(self, values):
+        starts, stops = runs(np.array(values))
+        groups = [(k, len(list(g))) for k, g in itertools.groupby(values)]
+        assert [(values[a], b - a) for a, b in zip(starts, stops)] == groups
+        assert starts[0] == 0 and stops[-1] == len(values)
+        assert np.array_equal(starts[1:], stops[:-1])
+
+    def test_empty_input_has_no_runs(self):
+        starts, stops = runs(np.array([], dtype=np.int64))
+        assert starts.size == stops.size == 0
 
 
 @pytest.fixture(scope="module")
