@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coinc import Coincidences, SessionMixError, delta_t_histogram
+from .coinc import Coincidences, delta_t_histogram
 from .model import OUTCOME_LABELS, OUTCOME_ORDER, OUTCOME_PARITY
 from .sim import PS_PER_SECOND
 from .sync import Detections, percentile, runs
@@ -38,6 +38,10 @@ class AnalysisError(Exception):
 
 class SignificanceError(AnalysisError):
     """Too few statistically significant slots to run a test."""
+
+
+class SessionMixError(ValueError):
+    """Data from different sessions must not be accumulated together."""
 
 
 @dataclass(frozen=True)
@@ -220,21 +224,6 @@ def correlator_series(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, sig
 
 
-def chsh_from_correlators(
-    e: np.ndarray, sigma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """|S| and its error from 4 correlators in quad order (ab, ab', a'b, a'b').
-
-    S = E(a,b) - E(a,b') + E(a',b) + E(a',b'); any undefined E leaves the slot
-    undefined. Works on shape (4,) or (4, n_slots).
-    """
-    e = np.asarray(e, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    s = np.abs(e[0] - e[1] + e[2] + e[3])
-    sig = np.sqrt((sigma**2).sum(axis=0))
-    return s, sig
-
-
 def efficiency_series(
     coincidences_with_detector: np.ndarray, singles_of_detector: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -263,6 +252,23 @@ def product_series(
     return p, sig
 
 
+def reconstruct(singles: np.ndarray, coincidences: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(E, sigma_E, S, sigma_S, eta, sigma_eta) from (4, n_slots) singles in
+    DETECTOR_KEYS order and (4 settings, n_slots, 4) coincidences, or from
+    both summed over the slots: (4,) and (4, 4).
+
+    S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')| over the settings in quad
+    order; an undefined E leaves S undefined. eta is each detector's
+    coincidences over its singles.
+    """
+    c = np.asarray(coincidences)
+    e, sigma_e = correlator_series(c)
+    s = np.abs(e[0] - e[1] + e[2] + e[3])
+    sigma_s = np.sqrt((sigma_e**2).sum(axis=0))
+    eta, sigma_eta = efficiency_series((c.sum(axis=0) @ DETECTOR_OUTCOMES.T).T, singles)
+    return e, sigma_e, s, sigma_s, eta, sigma_eta
+
+
 def significance_mask(
     coincidences: np.ndarray, min_coincidences: int = 1000
 ) -> np.ndarray:
@@ -289,13 +295,11 @@ def in_pulse_slots(singles_total: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SlotSeries:
-    """All per-slot reconstructions for one session. Per-detector series are
-    (4, n_slots) arrays with rows in DETECTOR_KEYS order."""
+    """All per-slot reconstructions of one chsh_4 session's counts.
+    Per-detector series are (4, n_slots) arrays with rows in DETECTOR_KEYS
+    order."""
 
-    grid: SlotGrid
-    setting_labels: tuple[str, str, str, str]
-    singles: np.ndarray  # (4, n_slots)
-    coincidences: np.ndarray  # (4 settings, n_slots, 4 outcomes)
+    counts: SlotCounts
     e: np.ndarray = field(init=False)  # (4, n_slots)
     sigma_e: np.ndarray = field(init=False)
     s: np.ndarray = field(init=False)  # (n_slots,)
@@ -307,28 +311,18 @@ class SlotSeries:
     in_pulse: np.ndarray = field(init=False)  # (n_slots,) bool, in_pulse_slots
 
     def __post_init__(self) -> None:
-        self.coincidences = np.asarray(self.coincidences, dtype=np.int64)
-        if self.coincidences.shape != (4, self.grid.n_slots, 4):
+        counts = self.counts
+        if len(counts.setting_labels) != 4:
             raise ValueError(
-                f"coincidence array must be (4, {self.grid.n_slots}, 4), got "
-                f"{self.coincidences.shape}"
+                f"S needs the 4 quad settings, got {len(counts.setting_labels)}"
             )
-        self.e, self.sigma_e = correlator_series(self.coincidences)
-        self.s, self.sigma_s = chsh_from_correlators(self.e, self.sigma_e)
-        with_detector = DETECTOR_OUTCOMES @ self.coincidences.sum(axis=0).T
-        self.eta, self.sigma_eta = efficiency_series(with_detector, self.singles)
+        self.e, self.sigma_e, self.s, self.sigma_s, self.eta, self.sigma_eta = reconstruct(
+            counts.singles, counts.coincidences
+        )
         self.product, self.sigma_product = product_series(
             self.s, self.sigma_s, self.eta, self.sigma_eta
         )
-        self.in_pulse = in_pulse_slots(self.singles_total)
-
-    @property
-    def singles_total(self) -> np.ndarray:
-        return self.singles.sum(axis=0)
-
-    def setting_totals(self) -> np.ndarray:
-        """Unresolved (4, 4) per-setting outcome totals over the slot grid."""
-        return self.coincidences.sum(axis=1)
+        self.in_pulse = in_pulse_slots(counts.singles.sum(axis=0))
 
 
 @dataclass
@@ -367,8 +361,10 @@ def plateau_summary(series: SlotSeries) -> PlateauSummary:
     time_avg_s = float(s_defined.mean())
     time_disp_s = float(s_defined.std(ddof=1)) if s_defined.size > 1 else 0.0
 
-    e_all, sig_all = correlator_series(series.setting_totals())
-    s_all, s_all_sigma = chsh_from_correlators(e_all, sig_all)
+    counts = series.counts
+    _, _, s_all, s_all_sigma, all_eta, all_eta_sig = reconstruct(
+        counts.singles.sum(axis=1), counts.coincidences.sum(axis=1)
+    )
 
     sigma_cmp = math.hypot(
         float(s_all_sigma),
@@ -381,10 +377,6 @@ def plateau_summary(series: SlotSeries) -> PlateauSummary:
         vals = eta[~np.isnan(eta)]
         tavg_eta.append(float(vals.mean()) if vals.size else math.nan)
         tdisp_eta.append(float(vals.std(ddof=1)) if vals.size > 1 else 0.0)
-    all_eta, all_eta_sig = efficiency_series(
-        DETECTOR_OUTCOMES @ series.setting_totals().sum(axis=0),
-        series.singles.sum(axis=1),
-    )
 
     return PlateauSummary(
         in_pulse_range=(int(idx[0]), int(idx[-1]) + 1),

@@ -218,14 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        OSError,
-        AnalysisError,
-        SyncError,
-        TagFormatError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ConfigError, OSError, AnalysisError, SyncError, TagFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,10 +18,6 @@ import numpy as np
 from .sync import Detections, runs
 
 
-class SessionMixError(ValueError):
-    """Data from different sessions must not be accumulated together."""
-
-
 @dataclass
 class Coincidences:
     """Matched pairs as parallel arrays sorted by (pulse_number, A's time)."""

@@ -91,9 +91,7 @@ class SessionSummary:
                 counts.setting_angles[:, 1], counts.totals()
             )
             return
-        self.series = ana.SlotSeries(
-            counts.grid, counts.setting_labels, counts.singles, counts.coincidences
-        )
+        self.series = ana.SlotSeries(counts)
         self.plateau = ana.plateau_summary(self.series)
         self.tables = {
             lab: dict(zip(OUTCOME_LABELS, map(int, totals)))
@@ -359,13 +357,11 @@ def analyze_products(
         runs_glitched=runs_glitched,
         runs_skipped=list(skipped),
     )
-    series = summary.series
+    series, counts = summary.series, summary.counts
     if series is None:
         return summary
 
-    significant = ana.significance_mask(
-        series.coincidences, config.analysis.min_coincidences
-    )
+    significant = ana.significance_mask(counts.coincidences, config.analysis.min_coincidences)
     try:
         summary.flatness = ana.chi_square_vs_constant(
             series.s, series.sigma_s, series.in_pulse
@@ -379,7 +375,7 @@ def analyze_products(
             series.sigma_s,
             significant,
             tau=config.geometry.tau,
-            slot_width=series.grid.slot_ps / PS_PER_SECOND,
+            slot_width=counts.grid.slot_ps / PS_PER_SECOND,
             k_sigma=config.analysis.k_sigma,
         )
     except ana.SignificanceError as exc:
@@ -460,10 +456,15 @@ def run_session_in_memory(config: ExperimentConfig) -> SessionSummary:
     )
 
 
-def _require_keys(path: Path, data, keys: Sequence[str]) -> dict:
-    """`data` if it is a JSON object with every key in `keys` (a dotted key
+def _read_json_object(path: Path, keys: Sequence[str]) -> dict:
+    """The JSON object in `path` if it has every key in `keys` (a dotted key
     names one inside nested objects); else AnalysisError naming `path` and
-    each missing key, or the object holding it if that is missing too."""
+    that it is not JSON, or each missing key (or the object holding it if
+    that is missing too)."""
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ana.AnalysisError(f"{path}: not valid JSON ({exc})") from exc
     top = data if isinstance(data, dict) else {}
     missing = []
     for key in keys:
@@ -487,7 +488,7 @@ def _read_manifest(path: Path) -> dict:
     `config` must be an object and `runs` a list of run records, each with an
     integer `index` (not a bool) that no other record has, string `setting`,
     `file_a` and `file_b`, and a `status` of "ok" or "glitched"."""
-    data = _require_keys(path, json.loads(path.read_text()), ("session_id", "config", "runs"))
+    data = _read_json_object(path, ("session_id", "config", "runs"))
     if not isinstance(data["config"], dict):
         raise ana.AnalysisError(f"{path}: config is not an object")
     records = data["runs"]
@@ -539,7 +540,9 @@ def _read_run(directory: Path, meta: dict) -> RunData:
 
 
 def analyze_session(manifest_path: str | Path) -> tuple[SessionSummary, ExperimentConfig]:
-    """File-based analysis of the session a manifest lists.
+    """File-based analysis of the session a manifest lists. Every run
+    record's setting must be one of the config's, checked before any run is
+    read.
 
     Unreadable ok-marked runs are skipped with a warning and mark the
     summary degraded; zero usable runs is an error.
@@ -547,6 +550,12 @@ def analyze_session(manifest_path: str | Path) -> tuple[SessionSummary, Experime
     path = Path(manifest_path)
     manifest = _read_manifest(path)
     config = ExperimentConfig.from_dict(manifest["config"])
+    labels = config.setting_labels()
+    for n, meta in enumerate(manifest["runs"]):
+        if meta["setting"] not in labels:
+            raise ana.AnalysisError(
+                f"{path}: runs[{n}].setting {meta['setting']!r} is not one of {labels}"
+            )
     summary = _run_session(manifest["runs"], lambda meta: _read_run(path.parent, meta), config)
     return summary, config
 
@@ -576,14 +585,15 @@ def _formatted(values: np.ndarray, spec: str = ".6g") -> list[str]:
 
 def _slot_columns(series: ana.SlotSeries) -> dict[str, list]:
     """Every slots.csv column by its header, each value formatted once."""
-    grid, labels = series.grid, series.setting_labels
+    counts = series.counts
+    grid, labels = counts.grid, counts.setting_labels
     columns: dict[str, list] = {
         "slot": list(range(grid.n_slots)),
         "t_start_ns": _formatted(grid.starts() * 1e9, ".3f"),
         "t_center_ns": _formatted(grid.centers() * 1e9, ".3f"),
     }
-    columns.update(zip([f"singles_{d}" for d in ana.DETECTOR_KEYS], series.singles.tolist()))
-    totals = series.coincidences.sum(axis=2).tolist()
+    columns.update(zip([f"singles_{d}" for d in ana.DETECTOR_KEYS], counts.singles.tolist()))
+    totals = counts.coincidences.sum(axis=2).tolist()
     columns.update(zip([f"coinc_total_{lab}" for lab in labels], totals))
     pairs = [(f"E_{lab}", e, s) for lab, e, s in zip(labels, series.e, series.sigma_e)]
     pairs.append(("S", series.s, series.sigma_s))
@@ -653,9 +663,7 @@ def summary_from_counts(summary_path: str | Path) -> SessionSummary:
     if not counts_path.exists():
         raise ana.AnalysisError(f"no {counts_path}; run bellstrobe analyze to write it")
     expected = ["expectations.s_ideal"] + [f"expectations.eta0.{d}" for d in ana.DETECTOR_KEYS]
-    data = _require_keys(
-        summary_path, json.loads(summary_path.read_text()), ["session_id", "mode", *expected]
-    )
+    data = _read_json_object(summary_path, ["session_id", "mode", *expected])
     exp = data["expectations"]
     values = [exp["s_ideal"], *(exp["eta0"][d] for d in ana.DETECTOR_KEYS)]
     bad = [k for k, v in zip(expected, values) if type(v) not in (int, float)]  # not bool
@@ -689,10 +697,9 @@ def write_report_bundle(summary: SessionSummary, outdir: str | Path) -> list[Pat
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    series = summary.series
+    series, counts = summary.series, summary.counts
     if series is None:
         p = outdir / "scan_curves.csv"
-        counts = summary.counts
         _write_csv(p, {
             "beta_rad": _formatted(counts.setting_angles[:, 1]),
             **dict(zip(["n_pp", "n_pm", "n_mp", "n_mm"], counts.totals().T.tolist())),
@@ -702,8 +709,8 @@ def write_report_bundle(summary: SessionSummary, outdir: str | Path) -> list[Pat
     # Each series file is three slots.csv columns under new headers; a zoom
     # file holds the leading rows, the slots that start before REPORT_ZOOM_NS.
     slots = _slot_columns(series)
-    n_zoom = int(np.count_nonzero(series.grid.starts() * 1e9 < REPORT_ZOOM_NS))
-    for tag, n_rows in (("full", series.grid.n_slots), ("zoom", n_zoom)):
+    n_zoom = int(np.count_nonzero(counts.grid.starts() * 1e9 < REPORT_ZOOM_NS))
+    for tag, n_rows in (("full", counts.grid.n_slots), ("zoom", n_zoom)):
         for stem, header, name in (
             ("s_chsh", "S", "S"),
             ("eta_Aplus", "eta", "eta_A+"),
@@ -715,14 +722,14 @@ def write_report_bundle(summary: SessionSummary, outdir: str | Path) -> list[Pat
             written.append(p)
 
     # Long format: setting, then outcome, then slot varies fastest.
-    n_settings, n_slots, n_outcomes = series.coincidences.shape
+    n_settings, n_slots, n_outcomes = counts.coincidences.shape
     p = outdir / "coincidences_16types.csv"
     _write_csv(p, {
-        "setting": np.repeat(series.setting_labels, n_outcomes * n_slots).tolist(),
+        "setting": np.repeat(counts.setting_labels, n_outcomes * n_slots).tolist(),
         "outcome": np.tile(np.repeat(OUTCOME_LABELS, n_slots), n_settings).tolist(),
         "slot": np.tile(np.arange(n_slots), n_settings * n_outcomes).tolist(),
         "t_center_ns": slots["t_center_ns"] * (n_settings * n_outcomes),
-        "counts": series.coincidences.transpose(0, 2, 1).ravel().tolist(),
+        "counts": counts.coincidences.transpose(0, 2, 1).ravel().tolist(),
     })
     written.append(p)
 

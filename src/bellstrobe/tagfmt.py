@@ -93,19 +93,31 @@ class TagFileHeader:
 
 
 def _check_records(channels: np.ndarray, timestamps: np.ndarray, first: int = 0) -> None:
-    """Channel range and the (timestamp, channel) sort invariant of records
-    `first`, `first` + 1, ...; `channels` must be uint8 and `timestamps`
-    uint64, so that the comparison matches the on-disk order."""
-    bad = channels - np.uint8(1) > 2  # outside 1..3; channel 0 wraps to 255
+    """Channel range, timestamps in 0..2**63 - 1 ps, and the (timestamp,
+    channel) sort invariant of records `first`, `first` + 1, ...; the
+    arrays are checked as given, so a channel of 257 or a uint64 timestamp
+    of 2**63 fails here instead of being stored as another value."""
+    bad = (channels < 1) | (channels > 3)
     if bad.any():
         i = int(np.argmax(bad))
         raise TagFormatError(f"channel {channels[i]} out of range", index=first + i)
-    t0, t1 = timestamps[:-1], timestamps[1:]
+    # A uint64 from 2**63 on is negative as int64. Until the order breaks,
+    # every record is at or past the first, so the first negative timestamp
+    # is the first record or the one that breaks the order.
+    unsigned = timestamps.dtype == np.uint64
+    times = timestamps.view(np.int64) if unsigned else timestamps.astype(np.int64, copy=False)
+    t0, t1 = times[:-1], times[1:]
     bad = (t1 < t0) | ((t1 == t0) & (channels[1:] <= channels[:-1]))
-    if bad.any():
+    broken = bool(bad.any())
+    i = int(np.argmax(bad)) + 1 if broken and times[0] >= 0 else 0
+    if times.size and times[i] < 0:
+        raise TagFormatError(
+            f"timestamp {timestamps[i]} outside 0..2**63 - 1 ps", index=first + i
+        )
+    if broken:
         raise TagFormatError(
             "records not sorted by (timestamp, channel): monotonicity violation",
-            index=first + int(np.argmax(bad)) + 1,
+            index=first + i,
         )
 
 
@@ -116,12 +128,12 @@ def write_tags(
 ) -> int:
     """Write a tag file; returns the byte count (40 + 16*N).
 
-    `records` is a (channels, timestamps) array pair; timestamps are taken as
-    int64 picoseconds. Records must already satisfy the sort invariant and
-    channel range, and no timestamp may be negative; violations raise
-    TagFormatError with the record index, and nothing is written. Every chunk
-    is checked before the first byte goes out, then the records are packed
-    and written one CHUNK_RECORDS buffer at a time.
+    `records` is a (channels, timestamps) pair of integer arrays, timestamps
+    in picoseconds. Records must already satisfy the sort invariant, the
+    channel range and 0 <= timestamp < 2**63; violations raise TagFormatError
+    with the record index, and nothing is written. Every chunk is checked
+    before the first byte goes out, then the records are packed and written
+    one CHUNK_RECORDS buffer at a time.
     """
     channels, timestamps = np.asarray(records[0]), np.asarray(records[1])
     if channels.shape != timestamps.shape:
@@ -130,14 +142,7 @@ def write_tags(
     for start in range(0, n, CHUNK_RECORDS):
         first = max(start - 1, 0)  # overlap the chunk before by one record
         stop = min(start + CHUNK_RECORDS, n)
-        times = timestamps[first:stop].astype(np.int64, copy=False)
-        negative = times < 0
-        if negative.any():
-            i = int(np.argmax(negative))
-            raise TagFormatError(f"negative timestamp {times[i]}", index=first + i)
-        _check_records(
-            channels[first:stop].astype(np.uint8, copy=False), times.view(np.uint64), first
-        )
+        _check_records(channels[first:stop], timestamps[first:stop], first)
 
     buffer = np.zeros(min(n, CHUNK_RECORDS), RECORD_DTYPE)  # pad bytes stay zero
     path = isinstance(sink, (str, Path))
@@ -158,7 +163,7 @@ def read_tag_arrays(
 
     Every violation of docs/tagfile-format.md raises TagFormatError, with the
     offending record index where the format defines one. Timestamps come back
-    as int64 picoseconds.
+    as int64 picoseconds; one of 2**63 or more is refused, not wrapped.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:

@@ -86,7 +86,7 @@ def test_criterion_05_null_end_to_end(tmp_path, null_study):
     assert abs(pl.all_data_s - ideal) < 3 * pl.all_data_s_sigma
     chi2, dof = summary.flatness
     assert 0.7 <= chi2 <= 1.3
-    in_pulse = summary.series.coincidences.sum(axis=2).min(axis=0)[
+    in_pulse = summary.counts.coincidences.sum(axis=2).min(axis=0)[
         pl.in_pulse_range[0] : pl.in_pulse_range[1]
     ]
     assert in_pulse.min() >= 1000

@@ -1,5 +1,6 @@
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from bellstrobe.analysis import (
     in_pulse_slots,
     plateau_summary,
     product_series,
+    reconstruct,
     significance_mask,
 )
 from bellstrobe.coinc import Coincidences, delta_t_edges, delta_t_histogram
@@ -182,6 +184,14 @@ def sum_of_runs(mode, runs):
     return sum((run_counts(mode, lab, rows) for lab, rows in runs), zero_counts(mode))
 
 
+def session_counts(singles, tables, slot_ps=4000):
+    """chsh_4 counts holding (4, n_slots) singles and (4, n_slots, 4) tables."""
+    grid = SlotGrid(slot_ps=slot_ps, n_slots=tables.shape[1])
+    angles = [(0.0, 0.1 * i) for i in range(4)]
+    zeros = SlotCounts.zeros("s", grid, SETTINGS, angles, EDGES)
+    return replace(zeros, singles=np.asarray(singles), coincidences=np.asarray(tables))
+
+
 def assert_counts_equal(x, y):
     assert x.session_id == y.session_id and x.grid == y.grid
     assert x.setting_labels == y.setting_labels
@@ -270,7 +280,7 @@ class TestDetectorRows:
         stations = [np.array(a, np.int64).reshape(-1, 2), np.array(b, np.int64).reshape(-1, 2)]
         detections = [make_detections(x[:, 1], x[:, 0]) for x in stations]
         counts.add_run("ab", detections, rows_to_run(rows)[2])
-        series = SlotSeries(grid, SETTINGS, counts.singles, counts.coincidences)
+        series = SlotSeries(counts)
 
         rec = np.array(rows, np.int64).reshape(-1, 4)
         for d, key in enumerate(DETECTOR_KEYS):
@@ -320,14 +330,9 @@ def ideal_slot_counts(visibility, n_each_slot, n_slots=25):
     return tables
 
 
-def s_from_slot_series(counts):
+def s_from_slot_series(tables):
     """|S| per slot from (4, n_slots, 4) counts, derived by SlotSeries."""
-    series = SlotSeries(
-        grid=SlotGrid(slot_ps=4000, n_slots=counts.shape[1]),
-        setting_labels=("ab", "ab'", "a'b", "a'b'"),
-        singles=np.zeros((4, counts.shape[1]), dtype=np.int64),
-        coincidences=counts,
-    )
+    series = SlotSeries(session_counts(np.zeros((4, tables.shape[1]), np.int64), tables))
     return series.s, series.sigma_s
 
 
@@ -552,13 +557,7 @@ def build_series(e_plus=0.7, n_each_slot=1000, n_slots=100, in_pulse=25,
         tables[i, :in_pulse, :] = per_setting[i]
     singles = np.full((4, n_slots), singles_out, dtype=np.int64)
     singles[:, :in_pulse] = singles_in
-    grid = SlotGrid(slot_ps=20_000, n_slots=n_slots)
-    return SlotSeries(
-        grid=grid,
-        setting_labels=("ab", "ab'", "a'b", "a'b'"),
-        singles=singles,
-        coincidences=tables,
-    )
+    return SlotSeries(session_counts(singles, tables, slot_ps=20_000))
 
 
 class TestPlateauSummary:
@@ -572,7 +571,7 @@ class TestPlateauSummary:
 
     def test_in_pulse_rule(self):
         series = build_series(singles_in=5000, singles_out=12)
-        mask = in_pulse_slots(series.singles_total)
+        mask = in_pulse_slots(series.counts.singles.sum(axis=0))
         assert mask[:25].all() and not mask[25:].any()
 
     def test_empty_in_pulse_range_errors(self):
@@ -580,13 +579,46 @@ class TestPlateauSummary:
         with pytest.raises(AnalysisError):
             plateau_summary(series)
 
-    def test_sum_rule_via_tables(self):
-        # the summary's per-setting tables are the slot counts summed over slots
-        series = build_series()
-        totals = series.setting_totals()
-        assert totals.shape == (4, 4)
-        for i in range(4):
-            assert np.array_equal(totals[i], series.coincidences[i].sum(axis=0))
+
+def assert_one_slot_reconstruction_is_the_all_data_values(counts):
+    """Counts collapsed into one slot reconstruct, per slot, to exactly the
+    plateau summary's all-data S and eta with their errors."""
+    plateau = plateau_summary(SlotSeries(counts))
+    one_slot = reconstruct(
+        counts.singles.sum(axis=1, keepdims=True),
+        counts.coincidences.sum(axis=1, keepdims=True),
+    )
+    _, _, s, sigma_s, eta, sigma_eta = (x[..., 0] for x in one_slot)
+    assert (plateau.all_data_s, plateau.all_data_s_sigma) == (float(s), float(sigma_s))
+    assert plateau.all_data_eta == dict(zip(DETECTOR_KEYS, eta.tolist()))
+    assert plateau.all_data_eta_sigma == dict(zip(DETECTOR_KEYS, sigma_eta.tolist()))
+
+
+class TestOneReconstruction:
+    """The time-resolved series and the all-data values are one derivation:
+    collapsing the slots first gives the same numbers, bit for bit."""
+
+    def test_collapsed_session_counts(self, demo_session):
+        assert_one_slot_reconstruction_is_the_all_data_values(demo_session.counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_slots=st.integers(3, 40), data=st.data())
+    def test_collapsed_random_counts(self, seed, n_slots, data):
+        in_pulse = data.draw(st.integers(1, (n_slots - 1) // 2))  # duty cycle < 50%
+        rng = np.random.default_rng(seed)
+        tables = rng.integers(0, 60, (4, n_slots, 4))
+        tables[:, :in_pulse] += 1  # every in-pulse slot has a defined S
+        singles = rng.integers(0, 5, (4, n_slots))
+        singles[:, :in_pulse] += rng.integers(1000, 5000, (4, in_pulse))
+        counts = session_counts(singles, tables)
+        counts.off_grid[:] = rng.integers(0, 60, (4, 4))  # not in the all-data values
+        assert_one_slot_reconstruction_is_the_all_data_values(counts)
+
+    def test_series_needs_the_four_quad_settings(self):
+        labels = [f"scan{i:02d}" for i in range(34)]
+        scan = SlotCounts.zeros("s", GRIDS["scan_34"], labels, [(0.0, 0.0)] * 34, EDGES)
+        with pytest.raises(ValueError, match="4 quad settings, got 34"):
+            SlotSeries(scan)
 
 
 class TestChiSquare:

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellstrobe import coinc
-from bellstrobe.analysis import AnalysisError, SlotCounts, SlotGrid
+from bellstrobe.analysis import AnalysisError, SessionMixError, SlotCounts, SlotGrid
 from bellstrobe.coinc import (
     Coincidences,
-    SessionMixError,
     accidental_estimate,
     delta_t_edges,
     delta_t_histogram,
@@ -309,8 +308,7 @@ class TestOutOfPulseCoincidences:
     def test_accidentals_only_outside_pulses(self, default_session):
         # out-of-pulse slots (well past the pulse tail) should hold at most a
         # couple of chance coincidences, consistent with the accidental rate
-        series = default_session.series
-        out = series.coincidences[:, 130:, :].sum()  # slots from 520 ns on
+        out = default_session.counts.coincidences[:, 130:, :].sum()  # slots from 520 ns on
         duration = 0.8 * 8  # run_duration x runs in the desk default session
         # both detectors contribute to each station's dark rate
         expected = accidental_estimate(400.0, 400.0, 4e-9, duration)

@@ -270,9 +270,9 @@ class TestAnalyzeSession:
             assert json.dumps(summary_file.to_dict(), sort_keys=True) == json.dumps(
                 summary_mem.to_dict(), sort_keys=True
             ), name
-            assert np.array_equal(summary_file.series.coincidences,
-                                  summary_mem.series.coincidences)
-            assert np.array_equal(summary_file.series.singles, summary_mem.series.singles)
+            assert np.array_equal(summary_file.counts.coincidences,
+                                  summary_mem.counts.coincidences)
+            assert np.array_equal(summary_file.counts.singles, summary_mem.counts.singles)
         assert summary_mem.runs_glitched == 2 and summary_mem.runs_used == 6
 
     def test_in_memory_run_without_triggers_skips_only_that_run(self, monkeypatch):
@@ -317,6 +317,23 @@ class TestAnalyzeSession:
         assert summary.degraded
         assert summary.runs_skipped == [{"run": 1, "reason": mock.ANY}]
         assert summary.runs_skipped[0]["reason"].startswith("run001_A.tags: truncated record")
+        assert summary.runs_used == 7
+
+    def test_wrapped_timestamp_skips_only_that_run(self, tmp_path):
+        # a last record of 2**63 + 5 ps would read back as a negative int64
+        c = tiny_config(runs_per_experiment=8)
+        manifest_path = simulate_session(c, tmp_path)
+        victim = tmp_path / "run001_B.tags"
+        raw = bytearray(victim.read_bytes())
+        raw[-8:] = (2**63 + 5).to_bytes(8, "little")
+        victim.write_bytes(bytes(raw))
+        n = (len(raw) - 40) // 16
+        summary, _ = analyze_session(manifest_path)
+        assert summary.runs_skipped == [{
+            "run": 1,
+            "reason": f"run001_B.tags: timestamp {2**63 + 5} outside 0..2**63 - 1 ps "
+                      f"(record index {n - 1})",
+        }]
         assert summary.runs_used == 7
 
     def test_swapped_station_files_skip_only_that_run(self, tmp_path):
@@ -417,7 +434,7 @@ class TestOutputs:
         path = tmp_path / "slots.csv"
         write_slots_csv(s.series, path)
         lines = path.read_text().splitlines()
-        assert len(lines) == 2 + s.series.grid.n_slots  # comment + header + rows
+        assert len(lines) == 2 + s.counts.grid.n_slots  # comment + header + rows
         header = lines[1].split(",")
         assert "S" in header and "sigma_S" in header and "eta_A+" in header
 
@@ -432,7 +449,7 @@ class TestOutputs:
         zoom = (tmp_path / "s_chsh_zoom.csv").read_text().splitlines()
         assert len(zoom) == 1 + 5
         grid16 = (tmp_path / "coincidences_16types.csv").read_text().splitlines()
-        assert len(grid16) == 1 + 16 * s.series.grid.n_slots
+        assert len(grid16) == 1 + 16 * s.counts.grid.n_slots
         # all 16 coincidence series carry counts for a 4-setting session
         totals = {}
         for line in grid16[1:]:
@@ -572,8 +589,8 @@ class TestReportFromCounts:
     }
 
     @pytest.mark.parametrize(
-        "drop", ["mode", "session_id", "expectations", *BAD_EXPECTATIONS, None],
-        ids=["mode", "session_id", "expectations", *BAD_EXPECTATIONS, "json_list"],
+        "drop", ["mode", "session_id", "expectations", *BAD_EXPECTATIONS, None, "not_json"],
+        ids=["mode", "session_id", "expectations", *BAD_EXPECTATIONS, "json_list", "not_json"],
     )
     def test_malformed_summary_errors(self, tmp_path, capsys, drop):
         from bellstrobe.cli import main
@@ -586,10 +603,16 @@ class TestReportFromCounts:
             data, problem = list(data), "missing key(s) session_id, mode, expectations"
         elif drop in self.BAD_EXPECTATIONS:
             data["expectations"], problem = self.BAD_EXPECTATIONS[drop]
-        else:
+        elif drop != "not_json":
             del data[drop]
             problem = f"missing key(s) {drop}"
         summary_path.write_text(json.dumps(data))
+        if drop == "not_json":
+            summary_path.write_text("{")
+            problem = (
+                "not valid JSON (Expecting property name enclosed in double quotes: "
+                "line 1 column 2 (char 1))"
+            )
         line = self._error_line(capsys, ["report", str(summary_path)])
         assert line == f"error: {summary_path}: {problem}"
         assert not (tmp_path / "report").exists()
@@ -619,19 +642,19 @@ class TestReportFromCounts:
 
     def test_counts_round_trip(self, tmp_path):
         summary, _ = analyze_session(simulate_session(tiny_config(), tmp_path))
-        series = summary.series
-        summary.counts.save(tmp_path / "counts.npz")
+        counts = summary.counts
+        counts.save(tmp_path / "counts.npz")
         with np.load(tmp_path / "counts.npz") as npz:
             assert str(npz["session_id"]) == summary.session_id
             assert "mode" not in npz.files
-            assert int(npz["slot_ps"]) == series.grid.slot_ps == 20_000
-            assert int(npz["n_slots"]) == series.grid.n_slots
+            assert int(npz["slot_ps"]) == counts.grid.slot_ps == 20_000
+            assert int(npz["n_slots"]) == counts.grid.n_slots
             assert npz["delta_t_edges"].dtype == np.int64
-            assert tuple(npz["setting_labels"]) == series.setting_labels
+            assert tuple(npz["setting_labels"]) == counts.setting_labels
             singles, coincidences = npz["singles"], npz["coincidences"]
         assert singles.dtype == coincidences.dtype == np.int64
-        assert np.array_equal(singles, series.singles)  # rows A+, A-, B+, B-
-        assert np.array_equal(coincidences, series.coincidences)
+        assert np.array_equal(singles, counts.singles)  # rows A+, A-, B+, B-
+        assert np.array_equal(coincidences, counts.coincidences)
 
 
 class TestCli:
@@ -810,6 +833,11 @@ class TestCli:
         "file_a_number": (
             lambda runs: runs[1].update(file_a=5), "runs[1].file_a is not a string"
         ),
+        # checked against the config before any run is read
+        "setting_unknown": (
+            lambda runs: runs[1].update(setting="zz"),
+            f"runs[1].setting 'zz' is not one of {list(tiny_config().quad.labels)}",
+        ),
     }
 
     @pytest.mark.parametrize("case", list(BAD_RUN_RECORDS))
@@ -831,9 +859,17 @@ class TestCli:
         self._assert_one_line_error(capsys, ["analyze", str(manifest_path)])
 
     def test_invalid_manifest_json_errors(self, tmp_path, capsys):
+        from bellstrobe.cli import main
+
         manifest_path = tmp_path / "manifest.json"
         manifest_path.write_text('{"session_id": ')
-        self._assert_one_line_error(capsys, ["analyze", str(manifest_path)])
+        capsys.readouterr()
+        assert main(["analyze", str(manifest_path), "--output", str(tmp_path / "a")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {manifest_path}: not valid JSON "
+            "(Expecting value: line 1 column 16 (char 15))"
+        ]
+        assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize(
         "override", ["station_b.clock.jitter_sigma=2e-11", "station_b.clock.offset=-1e-3"]

@@ -299,14 +299,50 @@ def test_writer_rejects_an_order_violation_in_the_last_chunk_and_writes_nothing(
         assert sink.getvalue() == b""
 
 
-def test_writer_rejects_a_negative_timestamp_with_its_index():
-    # cast to uint64 it would wrap and surface one record later as "not sorted"
+@pytest.mark.parametrize("at", [0, CHUNK_RECORDS + 3])
+@pytest.mark.parametrize("dtype, bad", [(np.int64, -7), (np.uint64, 2**63)])
+def test_writer_rejects_a_timestamp_outside_int64_with_its_index(dtype, bad, at):
+    # cast to the other type it would wrap and surface one record later as "not sorted"
     n = CHUNK_RECORDS + 10
-    times = np.arange(n, dtype=np.int64)
-    times[CHUNK_RECORDS + 3] = -7
+    times = np.arange(n, dtype=dtype)
+    times[at] = bad
     buf = io.BytesIO()
-    with pytest.raises(TagFormatError, match="negative timestamp -7") as exc:
+    with pytest.raises(TagFormatError, match=f"timestamp {bad} outside") as exc:
         write_tags(TagFileHeader(station_id=0, record_count=n),
                    (np.full(n, 3, np.uint8), times), buf)
-    assert exc.value.index == CHUNK_RECORDS + 3
+    assert exc.value.index == at
     assert buf.getvalue() == b""
+
+
+@pytest.mark.parametrize("channel", [0, 4, 257, -255])
+def test_writer_checks_channels_before_narrowing_them(channel):
+    # 257 and -255 are channel 1 as a uint8
+    channels = np.array([3, 1, channel, 2], np.int64)
+    buf = io.BytesIO()
+    with pytest.raises(TagFormatError, match=f"channel {channel} out of range") as exc:
+        write_tags(TagFileHeader(station_id=0, record_count=4),
+                   (channels, np.arange(4, dtype=np.int64)), buf)
+    assert exc.value.index == 2
+    assert buf.getvalue() == b""
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes"])
+@pytest.mark.parametrize("at", [0, 2, CHUNK_RECORDS, CHUNK_RECORDS + 4])
+def test_reader_refuses_a_timestamp_past_int64_with_its_index(at, kind, tmp_path):
+    # a u64 on disk from 2**63 on would come back as a negative int64
+    n = CHUNK_RECORDS + 5
+    buf = io.BytesIO()
+    write_tags(TagFileHeader(station_id=0, record_count=n),
+               (np.full(n, 3, np.uint8), np.arange(n, dtype=np.uint64)), buf)
+    raw = bytearray(buf.getvalue())
+    offset = HEADER_SIZE + RECORD_SIZE * at + 8
+    raw[offset : offset + 8] = (2**63 + 5).to_bytes(8, "little")
+    with pytest.raises(TagFormatError, match=f"timestamp {2**63 + 5} outside") as exc:
+        read_tag_arrays(_written(kind, bytes(raw), tmp_path))
+    assert exc.value.index == at
+
+
+def test_the_largest_int64_timestamp_round_trips():
+    top = np.iinfo(np.int64).max
+    header, channels, times = read_tag_arrays(tag_bytes((1, top - 1), (2, top)))
+    assert times.tolist() == [top - 1, top]
