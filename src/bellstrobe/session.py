@@ -540,16 +540,19 @@ def _read_run(directory: Path, meta: dict) -> RunData:
 
 
 def analyze_session(manifest_path: str | Path) -> tuple[SessionSummary, ExperimentConfig]:
-    """File-based analysis of the session a manifest lists. Every run
-    record's setting must be one of the config's, checked before any run is
-    read.
+    """File-based analysis of the session a manifest lists. A config the
+    decoder refuses is a ConfigError naming the manifest. Every run record's
+    setting must be one of the config's, checked before any run is read.
 
     Unreadable ok-marked runs are skipped with a warning and mark the
     summary degraded; zero usable runs is an error.
     """
     path = Path(manifest_path)
     manifest = _read_manifest(path)
-    config = ExperimentConfig.from_dict(manifest["config"])
+    try:
+        config = ExperimentConfig.from_dict(manifest["config"])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: config: {exc}") from exc
     labels = config.setting_labels()
     for n, meta in enumerate(manifest["runs"]):
         if meta["setting"] not in labels:

@@ -9,6 +9,13 @@ attributed to pulses by their time distance to the nearest preceding trigger.
 That trigger is read off the detection's place in the station's sorted tag
 stream (the trigger tags before it) and checked against the trigger train;
 only detections the check refutes are binary-searched.
+
+Only the clock fit uses a second thread: each of its three passes runs its
+chunks on the calling thread and one worker thread (`tagfmt._map_chunks`),
+through scratch arrays allocated on the calling thread. A chunk's partial
+sums come from the same numpy calls on the same values whichever thread
+computes them, and they are added in chunk order, so the fit is bit for bit
+that of a serial loop. Everything else runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .sim import CHANNEL_PLUS, CHANNEL_TRIGGER, PS_PER_SECOND, TagStream
+from .tagfmt import _map_chunks
 
 
 # align_pulse_numbering searches lags within +-MAX_LAG pulses over the first
@@ -39,14 +47,16 @@ def percentile(values: np.ndarray, q) -> np.ndarray:
     q = 50 to np.median(values): the mean of the two middle values is then
     exact either way. Built on np.partition because np.percentile and
     np.median import numpy.ma on their first call, which takes 11-18 ms of a
-    fresh process on a two-core VM (numpy 2.4).
+    fresh process on a two-core VM (numpy 2.4). `values` is copied once, to
+    float64, and that copy is partitioned in place; the caller's array is
+    left as it is.
     """
-    x = np.asarray(values, dtype=np.float64)
+    x = np.array(values, dtype=np.float64)
     index = (x.size - 1) * (np.asarray(q, dtype=np.float64) / 100)
     lo = np.floor(index).astype(np.intp)
     hi = np.minimum(lo + 1, x.size - 1)
-    part = np.partition(x, np.concatenate([lo.ravel(), hi.ravel()]))
-    a, b = part[lo], part[hi]
+    x.partition(np.concatenate([lo.ravel(), hi.ravel()]))
+    a, b = x[lo], x[hi]
     t = index - lo
     # interpolated from the nearer end, as np.percentile does
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)[()]
@@ -219,6 +229,9 @@ def fit_clock_relation(
     B's time since the first matched B trigger, both as exact int64
     picoseconds. Fitting z = c + (rate_ratio - 1) * x keeps the slope's
     rounding error relative to the drift, not to 1.
+
+    FIT_CHUNK is read at each call. Each pass runs on two threads, and its
+    per-chunk results are combined in chunk order (see the module docstring).
     """
     k0 = max(0, -pulse_offset)
     k1 = min(triggers_b.size, triggers_a.size - pulse_offset)
@@ -226,25 +239,40 @@ def fit_clock_relation(
         raise SyncError(f"only {max(0, k1 - k0)} matched trigger pairs; need >= 10")
     ta = np.asarray(triggers_a, dtype=np.int64)[k0 + pulse_offset : k1 + pulse_offset]
     tb = np.asarray(triggers_b, dtype=np.int64)[k0:k1]
-    n = ta.size
+    n, chunk = ta.size, FIT_CHUNK
     x0, z0 = int(ta[0]), int(tb[0]) - int(ta[0])
+    m = min(n, chunk)
+    # one scratch set per thread: three int64 and three float64 rows
+    scratch = [(np.empty((3, m), np.int64), np.empty((3, m), np.float64)) for _ in range(2)]
 
-    def chunks():
-        """(x, z) as int64 picoseconds, FIT_CHUNK pairs at a time."""
-        for i in range(0, n, FIT_CHUNK):
-            a, b = ta[i : i + FIT_CHUNK], tb[i : i + FIT_CHUNK]
-            z = b - a
-            z -= z0
-            yield a - x0, z
+    def pairs(start, stop, ints):
+        """x and z of pairs start..stop as int64 picoseconds, in rows 0 and 1 of `ints`."""
+        x, z = ints[:2, : stop - start]
+        np.subtract(tb[start:stop], ta[start:stop], out=z)
+        z -= z0
+        np.subtract(ta[start:stop], x0, out=x)
+        return x, z
 
-    sums = [(x.sum(dtype=np.float64), z.sum(dtype=np.float64)) for x, z in chunks()]
-    xm = math.fsum(sx for sx, _ in sums) / n
-    zm = math.fsum(sz for _, sz in sums) / n
+    def sums(start, stop, buffers):
+        x, z = pairs(start, stop, buffers[0])
+        return x.sum(dtype=np.float64), z.sum(dtype=np.float64)
+
+    parts = _map_chunks(sums, n, chunk, scratch)
+    xm = math.fsum(sx for sx, _ in parts) / n
+    zm = math.fsum(sz for _, sz in parts) / n
+
+    def centred(start, stop, buffers):
+        x, z = pairs(start, stop, buffers[0])
+        dx, dz = buffers[1][:2, : x.size]
+        np.subtract(x, xm, out=dx)
+        np.subtract(z, zm, out=dz)
+        return _dot(dx, dx), _dot(dx, dz)
+
+    # added one by one in chunk order; sum() compensates from Python 3.12 on
     sxx = sxz = 0.0
-    for x, z in chunks():
-        dx = x - xm
-        sxx += _dot(dx, dx)
-        sxz += _dot(dx, z - zm)
+    for pxx, pxz in _map_chunks(centred, n, chunk, scratch):
+        sxx += pxx
+        sxz += pxz
     if sxx == 0.0:
         raise ClockFitError("all matched A triggers share one timestamp")
     drift = sxz / sxx
@@ -257,13 +285,25 @@ def fit_clock_relation(
     drift_hi = float(np.float32(drift))
     drift_lo = drift - drift_hi
     line_at_0 = zm - drift * xm
-    sq = 0.0
-    for x, z in chunks():
-        x_hi = x & ~np.int64(0xFFFFFF)
-        r = z - drift_hi * x_hi
-        r -= drift_hi * (x - x_hi) + drift_lo * x
+
+    def residual(start, stop, buffers):
+        x, z = pairs(start, stop, buffers[0])
+        x_hi = buffers[0][2, : x.size]
+        r, rest, lo = buffers[1][:, : x.size]
+        np.bitwise_and(x, ~np.int64(0xFFFFFF), out=x_hi)
+        np.multiply(drift_hi, x_hi, out=r)
+        np.subtract(z, r, out=r)  # z - drift_hi * x_hi
+        np.subtract(x, x_hi, out=x_hi)
+        np.multiply(drift_hi, x_hi, out=rest)
+        np.multiply(drift_lo, x, out=lo)
+        rest += lo  # drift_hi * (x - x_hi) + drift_lo * x
+        r -= rest
         r -= line_at_0
-        sq += _dot(r, r)
+        return _dot(r, r)
+
+    sq = 0.0
+    for part in _map_chunks(residual, n, chunk, scratch):
+        sq += part
     # t_B = tb0 + x + z, with x = t_A - ta0 and z = zm + drift * (x - xm)
     intercept_ps = z0 + zm - drift * (x0 + xm)
     return ClockFit(

@@ -18,17 +18,27 @@ docs/tagfile-format.md:
 
 Records are sorted by timestamp, ties broken by ascending channel; duplicate
 (timestamp, channel) pairs are invalid. File size is exactly 40 + 16*N bytes.
+
+The writer runs on the calling thread. The reader reads, checks and unpacks
+its chunks of CHUNK_RECORDS records on the calling thread and one worker
+thread (`_map_chunks`), each thread through its own buffers, allocated on
+the calling thread. A chunk's work depends only on the file's bytes, and it
+writes only its own slice of the output arrays, so the arrays cannot depend
+on which thread read which chunk or in what order the chunks finished; the
+error raised is the one of the first chunk in record order that holds one,
+as in a serial read.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -43,6 +53,53 @@ RECORD_DTYPE = np.dtype([("channel", "<u1"), ("pad", "V7"), ("timestamp", "<u8")
 RECORD_SIZE = RECORD_DTYPE.itemsize
 
 assert HEADER_SIZE == 40 and RECORD_SIZE == 16
+
+def _map_chunks(
+    fn: Callable[[int, int, object], object], n: int, size: int, scratch: Sequence
+) -> list:
+    """[fn(start, stop, buffers) for each chunk [start, stop) of range(n)
+    holding `size` items], in chunk order.
+
+    With more than one chunk, the caller and one worker thread take chunks
+    in order from one shared queue; the caller hands fn scratch[0] and the
+    worker scratch[1], buffers the caller allocated, so the worker allocates
+    nothing chunk-sized if fn writes through them. One chunk runs on the
+    caller alone. fn must not depend on which thread runs it, or on the
+    other chunks: each result is then what a serial loop computes, and the
+    results come back in chunk order, not in the order they finish.
+
+    If fn raises, no chunk past the failing one is started, the ones before
+    it are finished, and the exception of the lowest failing chunk is
+    raised, the one a serial loop would raise.
+    """
+    starts = range(0, n, size)
+    results = [None] * len(starts)
+    errors: dict[int, Exception] = {}
+    todo = iter(range(len(starts)))
+    lock = threading.Lock()  # guards todo and errors
+
+    def work(buffers) -> None:
+        while True:
+            with lock:
+                i = next(todo, None)
+                if i is None or (errors and i > min(errors)):
+                    return
+            try:
+                results[i] = fn(starts[i], min(starts[i] + size, n), buffers)
+            except Exception as exc:
+                with lock:
+                    errors[i] = exc
+
+    if len(starts) > 1:
+        with ThreadPoolExecutor(1) as worker:
+            done = worker.submit(work, scratch[1])
+            work(scratch[0])
+            done.result()
+    else:
+        work(scratch[0])
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 class TagFormatError(ValueError):
@@ -167,18 +224,39 @@ def read_tag_arrays(
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            return _read_records(fh, os.fstat(fh.fileno()).st_size)
-    return _read_records(io.BytesIO(source), len(source))
+            lock = threading.Lock()  # one file position for both threads
+
+            def read_file_at(buffer: np.ndarray, offset: int) -> int:
+                with lock:
+                    fh.seek(offset)
+                    return fh.readinto(buffer)
+
+            return _read_records(read_file_at, os.fstat(fh.fileno()).st_size)
+    data = memoryview(source).cast("B")
+
+    def read_at(buffer: np.ndarray, offset: int) -> int:
+        part = data[offset : offset + buffer.size]
+        buffer[: len(part)] = part
+        return len(part)
+
+    return _read_records(read_at, len(data))
 
 
 def _read_records(
-    fh: BinaryIO, size: int
+    read_at: Callable[[np.ndarray, int], int], size: int
 ) -> tuple[TagFileHeader, np.ndarray, np.ndarray]:
-    """The reader behind read_tag_arrays. Only the output arrays and one
-    CHUNK_RECORDS buffer are allocated; each chunk is checked together with
-    the last record of the chunk before it, so an order violation across a
-    chunk boundary is caught and reported with its index in the file."""
-    header = TagFileHeader.unpack(fh.read(HEADER_SIZE))
+    """The reader behind read_tag_arrays. `read_at(buffer, offset)` fills the
+    u8 array `buffer` from byte `offset` of a `size`-byte file and returns the
+    bytes it read; it is called from two threads at once.
+
+    Beside the output arrays, each of the two threads has one buffer of a
+    chunk plus one record, raw and unpacked, all allocated here. Each chunk
+    is read with the last record of the chunk before it and checked with it,
+    so an order violation across a chunk boundary is caught and reported
+    with its index in the file.
+    """
+    head = np.zeros(HEADER_SIZE, np.uint8)
+    header = TagFileHeader.unpack(head[: read_at(head, 0)].tobytes())
     n, tail = divmod(size - HEADER_SIZE, RECORD_SIZE)
     if tail:
         raise TagFormatError(f"truncated record: trailing {tail} bytes", index=n)
@@ -189,14 +267,22 @@ def _read_records(
         )
     channels = np.empty(n, np.uint8)
     timestamps = np.empty(n, np.int64)
-    buffer = np.empty(min(n, CHUNK_RECORDS), RECORD_DTYPE)
-    for start in range(0, n, CHUNK_RECORDS):
-        stop = min(start + CHUNK_RECORDS, n)
-        chunk = buffer[: stop - start]
-        if fh.readinto(chunk.view(np.uint8)) != chunk.nbytes:
+
+    def read_chunk(start: int, stop: int, buffers: tuple) -> None:
+        first = max(start - 1, 0)  # overlap the chunk before by one record
+        chunk, ch, ts = (b[: stop - first] for b in buffers)
+        if read_at(chunk.view(np.uint8), HEADER_SIZE + RECORD_SIZE * first) != chunk.nbytes:
             raise TagFormatError("file shrank while being read", index=start)
-        channels[start:stop] = chunk["channel"]
-        timestamps[start:stop] = chunk["timestamp"]
-        first = max(start - 1, 0)
-        _check_records(channels[first:stop], timestamps[first:stop].view(np.uint64), first)
+        ch[...] = chunk["channel"]
+        ts[...] = chunk["timestamp"]
+        _check_records(ch, ts, first)
+        channels[start:stop] = ch[start - first :]
+        timestamps[start:stop] = ts[start - first :].view(np.int64)
+
+    m = min(n, CHUNK_RECORDS) + 1
+    buffers = [
+        (np.empty(m, RECORD_DTYPE), np.empty(m, np.uint8), np.empty(m, np.uint64))
+        for _ in range(2)
+    ]
+    _map_chunks(read_chunk, n, CHUNK_RECORDS, buffers)
     return header, channels, timestamps

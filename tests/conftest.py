@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -66,3 +67,26 @@ def default_session():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def first_chunk_last(monkeypatch):
+    """`patch(module)` makes `module._map_chunks` start chunk 0 20 ms late.
+    The other thread meanwhile finishes later chunks, so a chunk map that
+    combined results, or chose the error to raise, in the order the chunks
+    finish would differ from a serial loop."""
+
+    def patch(module):
+        chunk_map = module._map_chunks
+
+        def late_first(fn, n, size, scratch):
+            def chunk(start, stop, buffers):
+                if start == 0:
+                    time.sleep(0.02)
+                return fn(start, stop, buffers)
+
+            return chunk_map(chunk, n, size, scratch)
+
+        monkeypatch.setattr(module, "_map_chunks", late_first)
+
+    return patch

@@ -812,6 +812,30 @@ class TestCli:
             assert len(err) == 1 and err[0].startswith("error: ")
             assert str(path) in err[0] and key in err[0]
 
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda cfg: cfg.update(visibility=2), "visibility must be in [0, 1]"),
+            (
+                lambda cfg: cfg["station_a"]["clock"].update(drift_rate="x"),
+                "station_a.clock.drift_rate must be a number, got 'x'",
+            ),
+        ],
+    )
+    def test_manifest_config_error_names_the_manifest(self, tmp_path, capsys, edit, problem):
+        from bellstrobe.cli import main
+
+        manifest_path = simulate_session(tiny_config(), tmp_path / "s")
+        manifest = json.loads(manifest_path.read_text())
+        edit(manifest["config"])
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["analyze", str(manifest_path), "--output", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {manifest_path}: config: ")
+        assert err[0].endswith(problem)
+        assert not (tmp_path / "a").exists()
+
     # edits of a tiny session's run records, and the error each gives
     BAD_RUN_RECORDS = {
         "duplicated": (

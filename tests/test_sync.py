@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -67,6 +69,23 @@ class TestPercentile:
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=120
         )
         assert done.returncode == 0
+
+    def test_leaves_the_callers_float64_array_in_place(self):
+        x = np.random.default_rng(5).normal(size=1001)
+        before = x.copy()
+        percentile(x, [10.0, 50.0, 90.0])
+        assert np.array_equal(x, before)
+
+    def test_copies_its_input_once(self):
+        # the median of a run's trigger intervals: one float64 copy, no second
+        x = np.arange(1_000_000, 0, -1, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            percentile(x, 50.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes
 
 
 class TestRuns:
@@ -179,6 +198,96 @@ def exact_fit(a: list[int], b: list[int]) -> tuple[Fraction, Fraction, float]:
     intercept = Fraction(sb, n) - rate * Fraction(sa, n)
     rss = Fraction(sbb - sab * rate, n)  # n * the residual sum of squares
     return rate, intercept, math.sqrt(rss / n)
+
+
+def reference_fit(triggers_a, triggers_b, pulse_offset: int) -> ClockFit:
+    """fit_clock_relation as one serial loop per pass over sync.FIT_CHUNK
+    pairs at a time, each chunk's arrays allocated afresh: the oracle that
+    the two-thread fit must equal bit for bit."""
+    k0 = max(0, -pulse_offset)
+    k1 = min(triggers_b.size, triggers_a.size - pulse_offset)
+    ta = np.asarray(triggers_a, dtype=np.int64)[k0 + pulse_offset : k1 + pulse_offset]
+    tb = np.asarray(triggers_b, dtype=np.int64)[k0:k1]
+    n = ta.size
+    x0, z0 = int(ta[0]), int(tb[0]) - int(ta[0])
+
+    def dot(a, b):
+        return float(np.einsum("i,i->", a, b))
+
+    def chunks():
+        for i in range(0, n, sync.FIT_CHUNK):
+            a, b = ta[i : i + sync.FIT_CHUNK], tb[i : i + sync.FIT_CHUNK]
+            z = b - a
+            z -= z0
+            yield a - x0, z
+
+    sums = [(x.sum(dtype=np.float64), z.sum(dtype=np.float64)) for x, z in chunks()]
+    xm = math.fsum(sx for sx, _ in sums) / n
+    zm = math.fsum(sz for _, sz in sums) / n
+    sxx = sxz = 0.0
+    for x, z in chunks():
+        dx = x - xm
+        sxx += dot(dx, dx)
+        sxz += dot(dx, z - zm)
+    drift = sxz / sxx
+    drift_hi = float(np.float32(drift))
+    drift_lo = drift - drift_hi
+    line_at_0 = zm - drift * xm
+    sq = 0.0
+    for x, z in chunks():
+        x_hi = x & ~np.int64(0xFFFFFF)
+        r = z - drift_hi * x_hi
+        r -= drift_hi * (x - x_hi) + drift_lo * x
+        r -= line_at_0
+        sq += dot(r, r)
+    return ClockFit(
+        pulse_offset=int(pulse_offset),
+        time_offset=(z0 + zm - drift * (x0 + xm)) / 1e12,
+        rate_ratio=1.0 + drift,
+        residual_rms=math.sqrt(sq / n) / 1e12,
+        n_pairs=n,
+    )
+
+
+class TestTwoThreadFit:
+    """fit_clock_relation runs each pass's chunks on two threads and must
+    equal the serial reference_fit bit for bit."""
+
+    @pytest.fixture
+    def drifting(self, global_starts, rng):
+        # B's pulse k is A's pulse k + 3; B's clock is offset, drifting and jittered
+        a = trigger_times(global_starts, ClockModel(jitter_sigma=2e-11), rng)
+        b = trigger_times(
+            global_starts[3:],
+            ClockModel(offset=1.3e-3, drift_rate=2e-5, jitter_sigma=2e-11),
+            rng,
+        )
+        return a, b
+
+    def test_equals_the_serial_fit_for_1_2_3_and_many_chunks(
+        self, drifting, first_chunk_last
+    ):
+        a, b = drifting
+        n = b.size
+        first_chunk_last(sync)
+        for chunk in (n, -(-n // 2), -(-n // 3), 97):
+            with mock.patch.object(sync, "FIT_CHUNK", chunk):
+                assert fit_clock_relation(a, b, 3) == reference_fit(a, b, 3), chunk
+
+    def test_four_concurrent_fits_equal_the_serial_fit(self, drifting):
+        a, b = drifting
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with mock.patch.object(sync, "FIT_CHUNK", 97):
+                expected = reference_fit(a, b, 3)
+                with ThreadPoolExecutor(4) as pool:
+                    fits = list(
+                        pool.map(lambda _: fit_clock_relation(a, b, 3), range(8), timeout=120)
+                    )
+        finally:
+            sys.setswitchinterval(interval)
+        assert fits == [expected] * 8
 
 
 class TestClockFit:

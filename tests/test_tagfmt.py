@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bellstrobe import tagfmt
 from bellstrobe.tagfmt import (
     CHUNK_RECORDS,
     HEADER_SIZE,
@@ -346,3 +347,77 @@ def test_the_largest_int64_timestamp_round_trips():
     top = np.iinfo(np.int64).max
     header, channels, times = read_tag_arrays(tag_bytes((1, top - 1), (2, top)))
     assert times.tolist() == [top - 1, top]
+
+
+def _serial_map(fn, n, size, scratch):
+    return [fn(start, min(start + size, n), scratch[0]) for start in range(0, n, size)]
+
+
+def _read_outcome(source):
+    """read_tag_arrays's (channels, timestamps), or the TagFormatError it raised."""
+    try:
+        return read_tag_arrays(source)[1:]
+    except TagFormatError as exc:
+        return exc
+
+
+def test_a_two_thread_read_equals_a_serial_read(tmp_path, first_chunk_last):
+    # The reader runs its chunks on two threads. It must return the arrays,
+    # or raise the TagFormatError (message and record index), of a read that
+    # runs them in order, for defects in an even chunk, an odd chunk and both,
+    # and for a file that shrinks while it is read. Chunk 0 finishes last, so
+    # raising the first error to finish would fail the "both" cases.
+    first_chunk_last(tagfmt)
+    c = CHUNK_RECORDS
+    n = 4 * c + 100
+    buf = io.BytesIO()
+    channels = np.where(np.arange(n) % 7 == 0, 1, 3).astype(np.uint8)
+    write_tags(TagFileHeader(station_id=0, record_count=n),
+               (channels, np.arange(n, dtype=np.uint64) * 7), buf)
+    valid = buf.getvalue()
+
+    def channel(at):
+        return lambda raw: raw.__setitem__(HEADER_SIZE + RECORD_SIZE * at, 9)
+
+    def repeat(at):
+        return lambda raw: _copy_record(raw, at - 1, at)
+
+    def past_int64(at):
+        offset = HEADER_SIZE + RECORD_SIZE * at + 8
+        return lambda raw: raw.__setitem__(
+            slice(offset, offset + 8), (2**63 + 5).to_bytes(8, "little")
+        )
+
+    # case: (corruptions, records left when the file is read, first bad record)
+    cases = {
+        "valid": ([], n, None),
+        "even": ([channel(2 * c + 5)], n, 2 * c + 5),
+        "odd": ([repeat(3 * c + 9)], n, 3 * c + 9),
+        "odd_boundary": ([repeat(c)], n, c),
+        "both": ([past_int64(c // 2), channel(c + 3)], n, c // 2),
+        "both_later": ([repeat(2 * c + 1), channel(3 * c)], n, 2 * c + 1),
+        "shrunk": ([], 2 * c + c // 2, 2 * c),
+        "shrunk_after_both": ([channel(c - 1), repeat(c + 4)], 2 * c + 1, c - 1),
+    }
+    for case, (corruptions, kept, first_bad) in cases.items():
+        raw = bytearray(valid)
+        for corrupt in corruptions:
+            corrupt(raw)
+        raw = bytes(raw[: HEADER_SIZE + RECORD_SIZE * kept])
+        path = tmp_path / f"{case}.tags"
+        path.write_bytes(raw)
+        at_open = mock.Mock(st_size=len(valid))  # the size when the file was opened
+        sources = [path] if kept < n else [path, raw]
+        for source in sources:
+            with mock.patch("bellstrobe.tagfmt.os.fstat", return_value=at_open):
+                with mock.patch("bellstrobe.tagfmt._map_chunks", _serial_map):
+                    serial = _read_outcome(source)
+                got = _read_outcome(source)
+            if first_bad is None:
+                assert np.array_equal(got[0], serial[0]), case
+                assert np.array_equal(got[1], serial[1]), case
+                assert np.array_equal(got[0], channels), case
+            else:
+                assert isinstance(serial, TagFormatError) and serial.index == first_bad, case
+                assert type(got) is type(serial), case
+                assert (str(got), got.index) == (str(serial), serial.index), case
