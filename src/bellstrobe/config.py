@@ -29,7 +29,10 @@ class ConfigError(ValueError):
 
 def to_ps(seconds: float, name: str) -> int:
     """A configured time in seconds as the integer picoseconds the pipeline
-    works in, from tag to slot; ConfigError unless it is a whole number."""
+    works in, from tag to slot; ConfigError unless it is finite, within
+    int64 and a whole number."""
+    if not abs(seconds * PS_PER_SECOND) < 2.0**63:  # NaN fails too
+        raise ConfigError(f"{name} {seconds} s is not a finite time within int64 picoseconds")
     ps = round(seconds * PS_PER_SECOND)
     if abs(seconds * PS_PER_SECOND - ps) > 1e-3:
         raise ConfigError(f"{name} {seconds} s is not a whole number of picoseconds")

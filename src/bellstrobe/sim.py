@@ -8,17 +8,19 @@ source, and each station's detection and clock-jitter streams.
 
 emit_events runs a run's independent streams on one worker thread beside the
 caller's: the pairs per pulse (drawn from the source generator) while the
-caller builds the trigger train, then station B's thinning, darks and clock
-transform while the caller does station A's. Each generator is used by one
-thread at a time, in its serial order, and each stage reads only what the
-stages before it returned, so the tags cannot depend on how the threads are
-scheduled.
+caller builds the trigger train and then draws clock jitter; the rest of
+that jitter while the caller runs the source stage; then station B's
+thinning, darks and stream while the caller does station A's. Each generator
+is used by one thread at a time, in its serial order, and each stage reads
+only what the stages before it returned, so the tags cannot depend on how
+the threads are scheduled.
 
 The draws with one value per pulse or per tag (pairs per pulse, clock
 jitter) are taken DRAW_CHUNK values at a time from the same generator, so no
-pulse-length temporary exists for them. Generator.poisson and
-Generator.normal fill sequentially: consecutive blocks give the same values
-as one whole draw, and the tags do not depend on DRAW_CHUNK.
+pulse-length temporary exists for them: the jitter goes straight into the
+buffer its stream is built in. Generator.poisson and Generator.normal fill
+sequentially: consecutive blocks give the same values as one whole draw,
+and the tags depend neither on DRAW_CHUNK nor on which thread drew a block.
 """
 
 from __future__ import annotations
@@ -257,35 +259,92 @@ def _station_events(
     return channels, times
 
 
+class _ClockBuffer:
+    """The float64 buffer one station's local-clock stream is built in,
+    holding that clock's jitter: one value per tag (the events, then the
+    triggers), drawn from the station's clock generator.
+
+    The first `target` values (n_pulses for a jittered clock, as every
+    stream holds its triggers) can be drawn before the events are known;
+    `take` draws the rest once they are. The buffer grows with the draws,
+    DRAW_CHUNK values at a time, by ndarray.resize: glibc's realloc extends
+    a large block by remapping its pages, not by copying them. It starts
+    empty because numpy advises huge pages for an array allocated large, and
+    realloc then copied it (28 ms per 40 MB on a 2-core x86_64 VM, Linux
+    6.18). An ideal clock's buffer is all zeros, allocated when taken.
+    """
+
+    def __init__(self, clock: ClockModel, seed, n_pulses: int) -> None:
+        self.clock = clock
+        self.rng = np.random.default_rng(seed)
+        self.values = np.empty(0)
+        self.target = n_pulses if clock.jitter_sigma > 0 else 0
+
+    def draw_block(self) -> bool:
+        """Draw the next block of jitter; False once `target` values are in.
+        sigma * standard_normal is what Generator.normal(0, sigma) returns,
+        without a temporary."""
+        lo = self.values.size
+        hi = min(lo + DRAW_CHUNK, self.target)
+        if hi <= lo:
+            return False
+        self.values.resize(hi, refcheck=False)
+        block = self.values[lo:]
+        self.rng.standard_normal(out=block)
+        block *= self.clock.jitter_sigma
+        return True
+
+    def fill(self) -> _ClockBuffer:
+        while self.draw_block():
+            pass
+        return self
+
+    def take(self, n: int) -> np.ndarray:
+        """Hand over the buffer at `n` values, all drawn. Nothing may hold a
+        view of it while it grows (resize with refcheck=False)."""
+        if self.clock.jitter_sigma > 0:
+            self.target = n
+            values = self.fill().values
+        else:
+            # written, not calloc'd: the add into the buffer would first read
+            # calloc's untouched pages, then fault again to write them
+            values = np.empty(n)
+            values.fill(0.0)
+        self.values = None
+        return values
+
+
 def _local_stream(
     channels: np.ndarray,
     times_s: np.ndarray,
     trigger_starts: np.ndarray,
-    clock: ClockModel,
-    seed,
+    buffer: _ClockBuffer,
 ) -> TagStream:
     """One station's sorted local-clock stream from its events (true seconds)
     and its trigger starts.
 
-    t_local = offset + (1 + drift_rate)*t + N(0, jitter_sigma), rounded once
-    to the 1 ps grid, with one jitter stream over the events then the
-    triggers, added in place DRAW_CHUNK tags at a time.
-    Everything happens in one float64 buffer and its int64 (t*4 + channel)
-    keys. The stable sort (timsort for int64) merges the ascending trigger
-    train with the events in near-linear time and still sorts fully when the
-    jitter reorders triggers. Duplicate (t, channel) tags are dropped.
+    t_local = N(0, jitter_sigma) + (offset + (1 + drift_rate)*t), rounded
+    once to the 1 ps grid, with one jitter stream over the events then the
+    triggers: `buffer` grows to one value per tag, and the transformed times
+    are added into it DRAW_CHUNK tags at a time (IEEE addition commutes, so
+    the order of the two terms does not matter).
+    Everything happens in that one float64 buffer and its int64
+    (t*4 + channel) keys. The stable sort (timsort for int64) merges the
+    ascending trigger train with the events in near-linear time and still
+    sorts fully when the jitter reorders triggers. Duplicate (t, channel)
+    tags are dropped.
     """
     n_events = times_s.size
-    t = np.empty(n_events + trigger_starts.size)
-    t[:n_events] = times_s
-    t[n_events:] = trigger_starts
-    t *= 1.0 + clock.drift_rate
-    t += clock.offset
-    if clock.jitter_sigma > 0:
-        rng = np.random.default_rng(seed)
-        for lo in range(0, t.size, DRAW_CHUNK):
-            block = t[lo : lo + DRAW_CHUNK]
-            block += rng.normal(0.0, clock.jitter_sigma, block.size)
+    t = buffer.take(n_events + trigger_starts.size)
+    scale, offset = 1.0 + buffer.clock.drift_rate, buffer.clock.offset
+    scratch = np.empty(min(DRAW_CHUNK, t.size))
+    for start, x in ((0, times_s), (n_events, trigger_starts)):
+        for lo in range(0, x.size, DRAW_CHUNK):
+            block = x[lo : lo + DRAW_CHUNK]
+            y = np.multiply(block, scale, out=scratch[: block.size])
+            y += offset
+            t[start + lo : start + lo + block.size] += y
+    del scratch
     t *= PS_PER_SECOND
     np.rint(t, out=t)
     key = t.view(np.int64)
@@ -344,25 +403,38 @@ def emit_events(
 
     Two threads share the work, through a one-thread pool. The pool draws the
     pairs per pulse from the source generator while the caller builds the
-    trigger train; the caller then takes the generator back for the envelope
-    times and outcomes. Station B's events and stream are built on the pool,
-    from B's own generators, while the caller builds A's. The pair-length
-    arrays are dropped once both stations have thinned them, before either
-    stream buffer is allocated. No generator is used by two threads at once
-    and each keeps its draw order, so the tags are those of a serial run.
+    trigger train and then, until the pairs are in, draws the jitter of each
+    jittered clock into its stream buffer, block by block (station A's
+    first). The pool then draws the rest of the first n_pulses jitter values
+    of both clocks while the caller takes the source generator back for the
+    envelope times and outcomes. Station B's events and stream are built on
+    the pool, from B's own generators, while the caller builds A's; each
+    stream draws its last jitter values (one per event) itself. The
+    pair-length arrays are dropped once both stations have thinned them. The
+    generators pass between the threads only through the pool's futures, so
+    none is used by two threads at once and each keeps its draw order: the
+    tags are those of a serial run.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     key_source, key_a, key_b = ss.spawn(3)
     key_det_a, key_clk_a = key_a.spawn(2)
     key_det_b, key_clk_b = key_b.spawn(2)
     rng_src = np.random.default_rng(key_source)
+    clocks = [
+        _ClockBuffer(station.clock, key, n_pulses)
+        for station, key in zip(stations, (key_clk_a, key_clk_b))
+    ]
 
     with ThreadPoolExecutor(1) as worker:
         pairs = worker.submit(_pair_pulses, rng_src, source.pair_yield, n_pulses)
         periods = plan.period_seconds(n_pulses)
         starts = _starts_of(periods)
         duration = float(np.sum(periods))
+        for clock in clocks:
+            while not pairs.done() and clock.draw_block():
+                pass
         pulse_idx = pairs.result()
+        filled = worker.submit(lambda: [clock.fill() for clock in clocks])
 
         k = pulse_idx.size
         t_emit = _sample_pulse_envelope(rng_src, k, plan)
@@ -412,8 +484,7 @@ def emit_events(
             duration,
         )
         del pulse_start, t_emit, eta_factor, oa, ob
-        stream_b = worker.submit(
-            _local_stream, *thin_b.result(), starts, stations[1].clock, key_clk_b
-        )
-        stream_a = _local_stream(*events_a, starts, stations[0].clock, key_clk_a)
+        clock_a, clock_b = filled.result()
+        stream_b = worker.submit(_local_stream, *thin_b.result(), starts, clock_b)
+        stream_a = _local_stream(*events_a, starts, clock_a)
         return stream_a, stream_b.result()

@@ -2,10 +2,11 @@
 
 The FM fingerprint carried by the inter-trigger intervals makes the relative
 pulse offset between the stations recoverable without counting coincidences:
-intervals are binarized against their own median (immune to clock-rate
-scaling) and cross-correlated. After alignment, an affine fit of matched
-trigger times gives the inter-station clock relation, and detections are
-attributed to pulses by their time distance to the nearest preceding trigger.
+intervals are binarized against the midpoint of their own 10th and 90th
+percentiles (immune to clock-rate scaling) and cross-correlated. After
+alignment, an affine fit of matched trigger times gives the inter-station
+clock relation, and detections are attributed to pulses by their time
+distance to the nearest preceding trigger.
 That trigger is read off the detection's place in the station's sorted tag
 stream (the trigger tags before it) and checked against the trigger train;
 only detections the check refutes are binary-searched.
@@ -40,7 +41,7 @@ MARGIN = 1.5
 FIT_CHUNK = 1 << 15  # matched trigger pairs per step of each fit_clock_relation pass
 
 
-def percentile(values: np.ndarray, q) -> np.ndarray:
+def percentile(values: np.ndarray, q, overwrite_input: bool = False) -> np.ndarray:
     """Linear-interpolation percentile(s) `q` (in %) of `values`.
 
     Equal to np.percentile(values, q) and, for integer-valued values, at
@@ -49,14 +50,16 @@ def percentile(values: np.ndarray, q) -> np.ndarray:
     np.median import numpy.ma on their first call, which takes 11-18 ms of a
     fresh process on a two-core VM (numpy 2.4). `values` is copied once, to
     float64, and that copy is partitioned in place; the caller's array is
-    left as it is.
+    left as it is. With `overwrite_input`, `values` itself is partitioned
+    (reordered) instead, and only the order statistics are converted to
+    float64, which gives the same result without the copy.
     """
-    x = np.array(values, dtype=np.float64)
+    x = values if overwrite_input else np.array(values, dtype=np.float64)
     index = (x.size - 1) * (np.asarray(q, dtype=np.float64) / 100)
     lo = np.floor(index).astype(np.intp)
     hi = np.minimum(lo + 1, x.size - 1)
     x.partition(np.concatenate([lo.ravel(), hi.ravel()]))
-    a, b = x[lo], x[hi]
+    a, b = x[lo].astype(np.float64), x[hi].astype(np.float64)
     t = index - lo
     # interpolated from the nearer end, as np.percentile does
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)[()]
@@ -362,7 +365,7 @@ def assign_to_pulses(
     intra_ps = shifted - start
     after = (idx == n_trig - 1) & (n_trig > 1)
     if np.any(after):  # the median period matters only in the last pulse
-        after &= intra_ps >= percentile(np.diff(triggers_ps), 50.0)
+        after &= intra_ps >= percentile(np.diff(triggers_ps), 50.0, overwrite_input=True)
 
     keep = ~(before | after)
     return Detections(

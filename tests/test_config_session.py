@@ -19,6 +19,7 @@ from bellstrobe.config import (
     desk_boosted,
     desk_default,
     desk_transient,
+    to_ps,
 )
 from bellstrobe.model import TransientModel
 from bellstrobe import session as session_module
@@ -85,6 +86,15 @@ NON_FINITE_OVERRIDES = [
 
 
 class TestConfig:
+    @pytest.mark.parametrize("seconds", [9.3e6, -9.3e6, 1e308, math.inf, math.nan])
+    def test_to_ps_refuses_times_beyond_int64_picoseconds(self, seconds):
+        with pytest.raises(ConfigError, match=r"^analysis\.window .* int64 picoseconds$"):
+            to_ps(seconds, "analysis.window")
+
+    def test_to_ps_takes_times_up_to_int64_picoseconds(self):
+        assert to_ps(9.2e6, "x") == 9_200_000 * 10**12
+        assert to_ps(-9.2e6, "x") == -9_200_000 * 10**12
+
     def test_defaults_match_headline_values(self):
         c = ExperimentConfig()
         assert c.geometry.distance_straight_line == 24.0
@@ -777,6 +787,29 @@ class TestCli:
             assert re.search(rf"\b{block}[.:]", err[0])
             assert re.search(rf"\b{leaf}\b", err[0])
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("override", [
+        "analysis.window=1e308",
+        "analysis.slot_width=1e308",
+        "station_a.trigger_delay=1.2e21",
+        "station_b.trigger_delay=-2e7",
+        "pulses.base_period=1e308",
+    ])
+    def test_time_beyond_int64_picoseconds_errors_before_writing(
+        self, tmp_path, capsys, override
+    ):
+        # the picoseconds overflowed to a traceback (window) or reached the
+        # simulator as an unbounded int (trigger delay), which wrote a session
+        from bellstrobe.cli import main
+
+        capsys.readouterr()
+        argv = ["simulate", "--name", "big", "--output", str(tmp_path), "--set", override]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        path = override.split("=")[0]
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"{path} " in err[0] and err[0].endswith("int64 picoseconds")
+        assert not (tmp_path / "big").exists()
 
     def _assert_one_line_error(self, capsys, argv):
         from bellstrobe.cli import main

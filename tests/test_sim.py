@@ -1,12 +1,15 @@
 import math
 import sys
+import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bellstrobe import sim
 from bellstrobe.config import to_ps
 from bellstrobe.model import OUTCOME_PARITY, AngleSetting, Geometry, TransientModel, qm_joint_probs
 from bellstrobe.sim import (
@@ -18,6 +21,7 @@ from bellstrobe.sim import (
     SourceConfig,
     StationConfig,
     TagStream,
+    _ClockBuffer,
     _local_stream,
     _pair_pulses,
     emit_events,
@@ -41,6 +45,14 @@ def assign(stream, trigger_delay):
     """Pulse-attributed detections of one simulated station stream."""
     delay_ps = to_ps(trigger_delay, "trigger_delay")
     return assign_to_pulses(stream, triggers_of(stream), delay_ps)
+
+
+def local_stream(channels, times_s, trigger_starts, clock, seed, drawn=0):
+    """_local_stream with `clock`'s buffer on the generator of `seed`, its
+    first `drawn` jitter values drawn beforehand, as emit_events draws them
+    while the pairs are drawn."""
+    buffer = _ClockBuffer(clock, seed, drawn).fill()
+    return _local_stream(channels, times_s, trigger_starts, buffer)
 
 
 class TestPrbs:
@@ -218,7 +230,7 @@ class TestApplyClock:
 
     def _local(self, clock, seed=0, times_ps=TIMES_PS):
         no_events = np.empty(0, np.uint8), np.empty(0)
-        return _local_stream(*no_events, times_ps / 1e12, clock, seed)
+        return local_stream(*no_events, times_ps / 1e12, clock, seed)
 
     def test_identity(self):
         out = self._local(ClockModel())
@@ -286,7 +298,7 @@ class TestLocalStream:
         channels = np.array([c for c, _ in events], np.uint8)
         times = np.array([50e-12 * k for _, k in events], np.float64)
         triggers = np.cumsum(np.array(spacings, np.float64)) * 1e-12
-        out = _local_stream(channels, times, triggers, clock, seed)
+        out = local_stream(channels, times, triggers, clock, seed)
         want = reference_local_clock(
             np.concatenate([channels, np.full(triggers.size, CHANNEL_TRIGGER, np.uint8)]),
             np.concatenate([times, triggers]),
@@ -303,7 +315,7 @@ class TestLocalStream:
         clock = ClockModel(jitter_sigma=1e-9)
         jittered = triggers + np.random.default_rng(4).normal(0.0, 1e-9, 50)
         assert np.any(np.diff(jittered) < 0)
-        out = _local_stream(np.empty(0, np.uint8), np.empty(0), triggers, clock, 4)
+        out = local_stream(np.empty(0, np.uint8), np.empty(0), triggers, clock, 4)
         assert out == reference_local_clock(
             np.full(50, CHANNEL_TRIGGER, np.uint8), triggers, clock, 4
         )
@@ -324,13 +336,18 @@ class TestDrawBlocks:
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert rng.random() == oracle_rng.random()  # the next draw is unchanged
 
-    def test_jittered_drifting_clock_across_blocks(self):
+    N_TRIGGERS = 2 * DRAW_CHUNK + 3
+
+    @pytest.mark.parametrize("drawn", [0, 1, DRAW_CHUNK - 1, DRAW_CHUNK, N_TRIGGERS])
+    def test_jittered_drifting_clock_across_blocks(self, drawn):
+        # `drawn` jitter values are in the buffer before the stream is built,
+        # from none to one per trigger (all emit_events draws ahead)
         rng = np.random.default_rng(6)
-        triggers = np.arange(2 * DRAW_CHUNK + 3) * 2e-6
+        triggers = np.arange(self.N_TRIGGERS) * 2e-6
         channels = rng.integers(1, 3, 5000).astype(np.uint8)
         times = rng.random(5000) * triggers[-1]
         clock = ClockModel(offset=1.3e-3, drift_rate=20e-6, jitter_sigma=20e-12)
-        out = _local_stream(channels, times, triggers, clock, 7)
+        out = local_stream(channels, times, triggers, clock, 7, drawn)
         assert out == reference_local_clock(
             np.concatenate([channels, np.full(triggers.size, CHANNEL_TRIGGER, np.uint8)]),
             np.concatenate([times, triggers]),
@@ -361,11 +378,12 @@ class TestDrawBlocks:
 class TestThreads:
     def test_concurrent_calls_equal_serial_calls(self):
         # each call runs its own worker thread; four callers at once, on a
-        # short switch interval, must still get the serial streams. B's
-        # jittered, drifting clock over more than DRAW_CHUNK tags runs the
-        # block-by-block jitter draw on the worker
+        # short switch interval, must still get the serial streams. Both
+        # clocks are jittered over more than DRAW_CHUNK tags, so both clock
+        # generators pass between the caller and the worker
+        clock_a = ClockModel(offset=2e-4, jitter_sigma=3e-11)
         clock_b = ClockModel(offset=1e-3, drift_rate=2e-5, jitter_sigma=2e-11)
-        stations = (StationConfig(), StationConfig(clock=clock_b))
+        stations = (StationConfig(clock=clock_a), StationConfig(clock=clock_b))
         args = (PulsePlan(), 80_000, SourceConfig(pair_yield=0.3), stations,
                 AngleSetting(0, math.pi / 8), 0.98)
         seeds = range(8)
@@ -380,6 +398,106 @@ class TestThreads:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+
+class InlinePool:
+    """A stand-in for emit_events' one-thread pool that runs each task when
+    it is submitted, on the caller: emit_events as one serial program."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestJitterHandover:
+    """The jitter a clock needs for its n_pulses triggers is drawn while the
+    pairs are drawn: by the caller until they are in, by the pool after.
+    Where the pairs finish must not move a tag: before the caller's first
+    block, while the caller is inside its first block (the pool is then free
+    but must get no generator yet), or after the caller has drawn them all."""
+
+    N_PULSES = 2 * DRAW_CHUNK + 3
+    CLOCK_A = ClockModel(offset=2e-4, jitter_sigma=3e-11)
+    CLOCK_B = ClockModel(offset=1e-3, drift_rate=2e-5, jitter_sigma=2e-11)
+
+    def run(self, jittered, seed=3):
+        stations = (
+            StationConfig(clock=self.CLOCK_A if "a" in jittered else ClockModel()),
+            StationConfig(clock=self.CLOCK_B if "b" in jittered else ClockModel()),
+        )
+        return emit_events(
+            PulsePlan(), self.N_PULSES, SourceConfig(pair_yield=0.3), stations,
+            AngleSetting(0, math.pi / 8), 0.98, seed,
+        )
+
+    @pytest.mark.parametrize("jittered", ["a", "b", "ab"])
+    @pytest.mark.parametrize("pairs_finish", ["at_once", "mid_block", "late"])
+    def test_equals_a_serial_run(self, monkeypatch, jittered, pairs_finish):
+        with monkeypatch.context() as serial:
+            serial.setattr(sim, "ThreadPoolExecutor", InlinePool)
+            want = self.run(jittered)
+            assert want != self.run(jittered, seed=4)  # the comparison can fail
+
+        # jitter values drawn ahead of the events (below n_pulses), by thread
+        ahead = {"caller": 0, "pool": 0}
+        pairs_in, caller_drawing, taken = (threading.Event() for _ in range(3))
+        draw_block, take, pair_pulses, starts_of = (
+            _ClockBuffer.draw_block, _ClockBuffer.take, sim._pair_pulses, sim._starts_of
+        )
+
+        def counted_draw_block(buffer):
+            caller = threading.current_thread() is threading.main_thread()
+            wanted = buffer.target > buffer.values.size
+            if wanted and caller and pairs_finish == "mid_block" and not caller_drawing.is_set():
+                caller_drawing.set()
+                pairs_in.wait(10)
+                time.sleep(0.05)  # the pool's future is done, and the pool idle
+            if wanted and not caller and not ahead["pool"]:
+                taken.wait(0.05)  # time for a caller that takes a buffer too early
+            lo = min(buffer.values.size, self.N_PULSES)
+            drew = draw_block(buffer)
+            ahead["caller" if caller else "pool"] += min(buffer.values.size, self.N_PULSES) - lo
+            return drew
+
+        def flagged_take(buffer, n):
+            taken.set()
+            return take(buffer, n)
+
+        def timed_pair_pulses(*args):
+            if pairs_finish == "late":
+                time.sleep(0.05)
+            out = pair_pulses(*args)
+            if pairs_finish == "mid_block":
+                caller_drawing.wait(10)
+            pairs_in.set()
+            return out
+
+        def held_starts_of(periods):
+            pairs_in.wait(10)
+            time.sleep(0.05)
+            return starts_of(periods)
+
+        monkeypatch.setattr(_ClockBuffer, "draw_block", counted_draw_block)
+        monkeypatch.setattr(_ClockBuffer, "take", flagged_take)
+        monkeypatch.setattr(sim, "_pair_pulses", timed_pair_pulses)
+        if pairs_finish == "at_once":
+            monkeypatch.setattr(sim, "_starts_of", held_starts_of)
+        got = self.run(jittered)
+
+        assert got == want
+        total = len(jittered) * self.N_PULSES
+        by_caller = {"at_once": 0, "mid_block": DRAW_CHUNK, "late": total}[pairs_finish]
+        assert ahead == {"caller": by_caller, "pool": total - by_caller}
 
 
 class TestTriggerInvariant:

@@ -409,6 +409,43 @@ class TestAssignment:
         assert det.pulse_number.tolist() == [0, 3]
         assert det.dropped_after_last == 2
 
+    @pytest.mark.parametrize("n_intervals", [1, 2, 7, 8])
+    def test_last_pulse_limit_is_the_median_interval(self, n_intervals):
+        # odd counts: the middle interval; even counts: the mean of the two
+        # middle ones (here x.5 ps). Detections in the last pulse at and
+        # around that limit are dropped exactly where np.median puts it
+        rng = np.random.default_rng(n_intervals)
+        intervals = 2_000_000 + rng.integers(0, 2, n_intervals) * 40_000 + np.arange(n_intervals)
+        if n_intervals % 2 == 0:
+            intervals[0] += 1  # make the two middle intervals differ by an odd amount
+        triggers = np.concatenate([[0], np.cumsum(intervals)]).astype(np.int64)
+        median = np.median(np.diff(triggers))
+        delay = 57_000
+        intra = np.unique(np.floor(median) + np.array([-1, 0, 1, 2])).astype(np.int64)
+        tags = TagStream(
+            np.ones(intra.size, np.uint8), triggers[-1] + delay + intra
+        )
+        det = assign_to_pulses(tags, triggers, delay)
+        assert det.dropped_after_last == np.count_nonzero(intra >= median) > 0
+        assert det.intra_ps.tolist() == intra[intra < median].tolist()
+
+    def test_last_pulse_median_partitions_the_intervals_in_place(self):
+        # one detection in the last pulse: the median of 1 M trigger intervals
+        # needs the int64 intervals and nothing of their size beside them
+        n = 1_000_001
+        triggers = np.arange(n, dtype=np.int64) * 2_000_000
+        channels = np.full(n + 1, CHANNEL_TRIGGER, np.uint8)
+        channels[-1] = 1
+        tags = TagStream(channels, np.append(triggers, triggers[-1] + 57_000 + 5))
+        tracemalloc.start()
+        try:
+            det = assign_to_pulses(tags, triggers, 57_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert det.pulse_number.tolist() == [n - 1]
+        assert peak <= 1.2 * 8 * (n - 1)
+
     def test_trigger_tags_neither_assigned_nor_dropped(self):
         # the whole stream, triggers included: only its two detections come out
         channels = [CHANNEL_TRIGGER, 1, CHANNEL_TRIGGER, 2, CHANNEL_TRIGGER]
