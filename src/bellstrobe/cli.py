@@ -79,7 +79,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    summary, _config = analyze_session(args.manifest)
+    summary = analyze_session(args.manifest)
     outdir = Path(args.manifest).parent if args.output is None else _out_root(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     if summary.series is not None:

@@ -21,6 +21,7 @@ from .model import Geometry, SettingsQuad, TransientModel
 from .sim import PS_PER_SECOND, PulsePlan, SourceConfig, StationConfig
 
 SCHEMA_VERSION = 1
+MAX_SLOTS = 1 << 16  # slots per base period in chsh_4 mode
 
 
 class ConfigError(ValueError):
@@ -118,6 +119,11 @@ class ExperimentConfig:
                 f"analysis.slot_width ({slot_ps} ps) does not divide "
                 f"pulses.base_period ({period_ps} ps)"
             )
+        if self.session.mode == "chsh_4" and period_ps // slot_ps > MAX_SLOTS:
+            raise ConfigError(
+                f"analysis.slot_width ({slot_ps} ps) cuts pulses.base_period "
+                f"({period_ps} ps) into {period_ps // slot_ps} slots, more than {MAX_SLOTS}"
+            )
 
     @property
     def period_ps(self) -> int:
@@ -208,8 +214,8 @@ def _decode(cls, data: dict, path: str = ""):
     a comparison), a value that is not an int where the default is one,
     one that is not an int or a float (a bool, a string, null) where the
     default is a float, or one that is neither a number nor null where the
-    default is null. The checks of `cls` itself are prefixed with the
-    block's path."""
+    default is null. An error of the checks of `cls` itself is prefixed
+    with the block's path unless it starts with that path."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = [repr(f"{path}.{key}" if path else key) for key in data if key not in fields]
     if unknown:
@@ -234,15 +240,14 @@ def _decode(cls, data: dict, path: str = ""):
                 f"bad config value: {where} must be a number or null, got {value!r}"
             )
         kwargs[name] = value
-    prefix = f"{path}: " if path else ""
     try:
         return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config field: {prefix}{exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError) and not path:
             raise
-        raise ConfigError(f"bad config value: {prefix}{exc}") from exc
+        what = "field" if isinstance(exc, TypeError) else "value"
+        prefix = f"{path}: " if path and not str(exc).startswith(f"{path}.") else ""
+        raise ConfigError(f"bad config {what}: {prefix}{exc}") from exc
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict[str, object]) -> ExperimentConfig:

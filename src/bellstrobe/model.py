@@ -83,18 +83,28 @@ class Geometry:
             )
 
 
-def qm_coincidence_prob(
+def equal_outcome_prob(
     delta: float | np.ndarray, visibility: float | np.ndarray = 1.0
 ) -> float | np.ndarray:
-    """(+,+) coincidence probability vs angle difference: 1/4*(1 + V*cos 2*delta).
-    With oa*ob*V in place of V it is the joint probability P(oa, ob)."""
-    return 0.25 * (1.0 + visibility * np.cos(2.0 * np.asarray(delta, dtype=float)))
+    """P(oa = ob) of the phi+ state with visibility V at angle difference
+    delta: (1 + V*cos 2*delta) / 2, the one joint law. For a float delta the
+    float operations are those the simulator draws outcomes with."""
+    c = np.cos(2.0 * delta) if isinstance(delta, np.ndarray) else math.cos(2.0 * delta)
+    return 0.5 * (1.0 + visibility * c)
+
+
+def qm_coincidence_prob(delta: float | np.ndarray) -> float | np.ndarray:
+    """(+,+) coincidence probability vs angle difference at V = 1:
+    1/4*(1 + cos 2*delta)."""
+    return 0.5 * equal_outcome_prob(delta)
 
 
 def qm_joint_probs(setting: AngleSetting, visibility: float) -> np.ndarray:
-    """All four joint probabilities of the phi+ state with visibility V, in
-    OUTCOME_ORDER: P(oa, ob) = 1/4 * [1 + oa*ob*V*cos 2(alpha - beta)]."""
-    return qm_coincidence_prob(setting.difference, OUTCOME_PARITY * visibility)
+    """All four joint probabilities in OUTCOME_ORDER: P(oa, ob) = 1/4 *
+    [1 + oa*ob*V*cos 2(alpha - beta)], half of P(oa = ob) where the outcomes
+    agree and half of its complement where they differ."""
+    p = equal_outcome_prob(setting.difference, visibility)
+    return 0.5 * np.where(OUTCOME_PARITY > 0, p, 1.0 - p)
 
 
 def classical_coincidence_prob(delta: float | np.ndarray) -> float | np.ndarray:

@@ -61,41 +61,69 @@ class SyncReport:
 
 @dataclass
 class SessionSummary:
-    """One session's products. What its counts alone determine is derived
-    from them on construction: the slot series, plateau summary and `tables`
-    block (on-grid per-setting totals) in chsh_4 mode, or the fringe fits of
-    every coincidence's totals in scan_34 mode. A block the mode (or the
-    report-side rebuild in `summary_from_counts`) has no value for stays None
-    or empty."""
+    """One session's products. Every block its counts and config alone
+    determine is derived on construction, by `analyze` and `report` alike:
+    in chsh_4 mode the slot series, plateau, `tables` (on-grid per-setting
+    totals), flatness, transient verdict or its `transient_error`, `eq1` and
+    significance; in scan_34 mode the fringe fits of every coincidence's
+    totals, and the chsh_4 blocks stay None."""
 
     counts: ana.SlotCounts
-    mode: str
-    expectations: dict
+    config: ExperimentConfig
+    sync_reports: list[SyncReport] = field(default_factory=list)  # one per used run
+    runs_glitched: int = 0
+    runs_skipped: list[dict] = field(default_factory=list)  # {run, reason}
+    mode: str = field(init=False)
+    expectations: dict = field(init=False)
     series: ana.SlotSeries | None = field(default=None, init=False)
     plateau: ana.PlateauSummary | None = field(default=None, init=False)
     scan_fits: dict[str, ana.ScanFit] | None = field(default=None, init=False)
     tables: dict[str, dict[str, int]] | None = field(default=None, init=False)
-    flatness: tuple[float, int] | None = None
-    transient: ana.TransientVerdict | None = None
-    eq1: dict | None = None
-    significance: dict | None = None
-    sync_reports: list[SyncReport] = field(default_factory=list)  # one per used run
-    runs_glitched: int = 0
-    runs_skipped: list[dict] = field(default_factory=list)  # {run, reason}
-    transient_error: str | None = None
+    flatness: tuple[float, int] | None = field(default=None, init=False)
+    transient: ana.TransientVerdict | None = field(default=None, init=False)
+    transient_error: str | None = field(default=None, init=False)
+    eq1: dict | None = field(default=None, init=False)
+    significance: dict | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        counts = self.counts
+        counts, config = self.counts, self.config
+        self.mode = config.session.mode
+        eta_a, eta_b = config.station_a.detector_efficiency, config.station_b.detector_efficiency
+        self.expectations = {
+            "s_ideal": TSIRELSON * config.visibility,
+            "visibility": config.visibility,
+            # eta measured at a detector estimates the OTHER station's efficiency
+            "eta0": {"A+": eta_b, "A-": eta_b, "B+": eta_a, "B-": eta_a},
+        }
         if self.mode == "scan_34":
             self.scan_fits = ana.angle_scan_curves(
                 counts.setting_angles[:, 1], counts.totals()
             )
             return
-        self.series = ana.SlotSeries(counts)
-        self.plateau = ana.plateau_summary(self.series)
+        series = self.series = ana.SlotSeries(counts)
+        self.plateau = ana.plateau_summary(series)
         self.tables = {
             lab: dict(zip(OUTCOME_LABELS, map(int, totals)))
             for lab, totals in zip(counts.setting_labels, counts.coincidences.sum(axis=1))
+        }
+        analysis = config.analysis
+        significant = ana.significance_mask(counts.coincidences, analysis.min_coincidences)
+        try:
+            self.flatness = ana.chi_square_vs_constant(series.s, series.sigma_s, series.in_pulse)
+        except ana.AnalysisError:
+            pass
+        try:
+            self.transient = ana.detect_transient(
+                series.s, series.sigma_s, significant, tau=config.geometry.tau,
+                slot_width=counts.grid.slot_ps / PS_PER_SECOND, k_sigma=analysis.k_sigma,
+            )
+        except ana.SignificanceError as exc:
+            self.transient_error = str(exc)
+        self.eq1 = _eq1_block(series, self.expectations)
+        self.significance = {
+            "min_coincidences": analysis.min_coincidences,
+            "n_significant_slots": int(significant.sum()),
+            "n_in_pulse_slots": int(series.in_pulse.sum()),
         }
 
     @property
@@ -127,6 +155,7 @@ class SessionSummary:
             },
             "degraded": self.degraded,
             "expectations": self.expectations,
+            "config": self.config.to_dict(),
             "sync": [r.to_dict() for r in self.sync_reports],
         }
         if self.plateau is not None:
@@ -322,20 +351,6 @@ def process_run(run: RunData, config: ExperimentConfig) -> RunProducts:
     return RunProducts(records, report, counts)
 
 
-def _expectations(config: ExperimentConfig) -> dict:
-    return {
-        "s_ideal": TSIRELSON * config.visibility,
-        "visibility": config.visibility,
-        # eta measured at a detector estimates the OTHER station's efficiency
-        "eta0": {
-            "A+": config.station_b.detector_efficiency,
-            "A-": config.station_b.detector_efficiency,
-            "B+": config.station_a.detector_efficiency,
-            "B-": config.station_a.detector_efficiency,
-        },
-    }
-
-
 def analyze_products(
     products: Sequence[RunProducts],
     config: ExperimentConfig,
@@ -351,43 +366,13 @@ def analyze_products(
         raise ana.AnalysisError("no usable runs to analyze")
     summary = SessionSummary(
         sum((p.counts for p in products), _zero_counts(config)),
-        config.session.mode,
-        _expectations(config),
+        config,
         sync_reports=[p.report for p in products],
         runs_glitched=runs_glitched,
         runs_skipped=list(skipped),
     )
-    series, counts = summary.series, summary.counts
-    if series is None:
-        return summary
-
-    significant = ana.significance_mask(counts.coincidences, config.analysis.min_coincidences)
-    try:
-        summary.flatness = ana.chi_square_vs_constant(
-            series.s, series.sigma_s, series.in_pulse
-        )
-    except ana.AnalysisError:
-        pass
-
-    try:
-        summary.transient = ana.detect_transient(
-            series.s,
-            series.sigma_s,
-            significant,
-            tau=config.geometry.tau,
-            slot_width=counts.grid.slot_ps / PS_PER_SECOND,
-            k_sigma=config.analysis.k_sigma,
-        )
-    except ana.SignificanceError as exc:
-        log.warning("transient test not run: %s", exc)
-        summary.transient_error = str(exc)
-
-    summary.eq1 = _eq1_block(series, summary.expectations)
-    summary.significance = {
-        "min_coincidences": config.analysis.min_coincidences,
-        "n_significant_slots": int(significant.sum()),
-        "n_in_pulse_slots": int(series.in_pulse.sum()),
-    }
+    if summary.transient_error is not None:
+        log.warning("transient test not run: %s", summary.transient_error)
     return summary
 
 
@@ -457,27 +442,26 @@ def run_session_in_memory(config: ExperimentConfig) -> SessionSummary:
 
 
 def _read_json_object(path: Path, keys: Sequence[str]) -> dict:
-    """The JSON object in `path` if it has every key in `keys` (a dotted key
-    names one inside nested objects); else AnalysisError naming `path` and
-    that it is not JSON, or each missing key (or the object holding it if
-    that is missing too)."""
+    """The JSON object in `path` if it has every key in `keys`; else
+    AnalysisError naming `path` and that it is not JSON, or each missing key."""
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ana.AnalysisError(f"{path}: not valid JSON ({exc})") from exc
     top = data if isinstance(data, dict) else {}
-    missing = []
-    for key in keys:
-        node, parts = top, key.split(".")
-        for depth, part in enumerate(parts):
-            if not isinstance(node, dict) or part not in node:
-                missing.append(".".join(parts[: depth + 1]))
-                break
-            node = node[part]
-    missing = list(dict.fromkeys(missing))
+    missing = [key for key in keys if key not in top]
     if missing:
         raise ana.AnalysisError(f"{path}: missing key(s) {', '.join(missing)}")
     return top
+
+
+def _stored_config(path: Path, data: dict) -> ExperimentConfig:
+    """The config stored in the JSON object read from `path`; a ConfigError
+    names that file."""
+    try:
+        return ExperimentConfig.from_dict(data["config"])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: config: {exc}") from exc
 
 
 RUN_RECORD_TYPES = {"index": int, "setting": str, "status": str, "file_a": str, "file_b": str}
@@ -485,12 +469,10 @@ RUN_RECORD_TYPES = {"index": int, "setting": str, "status": str, "file_a": str, 
 
 def _read_manifest(path: Path) -> dict:
     """Parsed manifest, or AnalysisError naming `path` and what is wrong:
-    `config` must be an object and `runs` a list of run records, each with an
-    integer `index` (not a bool) that no other record has, string `setting`,
-    `file_a` and `file_b`, and a `status` of "ok" or "glitched"."""
+    `runs` must be a list of run records, each with an integer `index` (not
+    a bool) that no other record has, string `setting`, `file_a` and
+    `file_b`, and a `status` of "ok" or "glitched"."""
     data = _read_json_object(path, ("session_id", "config", "runs"))
-    if not isinstance(data["config"], dict):
-        raise ana.AnalysisError(f"{path}: config is not an object")
     records = data["runs"]
     if not isinstance(records, list):
         raise ana.AnalysisError(f"{path}: runs is not a list")
@@ -539,7 +521,7 @@ def _read_run(directory: Path, meta: dict) -> RunData:
     return RunData(meta["index"], meta["setting"], *streams)
 
 
-def analyze_session(manifest_path: str | Path) -> tuple[SessionSummary, ExperimentConfig]:
+def analyze_session(manifest_path: str | Path) -> SessionSummary:
     """File-based analysis of the session a manifest lists. A config the
     decoder refuses is a ConfigError naming the manifest. Every run record's
     setting must be one of the config's, checked before any run is read.
@@ -549,18 +531,14 @@ def analyze_session(manifest_path: str | Path) -> tuple[SessionSummary, Experime
     """
     path = Path(manifest_path)
     manifest = _read_manifest(path)
-    try:
-        config = ExperimentConfig.from_dict(manifest["config"])
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: config: {exc}") from exc
+    config = _stored_config(path, manifest)
     labels = config.setting_labels()
     for n, meta in enumerate(manifest["runs"]):
         if meta["setting"] not in labels:
             raise ana.AnalysisError(
                 f"{path}: runs[{n}].setting {meta['setting']!r} is not one of {labels}"
             )
-    summary = _run_session(manifest["runs"], lambda meta: _read_run(path.parent, meta), config)
-    return summary, config
+    return _run_session(manifest["runs"], lambda meta: _read_run(path.parent, meta), config)
 
 
 # --- Emission of results ----------------------------------------------------
@@ -646,46 +624,48 @@ def write_summary_json(
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+# The blocks of summary.json that are not functions of the counts and config.
+PER_RUN_KEYS = ("runs", "sync", "degraded", "generated_at")
+
+
 def summary_from_counts(summary_path: str | Path) -> SessionSummary:
-    """What `write_report_bundle` draws, rebuilt from the counts.npz next to
-    `summary_path` and the expectations in it, through the same derivation
-    as `analyze_products`. No tag file or manifest is read; the per-run and
-    verdict fields stay empty.
+    """The summary `analyze` wrote, rebuilt by the same constructor from the
+    counts.npz next to `summary_path` and the config stored in it; no tag
+    file or manifest is read, and the per-run fields stay empty.
 
     Raises AnalysisError naming the file when either file is missing or
-    unreadable, when the summary lacks `session_id`, `mode` or one of the
-    `expectations` the report prints (`s_ideal` and the `eta0` of each
-    detector) or holds one that is not a number, when the counts belong to
-    another session, or when their per-setting totals differ from the
-    summary's `tables`.
-    """
+    unreadable or the summary has no `config`, ConfigError naming the summary
+    when its config does not decode, and AnalysisError naming both files
+    when the counts are of another session than the config or a block other
+    than PER_RUN_KEYS differs from the rebuild's."""
     summary_path = Path(summary_path)
     counts_path = summary_path.parent / "counts.npz"
     if not summary_path.exists():
         raise ana.AnalysisError(f"no analysis summary at {summary_path}")
     if not counts_path.exists():
         raise ana.AnalysisError(f"no {counts_path}; run bellstrobe analyze to write it")
-    expected = ["expectations.s_ideal"] + [f"expectations.eta0.{d}" for d in ana.DETECTOR_KEYS]
-    data = _read_json_object(summary_path, ["session_id", "mode", *expected])
-    exp = data["expectations"]
-    values = [exp["s_ideal"], *(exp["eta0"][d] for d in ana.DETECTOR_KEYS)]
-    bad = [k for k, v in zip(expected, values) if type(v) not in (int, float)]  # not bool
-    if bad:
-        raise ana.AnalysisError(f"{summary_path}: not a number: {', '.join(bad)}")
+    data = _read_json_object(summary_path, ["config"])
+    config = _stored_config(summary_path, data)
     try:
         counts = ana.SlotCounts.load(counts_path)
     except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         raise ana.AnalysisError(f"{counts_path}: unreadable counts ({exc})") from exc
-    if counts.session_id != data["session_id"]:
+    if counts.session_id != config.session_id():
         raise ana.AnalysisError(
-            f"{counts_path}: session {counts.session_id} does not match "
-            f"{data['session_id']} in {summary_path}"
+            f"{counts_path}: counts of session {counts.session_id}, not of "
+            f"{config.session_id()}, the session of the config in {summary_path}"
         )
-    summary = SessionSummary(counts, data["mode"], data["expectations"])
-    if summary.tables != data.get("tables"):
+    summary = SessionSummary(counts, config)
+    rebuilt = json.loads(json.dumps(_json_safe(summary.to_dict())))
+    differ = [
+        key
+        for key in sorted(rebuilt.keys() | data.keys())
+        if key not in PER_RUN_KEYS and rebuilt.get(key) != data.get(key)
+    ]
+    if differ:
         raise ana.AnalysisError(
-            f"{counts_path}: coincidence totals differ from the tables in "
-            f"{summary_path}"
+            f"{summary_path}: block(s) {', '.join(differ)} differ from their "
+            f"rebuild from {counts_path}"
         )
     return summary
 

@@ -25,13 +25,14 @@ and the tags depend neither on DRAW_CHUNK nor on which thread drew a block.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import AngleSetting, TransientModel, carried_deficit, transient_factors
+from .model import (
+    AngleSetting, TransientModel, carried_deficit, equal_outcome_prob, transient_factors
+)
 
 CHANNEL_PLUS = 1
 CHANNEL_MINUS = 2
@@ -211,11 +212,12 @@ def _sample_outcomes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Outcome pairs (+1/-1 arrays) from the joint distribution.
 
-    P(equal outcomes) = (1 + V*cos 2(alpha-beta))/2; the A outcome is a fair
+    P(equal outcomes) is `equal_outcome_prob`; the A outcome is a fair
     coin, which keeps both marginals at exactly 1/2.
     """
-    c = math.cos(2.0 * setting.difference)
-    equal = rng.random(visibility_eff.size) < 0.5 * (1.0 + visibility_eff * c)
+    equal = rng.random(visibility_eff.size) < equal_outcome_prob(
+        setting.difference, visibility_eff
+    )
     oa = rng.integers(0, 2, visibility_eff.size).astype(np.int8) * 2 - 1
     ob = np.where(equal, oa, -oa).astype(np.int8)
     return oa, ob

@@ -79,7 +79,7 @@ def test_criterion_05_null_end_to_end(tmp_path, null_study):
     # single file-based session at the pinned seed
     config = desk_boosted(seed=DEMO_SEED)
     manifest = simulate_session(config, tmp_path / "null")
-    summary, _ = analyze_session(manifest)
+    summary = analyze_session(manifest)
     ideal = summary.expectations["s_ideal"]
 
     pl = summary.plateau

@@ -11,6 +11,7 @@ import pytest
 
 from bellstrobe.analysis import AnalysisError
 from bellstrobe.config import (
+    MAX_SLOTS,
     AnalysisParams,
     ConfigError,
     ExperimentConfig,
@@ -28,6 +29,7 @@ from bellstrobe.session import (
     analyze_session,
     run_session_in_memory,
     simulate_session,
+    summary_from_counts,
     write_report_bundle,
     write_slots_csv,
     write_summary_json,
@@ -116,6 +118,22 @@ class TestConfig:
             apply_overrides(ExperimentConfig(), {"pulses.base_period": 2.0000005e-6})
         assert (AnalysisParams(slot_width=20e-9).slot_ps, AnalysisParams().window_ps) == (
             20_000, 4000
+        )
+
+    def test_slot_grid_is_bounded_in_chsh_4_mode(self):
+        # 4 ns slots: MAX_SLOTS of them in a base period pass, one more does not
+        period = {n: n * 4e-9 for n in (MAX_SLOTS, MAX_SLOTS + 1)}
+        assert apply_overrides(ExperimentConfig(), {"pulses.base_period": period[MAX_SLOTS]})
+        with pytest.raises(ConfigError) as err:
+            apply_overrides(ExperimentConfig(), {"pulses.base_period": period[MAX_SLOTS + 1]})
+        assert str(err.value) == (
+            f"analysis.slot_width (4000 ps) cuts pulses.base_period ({(MAX_SLOTS + 1) * 4000} ps) "
+            f"into {MAX_SLOTS + 1} slots, more than {MAX_SLOTS}"
+        )
+        # scan_34 bins one slot per base period
+        scan = {"session.mode": "scan_34", "session.runs_per_experiment": 34}
+        assert apply_overrides(
+            ExperimentConfig(), {**scan, "pulses.base_period": period[MAX_SLOTS + 1]}
         )
 
     @pytest.mark.parametrize("station", ["station_a", "station_b"])
@@ -274,7 +292,7 @@ class TestAnalyzeSession:
     def test_file_roundtrip_matches_in_memory(self, tmp_path):
         # the in-memory session follows the same run plan and glitches
         for name, c in [("plain", tiny_config()), ("glitched", glitched_config())]:
-            summary_file, _ = analyze_session(simulate_session(c, tmp_path / name))
+            summary_file = analyze_session(simulate_session(c, tmp_path / name))
             summary_mem = run_session_in_memory(c)
             # json.dumps spells NaN alike on both sides; NaN != NaN in a dict
             assert json.dumps(summary_file.to_dict(), sort_keys=True) == json.dumps(
@@ -313,7 +331,7 @@ class TestAnalyzeSession:
         manifest = json.loads(manifest_path.read_text())
         n_glitched = sum(m["status"] == "glitched" for m in manifest["runs"])
         assert n_glitched == 2
-        summary, _ = analyze_session(manifest_path)
+        summary = analyze_session(manifest_path)
         assert summary.runs_glitched == 2
         assert summary.runs_used == 6
         assert not summary.degraded
@@ -323,7 +341,7 @@ class TestAnalyzeSession:
         manifest_path = simulate_session(c, tmp_path)
         victim = tmp_path / "run001_A.tags"
         victim.write_bytes(victim.read_bytes()[:-7])  # truncate mid-record
-        summary, _ = analyze_session(manifest_path)
+        summary = analyze_session(manifest_path)
         assert summary.degraded
         assert summary.runs_skipped == [{"run": 1, "reason": mock.ANY}]
         assert summary.runs_skipped[0]["reason"].startswith("run001_A.tags: truncated record")
@@ -338,7 +356,7 @@ class TestAnalyzeSession:
         raw[-8:] = (2**63 + 5).to_bytes(8, "little")
         victim.write_bytes(bytes(raw))
         n = (len(raw) - 40) // 16
-        summary, _ = analyze_session(manifest_path)
+        summary = analyze_session(manifest_path)
         assert summary.runs_skipped == [{
             "run": 1,
             "reason": f"run001_B.tags: timestamp {2**63 + 5} outside 0..2**63 - 1 ps "
@@ -355,7 +373,7 @@ class TestAnalyzeSession:
         run = manifest["runs"][1]
         run["file_a"], run["file_b"] = run["file_b"], run["file_a"]
         manifest_path.write_text(json.dumps(manifest))
-        summary, _ = analyze_session(manifest_path)
+        summary = analyze_session(manifest_path)
         assert summary.runs_skipped == [{"run": 1, "reason": mock.ANY}]
         assert summary.runs_skipped[0]["reason"].startswith("run001_B.tags: station_id 1")
         assert summary.runs_used == 7
@@ -369,7 +387,7 @@ class TestAnalyzeSession:
         header, channels, times = read_tag_arrays(victim)
         scaled = np.rint(times * 1.002).astype(np.uint64)
         write_tags(header, (channels, scaled), victim)
-        summary, _ = analyze_session(manifest_path)
+        summary = analyze_session(manifest_path)
         runs = summary.to_dict()["runs"]
         assert runs["skipped"] == [{"run": 1, "reason": mock.ANY}]
         assert "rate_ratio" in runs["skipped"][0]["reason"]
@@ -384,7 +402,7 @@ class TestAnalyzeSession:
         header, channels, times = read_tag_arrays(victim)
         detections = channels != CHANNEL_TRIGGER
         write_tags(header, (channels[detections], times[detections].astype(np.uint64)), victim)
-        summary, _ = analyze_session(manifest_path)
+        summary = analyze_session(manifest_path)
         write_summary_json(summary, tmp_path / "summary.json")
         runs = json.loads((tmp_path / "summary.json").read_text())["runs"]
         assert runs["skipped"] == [
@@ -403,7 +421,7 @@ class TestAnalyzeSession:
 
     def test_sync_reports_present(self, tmp_path):
         c = tiny_config()
-        summary, _ = analyze_session(simulate_session(c, tmp_path))
+        summary = analyze_session(simulate_session(c, tmp_path))
         assert len(summary.sync_reports) == 4
         for rep in summary.sync_reports:
             assert rep.fit.pulse_offset == 0
@@ -527,7 +545,7 @@ class TestReportFromCounts:
         sdir, ref = tmp_path / "s", tmp_path / "ref"
         manifest_path = simulate_session(config, sdir)
         assert main(["analyze", str(manifest_path)]) == 0
-        expected = write_report_bundle(analyze_session(manifest_path)[0], ref)
+        expected = write_report_bundle(analyze_session(manifest_path), ref)
         for path in [manifest_path, *sdir.glob("*.tags")]:
             path.unlink()
         assert main(["report", str(sdir / "summary.json")]) == 0
@@ -581,26 +599,22 @@ class TestReportFromCounts:
         assert str(counts_path) in self._error_line(capsys, argv)
         assert not (dirs[0] / "report").exists()
 
-    # edits of the expectations the report prints, and the error each gives
+    # edits of the expectations block: each makes it differ from the rebuild
     ETA0 = {"A+": 0.9, "A-": 0.9, "B+": 0.9, "B-": 0.9}
     BAD_EXPECTATIONS = {
-        "empty_expectations": ({}, "missing key(s) expectations.s_ideal, expectations.eta0"),
-        "partial_expectations": (
-            {"s_ideal": 2.77, "eta0": {"A+": 0.9, "B+": 0.9}},
-            "missing key(s) expectations.eta0.A-, expectations.eta0.B-",
-        ),
-        "s_ideal_text": (
-            {"s_ideal": "x", "eta0": ETA0}, "not a number: expectations.s_ideal"
-        ),
-        "eta0_null_and_bool": (
-            {"s_ideal": 2.77, "eta0": {**ETA0, "A+": None, "B-": True}},
-            "not a number: expectations.eta0.A+, expectations.eta0.B-",
-        ),
+        "empty_expectations": {},
+        "partial_expectations": {"s_ideal": 2.77, "eta0": {"A+": 0.9, "B+": 0.9}},
+        "s_ideal_text": {"s_ideal": "x", "eta0": ETA0},
+        "eta0_null_and_bool": {"s_ideal": 2.77, "eta0": {**ETA0, "A+": None, "B-": True}},
     }
 
     @pytest.mark.parametrize(
-        "drop", ["mode", "session_id", "expectations", *BAD_EXPECTATIONS, None, "not_json"],
-        ids=["mode", "session_id", "expectations", *BAD_EXPECTATIONS, "json_list", "not_json"],
+        "drop",
+        ["mode", "session_id", "expectations", "config", *BAD_EXPECTATIONS, None, "not_json"],
+        ids=[
+            "mode", "session_id", "expectations", "config", *BAD_EXPECTATIONS,
+            "json_list", "not_json",
+        ],
     )
     def test_malformed_summary_errors(self, tmp_path, capsys, drop):
         from bellstrobe.cli import main
@@ -609,13 +623,18 @@ class TestReportFromCounts:
         assert main(["analyze", str(manifest_path)]) == 0
         summary_path = tmp_path / "summary.json"
         data = json.loads(summary_path.read_text())
+        differ = "differ from their rebuild from " + str(tmp_path / "counts.npz")
         if drop is None:  # a JSON list, not an object
-            data, problem = list(data), "missing key(s) session_id, mode, expectations"
+            data, problem = list(data), "missing key(s) config"
         elif drop in self.BAD_EXPECTATIONS:
-            data["expectations"], problem = self.BAD_EXPECTATIONS[drop]
+            data["expectations"] = self.BAD_EXPECTATIONS[drop]
+            problem = f"block(s) expectations {differ}"
+        elif drop == "config":
+            del data[drop]
+            problem = "missing key(s) config"
         elif drop != "not_json":
             del data[drop]
-            problem = f"missing key(s) {drop}"
+            problem = f"block(s) {drop} {differ}"
         summary_path.write_text(json.dumps(data))
         if drop == "not_json":
             summary_path.write_text("{")
@@ -625,6 +644,82 @@ class TestReportFromCounts:
             )
         line = self._error_line(capsys, ["report", str(summary_path)])
         assert line == f"error: {summary_path}: {problem}"
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            tiny_config(),
+            apply_overrides(desk_default(7), {"session.run_duration": 0.7}),
+            scan_config(),
+        ],
+        ids=["chsh_4", "seed7_default", "scan_34"],
+    )
+    def test_rebuild_equals_the_summary(self, tmp_path, config):
+        summary = run_session_in_memory(config)
+        write_summary_json(summary, tmp_path / "summary.json")
+        summary.counts.save(tmp_path / "counts.npz")
+        written = json.loads((tmp_path / "summary.json").read_text())
+        # through JSON as summary.json holds it: a tuple reads back as a list
+        rebuilt = json.loads(json.dumps(
+            session_module._json_safe(summary_from_counts(tmp_path / "summary.json").to_dict())
+        ))
+        for data in (written, rebuilt):
+            for key in ("runs", "sync", "degraded"):
+                del data[key]
+        assert rebuilt == written
+        assert {"config", "expectations"} <= written.keys()
+        assert ("transient" in written) == (config.session.mode == "chsh_4")
+
+    # one edited value in each block report rebuilds, by dotted path
+    EDITS = {
+        "transient.verdict": lambda v: "deviation" if v != "deviation" else "none",
+        "flatness.chi2_reduced": lambda v: v * 1.001,
+        "eq1.bound_respected": lambda v: not v,
+        "significance.n_significant_slots": lambda v: v + 1,
+        "plateau.all_data_s": lambda v: v + 1e-6,
+        "tables.ab.++": lambda v: v + 1,
+        "expectations.s_ideal": lambda v: v + 1e-6,
+        "config.visibility": lambda v: v - 1e-6,
+    }
+
+    @pytest.mark.parametrize("path", list(EDITS))
+    def test_summary_with_an_edited_block_is_refused(self, tmp_path, capsys, analyzed, path):
+        (tmp_path / "counts.npz").write_bytes((analyzed / "counts.npz").read_bytes())
+        data = json.loads((analyzed / "summary.json").read_text())
+        *parents, leaf = path.split(".")
+        node = data
+        for key in parents:
+            node = node[key]
+        node[leaf] = self.EDITS[path](node[leaf])
+        summary_path = tmp_path / "summary.json"
+        summary_path.write_text(json.dumps(data))
+        line = self._error_line(capsys, ["report", str(summary_path)])
+        block = parents[0]
+        if block == "config":  # another config is another session
+            other = ExperimentConfig.from_dict(data["config"]).session_id()
+            assert line == (
+                f"error: {tmp_path / 'counts.npz'}: counts of session {data['session_id']}, "
+                f"not of {other}, the session of the config in {summary_path}"
+            )
+        else:
+            assert line == (
+                f"error: {summary_path}: block(s) {block} differ from their rebuild "
+                f"from {tmp_path / 'counts.npz'}"
+            )
+        assert not (tmp_path / "report").exists()
+
+    def test_summary_whose_config_does_not_decode_is_refused(self, tmp_path, capsys, analyzed):
+        (tmp_path / "counts.npz").write_bytes((analyzed / "counts.npz").read_bytes())
+        data = json.loads((analyzed / "summary.json").read_text())
+        data["config"]["session"]["mode"] = "x"
+        summary_path = tmp_path / "summary.json"
+        summary_path.write_text(json.dumps(data))
+        line = self._error_line(capsys, ["report", str(summary_path)])
+        assert line == (
+            f"error: {summary_path}: config: bad config value: session: "
+            "unknown session mode 'x'"
+        )
         assert not (tmp_path / "report").exists()
 
     @pytest.fixture(scope="class")
@@ -651,7 +746,7 @@ class TestReportFromCounts:
         assert not (tmp_path / "report").exists()
 
     def test_counts_round_trip(self, tmp_path):
-        summary, _ = analyze_session(simulate_session(tiny_config(), tmp_path))
+        summary = analyze_session(simulate_session(tiny_config(), tmp_path))
         counts = summary.counts
         counts.save(tmp_path / "counts.npz")
         with np.load(tmp_path / "counts.npz") as npz:
@@ -809,6 +904,43 @@ class TestCli:
         path = override.split("=")[0]
         assert len(err) == 1 and err[0].startswith("error: ")
         assert f"{path} " in err[0] and err[0].endswith("int64 picoseconds")
+        assert not (tmp_path / "big").exists()
+
+    @pytest.mark.parametrize("override, line", [
+        (
+            "analysis.window=1e308",
+            "error: bad config value: analysis.window 1e+308 s is not a finite time "
+            "within int64 picoseconds",
+        ),
+        (
+            "analysis.slot_width=3e-13",
+            "error: bad config value: analysis.slot_width 3e-13 s is not a whole "
+            "number of picoseconds",
+        ),
+        ('session.mode="x"', "error: bad config value: session: unknown session mode 'x'"),
+    ])
+    def test_config_error_names_its_path_once(self, tmp_path, capsys, override, line):
+        from bellstrobe.cli import main
+
+        capsys.readouterr()
+        argv = ["simulate", "--name", "bad", "--output", str(tmp_path), "--set", override]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not (tmp_path / "bad").exists()
+
+    def test_slot_grid_above_the_bound_errors_before_writing(self, tmp_path, capsys):
+        # 5 s periods of 4 ns slots asked numpy for a (4, 1.25e9) int64 array
+        from bellstrobe.cli import main
+
+        capsys.readouterr()
+        assert main([
+            "simulate", "--name", "big", "--output", str(tmp_path),
+            "--set", "pulses.base_period=5", "--set", "pulses.pulse_duration=1e-6",
+        ]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: analysis.slot_width (4000 ps) cuts pulses.base_period "
+            "(5000000000000 ps) into 1250000000 slots, more than 65536"
+        ]
         assert not (tmp_path / "big").exists()
 
     def _assert_one_line_error(self, capsys, argv):

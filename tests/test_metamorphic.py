@@ -96,7 +96,7 @@ def test_reversed_manifest_runs_leave_counts_and_plateau_unchanged(tmp_path):
     npz = {}
     plateau = {}
     for name, path in (("forward", manifest_path), ("reversed", reversed_path)):
-        summary, _ = analyze_session(path)
+        summary = analyze_session(path)
         assert summary.plateau is not None
         summary.counts.save(tmp_path / f"{name}.npz")
         with np.load(tmp_path / f"{name}.npz") as data:

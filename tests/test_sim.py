@@ -11,7 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from bellstrobe import sim
 from bellstrobe.config import to_ps
-from bellstrobe.model import OUTCOME_PARITY, AngleSetting, Geometry, TransientModel, qm_joint_probs
+from bellstrobe.model import (
+    OUTCOME_PARITY, AngleSetting, Geometry, TransientModel, equal_outcome_prob, qm_joint_probs
+)
 from bellstrobe.sim import (
     CHANNEL_TRIGGER,
     DRAW_CHUNK,
@@ -171,6 +173,19 @@ class TestEmitStatistics:
             occupied.update(idx[idx >= 0].tolist())
         fraction = len(occupied) / n_pulses
         assert abs(fraction - 0.02) < 0.001
+
+    @pytest.mark.parametrize("setting", [AngleSetting(0.0, math.pi / 8), AngleSetting(0.7, 2.9)])
+    def test_outcomes_are_drawn_from_the_equal_outcome_law(self, setting):
+        # the sampler's first draw decides agreement against the model's law,
+        # float for float
+        v_eff = np.linspace(0.5, 1.0, 1000)
+        oa, ob = sim._sample_outcomes(np.random.default_rng(3), v_eff, setting)
+        u = np.random.default_rng(3).random(v_eff.size)
+        assert np.array_equal(oa == ob, u < equal_outcome_prob(setting.difference, v_eff))
+        assert np.array_equal(
+            equal_outcome_prob(setting.difference, v_eff),
+            0.5 * (1.0 + v_eff * math.cos(2.0 * setting.difference)),
+        )
 
     def test_joint_frequencies_match_model(self):
         # full-pipeline frequencies vs qm_joint_probs, 4 sigma binomial,
