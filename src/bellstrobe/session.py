@@ -626,6 +626,13 @@ def write_summary_json(
 
 # The blocks of summary.json that are not functions of the counts and config.
 PER_RUN_KEYS = ("runs", "sync", "degraded", "generated_at")
+# The SlotCounts fields the config fixes, with their names in error messages.
+LAYOUT_FIELDS = {
+    "grid": "slot grid",
+    "setting_labels": "setting labels",
+    "setting_angles": "setting angles",
+    "delta_t_edges": "delta_t edges",
+}
 
 
 def summary_from_counts(summary_path: str | Path) -> SessionSummary:
@@ -636,8 +643,9 @@ def summary_from_counts(summary_path: str | Path) -> SessionSummary:
     Raises AnalysisError naming the file when either file is missing or
     unreadable or the summary has no `config`, ConfigError naming the summary
     when its config does not decode, and AnalysisError naming both files
-    when the counts are of another session than the config or a block other
-    than PER_RUN_KEYS differs from the rebuild's."""
+    when the counts are of another session than the config, their slot grid,
+    settings or delta_t edges are not the ones the config gives, or a block
+    other than PER_RUN_KEYS differs from the rebuild's."""
     summary_path = Path(summary_path)
     counts_path = summary_path.parent / "counts.npz"
     if not summary_path.exists():
@@ -654,6 +662,17 @@ def summary_from_counts(summary_path: str | Path) -> SessionSummary:
         raise ana.AnalysisError(
             f"{counts_path}: counts of session {counts.session_id}, not of "
             f"{config.session_id()}, the session of the config in {summary_path}"
+        )
+    layout = _zero_counts(config)
+    differ = [
+        text
+        for name, text in LAYOUT_FIELDS.items()
+        if not np.array_equal(getattr(counts, name), getattr(layout, name))
+    ]
+    if differ:
+        raise ana.AnalysisError(
+            f"{counts_path}: the config in {summary_path} gives another "
+            f"{', '.join(differ)}"
         )
     summary = SessionSummary(counts, config)
     rebuilt = json.loads(json.dumps(_json_safe(summary.to_dict())))

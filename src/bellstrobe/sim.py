@@ -6,14 +6,14 @@ counts, and independently drifting station clocks. All randomness flows from
 a single seed through numpy SeedSequence spawning, split per purpose: the
 source, and each station's detection and clock-jitter streams.
 
-emit_events runs a run's independent streams on one worker thread beside the
-caller's: the pairs per pulse (drawn from the source generator) while the
-caller builds the trigger train and then draws clock jitter; the rest of
-that jitter while the caller runs the source stage; then station B's
-thinning, darks and stream while the caller does station A's. Each generator
-is used by one thread at a time, in its serial order, and each stage reads
-only what the stages before it returned, so the tags cannot depend on how
-the threads are scheduled.
+emit_events runs a run's independent streams on the process's one persistent
+worker thread (`worker.submit`) beside the caller's: the pairs per pulse
+(drawn from the source generator) while the caller builds the trigger train
+and then draws clock jitter; the rest of that jitter while the caller runs
+the source stage; then station B's thinning, darks and stream while the
+caller does station A's. Each generator is used by one thread at a time, in
+its serial order, and each stage reads only what the stages before it
+returned, so the tags cannot depend on how the threads are scheduled.
 
 The draws with one value per pulse or per tag (pairs per pulse, clock
 jitter) are taken DRAW_CHUNK values at a time from the same generator, so no
@@ -25,11 +25,11 @@ and the tags depend neither on DRAW_CHUNK nor on which thread drew a block.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import worker
 from .model import (
     AngleSetting, TransientModel, carried_deficit, equal_outcome_prob, transient_factors
 )
@@ -403,19 +403,21 @@ def emit_events(
     `session_time` is the run's start within the session (seconds of wall
     time), used for the slow visibility drift. Deterministic for a fixed seed.
 
-    Two threads share the work, through a one-thread pool. The pool draws the
-    pairs per pulse from the source generator while the caller builds the
-    trigger train and then, until the pairs are in, draws the jitter of each
-    jittered clock into its stream buffer, block by block (station A's
-    first). The pool then draws the rest of the first n_pulses jitter values
-    of both clocks while the caller takes the source generator back for the
-    envelope times and outcomes. Station B's events and stream are built on
-    the pool, from B's own generators, while the caller builds A's; each
-    stream draws its last jitter values (one per event) itself. The
-    pair-length arrays are dropped once both stations have thinned them. The
-    generators pass between the threads only through the pool's futures, so
-    none is used by two threads at once and each keeps its draw order: the
-    tags are those of a serial run.
+    Two threads share the work: the caller and the process's one worker
+    thread (`worker.submit`). The worker draws the pairs per pulse from the
+    source generator while the caller builds the trigger train and then,
+    until the pairs are in, draws the jitter of each jittered clock into its
+    stream buffer, block by block (station A's first). The worker then draws
+    the rest of the first n_pulses jitter values of both clocks while the
+    caller takes the source generator back for the envelope times and
+    outcomes. Station B's events and stream are built on the worker, from B's
+    own generators, while the caller builds A's; each stream draws its last
+    jitter values (one per event) itself. The pair-length arrays are dropped
+    once both stations have thinned them. The generators pass between the
+    threads only through the worker's futures, so none is used by two threads
+    at once and each keeps its draw order: the tags are those of a serial
+    run, also when emit_events is itself called on the worker thread and its
+    tasks run inline.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     key_source, key_a, key_b = ss.spawn(3)
@@ -427,66 +429,65 @@ def emit_events(
         for station, key in zip(stations, (key_clk_a, key_clk_b))
     ]
 
-    with ThreadPoolExecutor(1) as worker:
-        pairs = worker.submit(_pair_pulses, rng_src, source.pair_yield, n_pulses)
-        periods = plan.period_seconds(n_pulses)
-        starts = _starts_of(periods)
-        duration = float(np.sum(periods))
-        for clock in clocks:
-            while not pairs.done() and clock.draw_block():
-                pass
-        pulse_idx = pairs.result()
-        filled = worker.submit(lambda: [clock.fill() for clock in clocks])
+    pairs = worker.submit(_pair_pulses, rng_src, source.pair_yield, n_pulses)
+    periods = plan.period_seconds(n_pulses)
+    starts = _starts_of(periods)
+    duration = float(np.sum(periods))
+    for clock in clocks:
+        while not pairs.done() and clock.draw_block():
+            pass
+    pulse_idx = pairs.result()
+    filled = worker.submit(lambda: [clock.fill() for clock in clocks])
 
-        k = pulse_idx.size
-        t_emit = _sample_pulse_envelope(rng_src, k, plan)
+    k = pulse_idx.size
+    t_emit = _sample_pulse_envelope(rng_src, k, plan)
 
-        transient = source.transient
-        eta0 = max(stations[0].detector_efficiency, stations[1].detector_efficiency)
-        if transient.mode != "none" and transient.inter_pulse_memory > 0.0:
-            gaps = periods[np.maximum(pulse_idx - 1, 0)] - plan.pulse_duration
-            carry = np.where(
-                pulse_idx > 0, carried_deficit(transient, plan.pulse_duration, gaps), 0.0
-            )
-        else:
-            carry = 0.0
-        del periods
-        s_factor, eta_factor = transient_factors(
-            t_emit, transient, eta0, visibility, carried=carry
+    transient = source.transient
+    eta0 = max(stations[0].detector_efficiency, stations[1].detector_efficiency)
+    if transient.mode != "none" and transient.inter_pulse_memory > 0.0:
+        gaps = periods[np.maximum(pulse_idx - 1, 0)] - plan.pulse_duration
+        carry = np.where(
+            pulse_idx > 0, carried_deficit(transient, plan.pulse_duration, gaps), 0.0
         )
+    else:
+        carry = 0.0
+    del periods
+    s_factor, eta_factor = transient_factors(
+        t_emit, transient, eta0, visibility, carried=carry
+    )
 
-        pulse_start = starts[pulse_idx]
-        del pulse_idx
-        wall_hours = (session_time + pulse_start) / 3600.0
-        v_eff = np.clip(
-            visibility * (1.0 - source.visibility_drift * wall_hours) * s_factor,
-            0.0,
-            1.0,
-        )
-        oa, ob = _sample_outcomes(rng_src, v_eff, setting)
-        del carry, s_factor, wall_hours, v_eff
+    pulse_start = starts[pulse_idx]
+    del pulse_idx
+    wall_hours = (session_time + pulse_start) / 3600.0
+    v_eff = np.clip(
+        visibility * (1.0 - source.visibility_drift * wall_hours) * s_factor,
+        0.0,
+        1.0,
+    )
+    oa, ob = _sample_outcomes(rng_src, v_eff, setting)
+    del carry, s_factor, wall_hours, v_eff
 
-        thin_b = worker.submit(
-            _station_events,
-            np.random.default_rng(key_det_b),
-            stations[1],
-            pulse_start,
-            t_emit,
-            ob,
-            eta_factor,
-            duration,
-        )
-        events_a = _station_events(
-            np.random.default_rng(key_det_a),
-            stations[0],
-            pulse_start,
-            t_emit,
-            oa,
-            eta_factor,
-            duration,
-        )
-        del pulse_start, t_emit, eta_factor, oa, ob
-        clock_a, clock_b = filled.result()
-        stream_b = worker.submit(_local_stream, *thin_b.result(), starts, clock_b)
-        stream_a = _local_stream(*events_a, starts, clock_a)
-        return stream_a, stream_b.result()
+    thin_b = worker.submit(
+        _station_events,
+        np.random.default_rng(key_det_b),
+        stations[1],
+        pulse_start,
+        t_emit,
+        ob,
+        eta_factor,
+        duration,
+    )
+    events_a = _station_events(
+        np.random.default_rng(key_det_a),
+        stations[0],
+        pulse_start,
+        t_emit,
+        oa,
+        eta_factor,
+        duration,
+    )
+    del pulse_start, t_emit, eta_factor, oa, ob
+    clock_a, clock_b = filled.result()
+    stream_b = worker.submit(_local_stream, *thin_b.result(), starts, clock_b)
+    stream_a = _local_stream(*events_a, starts, clock_a)
+    return stream_a, stream_b.result()

@@ -3,20 +3,23 @@
 The FM fingerprint carried by the inter-trigger intervals makes the relative
 pulse offset between the stations recoverable without counting coincidences:
 intervals are binarized against the midpoint of their own 10th and 90th
-percentiles (immune to clock-rate scaling) and cross-correlated. After
-alignment, an affine fit of matched trigger times gives the inter-station
-clock relation, and detections are attributed to pulses by their time
-distance to the nearest preceding trigger.
+percentiles (immune to clock-rate scaling) and cross-correlated at the
+searched lags only, through an ALIGN_NFFT-point (33,750) transform whose
+rounded values are the exact integer correlations. After alignment, an
+affine fit of matched trigger times gives the inter-station clock relation,
+and detections are attributed to pulses by their time distance to the
+nearest preceding trigger.
 That trigger is read off the detection's place in the station's sorted tag
 stream (the trigger tags before it) and checked against the trigger train;
 only detections the check refutes are binary-searched.
 
 Only the clock fit uses a second thread: each of its three passes runs its
-chunks on the calling thread and one worker thread (`tagfmt._map_chunks`),
-through scratch arrays allocated on the calling thread. A chunk's partial
-sums come from the same numpy calls on the same values whichever thread
-computes them, and they are added in chunk order, so the fit is bit for bit
-that of a serial loop. Everything else runs on the calling thread.
+chunks on the calling thread and the process's one persistent worker thread
+(`worker.map_chunks`), through scratch arrays allocated on the calling
+thread. A chunk's partial sums come from the same numpy calls on the same
+values whichever thread computes them, and they are added in chunk order, so
+the fit is bit for bit that of a serial loop. Everything else runs on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import worker
 from .sim import CHANNEL_PLUS, CHANNEL_TRIGGER, PS_PER_SECOND, TagStream
-from .tagfmt import _map_chunks
 
 
 # align_pulse_numbering searches lags within +-MAX_LAG pulses over the first
@@ -38,6 +41,10 @@ MAX_LAG = 4096
 ALIGN_WINDOW = MAX_LAG + 25400
 MIN_CORR = 0.9
 MARGIN = 1.5
+# The alignment correlation's transform length: the smallest 2**i * 3**j * 5**k
+# at or above ALIGN_WINDOW + MAX_LAG (2 * 3**3 * 5**4), so that no circular
+# term of two series of at most ALIGN_WINDOW values wraps into +-MAX_LAG.
+ALIGN_NFFT = 33_750
 FIT_CHUNK = 1 << 15  # matched trigger pairs per step of each fit_clock_relation pass
 
 
@@ -149,8 +156,7 @@ def _binarize(intervals_ps: np.ndarray) -> np.ndarray:
     to drift.
     """
     iv = intervals_ps.astype(np.float64)
-    lo, hi = percentile(iv, [10.0, 90.0])
-    med = percentile(iv, 50.0)
+    lo, med, hi = percentile(iv, [10.0, 50.0, 90.0])
     if med <= 0 or (hi - lo) / med < 5e-3:
         raise PatternAbsentError(
             "trigger intervals are constant to within 0.5%; no FM pattern to align on"
@@ -158,18 +164,19 @@ def _binarize(intervals_ps: np.ndarray) -> np.ndarray:
     return np.where(iv > 0.5 * (lo + hi), 1.0, -1.0)
 
 
-def _xcorr_full(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw cross-correlation c(lag) = sum_k a[k+lag]*b[k] for all lags.
+def _xcorr(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-correlation c(lag) = sum_k a[k+lag]*b[k] of two +-1 series of at
+    most ALIGN_WINDOW values, at lags -MAX_LAG..MAX_LAG only.
 
-    Returns (lags, c) with lags from -(len(b)-1) to len(a)-1, FFT-based.
+    Returns (lags, c), c as float64 integers: the ALIGN_NFFT-point circular
+    correlation holds no wrapped term at these lags, and rounding it gives
+    the exact sums, whatever the transform length.
     """
-    na, nb = a.size, b.size
-    nfft = 1 << int(np.ceil(np.log2(na + nb - 1)))
-    fa = np.fft.rfft(a, nfft)
-    fb = np.fft.rfft(b, nfft)
-    c = np.fft.irfft(fa * np.conj(fb), nfft)
-    lags = np.arange(-(nb - 1), na)
-    return lags, np.concatenate([c[nfft - (nb - 1):] if nb > 1 else c[:0], c[:na]])
+    fa = np.fft.rfft(a, ALIGN_NFFT)
+    fb = np.fft.rfft(b, ALIGN_NFFT)
+    c = np.fft.irfft(fa * np.conj(fb), ALIGN_NFFT)
+    lags = np.arange(-MAX_LAG, MAX_LAG + 1)
+    return lags, np.rint(c[lags])
 
 
 def align_pulse_numbering(triggers_a: np.ndarray, triggers_b: np.ndarray) -> int:
@@ -186,9 +193,9 @@ def align_pulse_numbering(triggers_a: np.ndarray, triggers_b: np.ndarray) -> int
     a = _binarize(extract_period_series(triggers_a[: ALIGN_WINDOW + 1]))
     b = _binarize(extract_period_series(triggers_b[: ALIGN_WINDOW + 1]))
 
-    lags, raw = _xcorr_full(a, b)
+    lags, raw = _xcorr(a, b)
     overlap = np.minimum(a.size, b.size + lags) - np.maximum(0, lags)
-    valid = (np.abs(lags) <= MAX_LAG) & (overlap > 0)
+    valid = overlap > 0
     if not np.any(valid):
         raise AlignmentAmbiguousError("no overlap within the searched lag range")
     corr = np.full(lags.size, -np.inf)
@@ -260,7 +267,7 @@ def fit_clock_relation(
         x, z = pairs(start, stop, buffers[0])
         return x.sum(dtype=np.float64), z.sum(dtype=np.float64)
 
-    parts = _map_chunks(sums, n, chunk, scratch)
+    parts = worker.map_chunks(sums, n, chunk, scratch)
     xm = math.fsum(sx for sx, _ in parts) / n
     zm = math.fsum(sz for _, sz in parts) / n
 
@@ -273,7 +280,7 @@ def fit_clock_relation(
 
     # added one by one in chunk order; sum() compensates from Python 3.12 on
     sxx = sxz = 0.0
-    for pxx, pxz in _map_chunks(centred, n, chunk, scratch):
+    for pxx, pxz in worker.map_chunks(centred, n, chunk, scratch):
         sxx += pxx
         sxz += pxz
     if sxx == 0.0:
@@ -305,7 +312,7 @@ def fit_clock_relation(
         return _dot(r, r)
 
     sq = 0.0
-    for part in _map_chunks(residual, n, chunk, scratch):
+    for part in worker.map_chunks(residual, n, chunk, scratch):
         sq += part
     # t_B = tb0 + x + z, with x = t_A - ta0 and z = zm + drift * (x - xm)
     intercept_ps = z0 + zm - drift * (x0 + xm)

@@ -20,13 +20,13 @@ Records are sorted by timestamp, ties broken by ascending channel; duplicate
 (timestamp, channel) pairs are invalid. File size is exactly 40 + 16*N bytes.
 
 The writer runs on the calling thread. The reader reads, checks and unpacks
-its chunks of CHUNK_RECORDS records on the calling thread and one worker
-thread (`_map_chunks`), each thread through its own buffers, allocated on
-the calling thread. A chunk's work depends only on the file's bytes, and it
-writes only its own slice of the output arrays, so the arrays cannot depend
-on which thread read which chunk or in what order the chunks finished; the
-error raised is the one of the first chunk in record order that holds one,
-as in a serial read.
+its chunks of CHUNK_RECORDS records on the calling thread and the process's
+one persistent worker thread (`worker.map_chunks`), each thread through its
+own buffers, allocated on the calling thread. A chunk's work depends only on
+the file's bytes, and it writes only its own slice of the output arrays, so
+the arrays cannot depend on which thread read which chunk or in what order
+the chunks finished; the error raised is the one of the first chunk in
+record order that holds one, as in a serial read.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ import contextlib
 import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Callable
 
 import numpy as np
+
+from . import worker
 
 MAGIC = b"BSTROBE1"
 VERSION = 1
@@ -53,53 +54,6 @@ RECORD_DTYPE = np.dtype([("channel", "<u1"), ("pad", "V7"), ("timestamp", "<u8")
 RECORD_SIZE = RECORD_DTYPE.itemsize
 
 assert HEADER_SIZE == 40 and RECORD_SIZE == 16
-
-def _map_chunks(
-    fn: Callable[[int, int, object], object], n: int, size: int, scratch: Sequence
-) -> list:
-    """[fn(start, stop, buffers) for each chunk [start, stop) of range(n)
-    holding `size` items], in chunk order.
-
-    With more than one chunk, the caller and one worker thread take chunks
-    in order from one shared queue; the caller hands fn scratch[0] and the
-    worker scratch[1], buffers the caller allocated, so the worker allocates
-    nothing chunk-sized if fn writes through them. One chunk runs on the
-    caller alone. fn must not depend on which thread runs it, or on the
-    other chunks: each result is then what a serial loop computes, and the
-    results come back in chunk order, not in the order they finish.
-
-    If fn raises, no chunk past the failing one is started, the ones before
-    it are finished, and the exception of the lowest failing chunk is
-    raised, the one a serial loop would raise.
-    """
-    starts = range(0, n, size)
-    results = [None] * len(starts)
-    errors: dict[int, Exception] = {}
-    todo = iter(range(len(starts)))
-    lock = threading.Lock()  # guards todo and errors
-
-    def work(buffers) -> None:
-        while True:
-            with lock:
-                i = next(todo, None)
-                if i is None or (errors and i > min(errors)):
-                    return
-            try:
-                results[i] = fn(starts[i], min(starts[i] + size, n), buffers)
-            except Exception as exc:
-                with lock:
-                    errors[i] = exc
-
-    if len(starts) > 1:
-        with ThreadPoolExecutor(1) as worker:
-            done = worker.submit(work, scratch[1])
-            work(scratch[0])
-            done.result()
-    else:
-        work(scratch[0])
-    if errors:
-        raise errors[min(errors)]
-    return results
 
 
 class TagFormatError(ValueError):
@@ -284,5 +238,5 @@ def _read_records(
         (np.empty(m, RECORD_DTYPE), np.empty(m, np.uint8), np.empty(m, np.uint64))
         for _ in range(2)
     ]
-    _map_chunks(read_chunk, n, CHUNK_RECORDS, buffers)
+    worker.map_chunks(read_chunk, n, CHUNK_RECORDS, buffers)
     return header, channels, timestamps

@@ -11,6 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from bellstrobe import worker
 from bellstrobe.config import desk_boosted, desk_default, desk_transient
 from bellstrobe.session import run_session_in_memory
 
@@ -71,22 +72,18 @@ def rng():
 
 @pytest.fixture()
 def first_chunk_last(monkeypatch):
-    """`patch(module)` makes `module._map_chunks` start chunk 0 20 ms late.
-    The other thread meanwhile finishes later chunks, so a chunk map that
-    combined results, or chose the error to raise, in the order the chunks
-    finish would differ from a serial loop."""
+    """Makes `worker.map_chunks`, the chunk map of the tag reader and of the
+    clock fit, start chunk 0 20 ms late. The other thread meanwhile finishes
+    later chunks, so a chunk map that combined results, or chose the error to
+    raise, in the order the chunks finish would differ from a serial loop."""
+    chunk_map = worker.map_chunks
 
-    def patch(module):
-        chunk_map = module._map_chunks
+    def late_first(fn, n, size, scratch):
+        def chunk(start, stop, buffers):
+            if start == 0:
+                time.sleep(0.02)
+            return fn(start, stop, buffers)
 
-        def late_first(fn, n, size, scratch):
-            def chunk(start, stop, buffers):
-                if start == 0:
-                    time.sleep(0.02)
-                return fn(start, stop, buffers)
+        return chunk_map(chunk, n, size, scratch)
 
-            return chunk_map(chunk, n, size, scratch)
-
-        monkeypatch.setattr(module, "_map_chunks", late_first)
-
-    return patch
+    monkeypatch.setattr(worker, "map_chunks", late_first)

@@ -745,6 +745,34 @@ class TestReportFromCounts:
         assert line.startswith(f"error: {counts_path}: unreadable counts ({name} has shape")
         assert not (tmp_path / "report").exists()
 
+    # counts of the right session whose layout is not the config's, each
+    # edited consistently, so that SlotCounts.load accepts them
+    LAYOUT_EDITS = {
+        "grid": lambda a: {  # the first half of the slots
+            **a, "n_slots": a["n_slots"] // 2, "singles": a["singles"][:, : a["n_slots"] // 2],
+            "coincidences": a["coincidences"][:, : a["n_slots"] // 2],
+        },
+        "setting_labels": lambda a: {**a, "setting_labels": a["setting_labels"][::-1]},
+        "setting_angles": lambda a: {**a, "setting_angles": a["setting_angles"] + 1e-9},
+        "delta_t_edges": lambda a: {**a, "delta_t_edges": a["delta_t_edges"] + 1},
+    }
+
+    @pytest.mark.parametrize("name", list(LAYOUT_EDITS))
+    def test_counts_whose_layout_is_not_the_config_s_are_refused(
+        self, tmp_path, capsys, analyzed, name
+    ):
+        summary_path, counts_path = tmp_path / "summary.json", tmp_path / "counts.npz"
+        summary_path.write_bytes((analyzed / "summary.json").read_bytes())
+        with np.load(analyzed / "counts.npz") as npz:
+            arrays = dict(npz)
+        np.savez(counts_path, **self.LAYOUT_EDITS[name](arrays))
+        line = self._error_line(capsys, ["report", str(summary_path)])
+        assert line == (
+            f"error: {counts_path}: the config in {summary_path} gives another "
+            f"{session_module.LAYOUT_FIELDS[name]}"
+        )
+        assert not (tmp_path / "report").exists()
+
     def test_counts_round_trip(self, tmp_path):
         summary = analyze_session(simulate_session(tiny_config(), tmp_path))
         counts = summary.counts

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bellstrobe import sim
+from bellstrobe import sim, worker
 from bellstrobe.config import to_ps
 from bellstrobe.model import (
     OUTCOME_PARITY, AngleSetting, Geometry, TransientModel, equal_outcome_prob, qm_joint_probs
@@ -392,8 +392,9 @@ class TestDrawBlocks:
 
 class TestThreads:
     def test_concurrent_calls_equal_serial_calls(self):
-        # each call runs its own worker thread; four callers at once, on a
-        # short switch interval, must still get the serial streams. Both
+        # every call hands its tasks to the process's one worker thread; four
+        # callers at once, their tasks queued on it in turn, on a short switch
+        # interval, must still get the serial streams. Both
         # clocks are jittered over more than DRAW_CHUNK tags, so both clock
         # generators pass between the caller and the worker
         clock_a = ClockModel(offset=2e-4, jitter_sigma=3e-11)
@@ -415,30 +416,19 @@ class TestThreads:
         assert threaded == serial
 
 
-class InlinePool:
-    """A stand-in for emit_events' one-thread pool that runs each task when
-    it is submitted, on the caller: emit_events as one serial program."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+def inline_submit(fn, *args):
+    """A stand-in for `worker.submit` that runs each task when it is
+    submitted, on the caller: emit_events as one serial program."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
 
 
 class TestJitterHandover:
     """The jitter a clock needs for its n_pulses triggers is drawn while the
-    pairs are drawn: by the caller until they are in, by the pool after.
+    pairs are drawn: by the caller until they are in, by the worker after.
     Where the pairs finish must not move a tag: before the caller's first
-    block, while the caller is inside its first block (the pool is then free
+    block, while the caller is inside its first block (the worker is then free
     but must get no generator yet), or after the caller has drawn them all."""
 
     N_PULSES = 2 * DRAW_CHUNK + 3
@@ -459,12 +449,12 @@ class TestJitterHandover:
     @pytest.mark.parametrize("pairs_finish", ["at_once", "mid_block", "late"])
     def test_equals_a_serial_run(self, monkeypatch, jittered, pairs_finish):
         with monkeypatch.context() as serial:
-            serial.setattr(sim, "ThreadPoolExecutor", InlinePool)
+            serial.setattr(worker, "submit", inline_submit)
             want = self.run(jittered)
             assert want != self.run(jittered, seed=4)  # the comparison can fail
 
         # jitter values drawn ahead of the events (below n_pulses), by thread
-        ahead = {"caller": 0, "pool": 0}
+        ahead = {"caller": 0, "worker": 0}
         pairs_in, caller_drawing, taken = (threading.Event() for _ in range(3))
         draw_block, take, pair_pulses, starts_of = (
             _ClockBuffer.draw_block, _ClockBuffer.take, sim._pair_pulses, sim._starts_of
@@ -476,12 +466,12 @@ class TestJitterHandover:
             if wanted and caller and pairs_finish == "mid_block" and not caller_drawing.is_set():
                 caller_drawing.set()
                 pairs_in.wait(10)
-                time.sleep(0.05)  # the pool's future is done, and the pool idle
-            if wanted and not caller and not ahead["pool"]:
+                time.sleep(0.05)  # the worker's future is done, and the worker idle
+            if wanted and not caller and not ahead["worker"]:
                 taken.wait(0.05)  # time for a caller that takes a buffer too early
             lo = min(buffer.values.size, self.N_PULSES)
             drew = draw_block(buffer)
-            ahead["caller" if caller else "pool"] += min(buffer.values.size, self.N_PULSES) - lo
+            ahead["caller" if caller else "worker"] += min(buffer.values.size, self.N_PULSES) - lo
             return drew
 
         def flagged_take(buffer, n):
@@ -512,7 +502,7 @@ class TestJitterHandover:
         assert got == want
         total = len(jittered) * self.N_PULSES
         by_caller = {"at_once": 0, "mid_block": DRAW_CHUNK, "late": total}[pairs_finish]
-        assert ahead == {"caller": by_caller, "pool": total - by_caller}
+        assert ahead == {"caller": by_caller, "worker": total - by_caller}
 
 
 class TestTriggerInvariant:

@@ -185,6 +185,38 @@ class TestAlignment:
             wins += align_pulse_numbering(a, b) == d
         assert wins == 20
 
+    W = sync.ALIGN_WINDOW
+
+    @pytest.mark.parametrize(
+        "na, nb",
+        [(W, W), (W, W - 1234), (W - 1234, W), (W, 3000), (2000, W), (100, 1)],
+    )
+    def test_correlation_equals_the_exact_sums_at_every_searched_lag(self, rng, na, nb):
+        # Full-length series catch a transform too short for +-MAX_LAG: its
+        # circular terms wrap into the outermost searched lags.
+        a = rng.choice(np.array([-1, 1], np.int64), na)
+        b = rng.choice(np.array([-1, 1], np.int64), nb)
+        m = sync.MAX_LAG
+        # a[k + lag] for k < nb and |lag| <= m, zero outside a
+        padded = np.zeros(nb + 2 * m, np.int64)
+        part = a[: nb + m]
+        padded[m : m + part.size] = part
+        want = np.correlate(padded, b, "valid")  # sum_k a[k + lag] * b[k], lag -m..m
+        lags, got = sync._xcorr(a.astype(np.float64), b.astype(np.float64))
+        assert lags.tolist() == list(range(-m, m + 1))
+        assert np.array_equal(got, want)
+
+    def test_transform_length_is_the_smallest_5_smooth_one_holding_the_lags(self):
+        def five_smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        low = sync.ALIGN_WINDOW + sync.MAX_LAG
+        assert sync.ALIGN_NFFT >= low and five_smooth(sync.ALIGN_NFFT)
+        assert not any(five_smooth(n) for n in range(low, sync.ALIGN_NFFT))
+
 
 def exact_fit(a: list[int], b: list[int]) -> tuple[Fraction, Fraction, float]:
     """Least-squares b = c + r * a over integer picoseconds in exact rational
@@ -269,7 +301,6 @@ class TestTwoThreadFit:
     ):
         a, b = drifting
         n = b.size
-        first_chunk_last(sync)
         for chunk in (n, -(-n // 2), -(-n // 3), 97):
             with mock.patch.object(sync, "FIT_CHUNK", chunk):
                 assert fit_clock_relation(a, b, 3) == reference_fit(a, b, 3), chunk

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellstrobe import tagfmt
 from bellstrobe.tagfmt import (
     CHUNK_RECORDS,
     HEADER_SIZE,
@@ -367,7 +366,6 @@ def test_a_two_thread_read_equals_a_serial_read(tmp_path, first_chunk_last):
     # runs them in order, for defects in an even chunk, an odd chunk and both,
     # and for a file that shrinks while it is read. Chunk 0 finishes last, so
     # raising the first error to finish would fail the "both" cases.
-    first_chunk_last(tagfmt)
     c = CHUNK_RECORDS
     n = 4 * c + 100
     buf = io.BytesIO()
@@ -410,7 +408,7 @@ def test_a_two_thread_read_equals_a_serial_read(tmp_path, first_chunk_last):
         sources = [path] if kept < n else [path, raw]
         for source in sources:
             with mock.patch("bellstrobe.tagfmt.os.fstat", return_value=at_open):
-                with mock.patch("bellstrobe.tagfmt._map_chunks", _serial_map):
+                with mock.patch("bellstrobe.worker.map_chunks", _serial_map):
                     serial = _read_outcome(source)
                 got = _read_outcome(source)
             if first_bad is None:
