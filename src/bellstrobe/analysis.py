@@ -36,10 +36,6 @@ class AnalysisError(Exception):
     pass
 
 
-class SignificanceError(AnalysisError):
-    """Too few statistically significant slots to run a test."""
-
-
 class SessionMixError(ValueError):
     """Data from different sessions must not be accumulated together."""
 
@@ -418,15 +414,24 @@ def chi_square_vs_constant(
 
 @dataclass(frozen=True)
 class TransientVerdict:
-    kind: str  # "none" or "deviation"
+    kind: str  # "none", "deviation" or "not_testable"
     slot_range: tuple[int, int] | None = None  # [start, stop)
     direction: int = 0  # -1 below plateau, +1 above
     max_sigma: float = 0.0
     plateau_reference: float = math.nan
+    reason: str | None = None  # why a "not_testable" session was not tested
 
-    @property
-    def is_deviation(self) -> bool:
-        return self.kind == "deviation"
+    def to_dict(self) -> dict:
+        """The `transient` block of summary.json."""
+        if self.kind == "not_testable":
+            return {"verdict": self.kind, "reason": self.reason}
+        return {
+            "verdict": self.kind,
+            "slot_range": list(self.slot_range) if self.slot_range else None,
+            "direction": self.direction,
+            "max_sigma": self.max_sigma,
+            "plateau_reference": self.plateau_reference,
+        }
 
 
 def detect_transient(
@@ -445,6 +450,9 @@ def detect_transient(
     (the region a light-crossing-time deviation must live in). The plateau
     reference is the inverse-variance mean of the significant slots starting
     at or after 2*tau. Of several longest such runs, the first is reported.
+    Without a significant reference slot, or with fewer significant slots in
+    the search window than a transient needs, the verdict is "not_testable"
+    with the reason.
     """
     v = np.asarray(values, dtype=np.float64)
     s = np.asarray(sigmas, dtype=np.float64)
@@ -458,15 +466,17 @@ def detect_transient(
 
     ref_slots = sig & (np.arange(v.size) * slot_width >= 2.0 * tau)
     if not ref_slots.any():
-        raise SignificanceError("no significant slots beyond 2*tau for the plateau")
+        return TransientVerdict(
+            "not_testable", reason="no significant slots beyond 2*tau for the plateau"
+        )
     plateau_reference = _weighted_mean(v[ref_slots], s[ref_slots])
 
     tested = sig[:n_search]
     if int(tested.sum()) < min_run:
-        raise SignificanceError(
+        return TransientVerdict("not_testable", reason=(
             f"only {int(tested.sum())} significant slots in the first "
             f"{window * 1e9:.0f} ns; need {min_run} to test persistence"
-        )
+        ))
 
     dev = np.zeros(n_search)
     dev[tested] = (v[:n_search][tested] - plateau_reference) / s[:n_search][tested]

@@ -59,6 +59,10 @@ class SessionPlan:
     def __post_init__(self) -> None:
         if self.mode not in ("chsh_4", "scan_34"):
             raise ConfigError(f"unknown session mode {self.mode!r}")
+        if self.mode == "scan_34" and self.scan_points < 3:  # a fringe fit needs 3 angles
+            raise ConfigError(
+                f"session.scan_points must be at least 3 in scan_34 mode, got {self.scan_points}"
+            )
         if not 0 < self.run_duration < math.inf:  # NaN fails too
             raise ConfigError("run_duration must be positive and finite")
         n = 4 if self.mode == "chsh_4" else self.scan_points
@@ -112,6 +116,8 @@ class ExperimentConfig:
             )
         if not 0.0 <= self.visibility <= 1.0:
             raise ConfigError("visibility must be in [0, 1]")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
         self.trigger_delays_ps  # ConfigError unless both are whole picoseconds
         period_ps, slot_ps = self.period_ps, self.analysis.slot_ps
         if self.session.mode == "chsh_4" and period_ps % slot_ps:
@@ -211,10 +217,10 @@ def _decode(cls, data: dict, path: str = ""):
     field keeps its default. An error names the field or block by its dotted
     path: an unknown key, a block that is not an object, a NaN or infinite
     value (json.loads accepts both, and NaN passes a range check written as
-    a comparison), a value that is not an int where the default is one,
-    one that is not an int or a float (a bool, a string, null) where the
-    default is a float, or one that is neither a number nor null where the
-    default is null. An error of the checks of `cls` itself is prefixed
+    a comparison), a value that is not an int, or is one outside int64,
+    where the default is an int, one that is not an int or a float (a bool,
+    a string, null) where the default is a float, or one that is neither a
+    number nor null where the default is null. An error of the checks of `cls` itself is prefixed
     with the block's path unless it starts with that path."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = [repr(f"{path}.{key}" if path else key) for key in data if key not in fields]
@@ -233,6 +239,8 @@ def _decode(cls, data: dict, path: str = ""):
             raise ConfigError(f"bad config value: {where} must be finite, got {value}")
         elif type(default) is int and type(value) is not int:
             raise ConfigError(f"bad config value: {where} must be an integer, got {value!r}")
+        elif type(default) is int and not -(2**63) <= value < 2**63:
+            raise ConfigError(f"bad config value: {where} {value} is outside int64")
         elif type(default) is float and type(value) not in (int, float):
             raise ConfigError(f"bad config value: {where} must be a number, got {value!r}")
         elif default is None and value is not None and type(value) not in (int, float):

@@ -61,66 +61,60 @@ class SyncReport:
 
 @dataclass
 class SessionSummary:
-    """One session's products. Every block its counts and config alone
-    determine is derived on construction, by `analyze` and `report` alike:
-    in chsh_4 mode the slot series, plateau, `tables` (on-grid per-setting
-    totals), flatness, transient verdict or its `transient_error`, `eq1` and
-    significance; in scan_34 mode the fringe fits of every coincidence's
-    totals, and the chsh_4 blocks stay None."""
+    """One session's products. Every block of summary.json that its counts
+    and config alone determine is built on construction into `blocks`, as
+    summary.json stores it, by `analyze` and `report` alike: mode and
+    expectations, then in chsh_4 mode plateau, `tables` (on-grid per-setting
+    totals), transient, `eq1`, significance and, with two defined in-pulse
+    slots, flatness; in scan_34 mode the fringe fits of every coincidence's
+    totals. `series`, `plateau` and `transient` keep the objects the writers
+    and the CLI read; all three are None in scan_34 mode."""
 
     counts: ana.SlotCounts
     config: ExperimentConfig
     sync_reports: list[SyncReport] = field(default_factory=list)  # one per used run
     runs_glitched: int = 0
     runs_skipped: list[dict] = field(default_factory=list)  # {run, reason}
-    mode: str = field(init=False)
-    expectations: dict = field(init=False)
+    blocks: dict = field(init=False)
     series: ana.SlotSeries | None = field(default=None, init=False)
     plateau: ana.PlateauSummary | None = field(default=None, init=False)
-    scan_fits: dict[str, ana.ScanFit] | None = field(default=None, init=False)
-    tables: dict[str, dict[str, int]] | None = field(default=None, init=False)
-    flatness: tuple[float, int] | None = field(default=None, init=False)
     transient: ana.TransientVerdict | None = field(default=None, init=False)
-    transient_error: str | None = field(default=None, init=False)
-    eq1: dict | None = field(default=None, init=False)
-    significance: dict | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         counts, config = self.counts, self.config
-        self.mode = config.session.mode
         eta_a, eta_b = config.station_a.detector_efficiency, config.station_b.detector_efficiency
-        self.expectations = {
+        expectations = {
             "s_ideal": TSIRELSON * config.visibility,
             "visibility": config.visibility,
             # eta measured at a detector estimates the OTHER station's efficiency
             "eta0": {"A+": eta_b, "A-": eta_b, "B+": eta_a, "B-": eta_a},
         }
-        if self.mode == "scan_34":
-            self.scan_fits = ana.angle_scan_curves(
-                counts.setting_angles[:, 1], counts.totals()
-            )
+        blocks = self.blocks = {"mode": config.session.mode, "expectations": expectations}
+        if config.session.mode == "scan_34":
+            fits = ana.angle_scan_curves(counts.setting_angles[:, 1], counts.totals())
+            blocks["scan_fits"] = {lab: asdict(f) for lab, f in fits.items()}
             return
         series = self.series = ana.SlotSeries(counts)
         self.plateau = ana.plateau_summary(series)
-        self.tables = {
+        blocks["plateau"] = asdict(self.plateau)
+        blocks["tables"] = {
             lab: dict(zip(OUTCOME_LABELS, map(int, totals)))
             for lab, totals in zip(counts.setting_labels, counts.coincidences.sum(axis=1))
         }
         analysis = config.analysis
         significant = ana.significance_mask(counts.coincidences, analysis.min_coincidences)
         try:
-            self.flatness = ana.chi_square_vs_constant(series.s, series.sigma_s, series.in_pulse)
+            chi2, dof = ana.chi_square_vs_constant(series.s, series.sigma_s, series.in_pulse)
+            blocks["flatness"] = {"chi2_reduced": chi2, "dof": dof}
         except ana.AnalysisError:
             pass
-        try:
-            self.transient = ana.detect_transient(
-                series.s, series.sigma_s, significant, tau=config.geometry.tau,
-                slot_width=counts.grid.slot_ps / PS_PER_SECOND, k_sigma=analysis.k_sigma,
-            )
-        except ana.SignificanceError as exc:
-            self.transient_error = str(exc)
-        self.eq1 = _eq1_block(series, self.expectations)
-        self.significance = {
+        self.transient = ana.detect_transient(
+            series.s, series.sigma_s, significant, tau=config.geometry.tau,
+            slot_width=counts.grid.slot_ps / PS_PER_SECOND, k_sigma=analysis.k_sigma,
+        )
+        blocks["transient"] = self.transient.to_dict()
+        blocks["eq1"] = _eq1_block(series, expectations)
+        blocks["significance"] = {
             "min_coincidences": analysis.min_coincidences,
             "n_significant_slots": int(significant.sum()),
             "n_in_pulse_slots": int(series.in_pulse.sum()),
@@ -143,10 +137,9 @@ class SessionSummary:
         return bool(self.runs_skipped)
 
     def to_dict(self) -> dict:
-        out: dict = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "session_id": self.session_id,
-            "mode": self.mode,
             "runs": {
                 "total": self.runs_total,
                 "used": self.runs_used,
@@ -154,40 +147,10 @@ class SessionSummary:
                 "skipped": self.runs_skipped,
             },
             "degraded": self.degraded,
-            "expectations": self.expectations,
             "config": self.config.to_dict(),
             "sync": [r.to_dict() for r in self.sync_reports],
+            **self.blocks,
         }
-        if self.plateau is not None:
-            out["plateau"] = asdict(self.plateau)
-        if self.flatness is not None:
-            out["flatness"] = {
-                "chi2_reduced": self.flatness[0],
-                "dof": self.flatness[1],
-            }
-        if self.transient is not None:
-            t = self.transient
-            out["transient"] = {
-                "verdict": t.kind,
-                "slot_range": list(t.slot_range) if t.slot_range else None,
-                "direction": t.direction,
-                "max_sigma": t.max_sigma,
-                "plateau_reference": t.plateau_reference,
-            }
-        elif self.transient_error is not None:
-            out["transient"] = {
-                "verdict": "not_testable",
-                "reason": self.transient_error,
-            }
-        if self.eq1 is not None:
-            out["eq1"] = self.eq1
-        if self.significance is not None:
-            out["significance"] = self.significance
-        if self.scan_fits is not None:
-            out["scan_fits"] = {lab: asdict(f) for lab, f in self.scan_fits.items()}
-        if self.tables is not None:
-            out["tables"] = self.tables
-        return out
 
 
 # --- Simulation -------------------------------------------------------------
@@ -371,8 +334,8 @@ def analyze_products(
         runs_glitched=runs_glitched,
         runs_skipped=list(skipped),
     )
-    if summary.transient_error is not None:
-        log.warning("transient test not run: %s", summary.transient_error)
+    if summary.transient is not None and summary.transient.kind == "not_testable":
+        log.warning("transient test not run: %s", summary.transient.reason)
     return summary
 
 
@@ -737,7 +700,7 @@ def write_report_bundle(summary: SessionSummary, outdir: str | Path) -> list[Pat
 
     p = outdir / "plateau_vs_expected.txt"
     pl = summary.plateau
-    exp = summary.expectations
+    exp = summary.blocks["expectations"]
     lines = [
         "quantity            measured          expected",
         f"time-avg S          {pl.time_avg_s:.4f} +- {pl.time_dispersion_s:.4f}"

@@ -99,10 +99,12 @@ class PulsePlan:
 
     def period_seconds(self, n_pulses: int) -> np.ndarray:
         """Interval following each of `n_pulses` pulses: one FM cycle looked
-        up in the two-entry period table, repeated."""
+        up in the two-entry period table, repeated. Only the FM bits the
+        pulses reach are expanded, each to at most `n_pulses` pulses."""
         table = self.base_period * (1.0 + self.fm_lengthen_fraction * np.array([0, 1], np.uint8))
-        cycle = table[np.repeat(np.asarray(FM_BITS, np.uint8), self.fm_pulses_per_bit)]
-        return np.resize(cycle, n_pulses)
+        k = self.fm_pulses_per_bit
+        bits = np.asarray(FM_BITS[: -(-n_pulses // k)], np.uint8)
+        return np.resize(table[np.repeat(bits, min(k, n_pulses))], n_pulses)
 
     def start_times(self, n_pulses: int) -> np.ndarray:
         return _starts_of(self.period_seconds(n_pulses))

@@ -32,12 +32,13 @@ record order that holds one, as in a serial read.
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import struct
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import BinaryIO
 
 import numpy as np
 
@@ -170,73 +171,57 @@ def write_tags(
 def read_tag_arrays(
     source: bytes | str | Path,
 ) -> tuple[TagFileHeader, np.ndarray, np.ndarray]:
-    """Load and validate a whole tag file as (header, channels, timestamps_ps).
+    """Load and validate a whole tag file, or its bytes, as (header,
+    channels, timestamps_ps).
 
     Every violation of docs/tagfile-format.md raises TagFormatError, with the
     offending record index where the format defines one. Timestamps come back
     as int64 picoseconds; one of 2**63 or more is refused, not wrapped.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            lock = threading.Lock()  # one file position for both threads
-
-            def read_file_at(buffer: np.ndarray, offset: int) -> int:
-                with lock:
-                    fh.seek(offset)
-                    return fh.readinto(buffer)
-
-            return _read_records(read_file_at, os.fstat(fh.fileno()).st_size)
-    data = memoryview(source).cast("B")
-
-    def read_at(buffer: np.ndarray, offset: int) -> int:
-        part = data[offset : offset + buffer.size]
-        buffer[: len(part)] = part
-        return len(part)
-
-    return _read_records(read_at, len(data))
-
-
-def _read_records(
-    read_at: Callable[[np.ndarray, int], int], size: int
-) -> tuple[TagFileHeader, np.ndarray, np.ndarray]:
-    """The reader behind read_tag_arrays. `read_at(buffer, offset)` fills the
-    u8 array `buffer` from byte `offset` of a `size`-byte file and returns the
-    bytes it read; it is called from two threads at once.
 
     Beside the output arrays, each of the two threads has one buffer of a
-    chunk plus one record, raw and unpacked, all allocated here. Each chunk
-    is read with the last record of the chunk before it and checked with it,
-    so an order violation across a chunk boundary is caught and reported
-    with its index in the file.
+    chunk plus one record, raw and unpacked, all allocated here. Both read
+    the one file position under a lock. Each chunk is read with the last
+    record of the chunk before it and checked with it, so an order violation
+    across a chunk boundary is caught and reported with its index in the file.
     """
-    head = np.zeros(HEADER_SIZE, np.uint8)
-    header = TagFileHeader.unpack(head[: read_at(head, 0)].tobytes())
-    n, tail = divmod(size - HEADER_SIZE, RECORD_SIZE)
-    if tail:
-        raise TagFormatError(f"truncated record: trailing {tail} bytes", index=n)
-    if n != header.record_count:
-        raise TagFormatError(
-            f"record_count mismatch: header says {header.record_count}, "
-            f"file holds {n}"
-        )
-    channels = np.empty(n, np.uint8)
-    timestamps = np.empty(n, np.int64)
+    path = isinstance(source, (str, Path))
+    with open(source, "rb") if path else io.BytesIO(source) as fh:
+        lock = threading.Lock()  # one file position for both threads
 
-    def read_chunk(start: int, stop: int, buffers: tuple) -> None:
-        first = max(start - 1, 0)  # overlap the chunk before by one record
-        chunk, ch, ts = (b[: stop - first] for b in buffers)
-        if read_at(chunk.view(np.uint8), HEADER_SIZE + RECORD_SIZE * first) != chunk.nbytes:
-            raise TagFormatError("file shrank while being read", index=start)
-        ch[...] = chunk["channel"]
-        ts[...] = chunk["timestamp"]
-        _check_records(ch, ts, first)
-        channels[start:stop] = ch[start - first :]
-        timestamps[start:stop] = ts[start - first :].view(np.int64)
+        def read_at(buffer: np.ndarray, offset: int) -> int:
+            with lock:
+                fh.seek(offset)
+                return fh.readinto(buffer)
 
-    m = min(n, CHUNK_RECORDS) + 1
-    buffers = [
-        (np.empty(m, RECORD_DTYPE), np.empty(m, np.uint8), np.empty(m, np.uint64))
-        for _ in range(2)
-    ]
-    worker.map_chunks(read_chunk, n, CHUNK_RECORDS, buffers)
+        size = os.fstat(fh.fileno()).st_size if path else len(source)
+        head = np.zeros(HEADER_SIZE, np.uint8)
+        header = TagFileHeader.unpack(head[: read_at(head, 0)].tobytes())
+        n, tail = divmod(size - HEADER_SIZE, RECORD_SIZE)
+        if tail:
+            raise TagFormatError(f"truncated record: trailing {tail} bytes", index=n)
+        if n != header.record_count:
+            raise TagFormatError(
+                f"record_count mismatch: header says {header.record_count}, "
+                f"file holds {n}"
+            )
+        channels = np.empty(n, np.uint8)
+        timestamps = np.empty(n, np.int64)
+
+        def read_chunk(start: int, stop: int, buffers: tuple) -> None:
+            first = max(start - 1, 0)  # overlap the chunk before by one record
+            chunk, ch, ts = (b[: stop - first] for b in buffers)
+            if read_at(chunk.view(np.uint8), HEADER_SIZE + RECORD_SIZE * first) != chunk.nbytes:
+                raise TagFormatError("file shrank while being read", index=start)
+            ch[...] = chunk["channel"]
+            ts[...] = chunk["timestamp"]
+            _check_records(ch, ts, first)
+            channels[start:stop] = ch[start - first :]
+            timestamps[start:stop] = ts[start - first :].view(np.int64)
+
+        m = min(n, CHUNK_RECORDS) + 1
+        buffers = [
+            (np.empty(m, RECORD_DTYPE), np.empty(m, np.uint8), np.empty(m, np.uint64))
+            for _ in range(2)
+        ]
+        worker.map_chunks(read_chunk, n, CHUNK_RECORDS, buffers)
     return header, channels, timestamps

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The 100-repetition studies
 module runs in a few minutes on a desk machine.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -80,11 +81,12 @@ def test_criterion_05_null_end_to_end(tmp_path, null_study):
     config = desk_boosted(seed=DEMO_SEED)
     manifest = simulate_session(config, tmp_path / "null")
     summary = analyze_session(manifest)
-    ideal = summary.expectations["s_ideal"]
+    ideal = summary.blocks["expectations"]["s_ideal"]
 
     pl = summary.plateau
     assert abs(pl.all_data_s - ideal) < 3 * pl.all_data_s_sigma
-    chi2, dof = summary.flatness
+    flatness = summary.blocks["flatness"]
+    chi2, dof = flatness["chi2_reduced"], flatness["dof"]
     assert 0.7 <= chi2 <= 1.3
     in_pulse = summary.counts.coincidences.sum(axis=2).min(axis=0)[
         pl.in_pulse_range[0] : pl.in_pulse_range[1]
@@ -114,7 +116,7 @@ def test_criterion_06_transient_end_to_end(transient_monotone_study, transient_o
         n = 0
         for s in study:
             v = s.transient
-            if v is not None and v.is_deviation and v.slot_range[1] <= max_slot:
+            if v.kind == "deviation" and v.slot_range[1] <= max_slot:
                 n += 1
         return n
 
@@ -208,7 +210,7 @@ def test_criterion_09_format_round_trip():
 
 
 def test_criterion_10_product_bound(default_session):
-    eq1 = default_session.eq1
+    eq1 = default_session.blocks["eq1"]
     assert eq1["bound_respected"] is True
     assert eq1["max_defined_product"] < 2.0
     dev = abs(eq1["rescaled_plateau_mean"] - eq1["rescaled_expectation"])
@@ -236,9 +238,7 @@ def test_error_calibration_over_null_study(null_study):
 
 
 def test_detector_false_positive_rate(null_study):
-    false_pos = sum(
-        1 for s in null_study if s.transient is not None and s.transient.is_deviation
-    )
+    false_pos = sum(1 for s in null_study if s.transient.kind == "deviation")
     assert false_pos <= 5
     report("detector soundness", f"false positives {false_pos}/100 (<= 5 allowed)")
 
@@ -256,3 +256,41 @@ def test_pooled_study_sessions_equal_serial():
     serial = run_sessions(configs, workers=1)
     dumps = [[json.dumps(s.to_dict(), sort_keys=True) for s in run] for run in (pooled, serial)]
     assert dumps[0] == dumps[1]
+
+
+# --- the fixed point: the 300 study summaries --------------------------------
+
+# Every study summary without its config, as sorted-key JSON, one a line in
+# the order null, monotone, oscillatory and seed 0-99 within each.
+STUDY_DIGEST = "9426399a39f042a36e35188b616fbaf6d407ba1c5167289ca19bc39814cbc05c"
+STUDY_DIGEST_NUMPY = "2.4.6"  # the float blocks are pinned on this numpy only
+# The same of the integer blocks alone, on every numpy.
+INTEGER_BLOCKS = ("runs", "tables", "significance")
+STUDY_INTEGER_DIGEST = "967a4d04c07e2185ccdb47d01af6673e27d0f7767d1f1ea233879098b970e514"
+
+
+def study_digest(studies, keep) -> str:
+    lines = []
+    for study in studies:
+        for s in study:
+            data = s.to_dict()
+            lines.append(json.dumps({k: data[k] for k in data if keep(k)}, sort_keys=True))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_study_integer_blocks_are_pinned(
+    null_study, transient_monotone_study, transient_oscillatory_study
+):
+    studies = (null_study, transient_monotone_study, transient_oscillatory_study)
+    assert study_digest(studies, lambda key: key in INTEGER_BLOCKS) == STUDY_INTEGER_DIGEST
+
+
+@pytest.mark.skipif(
+    np.__version__ != STUDY_DIGEST_NUMPY,
+    reason=f"float blocks are pinned on numpy {STUDY_DIGEST_NUMPY} only",
+)
+def test_study_summaries_are_pinned(
+    null_study, transient_monotone_study, transient_oscillatory_study
+):
+    studies = (null_study, transient_monotone_study, transient_oscillatory_study)
+    assert study_digest(studies, lambda key: key != "config") == STUDY_DIGEST

@@ -12,7 +12,6 @@ from bellstrobe.analysis import (
     DETECTOR_OUTCOMES,
     SEARCH_TAUS,
     AnalysisError,
-    SignificanceError,
     SlotCounts,
     SlotGrid,
     SlotSeries,
@@ -429,7 +428,7 @@ class TestDetectTransient:
         v, s, sig = self._series()
         v[:25] = 2.0  # 25 consecutive early slots far below the plateau
         verdict = detect_transient(v, s, sig, self.TAU, self.SLOT)
-        assert verdict.is_deviation
+        assert verdict.kind == "deviation"
         assert verdict.direction == -1
         lo, hi = verdict.slot_range
         assert lo == 0 and hi >= 25
@@ -455,7 +454,7 @@ class TestDetectTransient:
         v, s, sig = self._series()
         v[:22] = 2.77 + 8 * 0.04
         verdict = detect_transient(v, s, sig, self.TAU, self.SLOT)
-        assert verdict.is_deviation and verdict.direction == 1
+        assert verdict.kind == "deviation" and verdict.direction == 1
 
     def test_insignificant_slots_break_runs(self):
         v, s, sig = self._series()
@@ -467,8 +466,21 @@ class TestDetectTransient:
     def test_too_few_significant_slots(self):
         v, s, sig = self._series()
         sig[:40] = False
-        with pytest.raises(SignificanceError):
-            detect_transient(v, s, sig, self.TAU, self.SLOT)
+        verdict = detect_transient(v, s, sig, self.TAU, self.SLOT)
+        assert verdict.kind == "not_testable"
+        assert verdict.reason == (
+            "only 0 significant slots in the first 160 ns; need 20 to test persistence"
+        )
+        assert verdict.to_dict() == {"verdict": "not_testable", "reason": verdict.reason}
+
+    def test_no_significant_plateau_slot_is_not_testable(self):
+        v, s, sig = self._series()
+        sig[40:] = False  # the plateau reference starts at slot 40, 2 * tau
+        verdict = detect_transient(v, s, sig, self.TAU, self.SLOT)
+        assert verdict.to_dict() == {
+            "verdict": "not_testable",
+            "reason": "no significant slots beyond 2*tau for the plateau",
+        }
 
     N = 16  # slots in the oracle's series
 
@@ -486,13 +498,10 @@ class TestDetectTransient:
         values = 1.0 + sigmas * np.array(dev)
         values[2 * min_run :] = 1.0
         args = (values, sigmas, np.array(significant), float(min_run), 1.0)
-        try:
-            expected = reference_transient(*args)
-        except SignificanceError:
-            with pytest.raises(SignificanceError):
-                detect_transient(*args)
+        got, expected = detect_transient(*args), reference_transient(*args)
+        if expected.kind == "not_testable":
+            assert (got.kind, got.reason) == (expected.kind, expected.reason)
             return
-        got = detect_transient(*args)
         for name in ("kind", "slot_range", "direction", "max_sigma", "plateau_reference"):
             assert getattr(got, name) == getattr(expected, name), name
 
@@ -508,12 +517,17 @@ def reference_transient(values, sigmas, significant, tau, slot_width, k_sigma=3.
 
     ref_slots = sig & (np.arange(v.size) * slot_width >= 2.0 * tau)
     if not ref_slots.any():
-        raise SignificanceError("no plateau slots")
+        return TransientVerdict(
+            "not_testable", reason="no significant slots beyond 2*tau for the plateau"
+        )
     w = 1.0 / s[ref_slots] ** 2
     plateau_reference = float(np.sum(w * v[ref_slots]) / np.sum(w))
     tested = sig[:n_search]
     if int(tested.sum()) < min_run:
-        raise SignificanceError("too few significant slots")
+        return TransientVerdict("not_testable", reason=(
+            f"only {int(tested.sum())} significant slots in the first "
+            f"{SEARCH_TAUS * tau * 1e9:.0f} ns; need {min_run} to test persistence"
+        ))
 
     dev = np.zeros(n_search)
     dev[tested] = (v[:n_search][tested] - plateau_reference) / s[:n_search][tested]
@@ -624,7 +638,8 @@ class TestOneReconstruction:
 class TestChiSquare:
     def test_flatness_under_null_simulation(self, demo_session):
         # no-transient reconstruction: in-pulse S(t) is constant within errors
-        chi2, dof = demo_session.flatness
+        flatness = demo_session.blocks["flatness"]
+        chi2, dof = flatness["chi2_reduced"], flatness["dof"]
         assert dof == 24
         assert 0.7 <= chi2 <= 1.3
 

@@ -174,6 +174,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{path} must be an integer")):
             ExperimentConfig.from_dict(config_dict_with(path, value))
 
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+    @pytest.mark.parametrize("path", INT_FIELDS)
+    def test_int_field_outside_int64_rejected_with_its_path(self, path, value):
+        message = f"bad config value: {path} {value} is outside int64"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(config_dict_with(path, value))
+
+    def test_master_seed_must_be_non_negative(self):
+        with pytest.raises(ConfigError, match=r"^master_seed must be non-negative, got -1$"):
+            ExperimentConfig(master_seed=-1)
+        assert ExperimentConfig(master_seed=2**63 - 1).master_seed == 2**63 - 1
+
+    @pytest.mark.parametrize("points", [-1, 0, 1, 2])
+    def test_scan_needs_three_points(self, points):
+        message = f"session.scan_points must be at least 3 in scan_34 mode, got {points}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SessionPlan(mode="scan_34", scan_points=points, runs_per_experiment=6)
+        assert SessionPlan(mode="scan_34", scan_points=3, runs_per_experiment=6)
+
     @pytest.mark.parametrize(
         "path, value, kind",
         [
@@ -437,11 +456,12 @@ class TestScanSession:
             visibility=0.95,
         )
         summary = run_session_in_memory(c)
-        assert summary.mode == "scan_34"
-        assert summary.series is None
-        assert set(summary.scan_fits) == {"++", "+-", "-+", "--"}
-        for fit in summary.scan_fits.values():
-            assert fit.visibility == pytest.approx(0.95, abs=0.05)
+        assert summary.blocks["mode"] == "scan_34"
+        assert summary.series is None and summary.plateau is None and summary.transient is None
+        fits = summary.blocks["scan_fits"]
+        assert set(fits) == {"++", "+-", "-+", "--"}
+        for fit in fits.values():
+            assert fit["visibility"] == pytest.approx(0.95, abs=0.05)
 
 
 class TestOutputs:
@@ -970,6 +990,35 @@ class TestCli:
             "(5000000000000 ps) into 1250000000 slots, more than 65536"
         ]
         assert not (tmp_path / "big").exists()
+
+    @pytest.mark.parametrize("args, line", [
+        (["--seed", "-1"], "error: master_seed must be non-negative, got -1"),
+        (
+            ["--set", "session.mode=scan_34", "--set", "session.scan_points=0"],
+            "error: bad config value: session.scan_points must be at least 3 in scan_34 "
+            "mode, got 0",
+        ),
+        (
+            ["--set", "session.mode=scan_34", "--set", "session.scan_points=2",
+             "--set", "session.runs_per_experiment=4", "--set", "session.run_duration=0.01"],
+            "error: bad config value: session.scan_points must be at least 3 in scan_34 "
+            "mode, got 2",
+        ),
+        (
+            ["--set", f"pulses.fm_pulses_per_bit={2**70}"],
+            f"error: bad config value: pulses.fm_pulses_per_bit {2**70} is outside int64",
+        ),
+    ], ids=["negative_seed", "no_scan_points", "two_scan_points", "fm_bit_beyond_int64"])
+    def test_config_value_that_raised_errors_before_writing(self, tmp_path, capsys, args, line):
+        # a traceback each: SeedSequence refused the seed, the runs check took
+        # a modulo by 0 scan points, np.repeat overflowed a C long; 2 scan
+        # points simulated a session whose fringe fit analyze then refused
+        from bellstrobe.cli import main
+
+        capsys.readouterr()
+        assert main(["simulate", "--name", "bad", "--output", str(tmp_path), *args]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not (tmp_path / "bad").exists()
 
     def _assert_one_line_error(self, capsys, argv):
         from bellstrobe.cli import main

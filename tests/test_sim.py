@@ -91,6 +91,21 @@ class TestTriggerTrain:
         assert list(labels[:6]) == [FM_BITS[0]] * 3 + [FM_BITS[1]] * 3
         assert list(labels) == list(np.resize(np.repeat(FM_BITS, 3), labels.size))
 
+    @pytest.mark.parametrize("k", [1, 7, 100, 12_700, 10**6])
+    @pytest.mark.parametrize("n", [1, 6, 99, 100, 101, 12_699, 12_701, 1_700_001])
+    def test_period_of_pulse_i_follows_fm_bit_i_div_k(self, k, n):
+        plan = PulsePlan(fm_pulses_per_bit=k)
+        table = plan.base_period * (1.0 + plan.fm_lengthen_fraction * np.array([0, 1]))
+        bits = np.asarray(FM_BITS)[np.arange(n) // k % len(FM_BITS)]
+        assert np.array_equal(plan.period_seconds(n), table[bits])
+
+    def test_fm_bit_far_longer_than_the_train_expands_only_the_pulses(self):
+        # 10**12 pulses per bit asked np.repeat for a 116 TiB cycle, and 2**70
+        # overflowed a C long; the train lies in the first bit, a 0
+        for k in (10**12, 2**70):
+            periods = PulsePlan(fm_pulses_per_bit=k).period_seconds(1000)
+            assert periods.shape == (1000,) and (periods == 2e-6).all()
+
 
 class TestEmitTrivials:
     def test_silent_source_yields_only_triggers(self):
