@@ -18,13 +18,17 @@ returned, so the tags cannot depend on how the threads are scheduled.
 The draws with one value per pulse or per tag (pairs per pulse, clock
 jitter) are taken DRAW_CHUNK values at a time from the same generator, so no
 pulse-length temporary exists for them: the jitter goes straight into the
-buffer its stream is built in. Generator.poisson and Generator.normal fill
-sequentially: consecutive blocks give the same values as one whole draw,
-and the tags depend neither on DRAW_CHUNK nor on which thread drew a block.
+buffer its stream is built in. Generator.normal fills sequentially, and the
+pairs per pulse are read from the source generator's uniforms as
+Generator.poisson would use them (Knuth's chains, see _pair_pulses): either
+way consecutive blocks give the values of one whole draw and leave the
+generator where it would, so the tags depend neither on DRAW_CHUNK nor on
+which thread drew a block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,6 +165,8 @@ class SourceConfig:
     def __post_init__(self) -> None:
         if self.pair_yield < 0:
             raise ValueError("pair_yield must be >= 0")
+        if self.pair_yield >= 10:  # numpy's Poisson draw changes method at 10
+            raise ValueError(f"source.pair_yield must be below 10, got {self.pair_yield}")
         if self.visibility_drift < 0:
             raise ValueError("visibility_drift must be >= 0")
 
@@ -370,15 +376,94 @@ def _local_stream(
     return TagStream(channels, key)
 
 
+def _uniforms_for(n: int, pair_yield: float) -> int:
+    """First guess at the uniforms n Poisson draws take: one ending each
+    draw, plus the pairs' mean and six standard deviations."""
+    mean = pair_yield * n
+    return n + int(mean + 6.0 * math.sqrt(mean)) + 16
+
+
+def _chain_continues(u: np.ndarray, limit: float) -> np.ndarray:
+    """Ascending positions of the uniforms that continue a Knuth chain.
+
+    A chain multiplies uniforms, left to right, until the product is
+    <= limit; that uniform ends it and the next starts a new one. A uniform
+    <= limit ends its chain whatever came before, and the first uniform
+    after an end continues iff it is > limit; so only a run of two or more
+    uniforms > limit needs its products, taken in the run's order, all runs
+    at once.
+    """
+    high = np.flatnonzero(u > limit)
+    follows = np.empty(high.size, bool)  # the next uniform is high too
+    np.equal(high[1:], high[:-1] + 1, out=follows[:-1])
+    follows[-1:] = False
+    run = np.flatnonzero(follows[1:] > follows[:-1]) + 1  # each run's first high
+    if follows[:1].any():
+        run = np.concatenate(([0], run))
+    if run.size == 0:
+        return high
+    continues = np.ones(high.size, bool)
+    x = u[high]
+    prod = x[run]
+    while run.size:
+        run += 1
+        prod *= x[run]
+        cont = prod > limit
+        continues[run] = cont
+        prod = np.where(cont, prod, 1.0)
+        alive = follows[run]
+        run, prod = run[alive], prod[alive]
+    return high[continues]
+
+
 def _pair_pulses(rng: np.random.Generator, pair_yield: float, n_pulses: int) -> np.ndarray:
     """Pulse index of every pair, ascending: Poisson(pair_yield) pairs per
     pulse, drawn DRAW_CHUNK pulses at a time. Equal to
-    np.repeat(np.arange(n_pulses), rng.poisson(pair_yield, n_pulses))."""
+    np.repeat(np.arange(n_pulses), rng.poisson(pair_yield, n_pulses)), and
+    leaves `rng` in the state that draw does.
+
+    Below 10, Generator.poisson draws by Knuth's method: it multiplies
+    uniforms (Generator.random's doubles) while the product stays
+    > e^-pair_yield, from the C library's exp (math.exp), and the count is
+    the number of those multiplications. Where e^-pair_yield >= 1/2, most
+    pulses hold no pair, and each block parses the chains of one draw of
+    uniforms instead: the pulse of a continuing uniform is its position
+    minus the continuing uniforms before it. The generator is then put back
+    and advanced by the uniforms the block's chains used; a block whose last
+    chain runs past the draw draws again, twice as many. Where e^-pair_yield
+    < 1/2 the block calls poisson, which is faster there. At a yield of 0
+    poisson draws nothing, and neither does this."""
+    if pair_yield == 0.0:
+        return np.empty(0, np.intp)
+    limit = math.exp(-pair_yield)
+    bits = rng.bit_generator
+    u = np.empty(0)
     blocks = []
     for start in range(0, n_pulses, DRAW_CHUNK):
-        n = rng.poisson(pair_yield, min(DRAW_CHUNK, n_pulses - start))
-        hit = np.flatnonzero(n)
-        blocks.append(np.repeat(hit + start, n[hit]))
+        n_block = min(DRAW_CHUNK, n_pulses - start)
+        if limit < 0.5:
+            n = rng.poisson(pair_yield, n_block)
+            hit = np.flatnonzero(n)
+            blocks.append(np.repeat(hit + start, n[hit]))
+            continue
+        saved = bits.state
+        m = _uniforms_for(n_block, pair_yield)
+        while True:
+            if u.size < m:
+                u = np.empty(m)
+            rng.random(out=u[:m])
+            at = _chain_continues(u[:m], limit)
+            if m - at.size >= n_block:  # the block's last chain ended in the draw
+                break
+            bits.state = saved
+            m *= 2
+        pulse = at - np.arange(at.size)
+        pairs = int(np.searchsorted(pulse, n_block))
+        blocks.append(pulse[:pairs] + start)
+        bits.state = saved
+        bits.advance(n_block + pairs)
+        if saved["has_uint32"]:  # advance drops the buffered half of a 32-bit draw
+            bits.state = {**bits.state, "has_uint32": 1, "uinteger": saved["uinteger"]}
     return np.concatenate(blocks)
 
 
@@ -407,7 +492,10 @@ def emit_events(
 
     Two threads share the work: the caller and the process's one worker
     thread (`worker.submit`). The worker draws the pairs per pulse from the
-    source generator while the caller builds the trigger train and then,
+    source generator (`_pair_pulses`: at the presets' yields, one block of
+    uniforms parsed into Knuth's Poisson chains per DRAW_CHUNK pulses, the
+    values and generator state of Generator.poisson) while the caller builds
+    the trigger train and then,
     until the pairs are in, draws the jitter of each jittered clock into its
     stream buffer, block by block (station A's first). The worker then draws
     the rest of the first n_pulses jitter values of both clocks while the

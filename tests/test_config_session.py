@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -185,6 +186,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"^master_seed must be non-negative, got -1$"):
             ExperimentConfig(master_seed=-1)
         assert ExperimentConfig(master_seed=2**63 - 1).master_seed == 2**63 - 1
+
+    @pytest.mark.parametrize("value", [10, 1e20, 1e308])
+    def test_pair_yield_must_be_below_ten(self, value):
+        # from 10 numpy draws a Poisson count by another method, and from
+        # about 9.2e18 it refuses the yield
+        message = f"bad config value: source.pair_yield must be below 10, got {value}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(config_dict_with("source.pair_yield", value))
+        data = config_dict_with("source.pair_yield", 9.99)
+        assert ExperimentConfig.from_dict(data).source.pair_yield == 9.99
 
     @pytest.mark.parametrize("points", [-1, 0, 1, 2])
     def test_scan_needs_three_points(self, points):
@@ -898,6 +909,7 @@ class TestCli:
     @pytest.mark.parametrize("override", [
         "station_a.detector_efficiency=2",
         "source.pair_yield=-1",
+        "source.pair_yield=10",  # numpy's Poisson draw changes method at 10
         "pulses.fm_pulses_per_bit=0",
         "pulses.fm_pulses_per_bit=1.5",
         "session.runs_per_experiment=4.0",
@@ -1008,11 +1020,21 @@ class TestCli:
             ["--set", f"pulses.fm_pulses_per_bit={2**70}"],
             f"error: bad config value: pulses.fm_pulses_per_bit {2**70} is outside int64",
         ),
-    ], ids=["negative_seed", "no_scan_points", "two_scan_points", "fm_bit_beyond_int64"])
+        (
+            ["--set", "source.pair_yield=1e20"],
+            "error: bad config value: source.pair_yield must be below 10, got 1e+20",
+        ),
+        (
+            ["--set", "source.pair_yield=1e308"],
+            "error: bad config value: source.pair_yield must be below 10, got 1e+308",
+        ),
+    ], ids=["negative_seed", "no_scan_points", "two_scan_points", "fm_bit_beyond_int64",
+            "pair_yield_1e20", "pair_yield_1e308"])
     def test_config_value_that_raised_errors_before_writing(self, tmp_path, capsys, args, line):
         # a traceback each: SeedSequence refused the seed, the runs check took
-        # a modulo by 0 scan points, np.repeat overflowed a C long; 2 scan
-        # points simulated a session whose fringe fit analyze then refused
+        # a modulo by 0 scan points, np.repeat overflowed a C long, numpy's
+        # poisson refused the pair yields as too large; 2 scan points
+        # simulated a session whose fringe fit analyze then refused
         from bellstrobe.cli import main
 
         capsys.readouterr()
@@ -1170,3 +1192,97 @@ class TestCli:
         ]) == 0
         manifest_path = tmp_path / "drift" / "manifest.json"
         self._assert_one_line_error(capsys, ["analyze", str(manifest_path)])
+
+
+# --- the fixed point: a short file-based session -----------------------------
+
+SEED7_NUMPY = "2.4.6"  # the files are pinned on this numpy only
+# sha256 of every file of `simulate --seed 7 --set session.run_duration=0.7`
+# (the session named "det"), then `analyze` into out/ and `report`; np.savez
+# stamps the time into counts.npz, so it is pinned array by array instead
+SEED7_FILES = {
+    "det/manifest.json": "3c29897d99ca4146e8a00cabb326e172898fb560890b222098412dd3e602c948",
+    "det/run000_A.tags": "f00865e60345aa454f56dc7d379c31567ae4b4a612042e5c8f5b5513df22f9dc",
+    "det/run000_B.tags": "3cdf38845bffa926d4488930deb530d998b9460e273335c2347f380974af2b85",
+    "det/run001_A.tags": "b136c2edc09621c0099da5e2b74c908180f6605afc62fadd9f9d9143454c4ab9",
+    "det/run001_B.tags": "42caecae460febc88a5583050a6caa1d0b442763f11bf495bb7e8ff1180527ab",
+    "det/run002_A.tags": "a8825cbc09aabba3b5a20ae92aa26c4331a02747b9f962546267e8f8ed62dd60",
+    "det/run002_B.tags": "93bdec0e8913adabd64ef1bd48b41aaa9adbf416ed300b17c8580faf1e464b8e",
+    "det/run003_A.tags": "7330cecbcc99af86088a237c6167fd890859dbacc319d264774dd7010abf581b",
+    "det/run003_B.tags": "e808744752920a2f20ba56f2722b2d6363c40a01ee7a00884de28802b3345b9f",
+    "det/run004_A.tags": "46ef63c1f78df368f645946b97c3cdd6a577dba5f2dcf9d9036b041aa580a108",
+    "det/run004_B.tags": "61a8707a604d17a2874664473b68ad809581584db0c684c5661b4dbf067d1d00",
+    "det/run005_A.tags": "f4aca52851e6d2b3a1db8e5aceb7c923fca2043f1219638491b9965ef0b9178a",
+    "det/run005_B.tags": "76823f25542141b2b13d52b0166dc7c8f6244991f5b1eb1a2c6e696020509805",
+    "det/run006_A.tags": "be47d23138d2c1d9aeeacd94cfe9eb5d90f05fef21e17a5921a38f658746edba",
+    "det/run006_B.tags": "94ac7aa4b8588cac6eb5b1eb8c3a8c4f3f03dab235ea46a29ad99700949ae5f0",
+    "det/run007_A.tags": "2cd21fe6676374554229e9610453af60482360122e7ce0df40802d7646c3d76c",
+    "det/run007_B.tags": "bcaa6a48cf305e224bdc4dd1d7ce23a69c4a3f1fccef134a8efbf33d510a2df8",
+    "out/summary.json": "4c3e62f443372e2c8e86023df5b5e8df52562fdac6a9ca584543e8a75302f7f7",
+    "out/slots.csv": "eb32e747e792861d55a0abae97295ac32d2bd756886bb3126f8835032b980db7",
+    "out/delta_t_hist.csv": "fcbd607a2ca4ebfb60ede8fd4bff3902710d93d8f11848b35b75a52afe8807b3",
+    "out/report/coincidences_16types.csv":
+        "f9eeb35c62059a566e07c74b7c7129a1ad43f9cf483220eb1544ac7a057985b2",
+    "out/report/eta_Aplus_full.csv":
+        "d535861436e35b7b27fde5bce45ea67cd5564949dc37bd8fc9ae19be71fbc428",
+    "out/report/eta_Aplus_zoom.csv":
+        "f62002daef3e9f01589618c264a0c015e59189212e48e878d1f76171351eb804",
+    "out/report/plateau_vs_expected.txt":
+        "07f018989fba3c1e2f64073f1c5ca5e3b09fb8fbd4a23aa2f4ffd0209f341edc",
+    "out/report/product_Aplus_full.csv":
+        "3c976207fb9ca929fe93a9b2f413d808645be9a644a691b6d123a5140f213f17",
+    "out/report/product_Aplus_zoom.csv":
+        "ca81b17327fadfdb405649bb27ef1c22d6b1f85cd095298083154e91d6a2870b",
+    "out/report/s_chsh_full.csv":
+        "2409116acfc22355b93ea543f6ed37d7325a55085186cdf1d570b4065908b9d2",
+    "out/report/s_chsh_zoom.csv":
+        "ea697eee2b6a37f31ed2db74a6b2ae24b58fce3c32bc9632756bfb4bdaed1acb",
+}
+# sha256 of the bytes of each integer counts.npz array, on every numpy
+SEED7_COUNTS = {
+    "slot_ps": "6fff9aef0d88c32b1e16a50833d2698afd0363ad3495673f8f92adfc4caad4f7",
+    "n_slots": "cf5cb2f4d37db6ef4456abfbcdc112844e93c25fec167470d3f2e51a57c5d166",
+    "singles": "660b68e2264cd2267e7edbb4b960ce44275cfdddafdac98bbdf4d533f344ac5d",
+    "coincidences": "f386cecdcb714c9330c245e171b4d876ac1bcc27a7b65e6804547defaa01a584",
+    "off_grid": "38723a2e5e8a17aa7950dc008209944e898f69a7bd10a23c839d341e935fd5ca",
+    "delta_t_edges": "175697e883752b41e841bde2938079a551107f8c668115f3594e8ade304bb6e4",
+    "delta_t_counts": "dc3b96400ca1d35a98cc988e5ea70058055659e8b2e60b0f123ebafe0fba7203",
+}
+
+
+class TestSeed7Session:
+    """The seed-7 default session (`seed7_default` above) through the CLI,
+    file by file: any change to a draw, a float operation or a writer moves
+    a hash. A PR that moves an output on purpose updates these values."""
+
+    @pytest.fixture(scope="class")
+    def session_dir(self, tmp_path_factory):
+        from bellstrobe.cli import main
+
+        root = tmp_path_factory.mktemp("seed7")
+        assert main([
+            "simulate", "--seed", "7", "--set", "session.run_duration=0.7",
+            "--name", "det", "--output", str(root),
+        ]) == 0
+        assert main(["analyze", str(root / "det" / "manifest.json"), "--output",
+                     str(root / "out")]) == 0
+        assert main(["report", str(root / "out" / "summary.json")]) == 0
+        return root
+
+    def test_integer_counts_are_pinned(self, session_dir):
+        with np.load(session_dir / "out" / "counts.npz") as npz:
+            arrays = dict(npz)
+        assert {
+            k: hashlib.sha256(v.tobytes()).hexdigest()
+            for k, v in arrays.items() if v.dtype.kind == "i"
+        } == SEED7_COUNTS
+
+    @pytest.mark.skipif(
+        np.__version__ != SEED7_NUMPY, reason=f"files are pinned on numpy {SEED7_NUMPY} only"
+    )
+    def test_files_are_pinned(self, session_dir):
+        files = {
+            p.relative_to(session_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in session_dir.rglob("*") if p.is_file() and p.name != "counts.npz"
+        }
+        assert files == SEED7_FILES

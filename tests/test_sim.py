@@ -355,16 +355,85 @@ class TestDrawBlocks:
     """The pulse- and tag-length draws come DRAW_CHUNK values at a time and
     must equal one whole draw, on both sides of every block boundary."""
 
-    @pytest.mark.parametrize(
-        "n", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 3]
-    )
-    @pytest.mark.parametrize("pair_yield", [0.0, 0.106, 3.0])
-    def test_pair_pulses_match_one_whole_draw(self, n, pair_yield):
-        rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+    N_PULSES = [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 3]
+    # the presets' 0.106-0.35 and both sides of ln 2, where e^-pair_yield
+    # crosses 1/2 and the chains are no longer parsed
+    PAIR_YIELDS = [
+        0.0, 1e-3, 0.106, 0.2, 0.35, math.log(2) - 1e-9, math.log(2) + 1e-9, 1.0, 3.0, 9.99
+    ]
+
+    @staticmethod
+    def assert_pair_pulses_match(rng, oracle_rng, pair_yield, n):
+        """_pair_pulses equals one whole Generator.poisson draw, and leaves the
+        generator as that draw does, down to the buffered half of a 32-bit
+        draw that _sample_outcomes' integers take next."""
         got = _pair_pulses(rng, pair_yield, n)
-        want = np.repeat(np.arange(n), oracle_rng.poisson(pair_yield, n))
+        counts = oracle_rng.poisson(pair_yield, n)
+        want = np.repeat(np.arange(n), counts)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert rng.random() == oracle_rng.random()  # the next draw is unchanged
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert np.array_equal(rng.integers(0, 2, 5), oracle_rng.integers(0, 2, 5))
+        assert rng.random() == oracle_rng.random()
+        return counts
+
+    @staticmethod
+    def generators(seed):
+        """Two equal generators, each holding half of a 32-bit draw."""
+        pair = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in pair:
+            rng.integers(0, 2, 1)
+        return pair
+
+    @pytest.mark.parametrize("n", N_PULSES)
+    @pytest.mark.parametrize("pair_yield", PAIR_YIELDS)
+    def test_pair_pulses_match_one_whole_draw(self, n, pair_yield):
+        self.assert_pair_pulses_match(*self.generators(5), pair_yield, n)
+
+    @pytest.mark.parametrize("pair_yield", [1e-3, 0.35])
+    def test_pair_pulses_draw_a_block_again_when_its_chains_outrun_the_draw(
+        self, monkeypatch, pair_yield
+    ):
+        # a first guess of one uniform per pulse is short for any block
+        # holding a pair; the draw must be taken again, from the same state
+        parsed = []
+        parse = sim._chain_continues
+        monkeypatch.setattr(sim, "_uniforms_for", lambda n, pair_yield: n)
+        monkeypatch.setattr(sim, "_chain_continues", lambda u, limit: parsed.append(u.size)
+                            or parse(u, limit))
+        n = 2 * DRAW_CHUNK + 3
+        self.assert_pair_pulses_match(*self.generators(5), pair_yield, n)
+        assert len(parsed) > 3 and DRAW_CHUNK in parsed
+
+    @staticmethod
+    def yields_with_limit(limit):
+        """Every pair_yield near -ln(limit) whose e^-pair_yield, from the C
+        library's exp as numpy's poisson takes it, is exactly `limit`."""
+        lam = -math.log(limit)
+        for _ in range(64):
+            lam = math.nextafter(lam, 0.0)
+        found = []
+        for _ in range(128):
+            if math.exp(-lam) == limit:
+                found.append(lam)
+            lam = math.nextafter(lam, 1.0)
+        return found
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_chain_ends_at_a_product_equal_to_its_limit(self, seed):
+        # a first uniform, and a product of the first two, exactly at
+        # e^-pair_yield end the first chain (numpy continues while the
+        # product is > e^-pair_yield). The pair yields found include some
+        # whose np.exp is one ulp below math.exp's
+        u0, u1 = np.random.default_rng(seed).random(2)
+        for limit, first_count in ((u0, 0), (u0 * u1, 1)):
+            if limit < 0.5:
+                continue
+            yields = self.yields_with_limit(limit)
+            assert yields
+            for pair_yield in yields:
+                rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                counts = self.assert_pair_pulses_match(rng, oracle_rng, pair_yield, 3)
+                assert counts[0] == first_count
 
     N_TRIGGERS = 2 * DRAW_CHUNK + 3
 
