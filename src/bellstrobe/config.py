@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import sync as sy
 from .model import Geometry, SettingsQuad, TransientModel
 from .sim import PS_PER_SECOND, PulsePlan, SourceConfig, StationConfig
 
@@ -130,6 +131,17 @@ class ExperimentConfig:
                 f"analysis.slot_width ({slot_ps} ps) cuts pulses.base_period "
                 f"({period_ps} ps) into {period_ps // slot_ps} slots, more than {MAX_SLOTS}"
             )
+        # sync aligns the stations on a run's first ALIGN_WINDOW + 1 triggers:
+        # refuse a pulse plan whose ideal trigger train there has no FM pattern
+        n_pulses = self.pulses_per_run()
+        starts = self.pulses.start_times(min(n_pulses, sy.ALIGN_WINDOW + 1))
+        try:
+            sy._binarize(sy.extract_period_series(np.rint(starts * PS_PER_SECOND)))
+        except sy.SyncError as exc:
+            raise ConfigError(
+                f"a run of {n_pulses} pulses at pulses.fm_pulses_per_bit "
+                f"{self.pulses.fm_pulses_per_bit} cannot be aligned: {exc}"
+            ) from exc
 
     @property
     def period_ps(self) -> int:

@@ -15,7 +15,7 @@ import math
 import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -315,25 +315,25 @@ def process_run(run: RunData, config: ExperimentConfig) -> RunProducts:
 
 
 def analyze_products(
-    products: Sequence[RunProducts],
+    products: Iterable[RunProducts],
     config: ExperimentConfig,
     runs_glitched: int = 0,
     skipped: Sequence[dict] = (),
 ) -> SessionSummary:
-    """Accumulate processed runs of one session into the full summary.
+    """Fold processed runs of one session into the full summary.
 
-    `skipped` holds one `{"run", "reason"}` entry per ok-marked run that
-    could not be processed; any entry marks the summary degraded.
-    """
-    if not products:
+    `products` is iterated once: each run's counts are added into one
+    SlotCounts started from `_zero_counts(config)`, and only its sync report
+    is kept. `skipped` is read after that; it holds one `{"run", "reason"}`
+    entry per ok-marked run that could not be processed, and any entry marks
+    the summary degraded."""
+    counts, reports = _zero_counts(config), []
+    for p in products:
+        counts += p.counts
+        reports.append(p.report)
+    if not reports:
         raise ana.AnalysisError("no usable runs to analyze")
-    summary = SessionSummary(
-        sum((p.counts for p in products), _zero_counts(config)),
-        config,
-        sync_reports=[p.report for p in products],
-        runs_glitched=runs_glitched,
-        runs_skipped=list(skipped),
-    )
+    summary = SessionSummary(counts, config, reports, runs_glitched, list(skipped))
     if summary.transient is not None and summary.transient.kind == "not_testable":
         log.warning("transient test not run: %s", summary.transient.reason)
     return summary
@@ -375,25 +375,24 @@ def _eq1_block(series: ana.SlotSeries, expectations: dict) -> dict:
 
 
 def _run_session(
-    records: Iterable[dict], load: Callable[[dict], RunData], config: ExperimentConfig
+    records: Sequence[dict], load: Callable[[dict], RunData], config: ExperimentConfig
 ) -> SessionSummary:
-    """The one session run loop: each ok run record is loaded and processed
-    in order; a glitched run is counted, and a run whose load or processing
-    raises TagFormatError, SyncError or OSError is skipped with its reason."""
-    products: list[RunProducts] = []
+    """The one session run loop: `analyze_products` folds the ok runs, each
+    loaded and processed only when the fold asks for it. A glitched run is
+    counted, and a run whose load or processing raises TagFormatError,
+    SyncError or OSError is skipped with its reason."""
+    ok = [meta for meta in records if meta["status"] == "ok"]
     skipped: list[dict] = []
-    glitched = 0
-    for meta in records:
-        if meta["status"] != "ok":
-            glitched += 1
-            continue
-        try:
-            run = load(meta)
-            products.append(process_run(run, config))
-        except (TagFormatError, sy.SyncError, OSError) as exc:
-            log.warning("skipping run %s: %s", meta["index"], exc)
-            skipped.append({"run": meta["index"], "reason": str(exc)})
-    return analyze_products(products, config, runs_glitched=glitched, skipped=skipped)
+
+    def processed() -> Iterator[RunProducts]:
+        for meta in ok:
+            try:
+                yield process_run(load(meta), config)
+            except (TagFormatError, sy.SyncError, OSError) as exc:
+                log.warning("skipping run %s: %s", meta["index"], exc)
+                skipped.append({"run": meta["index"], "reason": str(exc)})
+
+    return analyze_products(processed(), config, len(records) - len(ok), skipped)
 
 
 def run_session_in_memory(config: ExperimentConfig) -> SessionSummary:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -27,8 +28,11 @@ from bellstrobe.model import TransientModel
 from bellstrobe import session as session_module
 from bellstrobe.sim import CHANNEL_TRIGGER, TagStream
 from bellstrobe.session import (
+    analyze_products,
     analyze_session,
+    process_run,
     run_session_in_memory,
+    simulate_run,
     simulate_session,
     summary_from_counts,
     write_report_bundle,
@@ -354,6 +358,41 @@ class TestAnalyzeSession:
         assert runs["used"] == 7 and runs["total"] == 8
         assert summary.degraded
         assert [r.run_index for r in summary.sync_reports] == [0, 2, 3, 4, 5, 6, 7]
+
+    def test_session_memory_does_not_grow_with_its_runs(self, monkeypatch):
+        # analyze_products folds each run as it is processed: what stays from
+        # a run is its sync report, not its tags, records or per-run counts
+        c = tiny_config(seed=3, run_duration=0.05, runs_per_experiment=16)
+        simulate = session_module.simulate_run
+        held, tag_bytes = [], []
+
+        def traced(config, run_index):
+            held.append(tracemalloc.get_traced_memory()[0])
+            run = simulate(config, run_index)
+            streams = (run.tags_a, run.tags_b)
+            tag_bytes.append(sum(s.channels.nbytes + s.times_ps.nbytes for s in streams))
+            return run
+
+        monkeypatch.setattr(session_module, "simulate_run", traced)
+        tracemalloc.start()
+        try:
+            summary = run_session_in_memory(c)
+        finally:
+            tracemalloc.stop()
+        assert summary.runs_used == 16
+        # about 2 KiB a run here; a list of every run's products added 120 KiB a run
+        assert held[15] - held[1] < min(tag_bytes) / 4
+
+    def test_analyze_products_folds_a_generator_as_a_list(self):
+        c = tiny_config()
+        products = [process_run(simulate_run(c, i), c) for i in range(4)]
+        from_list = analyze_products(products, c).to_dict()
+        from_iter = analyze_products(iter(products), c).to_dict()
+        # json.dumps spells NaN alike on both sides; NaN != NaN in a dict
+        assert json.dumps(from_iter, sort_keys=True) == json.dumps(from_list, sort_keys=True)
+        assert [s["run"] for s in from_list["sync"]] == [0, 1, 2, 3]
+        with pytest.raises(AnalysisError, match="no usable runs"):
+            analyze_products(iter(()), c)
 
     def test_glitched_runs_excluded(self, tmp_path):
         c = glitched_config()
@@ -1028,13 +1067,21 @@ class TestCli:
             ["--set", "source.pair_yield=1e308"],
             "error: bad config value: source.pair_yield must be below 10, got 1e+308",
         ),
+        (
+            ["--set", "pulses.fm_pulses_per_bit=1000000000000",
+             "--set", "session.run_duration=0.05"],
+            "error: a run of 25000 pulses at pulses.fm_pulses_per_bit 1000000000000 "
+            "cannot be aligned: trigger intervals are constant to within 0.5%; "
+            "no FM pattern to align on",
+        ),
     ], ids=["negative_seed", "no_scan_points", "two_scan_points", "fm_bit_beyond_int64",
-            "pair_yield_1e20", "pair_yield_1e308"])
+            "pair_yield_1e20", "pair_yield_1e308", "fm_bit_beyond_the_run"])
     def test_config_value_that_raised_errors_before_writing(self, tmp_path, capsys, args, line):
         # a traceback each: SeedSequence refused the seed, the runs check took
         # a modulo by 0 scan points, np.repeat overflowed a C long, numpy's
         # poisson refused the pair yields as too large; 2 scan points
-        # simulated a session whose fringe fit analyze then refused
+        # simulated a session whose fringe fit analyze then refused, and an
+        # FM bit longer than the run one whose every run analyze then skipped
         from bellstrobe.cli import main
 
         capsys.readouterr()
