@@ -154,13 +154,29 @@ class SlotCounts:
         self.off_grid[s] -= on_grid.sum(axis=0)
         self.delta_t_counts += delta_t_histogram(records, self.delta_t_edges)
 
+    def layout_differences(self, other: "SlotCounts") -> list[str]:
+        """The fields the config fixes on which `other` differs from these
+        counts, each by the name error messages give it."""
+        return [
+            text
+            for name, text in (
+                ("grid", "slot grid"),
+                ("setting_labels", "setting labels"),
+                ("setting_angles", "setting angles"),
+                ("delta_t_edges", "delta_t edges"),
+            )
+            if not np.array_equal(getattr(self, name), getattr(other, name))
+        ]
+
     def __add__(self, other: "SlotCounts") -> "SlotCounts":
-        layout = (self.session_id, self.grid, self.setting_labels)
-        if (other.session_id, other.grid, other.setting_labels) != layout:
-            raise SessionMixError(
+        differ = self.layout_differences(other)
+        if other.session_id != self.session_id or differ:
+            same = other.session_id == self.session_id and "setting labels" not in differ
+            raise SessionMixError(  # where both halves read the same, name the fields
                 f"counts of session {other.session_id} (settings "
                 f"{list(other.setting_labels)}) cannot join session "
                 f"{self.session_id} (settings {list(self.setting_labels)})"
+                + (f": {', '.join(differ)} differ" if same else "")
             )
         return replace(
             self,

@@ -87,8 +87,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         write_delta_t_csv(summary, outdir / "delta_t_hist.csv")
     write_summary_json(summary, outdir / "summary.json", stamp=args.stamp)
     summary.counts.save(outdir / "counts.npz")
-    if summary.transient is not None:
-        print(f"transient verdict: {summary.transient.kind}")
+    if "transient" in summary.blocks:
+        print(f"transient verdict: {summary.blocks['transient']['verdict']}")
     if summary.degraded:
         print("warning: summary is degraded (some runs were skipped)", file=sys.stderr)
     print(f"wrote {outdir / 'summary.json'}")

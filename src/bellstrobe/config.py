@@ -66,6 +66,8 @@ class SessionPlan:
             )
         if not 0 < self.run_duration < math.inf:  # NaN fails too
             raise ConfigError("run_duration must be positive and finite")
+        if self.dead_time < 0:
+            raise ConfigError("dead_time must be >= 0")
         n = 4 if self.mode == "chsh_4" else self.scan_points
         if self.runs_per_experiment < n or self.runs_per_experiment % n:
             raise ConfigError(
@@ -120,6 +122,14 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
         self.trigger_delays_ps  # ConfigError unless both are whole picoseconds
+        drift_a, drift_b = self.station_a.clock.drift_rate, self.station_b.clock.drift_rate
+        ratio = (1.0 + drift_b) / (1.0 + drift_a)  # the rate sync.fit_clock_relation fits
+        if abs(ratio - 1.0) >= sy.MAX_RATE_OFFSET:
+            raise ConfigError(
+                f"station_a.clock.drift_rate {drift_a:g} and station_b.clock.drift_rate "
+                f"{drift_b:g} give a clock rate ratio of {ratio:.9g}, {sy.MAX_RATE_OFFSET:g} "
+                "or more from 1, which the clock fit refuses"
+            )
         period_ps, slot_ps = self.period_ps, self.analysis.slot_ps
         if self.session.mode == "chsh_4" and period_ps % slot_ps:
             raise ConfigError(

@@ -67,8 +67,10 @@ class SessionSummary:
     expectations, then in chsh_4 mode plateau, `tables` (on-grid per-setting
     totals), transient, `eq1`, significance and, with two defined in-pulse
     slots, flatness; in scan_34 mode the fringe fits of every coincidence's
-    totals. `series`, `plateau` and `transient` keep the objects the writers
-    and the CLI read; all three are None in scan_34 mode."""
+    totals. The CLI's verdict line, the not-testable warning and
+    plateau_vs_expected.txt read `blocks`; `series` keeps the per-slot arrays
+    slots.csv and the report's series files are written from, and is None in
+    scan_34 mode."""
 
     counts: ana.SlotCounts
     config: ExperimentConfig
@@ -77,8 +79,6 @@ class SessionSummary:
     runs_skipped: list[dict] = field(default_factory=list)  # {run, reason}
     blocks: dict = field(init=False)
     series: ana.SlotSeries | None = field(default=None, init=False)
-    plateau: ana.PlateauSummary | None = field(default=None, init=False)
-    transient: ana.TransientVerdict | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         counts, config = self.counts, self.config
@@ -95,8 +95,7 @@ class SessionSummary:
             blocks["scan_fits"] = {lab: asdict(f) for lab, f in fits.items()}
             return
         series = self.series = ana.SlotSeries(counts)
-        self.plateau = ana.plateau_summary(series)
-        blocks["plateau"] = asdict(self.plateau)
+        blocks["plateau"] = asdict(ana.plateau_summary(series))
         blocks["tables"] = {
             lab: dict(zip(OUTCOME_LABELS, map(int, totals)))
             for lab, totals in zip(counts.setting_labels, counts.coincidences.sum(axis=1))
@@ -108,11 +107,10 @@ class SessionSummary:
             blocks["flatness"] = {"chi2_reduced": chi2, "dof": dof}
         except ana.AnalysisError:
             pass
-        self.transient = ana.detect_transient(
+        blocks["transient"] = ana.detect_transient(
             series.s, series.sigma_s, significant, tau=config.geometry.tau,
             slot_width=counts.grid.slot_ps / PS_PER_SECOND, k_sigma=analysis.k_sigma,
-        )
-        blocks["transient"] = self.transient.to_dict()
+        ).to_dict()
         blocks["eq1"] = _eq1_block(series, expectations)
         blocks["significance"] = {
             "min_coincidences": analysis.min_coincidences,
@@ -334,8 +332,9 @@ def analyze_products(
     if not reports:
         raise ana.AnalysisError("no usable runs to analyze")
     summary = SessionSummary(counts, config, reports, runs_glitched, list(skipped))
-    if summary.transient is not None and summary.transient.kind == "not_testable":
-        log.warning("transient test not run: %s", summary.transient.reason)
+    transient = summary.blocks.get("transient", {})
+    if transient.get("verdict") == "not_testable":
+        log.warning("transient test not run: %s", transient["reason"])
     return summary
 
 
@@ -588,13 +587,6 @@ def write_summary_json(
 
 # The blocks of summary.json that are not functions of the counts and config.
 PER_RUN_KEYS = ("runs", "sync", "degraded", "generated_at")
-# The SlotCounts fields the config fixes, with their names in error messages.
-LAYOUT_FIELDS = {
-    "grid": "slot grid",
-    "setting_labels": "setting labels",
-    "setting_angles": "setting angles",
-    "delta_t_edges": "delta_t edges",
-}
 
 
 def summary_from_counts(summary_path: str | Path) -> SessionSummary:
@@ -606,8 +598,9 @@ def summary_from_counts(summary_path: str | Path) -> SessionSummary:
     unreadable or the summary has no `config`, ConfigError naming the summary
     when its config does not decode, and AnalysisError naming both files
     when the counts are of another session than the config, their slot grid,
-    settings or delta_t edges are not the ones the config gives, or a block
-    other than PER_RUN_KEYS differs from the rebuild's."""
+    settings or delta_t edges are not the ones the config gives
+    (`SlotCounts.layout_differences`), or a block other than PER_RUN_KEYS
+    differs from the rebuild's."""
     summary_path = Path(summary_path)
     counts_path = summary_path.parent / "counts.npz"
     if not summary_path.exists():
@@ -625,12 +618,7 @@ def summary_from_counts(summary_path: str | Path) -> SessionSummary:
             f"{counts_path}: counts of session {counts.session_id}, not of "
             f"{config.session_id()}, the session of the config in {summary_path}"
         )
-    layout = _zero_counts(config)
-    differ = [
-        text
-        for name, text in LAYOUT_FIELDS.items()
-        if not np.array_equal(getattr(counts, name), getattr(layout, name))
-    ]
+    differ = _zero_counts(config).layout_differences(counts)
     if differ:
         raise ana.AnalysisError(
             f"{counts_path}: the config in {summary_path} gives another "
@@ -698,23 +686,22 @@ def write_report_bundle(summary: SessionSummary, outdir: str | Path) -> list[Pat
     written.append(p)
 
     p = outdir / "plateau_vs_expected.txt"
-    pl = summary.plateau
-    exp = summary.blocks["expectations"]
+    pl, exp = summary.blocks["plateau"], summary.blocks["expectations"]
     lines = [
         "quantity            measured          expected",
-        f"time-avg S          {pl.time_avg_s:.4f} +- {pl.time_dispersion_s:.4f}"
+        f"time-avg S          {pl['time_avg_s']:.4f} +- {pl['time_dispersion_s']:.4f}"
         f"  {exp['s_ideal']:.4f}",
-        f"all-data S          {pl.all_data_s:.4f} +- {pl.all_data_s_sigma:.4f}"
+        f"all-data S          {pl['all_data_s']:.4f} +- {pl['all_data_s_sigma']:.4f}"
         f"  {exp['s_ideal']:.4f}",
     ]
     for det in ana.DETECTOR_KEYS:
         lines.append(
-            f"time-avg eta {det}     {pl.time_avg_eta[det]:.4f} +- "
-            f"{pl.time_dispersion_eta[det]:.4f}  {exp['eta0'][det]:.4f}"
+            f"time-avg eta {det}     {pl['time_avg_eta'][det]:.4f} +- "
+            f"{pl['time_dispersion_eta'][det]:.4f}  {exp['eta0'][det]:.4f}"
         )
         lines.append(
-            f"all-data eta {det}     {pl.all_data_eta[det]:.4f} +- "
-            f"{pl.all_data_eta_sigma[det]:.4f}  (< in-pulse with darks on)"
+            f"all-data eta {det}     {pl['all_data_eta'][det]:.4f} +- "
+            f"{pl['all_data_eta_sigma'][det]:.4f}  (< in-pulse with darks on)"
         )
     p.write_text("\n".join(lines) + "\n")
     written.append(p)

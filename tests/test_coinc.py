@@ -256,6 +256,26 @@ class TestTables:
         with pytest.raises(SessionMixError):
             one + two
 
+    @pytest.mark.parametrize("name, value, text", [
+        ("grid", SlotGrid(4000, 250), "slot grid"),
+        ("setting_labels", QUAD[::-1], "setting labels"),
+        ("setting_angles", np.full((4, 2), 0.5), "setting angles"),
+        ("delta_t_edges", delta_t_edges(2 * WINDOW_PS), "delta_t edges"),
+    ], ids=["grid", "setting_labels", "setting_angles", "delta_t_edges"])
+    def test_layout_mixing_rejected(self, name, value, text):
+        # one session's counts in another layout: the one check of both
+        # `+` and report's counts.npz check names the field that differs
+        one = session_counts([("ab", one_record("++"))])
+        other = replace(one, **{name: value})
+        assert one.layout_differences(other) == [text]
+        assert one.layout_differences(replace(one)) == []
+        with pytest.raises(SessionMixError) as err:
+            one + other
+        # differing labels already tell the two halves of the message apart
+        named = name != "setting_labels"
+        assert str(err.value).endswith(f": {text} differ") == named
+        assert str(err.value).startswith(f"counts of session {one.session_id} (settings ")
+
     def test_same_session_accumulates(self):
         counts = session_counts([("ab", one_record("++")), ("ab", one_record("--"))])
         assert counts.totals()[0].tolist() == [1, 0, 0, 1]

@@ -507,7 +507,8 @@ class TestScanSession:
         )
         summary = run_session_in_memory(c)
         assert summary.blocks["mode"] == "scan_34"
-        assert summary.series is None and summary.plateau is None and summary.transient is None
+        assert summary.series is None
+        assert "plateau" not in summary.blocks and "transient" not in summary.blocks
         fits = summary.blocks["scan_fits"]
         assert set(fits) == {"++", "+-", "-+", "--"}
         for fit in fits.values():
@@ -826,6 +827,12 @@ class TestReportFromCounts:
         "setting_angles": lambda a: {**a, "setting_angles": a["setting_angles"] + 1e-9},
         "delta_t_edges": lambda a: {**a, "delta_t_edges": a["delta_t_edges"] + 1},
     }
+    LAYOUT_NAMES = {
+        "grid": "slot grid",
+        "setting_labels": "setting labels",
+        "setting_angles": "setting angles",
+        "delta_t_edges": "delta_t edges",
+    }
 
     @pytest.mark.parametrize("name", list(LAYOUT_EDITS))
     def test_counts_whose_layout_is_not_the_config_s_are_refused(
@@ -839,7 +846,7 @@ class TestReportFromCounts:
         line = self._error_line(capsys, ["report", str(summary_path)])
         assert line == (
             f"error: {counts_path}: the config in {summary_path} gives another "
-            f"{session_module.LAYOUT_FIELDS[name]}"
+            f"{self.LAYOUT_NAMES[name]}"
         )
         assert not (tmp_path / "report").exists()
 
@@ -954,6 +961,8 @@ class TestCli:
         "session.runs_per_experiment=4.0",
         "pulses.fm_lengthen_fraction=1.5",
         "pulses.pulse_duration=3e-6",
+        "pulses.fall_time=-1e-7",  # photons emitted after the pulse had ended
+        "session.dead_time=-1000",  # negative session times
         "analysis.slot_width=3e-9",  # does not divide the 2 us period
         "session.run_duration=abc",
         "station_b.dark_rate=true",
@@ -1074,14 +1083,31 @@ class TestCli:
             "cannot be aligned: trigger intervals are constant to within 0.5%; "
             "no FM pattern to align on",
         ),
+        (
+            ["--set", "pulses.rise_time=-1e-7", "--set", "session.run_duration=0.05"],
+            "error: bad config value: pulses: rise_time and fall_time must be >= 0",
+        ),
+        (
+            ["--set", "station_b.clock.drift_rate=2e-3"],
+            "error: station_a.clock.drift_rate 0 and station_b.clock.drift_rate 0.002 give "
+            "a clock rate ratio of 1.002, 0.001 or more from 1, which the clock fit refuses",
+        ),
+        (
+            ["--set", "station_b.clock.drift_rate=-1"],
+            "error: bad config value: station_b.clock: drift_rate must be above -1, got -1",
+        ),
     ], ids=["negative_seed", "no_scan_points", "two_scan_points", "fm_bit_beyond_int64",
-            "pair_yield_1e20", "pair_yield_1e308", "fm_bit_beyond_the_run"])
+            "pair_yield_1e20", "pair_yield_1e308", "fm_bit_beyond_the_run",
+            "negative_rise_time", "clock_rate_beyond_the_fit", "clock_stopped"])
     def test_config_value_that_raised_errors_before_writing(self, tmp_path, capsys, args, line):
         # a traceback each: SeedSequence refused the seed, the runs check took
         # a modulo by 0 scan points, np.repeat overflowed a C long, numpy's
         # poisson refused the pair yields as too large; 2 scan points
         # simulated a session whose fringe fit analyze then refused, and an
-        # FM bit longer than the run one whose every run analyze then skipped
+        # FM bit longer than the run one whose every run analyze then skipped;
+        # a negative rise time raised in the transient model, and a clock
+        # drift the clock fit refuses simulated a session analyze skipped
+        # every run of
         from bellstrobe.cli import main
 
         capsys.readouterr()
@@ -1229,15 +1255,24 @@ class TestCli:
         assert not (tmp_path / "neg").exists()
 
     def test_drifting_clock_session_errors(self, tmp_path, capsys):
+        # simulate refuses a drift the clock fit would refuse; tags whose
+        # clock runs that fast anyway have every run skipped by analyze
         cfg_path = tmp_path / "config.json"
         tiny_config().to_json(cfg_path)
         from bellstrobe.cli import main
 
+        capsys.readouterr()
         assert main([
             "simulate", "--config", str(cfg_path), "--name", "drift",
             "--output", str(tmp_path), "--set", "station_b.clock.drift_rate=0.002",
-        ]) == 0
-        manifest_path = tmp_path / "drift" / "manifest.json"
+        ]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "which the clock fit refuses" in err[0]
+        assert not (tmp_path / "drift").exists()
+        manifest_path = simulate_session(tiny_config(), tmp_path / "fast")
+        for path in (tmp_path / "fast").glob("run*_B.tags"):
+            header, channels, times = read_tag_arrays(path)
+            write_tags(header, (channels, np.rint(times * 1.002).astype(np.int64)), path)
         self._assert_one_line_error(capsys, ["analyze", str(manifest_path)])
 
 

@@ -509,11 +509,10 @@ def inline_submit(fn, *args):
 
 
 class TestJitterHandover:
-    """The jitter a clock needs for its n_pulses triggers is drawn while the
-    pairs are drawn: by the caller until they are in, by the worker after.
-    Where the pairs finish must not move a tag: before the caller's first
-    block, while the caller is inside its first block (the worker is then free
-    but must get no generator yet), or after the caller has drawn them all."""
+    """The jitter a clock needs for its n_pulses triggers is drawn on the
+    worker once the pairs are in, while the caller runs the source stage.
+    Whether the pairs finish before the caller asks for them or after must
+    not move a tag, and no stream may take its buffer before it is filled."""
 
     N_PULSES = 2 * DRAW_CHUNK + 3
     CLOCK_A = ClockModel(offset=2e-4, jitter_sigma=3e-11)
@@ -530,7 +529,7 @@ class TestJitterHandover:
         )
 
     @pytest.mark.parametrize("jittered", ["a", "b", "ab"])
-    @pytest.mark.parametrize("pairs_finish", ["at_once", "mid_block", "late"])
+    @pytest.mark.parametrize("pairs_finish", ["at_once", "late"])
     def test_equals_a_serial_run(self, monkeypatch, jittered, pairs_finish):
         with monkeypatch.context() as serial:
             serial.setattr(worker, "submit", inline_submit)
@@ -539,19 +538,14 @@ class TestJitterHandover:
 
         # jitter values drawn ahead of the events (below n_pulses), by thread
         ahead = {"caller": 0, "worker": 0}
-        pairs_in, caller_drawing, taken = (threading.Event() for _ in range(3))
+        pairs_in, taken = threading.Event(), threading.Event()
         draw_block, take, pair_pulses, starts_of = (
             _ClockBuffer.draw_block, _ClockBuffer.take, sim._pair_pulses, sim._starts_of
         )
 
         def counted_draw_block(buffer):
             caller = threading.current_thread() is threading.main_thread()
-            wanted = buffer.target > buffer.values.size
-            if wanted and caller and pairs_finish == "mid_block" and not caller_drawing.is_set():
-                caller_drawing.set()
-                pairs_in.wait(10)
-                time.sleep(0.05)  # the worker's future is done, and the worker idle
-            if wanted and not caller and not ahead["worker"]:
+            if buffer.target > buffer.values.size and not caller and not ahead["worker"]:
                 taken.wait(0.05)  # time for a caller that takes a buffer too early
             lo = min(buffer.values.size, self.N_PULSES)
             drew = draw_block(buffer)
@@ -564,10 +558,8 @@ class TestJitterHandover:
 
         def timed_pair_pulses(*args):
             if pairs_finish == "late":
-                time.sleep(0.05)
+                time.sleep(0.05)  # the caller waits for the pairs
             out = pair_pulses(*args)
-            if pairs_finish == "mid_block":
-                caller_drawing.wait(10)
             pairs_in.set()
             return out
 
@@ -584,9 +576,7 @@ class TestJitterHandover:
         got = self.run(jittered)
 
         assert got == want
-        total = len(jittered) * self.N_PULSES
-        by_caller = {"at_once": 0, "mid_block": DRAW_CHUNK, "late": total}[pairs_finish]
-        assert ahead == {"caller": by_caller, "worker": total - by_caller}
+        assert ahead == {"caller": 0, "worker": len(jittered) * self.N_PULSES}
 
 
 class TestTriggerInvariant:

@@ -277,7 +277,6 @@ def reference_fit(triggers_a, triggers_b, pulse_offset: int) -> ClockFit:
         time_offset=(z0 + zm - drift * (x0 + xm)) / 1e12,
         rate_ratio=1.0 + drift,
         residual_rms=math.sqrt(sq / n) / 1e12,
-        n_pairs=n,
     )
 
 
