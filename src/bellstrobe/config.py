@@ -64,8 +64,8 @@ class SessionPlan:
             raise ConfigError(
                 f"session.scan_points must be at least 3 in scan_34 mode, got {self.scan_points}"
             )
-        if not 0 < self.run_duration < math.inf:  # NaN fails too
-            raise ConfigError("run_duration must be positive and finite")
+        if not 0 < self.run_duration * PS_PER_SECOND < 2.0**63:  # NaN fails too
+            raise ConfigError("run_duration must be positive and within int64 picoseconds")
         if self.dead_time < 0:
             raise ConfigError("dead_time must be >= 0")
         n = 4 if self.mode == "chsh_4" else self.scan_points

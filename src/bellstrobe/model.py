@@ -45,6 +45,8 @@ class SettingsQuad:
     b_prime: float = 3 * math.pi / 8
 
     def __post_init__(self) -> None:
+        if not all(abs(x) <= 2 * math.pi for x in (self.a, self.a_prime, self.b, self.b_prime)):
+            raise ValueError("analyzer angles must be within [-2 pi, 2 pi] rad")
         if self.a % math.pi == self.a_prime % math.pi:
             raise ValueError("a and a' must be distinct modulo pi")
         if self.b % math.pi == self.b_prime % math.pi:

@@ -223,9 +223,9 @@ def simulate_session(config: ExperimentConfig, outdir: str | Path) -> Path:
     """Simulate every run of `plan_runs` into its two tag files, then write
     the records as the manifest; returns its path. A session is written
     whole or not at all: on any error the files written so far are removed,
-    and the directory too if this call created it, before it propagates."""
+    and the directories this call created, before it propagates."""
     outdir = Path(outdir)
-    created = not outdir.exists()
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
     records = plan_runs(config)
     written: list[Path] = []
@@ -255,8 +255,8 @@ def simulate_session(config: ExperimentConfig, outdir: str | Path) -> Path:
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
-        if created:
-            outdir.rmdir()
+        for directory in created:
+            directory.rmdir()
         raise
     return manifest_path
 
@@ -611,7 +611,7 @@ def summary_from_counts(summary_path: str | Path) -> SessionSummary:
     config = _stored_config(summary_path, data)
     try:
         counts = ana.SlotCounts.load(counts_path)
-    except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         raise ana.AnalysisError(f"{counts_path}: unreadable counts ({exc})") from exc
     if counts.session_id != config.session_id():
         raise ana.AnalysisError(

@@ -155,6 +155,8 @@ class StationConfig:
             raise ValueError("detector_efficiency must be in [0, 1]")
         if self.dark_rate < 0 or self.detector_jitter_sigma < 0:
             raise ValueError("dark_rate and detector_jitter_sigma must be >= 0")
+        if self.dark_rate >= PS_PER_SECOND:  # numpy's Poisson draw refuses ~9.2e18
+            raise ValueError(f"dark_rate must be below one per picosecond, got {self.dark_rate}")
 
 
 @dataclass(frozen=True)

@@ -655,6 +655,9 @@ class TestReportFromCounts:
         counts_path.write_bytes(own[:100])
         assert str(counts_path) in self._error_line(capsys, argv)
 
+        counts_path.write_bytes(b"")  # np.load raised EOFError
+        assert str(counts_path) in self._error_line(capsys, argv)
+
         counts_path.write_bytes(own)
         with np.load(counts_path) as npz:
             arrays = dict(npz)
@@ -1096,13 +1099,29 @@ class TestCli:
             ["--set", "station_b.clock.drift_rate=-1"],
             "error: bad config value: station_b.clock: drift_rate must be above -1, got -1",
         ),
+        (
+            ["--set", "quad.a=1e308"],
+            "error: bad config value: quad: analyzer angles must be within [-2 pi, 2 pi] rad",
+        ),
+        (
+            ["--set", "session.run_duration=1e308"],
+            "error: bad config value: session: run_duration must be positive and within "
+            "int64 picoseconds",
+        ),
+        (
+            ["--set", "station_a.dark_rate=1e308"],
+            "error: bad config value: station_a: dark_rate must be below one per "
+            "picosecond, got 1e+308",
+        ),
     ], ids=["negative_seed", "no_scan_points", "two_scan_points", "fm_bit_beyond_int64",
             "pair_yield_1e20", "pair_yield_1e308", "fm_bit_beyond_the_run",
-            "negative_rise_time", "clock_rate_beyond_the_fit", "clock_stopped"])
+            "negative_rise_time", "clock_rate_beyond_the_fit", "clock_stopped",
+            "angle_1e308", "run_duration_1e308", "dark_rate_1e308"])
     def test_config_value_that_raised_errors_before_writing(self, tmp_path, capsys, args, line):
         # a traceback each: SeedSequence refused the seed, the runs check took
         # a modulo by 0 scan points, np.repeat overflowed a C long, numpy's
-        # poisson refused the pair yields as too large; 2 scan points
+        # poisson refused the pair yields and the dark rate as too large, the
+        # doubled angle's cosine and the run's pulse count overflowed; 2 scan points
         # simulated a session whose fringe fit analyze then refused, and an
         # FM bit longer than the run one whose every run analyze then skipped;
         # a negative rise time raised in the transient model, and a clock
@@ -1253,6 +1272,18 @@ class TestCli:
         assert "station B has a negative local timestamp" in err[0]
         assert "station_b.clock.offset" in err[0]
         assert not (tmp_path / "neg").exists()
+
+    def test_failed_simulate_removes_the_output_root_it_created(self, tmp_path, capsys):
+        # the session directory was removed, and its new parents left behind
+        from bellstrobe.cli import main
+
+        capsys.readouterr()
+        assert main([
+            "simulate", "--name", "neg", "--output", str(tmp_path / "new" / "root"),
+            "--set", "session.run_duration=0.02", "--set", "station_b.clock.offset=-1",
+        ]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_drifting_clock_session_errors(self, tmp_path, capsys):
         # simulate refuses a drift the clock fit would refuse; tags whose
