@@ -1399,3 +1399,70 @@ class TestSeed7Session:
             for p in session_dir.rglob("*") if p.is_file() and p.name != "counts.npz"
         }
         assert files == SEED7_FILES
+
+
+def rounded(obj, digits=12):
+    """`obj` with every float rounded to `digits` significant digits."""
+    if isinstance(obj, dict):
+        return {k: rounded(v, digits) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [rounded(v, digits) for v in obj]
+    if isinstance(obj, float):
+        return float(f"{obj:.{digits}g}")
+    return obj
+
+
+def json_digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of scan_curves.csv of the seed-1 scan_34 session below, on every numpy
+SCAN34_CURVES = "d8f1193c4aa37ddc4f3595b47e1027aca0206407f6d0ff87b5438ecc66f1d997"
+# json_digest of its summary.json's `runs` block and the integer fields of
+# each `sync` entry, on every numpy
+SCAN34_INTEGERS = "f12c4627adc01e3f3bce51db2a5bb0693871bb4779c53b216f624afc889588e9"
+# json_digest of its whole summary.json with floats rounded to 12 significant
+# digits, on SEED7_NUMPY only: the fringe fits run np.linalg.lstsq in the
+# bundled BLAS, whose kernels depend on the CPU whatever numpy's dispatch
+SCAN34_SUMMARY = "8b1f61f48b899a7353a73ec4a4b45874fae742924c11594d5ad23368e7a44ee6"
+
+
+class TestScan34Session:
+    """The seed-1 scan_34 session through the CLI: `simulate --set
+    session.mode=scan_34 --set session.runs_per_experiment=34 --set
+    session.run_duration=0.03 --set session.dead_time=0.5`, then `analyze`
+    and `report`. It pins the `scan_fits` block, which no chsh_4 pin covers."""
+
+    @pytest.fixture(scope="class")
+    def out(self, tmp_path_factory):
+        from bellstrobe.cli import main
+
+        root = tmp_path_factory.mktemp("scan34")
+        assert main([
+            "simulate", "--seed", "1", "--set", "session.mode=scan_34",
+            "--set", "session.runs_per_experiment=34", "--set", "session.run_duration=0.03",
+            "--set", "session.dead_time=0.5", "--name", "scan", "--output", str(root),
+        ]) == 0
+        assert main(["analyze", str(root / "scan" / "manifest.json"), "--output",
+                     str(root / "out")]) == 0
+        assert main(["report", str(root / "out" / "summary.json")]) == 0
+        return root / "out"
+
+    def test_scan_curves_are_pinned(self, out):
+        data = (out / "report" / "scan_curves.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == SCAN34_CURVES
+
+    def test_integer_blocks_are_pinned(self, out):
+        summary = json.loads((out / "summary.json").read_text())
+        integers = {
+            "runs": summary["runs"],
+            "sync": [{k: v for k, v in r.items() if type(v) is int} for r in summary["sync"]],
+        }
+        assert json_digest(integers) == SCAN34_INTEGERS
+
+    @pytest.mark.skipif(
+        np.__version__ != SEED7_NUMPY, reason=f"floats are pinned on numpy {SEED7_NUMPY} only"
+    )
+    def test_summary_is_pinned(self, out):
+        summary = json.loads((out / "summary.json").read_text())
+        assert json_digest(rounded(summary)) == SCAN34_SUMMARY
