@@ -337,25 +337,9 @@ class SlotSeries:
         self.in_pulse = in_pulse_slots(counts.singles.sum(axis=0))
 
 
-@dataclass
-class PlateauSummary:
-    """Time-averaged in-pulse values vs the all-data (unresolved) estimates."""
-
-    in_pulse_range: tuple[int, int]  # [start, stop) slot indices
-    n_in_pulse: int
-    time_avg_s: float
-    time_dispersion_s: float
-    all_data_s: float
-    all_data_s_sigma: float
-    s_consistent: bool  # |time avg - all data| < 2 sigma
-    time_avg_eta: dict[str, float]
-    time_dispersion_eta: dict[str, float]
-    all_data_eta: dict[str, float]
-    all_data_eta_sigma: dict[str, float]
-
-
-def plateau_summary(series: SlotSeries) -> PlateauSummary:
-    """Compare stroboscopic in-pulse averages with the all-data values.
+def plateau_summary(series: SlotSeries) -> dict:
+    """The `plateau` block of summary.json (docs/output-schemas.md):
+    stroboscopic in-pulse averages against the all-data values.
 
     Time averages and dispersions (sample standard deviation over slots) run
     over the defined in-pulse slots; all-data values come from totals over the
@@ -390,19 +374,19 @@ def plateau_summary(series: SlotSeries) -> PlateauSummary:
         tavg_eta.append(float(vals.mean()) if vals.size else math.nan)
         tdisp_eta.append(float(vals.std(ddof=1)) if vals.size > 1 else 0.0)
 
-    return PlateauSummary(
-        in_pulse_range=(int(idx[0]), int(idx[-1]) + 1),
-        n_in_pulse=int(mask.sum()),
-        time_avg_s=time_avg_s,
-        time_dispersion_s=time_disp_s,
-        all_data_s=float(s_all),
-        all_data_s_sigma=float(s_all_sigma),
-        s_consistent=bool(consistent),
-        time_avg_eta=dict(zip(DETECTOR_KEYS, tavg_eta)),
-        time_dispersion_eta=dict(zip(DETECTOR_KEYS, tdisp_eta)),
-        all_data_eta=dict(zip(DETECTOR_KEYS, all_eta.tolist())),
-        all_data_eta_sigma=dict(zip(DETECTOR_KEYS, all_eta_sig.tolist())),
-    )
+    return {
+        "in_pulse_range": [int(idx[0]), int(idx[-1]) + 1],
+        "n_in_pulse": int(mask.sum()),
+        "time_avg_s": time_avg_s,
+        "time_dispersion_s": time_disp_s,
+        "all_data_s": float(s_all),
+        "all_data_s_sigma": float(s_all_sigma),
+        "s_consistent": bool(consistent),
+        "time_avg_eta": dict(zip(DETECTOR_KEYS, tavg_eta)),
+        "time_dispersion_eta": dict(zip(DETECTOR_KEYS, tdisp_eta)),
+        "all_data_eta": dict(zip(DETECTOR_KEYS, all_eta.tolist())),
+        "all_data_eta_sigma": dict(zip(DETECTOR_KEYS, all_eta_sig.tolist())),
+    }
 
 
 def _weighted_mean(v: np.ndarray, s: np.ndarray) -> float:
@@ -428,28 +412,6 @@ def chi_square_vs_constant(
     return chi2 / dof, dof
 
 
-@dataclass(frozen=True)
-class TransientVerdict:
-    kind: str  # "none", "deviation" or "not_testable"
-    slot_range: tuple[int, int] | None = None  # [start, stop)
-    direction: int = 0  # -1 below plateau, +1 above
-    max_sigma: float = 0.0
-    plateau_reference: float = math.nan
-    reason: str | None = None  # why a "not_testable" session was not tested
-
-    def to_dict(self) -> dict:
-        """The `transient` block of summary.json."""
-        if self.kind == "not_testable":
-            return {"verdict": self.kind, "reason": self.reason}
-        return {
-            "verdict": self.kind,
-            "slot_range": list(self.slot_range) if self.slot_range else None,
-            "direction": self.direction,
-            "max_sigma": self.max_sigma,
-            "plateau_reference": self.plateau_reference,
-        }
-
-
 def detect_transient(
     values: np.ndarray,
     sigmas: np.ndarray,
@@ -457,8 +419,9 @@ def detect_transient(
     tau: float,
     slot_width: float,
     k_sigma: float = 3.0,
-) -> TransientVerdict:
-    """Flag a short-time deviation in a per-slot series.
+) -> dict:
+    """The `transient` block of summary.json (docs/output-schemas.md): flag a
+    short-time deviation in a per-slot series.
 
     A transient requires at least ceil(tau/slot_width) CONSECUTIVE significant
     slots, all deviating from the plateau reference in the same direction by
@@ -482,17 +445,18 @@ def detect_transient(
 
     ref_slots = sig & (np.arange(v.size) * slot_width >= 2.0 * tau)
     if not ref_slots.any():
-        return TransientVerdict(
-            "not_testable", reason="no significant slots beyond 2*tau for the plateau"
-        )
+        return {
+            "verdict": "not_testable",
+            "reason": "no significant slots beyond 2*tau for the plateau",
+        }
     plateau_reference = _weighted_mean(v[ref_slots], s[ref_slots])
 
     tested = sig[:n_search]
     if int(tested.sum()) < min_run:
-        return TransientVerdict("not_testable", reason=(
+        return {"verdict": "not_testable", "reason": (
             f"only {int(tested.sum())} significant slots in the first "
             f"{window * 1e9:.0f} ns; need {min_run} to test persistence"
-        ))
+        )}
 
     dev = np.zeros(n_search)
     dev[tested] = (v[:n_search][tested] - plateau_reference) / s[:n_search][tested]
@@ -501,29 +465,22 @@ def detect_transient(
     starts, stops = runs(sign)
     length = np.where(sign[starts] != 0, stops - starts, 0)
     best = int(np.argmax(length))  # the first of the longest
-    if length[best] < min_run:
-        return TransientVerdict(kind="none", plateau_reference=plateau_reference)
     lo, hi = int(starts[best]), int(stops[best])
-    return TransientVerdict(
-        kind="deviation",
-        slot_range=(lo, hi),
-        direction=int(sign[lo]),
-        max_sigma=float(np.max(np.abs(dev[lo:hi]))),
-        plateau_reference=plateau_reference,
-    )
-
-
-@dataclass(frozen=True)
-class ScanFit:
-    amplitude: float
-    visibility: float
-    phase: float  # radians, modulo pi
+    found = length[best] >= min_run
+    return {
+        "verdict": "deviation" if found else "none",
+        "slot_range": [lo, hi] if found else None,
+        "direction": int(sign[lo]) if found else 0,
+        "max_sigma": float(np.max(np.abs(dev[lo:hi]))) if found else 0.0,
+        "plateau_reference": plateau_reference,
+    }
 
 
 def angle_scan_curves(
     angles: Sequence[float] | np.ndarray, counts: np.ndarray
-) -> dict[str, ScanFit]:
-    """Fit coincidence-vs-angle fringes for the 4 outcome types.
+) -> dict[str, dict[str, float]]:
+    """The `scan_fits` block of summary.json (docs/output-schemas.md):
+    coincidence-vs-angle fringe fits for the 4 outcome types, by label.
 
     `counts` has shape (n_angles, 4) in outcome order; the model per type is
     A*(1 +- V*cos 2(theta - theta0)), with + for ++/-- and - for +-/-+. The
@@ -542,7 +499,9 @@ def angle_scan_curves(
         c, *_ = np.linalg.lstsq(design, counts[:, o], rcond=None)
         if not np.isfinite(c).all() or c[0] <= 0:
             raise AnalysisError(f"degenerate fringe fit for outcome {label}")
-        visibility = float(np.hypot(c[1], c[2]) / c[0])
-        phase = 0.5 * math.atan2(sgn * c[2], sgn * c[1]) % math.pi
-        out[label] = ScanFit(amplitude=float(c[0]), visibility=visibility, phase=phase)
+        out[label] = {
+            "amplitude": float(c[0]),
+            "visibility": float(np.hypot(c[1], c[2]) / c[0]),
+            "phase": 0.5 * math.atan2(sgn * c[2], sgn * c[1]) % math.pi,
+        }
     return out

@@ -6,7 +6,8 @@ docs/output-schemas.md); individual fields can be overridden with repeated
 environment variable, then to the current directory.
 
 Exit codes: 0 ok, 1 a selftest check failed, 2 a usage, config or library
-error (reported as one `error: ...` line on stderr).
+error, or an allocation that failed (reported as one `error: ...` line on
+stderr; `error: out of memory: ...` for the last).
 
 `main` keeps the memory a run frees on the heap for the next run (glibc's
 `mallopt`); the library leaves its host process's allocator alone.
@@ -250,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, OSError, AnalysisError, SyncError, TagFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

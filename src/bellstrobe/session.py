@@ -13,7 +13,7 @@ import json
 import logging
 import math
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -91,11 +91,12 @@ class SessionSummary:
         }
         blocks = self.blocks = {"mode": config.session.mode, "expectations": expectations}
         if config.session.mode == "scan_34":
-            fits = ana.angle_scan_curves(counts.setting_angles[:, 1], counts.totals())
-            blocks["scan_fits"] = {lab: asdict(f) for lab, f in fits.items()}
+            blocks["scan_fits"] = ana.angle_scan_curves(
+                counts.setting_angles[:, 1], counts.totals()
+            )
             return
         series = self.series = ana.SlotSeries(counts)
-        blocks["plateau"] = asdict(ana.plateau_summary(series))
+        blocks["plateau"] = ana.plateau_summary(series)
         blocks["tables"] = {
             lab: dict(zip(OUTCOME_LABELS, map(int, totals)))
             for lab, totals in zip(counts.setting_labels, counts.coincidences.sum(axis=1))
@@ -110,7 +111,7 @@ class SessionSummary:
         blocks["transient"] = ana.detect_transient(
             series.s, series.sigma_s, significant, tau=config.geometry.tau,
             slot_width=counts.grid.slot_ps / PS_PER_SECOND, k_sigma=analysis.k_sigma,
-        ).to_dict()
+        )
         blocks["eq1"] = _eq1_block(series, expectations)
         blocks["significance"] = {
             "min_coincidences": analysis.min_coincidences,
@@ -298,7 +299,8 @@ def process_run(run: RunData, config: ExperimentConfig) -> RunProducts:
 
     delay_a, delay_b = config.trigger_delays_ps
     det_a = sy.assign_to_pulses(run.tags_a, trig_a, delay_a)
-    det_b = sy.assign_to_pulses(run.tags_b, trig_b, delay_b).with_pulse_offset(offset)
+    det_b = sy.assign_to_pulses(run.tags_b, trig_b, delay_b)
+    det_b.pulse_number += offset  # B's own array, renumbered into A's pulse frame
 
     records = co.match_coincidences(det_a, det_b, config.analysis.window_ps)
     report = SyncReport(

@@ -25,7 +25,7 @@ calling thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,10 +129,6 @@ class Detections:
 
     def __len__(self) -> int:
         return int(self.pulse_number.size)
-
-    def with_pulse_offset(self, offset: int) -> "Detections":
-        """Same detections renumbered into the other station's pulse frame."""
-        return replace(self, pulse_number=self.pulse_number + int(offset))
 
 
 def extract_period_series(times: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 from bellstrobe import worker
 from bellstrobe.config import desk_boosted, desk_default, desk_transient
 from bellstrobe.session import run_session_in_memory
+from bellstrobe.sim import TagStream
 
 # Pinned demo seed: picked for a flatness chi2 well inside [0.7, 1.3] and an
 # all-data S within 1 sigma of the configured target (any seed is valid; this
@@ -21,6 +22,14 @@ from bellstrobe.session import run_session_in_memory
 DEMO_SEED = 106
 N_STUDY = 100
 MAX_STUDY_WORKERS = 4
+
+
+def same_tags(a, b) -> bool:
+    """Whether two TagStreams, or two equal-length sequences of them, hold
+    equal channel and timestamp arrays; a TagStream has no `==` of its own."""
+    if isinstance(a, TagStream):
+        return np.array_equal(a.channels, b.channels) and np.array_equal(a.times_ps, b.times_ps)
+    return len(a) == len(b) and all(same_tags(x, y) for x, y in zip(a, b))
 
 
 def run_sessions(configs, workers: int | None = None) -> list:

@@ -1,5 +1,6 @@
 """The `bellstrobe` command as a process: the allocator policy `cli.main` sets,
-and its error contract under one corrupted input at a time.
+its error contract under one corrupted input at a time, and an allocation
+that fails.
 
 The contract: whatever single part of a real session is corrupted (a JSON
 leaf replaced, a JSON key deleted, a file truncated, one byte of a tag file
@@ -18,6 +19,7 @@ import ctypes
 import io
 import json
 import shutil
+import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -27,8 +29,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellstrobe import cli
+from bellstrobe import session as session_module
 from bellstrobe.config import SessionPlan, desk_boosted
 from bellstrobe.session import analyze_session, run_session_in_memory, simulate_session
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 MIB = 1 << 20
 
@@ -255,6 +263,58 @@ def test_one_corrupted_input_exits_0_or_2_with_one_error_line(contract_session, 
     mutation = data.draw(st.sampled_from(groups[group]), label="mutation")
     with tempfile.TemporaryDirectory() as work:
         assert contract_violations(directory, mutation, Path(work)) == []
+
+
+# --- An allocation that fails ------------------------------------------------
+
+
+class TestOutOfMemory:
+    """A MemoryError is one `error: out of memory: ...` line and exit 2, and
+    the call writes nothing."""
+
+    @staticmethod
+    def _fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 37.6 GiB for an array")
+
+    @pytest.mark.parametrize("command, step", [
+        ("simulate", "emit_events"), ("analyze", "read_tag_arrays"),
+    ])
+    def test_a_failed_allocation_exits_2_and_writes_nothing(
+        self, monkeypatch, capsys, tmp_path, contract_session, command, step
+    ):
+        monkeypatch.setattr(session_module, step, self._fail)
+        out = tmp_path / "out"
+        if command == "simulate":
+            argv = ["simulate", "--name", "s", "--output", str(out),
+                    "--set", "session.run_duration=0.05"]
+        else:
+            argv = ["analyze", str(contract_session[0] / "manifest.json"), "--output", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: out of memory: Unable to allocate 37.6 GiB for an array"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+    def test_a_dark_rate_beyond_the_address_space_exits_2(self, tmp_path):
+        # 5e9 dark counts in a 0.05 s run: a 37.6 GiB draw, in a child
+        # process whose address space is limited to 4 GiB
+        package_root = str(Path(cli.__file__).parents[1])
+        child = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+            f"sys.path.insert(0, {package_root!r}); from bellstrobe.cli import main; "
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "simulate", "--name", "dark", "--output", str(out),
+             "--set", "station_a.dark_rate=1e11", "--set", "session.run_duration=0.05"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory: Unable to allocate")
+        assert not out.exists()
 
 
 def sweep() -> int:

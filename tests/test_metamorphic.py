@@ -21,6 +21,7 @@ from bellstrobe.session import (
 )
 from bellstrobe.sim import CHANNEL_TRIGGER, ClockModel, TagStream
 from bellstrobe.sync import ALIGN_WINDOW
+from conftest import same_tags
 
 
 def count_arrays(counts) -> dict[str, np.ndarray]:
@@ -82,8 +83,25 @@ def test_one_station_leaves_the_other_stream_unchanged(boosted_run, change, chan
     station = replace(getattr(config, name), **STATION_CHANGES[change])
     run = simulate_run(replace(config, **{name: station}), 0)
     streams, base = (run.tags_a, run.tags_b), (boosted_run.tags_a, boosted_run.tags_b)
-    assert streams[changed] != base[changed]
-    assert streams[1 - changed] == base[1 - changed]
+    assert not same_tags(streams[changed], base[changed])
+    assert same_tags(streams[1 - changed], base[1 - changed])
+
+
+@pytest.mark.parametrize("k", [1, 1000, 4000])
+def test_station_b_cut_at_a_trigger_keeps_the_records_from_that_pulse_on(boosted_run, k):
+    # B's stream starts at its trigger k (every earlier B tag dropped): the
+    # sync finds pulse offset k, and B's detections, renumbered into A's
+    # pulse frame, match as in the whole run from pulse k on
+    config = desk_boosted(1)
+    tags = boosted_run.tags_b
+    p = np.flatnonzero(tags.channels == CHANNEL_TRIGGER)[k]
+    cut_b = TagStream(tags.channels[p:], tags.times_ps[p:])
+    cut = process_run(RunData(0, boosted_run.setting_label, boosted_run.tags_a, cut_b), config)
+    assert cut.report.fit.pulse_offset == k
+    whole = process_run(boosted_run, config).records
+    kept = whole.pulse_number >= k
+    assert kept.any()
+    assert_same_arrays(vars(cut.records), {name: a[kept] for name, a in vars(whole).items()})
 
 
 def test_reversed_manifest_runs_leave_counts_and_plateau_unchanged(tmp_path):

@@ -503,11 +503,6 @@ class TestAssignment:
         assert np.all(det.intra_ps >= 0)
         assert np.all(det.intra_ps < 2_000_000)
 
-    def test_pulse_offset_translation(self):
-        det = self._assign([1], [57_000])
-        shifted = det.with_pulse_offset(250)
-        assert shifted.pulse_number[0] == 250
-
 
 def reference_assign(stream: TagStream, triggers: np.ndarray, delay: int) -> dict:
     """assign_to_pulses by one binary search per detection over the whole
