@@ -7,7 +7,9 @@ environment variable, then to the current directory.
 
 Exit codes: 0 ok, 1 a selftest check failed, 2 a usage, config or library
 error, or an allocation that failed (reported as one `error: ...` line on
-stderr; `error: out of memory: ...` for the last).
+stderr; `error: out of memory: ...` for the last). A command that fails
+writes nothing: `simulate`, `analyze` and `report` remove the files they
+wrote, and the directories they created, before they exit 2.
 
 `main` keeps the memory a run frees on the heap for the next run (glibc's
 `mallopt`); the library leaves its host process's allocator alone.
@@ -34,6 +36,7 @@ from .session import (
     analyze_session,
     simulate_session,
     summary_from_counts,
+    whole_or_nothing,
     write_delta_t_csv,
     write_report_bundle,
     write_slots_csv,
@@ -111,12 +114,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     summary = analyze_session(args.manifest)
     outdir = Path(args.manifest).parent if args.output is None else _out_root(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    if summary.series is not None:
-        write_slots_csv(summary.series, outdir / "slots.csv")
-        write_delta_t_csv(summary, outdir / "delta_t_hist.csv")
-    write_summary_json(summary, outdir / "summary.json", stamp=args.stamp)
-    summary.counts.save(outdir / "counts.npz")
+    with whole_or_nothing(outdir) as written:
+        if summary.series is not None:
+            written += [outdir / "slots.csv", outdir / "delta_t_hist.csv"]
+            write_slots_csv(summary.series, outdir / "slots.csv")
+            write_delta_t_csv(summary, outdir / "delta_t_hist.csv")
+        written += [outdir / "summary.json", outdir / "counts.npz"]
+        write_summary_json(summary, outdir / "summary.json", stamp=args.stamp)
+        summary.counts.save(outdir / "counts.npz")
     if "transient" in summary.blocks:
         print(f"transient verdict: {summary.blocks['transient']['verdict']}")
     if summary.degraded:

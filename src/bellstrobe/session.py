@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -220,17 +221,33 @@ def _check_first_timestamp(
         )
 
 
+@contextmanager
+def whole_or_nothing(outdir: Path) -> Iterator[list[Path]]:
+    """Create `outdir` and yield a list for each file written into it, each
+    added before it is written. On any error in the block those files are
+    removed, and the directories this call created, before it propagates; a
+    directory standing where a file was to go was not written here and stays."""
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
+    outdir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            if not path.is_dir():
+                path.unlink(missing_ok=True)
+        for directory in created:
+            directory.rmdir()
+        raise
+
+
 def simulate_session(config: ExperimentConfig, outdir: str | Path) -> Path:
     """Simulate every run of `plan_runs` into its two tag files, then write
     the records as the manifest; returns its path. A session is written
-    whole or not at all: on any error the files written so far are removed,
-    and the directories this call created, before it propagates."""
+    whole or not at all (`whole_or_nothing`)."""
     outdir = Path(outdir)
-    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
-    outdir.mkdir(parents=True, exist_ok=True)
     records = plan_runs(config)
-    written: list[Path] = []
-    try:
+    with whole_or_nothing(outdir) as written:
         for meta in records:
             run = simulate_run(config, meta["index"])
             streams = {outdir / meta["file_a"]: run.tags_a, outdir / meta["file_b"]: run.tags_b}
@@ -253,12 +270,6 @@ def simulate_session(config: ExperimentConfig, outdir: str | Path) -> Path:
         manifest_path = outdir / "manifest.json"
         written.append(manifest_path)
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        for directory in created:
-            directory.rmdir()
-        raise
     return manifest_path
 
 
@@ -290,12 +301,24 @@ def _zero_counts(config: ExperimentConfig) -> ana.SlotCounts:
     )
 
 
+def _expected_residual(config: ExperimentConfig) -> float:
+    """The clock fit's residual_rms for an intact run, in seconds: the two
+    stations' clock jitter and the rounding of two stamps to the 1 ps grid
+    (1/sqrt(6) ps), in quadrature."""
+    return math.hypot(
+        config.station_a.clock.jitter_sigma,
+        config.station_b.clock.jitter_sigma,
+        1 / math.sqrt(6) / PS_PER_SECOND,
+    )
+
+
 def process_run(run: RunData, config: ExperimentConfig) -> RunProducts:
-    """Sync, assign, match and bin one run's tag streams."""
+    """Sync, assign, match and bin one run's tag streams. A run whose
+    triggers do not follow one clock relation raises ClockFitError."""
     trig_a = run.tags_a.times_ps[run.tags_a.channels == CHANNEL_TRIGGER]
     trig_b = run.tags_b.times_ps[run.tags_b.channels == CHANNEL_TRIGGER]
     offset = sy.align_pulse_numbering(trig_a, trig_b)
-    fit = sy.fit_clock_relation(trig_a, trig_b, offset)
+    fit = sy.fit_clock_relation(trig_a, trig_b, offset, _expected_residual(config))
 
     delay_a, delay_b = config.trigger_delays_ps
     det_a = sy.assign_to_pulses(run.tags_a, trig_a, delay_a)
@@ -647,64 +670,65 @@ REPORT_ZOOM_NS = 100.0  # the zoom CSVs hold the slots starting before this
 def write_report_bundle(summary: SessionSummary, outdir: str | Path) -> list[Path]:
     """Plot-ready CSV subsets: full-period and first-REPORT_ZOOM_NS series for
     S, eta and the product at detector A+; the 16-type coincidence grid; plus
-    a comparison table of plateau values against configured expectations."""
+    a comparison table of plateau values against configured expectations.
+    Written whole or not at all (`whole_or_nothing`); returns the paths."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    series, counts = summary.series, summary.counts
-    if series is None:
-        p = outdir / "scan_curves.csv"
-        _write_csv(p, {
-            "beta_rad": _formatted(counts.setting_angles[:, 1]),
-            **dict(zip(["n_pp", "n_pm", "n_mp", "n_mm"], counts.totals().T.tolist())),
-        })
-        return [p]
-
-    # Each series file is three slots.csv columns under new headers; a zoom
-    # file holds the leading rows, the slots that start before REPORT_ZOOM_NS.
-    slots = _slot_columns(series)
-    n_zoom = int(np.count_nonzero(counts.grid.starts() * 1e9 < REPORT_ZOOM_NS))
-    for tag, n_rows in (("full", counts.grid.n_slots), ("zoom", n_zoom)):
-        for stem, header, name in (
-            ("s_chsh", "S", "S"),
-            ("eta_Aplus", "eta", "eta_A+"),
-            ("product_Aplus", "product", "product_A+"),
-        ):
-            p = outdir / f"{stem}_{tag}.csv"
-            picked = {"t_center_ns": "t_center_ns", header: name, "sigma": f"sigma_{name}"}
-            _write_csv(p, {new: slots[old][:n_rows] for new, old in picked.items()})
+    with whole_or_nothing(outdir) as written:
+        series, counts = summary.series, summary.counts
+        if series is None:
+            p = outdir / "scan_curves.csv"
             written.append(p)
+            _write_csv(p, {
+                "beta_rad": _formatted(counts.setting_angles[:, 1]),
+                **dict(zip(["n_pp", "n_pm", "n_mp", "n_mm"], counts.totals().T.tolist())),
+            })
+            return written
 
-    # Long format: setting, then outcome, then slot varies fastest.
-    n_settings, n_slots, n_outcomes = counts.coincidences.shape
-    p = outdir / "coincidences_16types.csv"
-    _write_csv(p, {
-        "setting": np.repeat(counts.setting_labels, n_outcomes * n_slots).tolist(),
-        "outcome": np.tile(np.repeat(OUTCOME_LABELS, n_slots), n_settings).tolist(),
-        "slot": np.tile(np.arange(n_slots), n_settings * n_outcomes).tolist(),
-        "t_center_ns": slots["t_center_ns"] * (n_settings * n_outcomes),
-        "counts": counts.coincidences.transpose(0, 2, 1).ravel().tolist(),
-    })
-    written.append(p)
+        # Each series file is three slots.csv columns under new headers; a zoom
+        # file holds the leading rows, the slots that start before REPORT_ZOOM_NS.
+        slots = _slot_columns(series)
+        n_zoom = int(np.count_nonzero(counts.grid.starts() * 1e9 < REPORT_ZOOM_NS))
+        for tag, n_rows in (("full", counts.grid.n_slots), ("zoom", n_zoom)):
+            for stem, header, name in (
+                ("s_chsh", "S", "S"),
+                ("eta_Aplus", "eta", "eta_A+"),
+                ("product_Aplus", "product", "product_A+"),
+            ):
+                p = outdir / f"{stem}_{tag}.csv"
+                written.append(p)
+                picked = {"t_center_ns": "t_center_ns", header: name, "sigma": f"sigma_{name}"}
+                _write_csv(p, {new: slots[old][:n_rows] for new, old in picked.items()})
 
-    p = outdir / "plateau_vs_expected.txt"
-    pl, exp = summary.blocks["plateau"], summary.blocks["expectations"]
-    lines = [
-        "quantity            measured          expected",
-        f"time-avg S          {pl['time_avg_s']:.4f} +- {pl['time_dispersion_s']:.4f}"
-        f"  {exp['s_ideal']:.4f}",
-        f"all-data S          {pl['all_data_s']:.4f} +- {pl['all_data_s_sigma']:.4f}"
-        f"  {exp['s_ideal']:.4f}",
-    ]
-    for det in ana.DETECTOR_KEYS:
-        lines.append(
-            f"time-avg eta {det}     {pl['time_avg_eta'][det]:.4f} +- "
-            f"{pl['time_dispersion_eta'][det]:.4f}  {exp['eta0'][det]:.4f}"
-        )
-        lines.append(
-            f"all-data eta {det}     {pl['all_data_eta'][det]:.4f} +- "
-            f"{pl['all_data_eta_sigma'][det]:.4f}  (< in-pulse with darks on)"
-        )
-    p.write_text("\n".join(lines) + "\n")
-    written.append(p)
+        # Long format: setting, then outcome, then slot varies fastest.
+        n_settings, n_slots, n_outcomes = counts.coincidences.shape
+        p = outdir / "coincidences_16types.csv"
+        written.append(p)
+        _write_csv(p, {
+            "setting": np.repeat(counts.setting_labels, n_outcomes * n_slots).tolist(),
+            "outcome": np.tile(np.repeat(OUTCOME_LABELS, n_slots), n_settings).tolist(),
+            "slot": np.tile(np.arange(n_slots), n_settings * n_outcomes).tolist(),
+            "t_center_ns": slots["t_center_ns"] * (n_settings * n_outcomes),
+            "counts": counts.coincidences.transpose(0, 2, 1).ravel().tolist(),
+        })
+
+        pl, exp = summary.blocks["plateau"], summary.blocks["expectations"]
+        lines = [
+            "quantity            measured          expected",
+            f"time-avg S          {pl['time_avg_s']:.4f} +- {pl['time_dispersion_s']:.4f}"
+            f"  {exp['s_ideal']:.4f}",
+            f"all-data S          {pl['all_data_s']:.4f} +- {pl['all_data_s_sigma']:.4f}"
+            f"  {exp['s_ideal']:.4f}",
+        ]
+        for det in ana.DETECTOR_KEYS:
+            lines.append(
+                f"time-avg eta {det}     {pl['time_avg_eta'][det]:.4f} +- "
+                f"{pl['time_dispersion_eta'][det]:.4f}  {exp['eta0'][det]:.4f}"
+            )
+            lines.append(
+                f"all-data eta {det}     {pl['all_data_eta'][det]:.4f} +- "
+                f"{pl['all_data_eta_sigma'][det]:.4f}  (< in-pulse with darks on)"
+            )
+        p = outdir / "plateau_vs_expected.txt"
+        written.append(p)
+        p.write_text("\n".join(lines) + "\n")
     return written

@@ -15,15 +15,14 @@ A's. Each generator is used by one thread at a time, in its serial order,
 and each stage reads only what the stages before it returned, so the tags
 cannot depend on how the threads are scheduled.
 
-The draws with one value per pulse or per tag (pairs per pulse, clock
-jitter) are taken DRAW_CHUNK values at a time from the same generator, so no
-pulse-length temporary exists for them: the jitter goes straight into the
-buffer its stream is built in. Generator.normal fills sequentially, and the
-pairs per pulse are read from the source generator's uniforms as
-Generator.poisson would use them (Knuth's chains, see _pair_pulses): either
-way consecutive blocks give the values of one whole draw and leave the
-generator where it would, so the tags depend neither on DRAW_CHUNK nor on
-which thread drew a block.
+No pulse-length temporary exists for the draws with one value per pulse or
+per tag. A clock's jitter goes straight into the buffer its stream is built
+in, in two calls (the triggers', then the events'), which Generator fills
+sequentially. The pairs per pulse are read DRAW_CHUNK pulses at a time from
+the source generator's uniforms as Generator.poisson would use them
+(Knuth's chains, see _pair_pulses). Either way the values are those of one
+whole draw, and the generator ends where that draw leaves it, so the tags
+depend neither on DRAW_CHUNK nor on which thread drew what.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ CHANNEL_TRIGGER = 3
 
 PS_PER_SECOND = 1e12
 
-# Values per draw for the pulse- and tag-length random streams.
+# Pulses or tags per step of the pairs-per-pulse draw and the clock transform.
 DRAW_CHUNK = 1 << 16
 
 
@@ -274,47 +273,38 @@ class _ClockBuffer:
     holding that clock's jitter: one value per tag (the events, then the
     triggers), drawn from the station's clock generator.
 
-    The first `target` values (n_pulses for a jittered clock, as every
-    stream holds its triggers) can be drawn before the events are known;
-    `take` draws the rest once they are. The buffer grows with the draws,
-    DRAW_CHUNK values at a time, by ndarray.resize: glibc's realloc extends
-    a large block by remapping its pages, not by copying them. It starts
-    empty because numpy advises huge pages for an array allocated large, and
-    realloc then copied it (28 ms per 40 MB on a 2-core x86_64 VM, Linux
-    6.18). An ideal clock's buffer is all zeros, allocated when taken.
+    The first n_pulses values of a jittered clock (every stream holds its
+    triggers) can be drawn before the events are known; `take` draws the
+    rest once they are. The buffer grows to each target by
+    ndarray.resize: glibc's realloc extends a large block by remapping its
+    pages, not by copying them. It starts empty because numpy advises huge
+    pages for an array allocated large, and realloc then copied it (28 ms
+    per 40 MB on a 2-core x86_64 VM, Linux 6.18). An ideal clock's buffer is
+    all zeros, allocated when taken.
     """
 
-    def __init__(self, clock: ClockModel, seed, n_pulses: int) -> None:
+    def __init__(self, clock: ClockModel, seed) -> None:
         self.clock = clock
         self.rng = np.random.default_rng(seed)
         self.values = np.empty(0)
-        self.target = n_pulses if clock.jitter_sigma > 0 else 0
 
-    def draw_block(self) -> bool:
-        """Draw the next block of jitter; False once `target` values are in.
-        sigma * standard_normal is what Generator.normal(0, sigma) returns,
-        without a temporary."""
-        lo = self.values.size
-        hi = min(lo + DRAW_CHUNK, self.target)
-        if hi <= lo:
-            return False
-        self.values.resize(hi, refcheck=False)
-        block = self.values[lo:]
-        self.rng.standard_normal(out=block)
-        block *= self.clock.jitter_sigma
-        return True
-
-    def fill(self) -> _ClockBuffer:
-        while self.draw_block():
-            pass
+    def fill(self, n: int) -> _ClockBuffer:
+        """Grow a jittered clock's buffer to `n` values and draw the new ones
+        in one call. sigma * standard_normal is what Generator.normal(0,
+        sigma) returns, without a temporary."""
+        drawn = self.values.size
+        if self.clock.jitter_sigma > 0 and n > drawn:
+            self.values.resize(n, refcheck=False)
+            new = self.values[drawn:]
+            self.rng.standard_normal(out=new)
+            new *= self.clock.jitter_sigma
         return self
 
     def take(self, n: int) -> np.ndarray:
         """Hand over the buffer at `n` values, all drawn. Nothing may hold a
         view of it while it grows (resize with refcheck=False)."""
         if self.clock.jitter_sigma > 0:
-            self.target = n
-            values = self.fill().values
+            values = self.fill(n).values
         else:
             # written, not calloc'd: the add into the buffer would first read
             # calloc's untouched pages, then fault again to write them
@@ -498,8 +488,8 @@ def emit_events(
     uniforms parsed into Knuth's Poisson chains per DRAW_CHUNK pulses, the
     values and generator state of Generator.poisson) while the caller builds
     the trigger train. The worker then draws the first n_pulses jitter values
-    of each jittered clock into its stream buffer while the caller takes the
-    source generator back for the envelope times and
+    of each jittered clock into its stream buffer, in one call each, while
+    the caller takes the source generator back for the envelope times and
     outcomes. Station B's events and stream are built on the worker, from B's
     own generators, while the caller builds A's; each stream draws its last
     jitter values (one per event) itself. The pair-length arrays are dropped
@@ -515,7 +505,7 @@ def emit_events(
     key_det_b, key_clk_b = key_b.spawn(2)
     rng_src = np.random.default_rng(key_source)
     clocks = [
-        _ClockBuffer(station.clock, key, n_pulses)
+        _ClockBuffer(station.clock, key)
         for station, key in zip(stations, (key_clk_a, key_clk_b))
     ]
 
@@ -524,7 +514,7 @@ def emit_events(
     starts = _starts_of(periods)
     duration = float(np.sum(periods))
     pulse_idx = pairs.result()
-    filled = worker.submit(lambda: [clock.fill() for clock in clocks])
+    filled = worker.submit(lambda: [clock.fill(n_pulses) for clock in clocks])
 
     k = pulse_idx.size
     t_emit = _sample_pulse_envelope(rng_src, k, plan)

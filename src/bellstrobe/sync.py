@@ -13,13 +13,13 @@ That trigger is read off the detection's place in the station's sorted tag
 stream (the trigger tags before it) and checked against the trigger train;
 only detections the check refutes are binary-searched.
 
-Only the clock fit uses a second thread: each of its three passes runs its
-chunks on the calling thread and the process's one persistent worker thread
-(`worker.map_chunks`), through scratch arrays allocated on the calling
-thread. A chunk's partial sums come from the same numpy calls on the same
-values whichever thread computes them, and they are added in chunk order, so
-the fit is bit for bit that of a serial loop. Everything else runs on the
-calling thread.
+Only the clock fit uses a second thread: each of its three passes splits its
+chunks in two halves, the first for the calling thread and the later for the
+process's one persistent worker thread (`worker.map_chunks`), each through
+scratch arrays allocated on the calling thread. A chunk's partial sums come
+from the same numpy calls on the same values whichever thread computes them,
+and they are added in chunk order, so the fit is bit for bit that of a
+serial loop. Everything else runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -47,6 +47,15 @@ MARGIN = 1.5
 ALIGN_NFFT = 33_750
 FIT_CHUNK = 1 << 15  # matched trigger pairs per step of each fit_clock_relation pass
 MAX_RATE_OFFSET = 1e-3  # ClockFit refuses |rate_ratio - 1| at or beyond this
+# fit_clock_relation refuses a residual_rms above MAX_RESIDUAL_RATIO times the
+# expected residual it is given. An intact run's residual over n matched pairs
+# is the expected one within a relative 1/sqrt(2n): under 1 % for the 12,700
+# or more pairs of the FM pattern alignment needs. The rounding of two 1 ps
+# stamps (1/sqrt(6) ps expected) keeps them within 1 ps of each other, below
+# 3/sqrt(6) = 1.22 ps, so ideal clocks stay under the gate too. One trigger
+# lost or gained moves every later pair by a whole period (2 us by default),
+# 10**2 to 10**4 times the expected residual.
+MAX_RESIDUAL_RATIO = 3.0
 
 
 def percentile(values: np.ndarray, q, overwrite_input: bool = False) -> np.ndarray:
@@ -97,7 +106,8 @@ class AlignmentAmbiguousError(SyncError):
 
 class ClockFitError(SyncError, ValueError):
     """The fitted clock relation is implausible (rate far from 1, or a
-    non-finite residual); the run cannot be synchronized."""
+    residual that is not finite or far above the expected one); the run
+    cannot be synchronized."""
 
 
 @dataclass(frozen=True)
@@ -218,7 +228,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def fit_clock_relation(
-    triggers_a: np.ndarray, triggers_b: np.ndarray, pulse_offset: int
+    triggers_a: np.ndarray,
+    triggers_b: np.ndarray,
+    pulse_offset: int,
+    expected_rms: float | None = None,
 ) -> ClockFit:
     """Least-squares affine fit of B's trigger times (ps) against A's.
 
@@ -236,6 +249,10 @@ def fit_clock_relation(
 
     FIT_CHUNK is read at each call. Each pass runs on two threads, and its
     per-chunk results are combined in chunk order (see the module docstring).
+
+    Given `expected_rms`, the residual an intact run has (seconds), a
+    residual_rms above MAX_RESIDUAL_RATIO times it raises ClockFitError
+    naming both: the triggers do not follow one clock relation.
     """
     k0 = max(0, -pulse_offset)
     k1 = min(triggers_b.size, triggers_a.size - pulse_offset)
@@ -310,12 +327,19 @@ def fit_clock_relation(
         sq += part
     # t_B = tb0 + x + z, with x = t_A - ta0 and z = zm + drift * (x - xm)
     intercept_ps = z0 + zm - drift * (x0 + xm)
-    return ClockFit(
+    fit = ClockFit(
         pulse_offset=int(pulse_offset),
         time_offset=intercept_ps / PS_PER_SECOND,
         rate_ratio=1.0 + drift,
         residual_rms=math.sqrt(sq / n) / PS_PER_SECOND,
     )
+    if expected_rms is not None and fit.residual_rms > MAX_RESIDUAL_RATIO * expected_rms:
+        raise ClockFitError(
+            f"clock fit residual_rms {fit.residual_rms:.3g} s exceeds "
+            f"{MAX_RESIDUAL_RATIO:g} x the expected residual {expected_rms:.3g} s: "
+            "the triggers do not follow one clock relation"
+        )
+    return fit
 
 
 def assign_to_pulses(

@@ -20,13 +20,16 @@ Records are sorted by timestamp, ties broken by ascending channel; duplicate
 (timestamp, channel) pairs are invalid. File size is exactly 40 + 16*N bytes.
 
 The writer runs on the calling thread. The reader reads, checks and unpacks
-its chunks of CHUNK_RECORDS records on the calling thread and the process's
-one persistent worker thread (`worker.map_chunks`), each thread through its
-own buffers, allocated on the calling thread. A chunk's work depends only on
-the file's bytes, and it writes only its own slice of the output arrays, so
-the arrays cannot depend on which thread read which chunk or in what order
-the chunks finished; the error raised is the one of the first chunk in
-record order that holds one, as in a serial read.
+its chunks of CHUNK_RECORDS records in two halves (`worker.map_chunks`): the
+first half of the file on the calling thread, the later half on the
+process's one persistent worker thread, each through its own buffers,
+allocated on the calling thread. A chunk's work depends only on the file's
+bytes, and it writes only its own slice of the output arrays, so the arrays
+cannot depend on which thread finished first; the error raised is the one of
+the first chunk in record order that holds one, as in a serial read. The
+later half is read to its end or its own first error even when the first
+half has failed, so the later half of a file corrupt early is still read
+before the error is raised.
 """
 
 from __future__ import annotations

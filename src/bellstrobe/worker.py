@@ -1,11 +1,12 @@
-"""The process's one worker thread, and the chunk map that shares work with it.
+"""The process's one worker thread, and the chunk map that splits work with it.
 
-Every two-thread pattern of the package runs its second thread's work here:
-the stages `sim.emit_events` hands off, and, through `map_chunks`, the
-chunk loops of the tag reader and of the clock fit. The worker is one
-ThreadPoolExecutor(1), started on first use and kept for the life of the
-process, so no call starts a thread of its own or joins one. Callers keep
-their own work, and every traced function, on their own thread.
+Every two-thread pattern of the package is a fixed split of work between
+the caller and this thread: the stages `sim.emit_events` hands off, and,
+through `map_chunks`, the later half of the tag reader's and the clock fit's
+chunks. The worker is one ThreadPoolExecutor(1), started on first use and
+kept for the life of the process, so no call starts a thread of its own or
+joins one. Callers keep their own work, and every traced function, on their
+own thread.
 
 A task submitted from the worker thread itself runs at once, inline, so no
 worker task ever waits on a task queued behind it. A process whose pid
@@ -59,42 +60,31 @@ def map_chunks(
     """[fn(start, stop, buffers) for each chunk [start, stop) of range(n)
     holding `size` items], in chunk order.
 
-    With more than one chunk, the caller and the worker thread take chunks
-    in order from one shared queue; the caller hands fn scratch[0] and the
-    worker scratch[1], buffers the caller allocated, so the worker allocates
+    With k >= 2 chunks the work is split once: the caller loops over the
+    first ceil(k/2) chunks with scratch[0], the worker thread over the rest
+    with scratch[1]. The buffers are the caller's, so the worker allocates
     nothing chunk-sized if fn writes through them. One chunk runs on the
     caller alone. fn must not depend on which thread runs it, or on the
-    other chunks: each result is then what a serial loop computes, and the
-    results come back in chunk order, not in the order they finish.
+    other chunks: each result is then what a serial loop computes.
 
-    If fn raises, no chunk past the failing one is started, the ones before
-    it are finished, and the exception of the lowest failing chunk is
-    raised, the one a serial loop would raise.
+    The caller waits for the worker's half before it returns or raises, as
+    fn may write into the caller's arrays or read its file. Each half stops
+    at its first failing chunk. The caller's exception wins, since its half
+    holds the lower chunks, so the one raised is a serial loop's. The
+    caller's failure does not cut the worker's half short: a file corrupt in
+    its first half still has its later half read before the error is raised.
     """
     starts = range(0, n, size)
-    results = [None] * len(starts)
-    errors: dict[int, Exception] = {}
-    todo = iter(range(len(starts)))
-    lock = threading.Lock()  # guards todo and errors
 
-    def work(buffers) -> None:
-        while True:
-            with lock:
-                i = next(todo, None)
-                if i is None or (errors and i > min(errors)):
-                    return
-            try:
-                results[i] = fn(starts[i], min(starts[i] + size, n), buffers)
-            except Exception as exc:
-                with lock:
-                    errors[i] = exc
+    def run(half: range, buffers) -> list:
+        return [fn(start, min(start + size, n), buffers) for start in half]
 
-    if len(starts) > 1:
-        done = submit(work, scratch[1])
-        work(scratch[0])
-        done.result()
-    else:
-        work(scratch[0])
-    if errors:
-        raise errors[min(errors)]
-    return results
+    if len(starts) < 2:
+        return run(starts, scratch[0])
+    mid = -(-len(starts) // 2)
+    later = submit(run, starts[mid:], scratch[1])
+    try:
+        first = run(starts[:mid], scratch[0])
+    finally:
+        later.exception()  # waits for the worker's half; raises nothing
+    return first + later.result()

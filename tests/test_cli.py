@@ -265,6 +265,49 @@ def test_one_corrupted_input_exits_0_or_2_with_one_error_line(contract_session, 
         assert contract_violations(directory, mutation, Path(work)) == []
 
 
+# --- A write that fails -------------------------------------------------------
+
+
+class TestAFailedWriteWritesNothing:
+    """`analyze` and `report` write their outputs whole or not at all: a
+    directory standing where one of their files goes stops them after they
+    wrote the files before it, and they remove those again, and the
+    directories they created, before they exit 2."""
+
+    @staticmethod
+    def exits_2_leaving(argv, out, capsys, left):
+        assert cli.main(argv) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert sorted(out.rglob("*")) == left
+
+    @pytest.mark.parametrize("blocked", ["summary.json", "counts.npz"])
+    def test_analyze(self, contract_session, tmp_path, capsys, blocked):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        argv = ["analyze", str(contract_session[0] / "manifest.json"), "--output", str(out)]
+        self.exits_2_leaving(argv, out, capsys, [out / blocked])
+
+    def test_report(self, contract_session, tmp_path, capsys):
+        out = tmp_path / "report"
+        blocked = "plateau_vs_expected.txt"  # the last file written
+        (out / blocked).mkdir(parents=True)
+        argv = ["report", str(contract_session[0] / "summary.json"), "--output", str(out)]
+        self.exits_2_leaving(argv, out, capsys, [out / blocked])
+
+    def test_the_directories_a_failed_analyze_created_are_removed(
+        self, monkeypatch, contract_session, tmp_path, capsys
+    ):
+        def disk_full(summary, path, stamp=None):
+            Path(path).write_text("{")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_summary_json", disk_full)
+        out = tmp_path / "new" / "out"
+        argv = ["analyze", str(contract_session[0] / "manifest.json"), "--output", str(out)]
+        self.exits_2_leaving(argv, tmp_path, capsys, [])
+
+
 # --- An allocation that fails ------------------------------------------------
 
 

@@ -54,7 +54,7 @@ def local_stream(channels, times_s, trigger_starts, clock, seed, drawn=0):
     """_local_stream with `clock`'s buffer on the generator of `seed`, its
     first `drawn` jitter values drawn beforehand, as emit_events draws them
     while the pairs are drawn."""
-    buffer = _ClockBuffer(clock, seed, drawn).fill()
+    buffer = _ClockBuffer(clock, seed).fill(drawn)
     return _local_stream(channels, times_s, trigger_starts, buffer)
 
 
@@ -352,8 +352,9 @@ class TestLocalStream:
 
 
 class TestDrawBlocks:
-    """The pulse- and tag-length draws come DRAW_CHUNK values at a time and
-    must equal one whole draw, on both sides of every block boundary."""
+    """The pairs per pulse are drawn, and the clock transform applied,
+    DRAW_CHUNK values at a time; both must equal one whole pass, on both
+    sides of every block boundary."""
 
     N_PULSES = [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 3]
     # the presets' 0.106-0.35 and both sides of ln 2, where e^-pair_yield
@@ -540,18 +541,19 @@ class TestJitterHandover:
         # jitter values drawn ahead of the events (below n_pulses), by thread
         ahead = {"caller": 0, "worker": 0}
         pairs_in, taken = threading.Event(), threading.Event()
-        draw_block, take, pair_pulses, starts_of = (
-            _ClockBuffer.draw_block, _ClockBuffer.take, sim._pair_pulses, sim._starts_of
+        fill, take, pair_pulses, starts_of = (
+            _ClockBuffer.fill, _ClockBuffer.take, sim._pair_pulses, sim._starts_of
         )
 
-        def counted_draw_block(buffer):
+        def counted_fill(buffer, n):
             caller = threading.current_thread() is threading.main_thread()
-            if buffer.target > buffer.values.size and not caller and not ahead["worker"]:
+            drawing = buffer.clock.jitter_sigma > 0 and n > buffer.values.size
+            if drawing and not caller and not ahead["worker"]:
                 taken.wait(0.05)  # time for a caller that takes a buffer too early
             lo = min(buffer.values.size, self.N_PULSES)
-            drew = draw_block(buffer)
+            filled = fill(buffer, n)
             ahead["caller" if caller else "worker"] += min(buffer.values.size, self.N_PULSES) - lo
-            return drew
+            return filled
 
         def flagged_take(buffer, n):
             taken.set()
@@ -569,7 +571,7 @@ class TestJitterHandover:
             time.sleep(0.05)
             return starts_of(periods)
 
-        monkeypatch.setattr(_ClockBuffer, "draw_block", counted_draw_block)
+        monkeypatch.setattr(_ClockBuffer, "fill", counted_fill)
         monkeypatch.setattr(_ClockBuffer, "take", flagged_take)
         monkeypatch.setattr(sim, "_pair_pulses", timed_pair_pulses)
         if pairs_finish == "at_once":

@@ -341,6 +341,20 @@ class TestClockFit:
         fit = fit_clock_relation(a, b, 0)
         assert fit.residual_rms == pytest.approx(2e-9 * math.sqrt(2), rel=0.10)
 
+    def test_a_residual_past_the_gate_is_refused_naming_both_numbers(self, global_starts, rng):
+        a = trigger_times(global_starts, ClockModel(jitter_sigma=2e-11), rng)
+        b = trigger_times(global_starts, ClockModel(offset=1e-3, jitter_sigma=2e-11), rng)
+        expected = 2e-11 * math.sqrt(2)
+        intact = fit_clock_relation(a, b, 0, expected)
+        assert intact.residual_rms == pytest.approx(expected, rel=0.05)
+        lost = np.delete(b, b.size // 2)  # one trigger lost at B
+        rms = fit_clock_relation(a, lost, 0).residual_rms
+        assert rms > 100 * sync.MAX_RESIDUAL_RATIO * expected
+        with pytest.raises(ClockFitError) as refused:
+            fit_clock_relation(a, lost, 0, expected)
+        assert f"{rms:.3g} s" in str(refused.value)
+        assert f"{expected:.3g} s" in str(refused.value)
+
     def test_too_few_pairs(self, global_starts):
         a = trigger_times(global_starts[:5], ClockModel())
         with pytest.raises(SyncError):

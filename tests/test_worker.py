@@ -1,13 +1,17 @@
 """The process's one worker thread: a task submitted from the worker runs
 inline, one worker is started however many threads use it first, and a
-changed pid starts a fresh worker."""
+changed pid starts a fresh worker. `map_chunks` is a serial loop split in two
+fixed halves, and waits for the worker's half."""
 
 import io
+import itertools
 import math
 import os
 import threading
+import time
 
 import numpy as np
+import pytest
 
 from bellstrobe import worker
 from bellstrobe.model import AngleSetting
@@ -49,6 +53,81 @@ def test_map_chunks_run_as_a_task_on_the_worker_equals_a_caller_call():
     ]
     # inline: every chunk ran on the worker thread
     assert {ident for _, ident in on_worker} == {worker_ident}
+
+
+class ChunkError(Exception):
+    """Raised by the chunk starting at args[0]."""
+
+
+def serial_outcome(n, size, failing):
+    """What a serial loop over the chunks of range(n) returns, or the args of
+    the error it raises, for chunks that return (start, stop) and raise
+    ChunkError at each start in `failing`."""
+    starts = range(0, n, size)
+    bad = [start for start in starts if start in failing]
+    return ("raised", (bad[0],)) if bad else [(s, min(s + size, n)) for s in starts]
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_map_chunks_is_a_serial_loop_split_in_two_fixed_halves(k):
+    # every set of failing chunks: none, some in the caller's half, some in
+    # the worker's, and some in both
+    size = 3
+    n = max(size * k - 1, 0)  # the last chunk is short
+    half = -(-k // 2)
+    idents = (threading.get_ident(), worker.submit(threading.get_ident).result(TIMEOUT))
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(k), r) for r in range(k + 1)
+    )
+    for failing in subsets:
+        failing = {size * i for i in failing}
+        ran = {}
+
+        def fn(start, stop, buffers):
+            ran[start // size] = (buffers, threading.get_ident())
+            if start in failing:
+                raise ChunkError(start)
+            return start, stop
+
+        try:
+            got = worker.map_chunks(fn, n, size, ["first", "later"])
+        except ChunkError as exc:
+            got = ("raised", exc.args)
+        assert got == serial_outcome(n, size, failing), failing
+        # each half is a loop that stops at its first failure, on its own thread
+        first_stop = min([i for i in range(half) if size * i in failing], default=half - 1)
+        later_stop = min([i for i in range(half, k) if size * i in failing], default=k - 1)
+        assert set(ran) == {*range(first_stop + 1), *range(half, later_stop + 1)}, failing
+        for i, (buffers, ident) in ran.items():
+            later = i >= half
+            assert buffers == ("later" if later else "first") and ident == idents[later]
+
+
+@pytest.mark.parametrize("failing", ["none", "caller", "worker", "both"])
+def test_map_chunks_neither_returns_nor_raises_while_the_worker_s_half_runs(failing):
+    # chunk 0 is the caller's, chunk 1 the worker's; the caller's half ends
+    # while the worker's chunk is still running
+    started, finished = threading.Event(), threading.Event()
+
+    def fn(start, stop, buffers):
+        if start == 0:
+            assert started.wait(TIMEOUT)
+            if failing in ("caller", "both"):
+                raise ChunkError(start)
+        else:
+            started.set()
+            time.sleep(0.2)
+            finished.set()
+            if failing in ("worker", "both"):
+                raise ChunkError(start)
+        return start
+
+    try:
+        assert worker.map_chunks(fn, 2, 1, [None, None]) == [0, 1]
+        assert failing == "none"
+    except ChunkError as exc:
+        assert exc.args == ((1,) if failing == "worker" else (0,))
+    assert finished.is_set()
 
 
 def test_emit_events_run_as_a_task_on_the_worker_equals_a_caller_call():
