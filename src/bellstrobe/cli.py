@@ -1,15 +1,15 @@
-"""Command-line entry points: simulate, analyze, report, selftest.
+"""Command-line entry points: simulate, analyze, report.
 
 Configuration comes from a JSON file (schema documented in
 docs/output-schemas.md); individual fields can be overridden with repeated
 --set dotted.path=value flags. The output root defaults to the BELLSTROBE_OUT
 environment variable, then to the current directory.
 
-Exit codes: 0 ok, 1 a selftest check failed, 2 a usage, config or library
-error, or an allocation that failed (reported as one `error: ...` line on
-stderr; `error: out of memory: ...` for the last). A command that fails
-writes nothing: `simulate`, `analyze` and `report` remove the files they
-wrote, and the directories they created, before they exit 2.
+Exit codes: 0 ok, 2 a usage, config or library error, or an allocation
+that failed (reported as one `error: ...` line on stderr; `error: out of
+memory: ...` for the last). A command that fails writes nothing:
+`simulate`, `analyze` and `report` remove the files they wrote, and the
+directories they created, before they exit 2.
 
 `main` keeps the memory a run frees on the heap for the next run (glibc's
 `mallopt`); the library leaves its host process's allocator alone.
@@ -21,15 +21,11 @@ import argparse
 import ctypes
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from . import model
 from .analysis import AnalysisError
 from .config import ConfigError, ExperimentConfig, apply_overrides, desk_default
 from .session import (
@@ -142,65 +138,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check(name: str, ok: bool, detail: str = "") -> bool:
-    print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
-    return ok
-
-
-def cmd_selftest(args: argparse.Namespace) -> int:
-    """Fast subset of the acceptance checks (the full set lives in the test
-    suite; run `pytest tests/test_acceptance.py -v`)."""
-    from . import coinc, tagfmt
-    from .sim import PulsePlan
-
-    ok = True
-    acc = coinc.accidental_estimate(200.0, 200.0, 4e-9, 30.0)
-    ok &= _check("accidental estimate", math.isclose(acc, 4.8e-3), f"{acc:.4g}")
-
-    n1 = model.min_counts_for_gap(0.052, 1.0)
-    n3 = model.min_counts_for_gap(0.052, 3.0)
-    ok &= _check("significance thresholds", n1 == 370 and n3 == 3329, f"{n1}, {n3}")
-
-    s = model.chsh_ideal(model.visibility_from_contrast(100.0))
-    ok &= _check("contrast calibration", abs(s - 2.772) < 0.005, f"S = {s:.4f}")
-
-    scan = model.scan_qm_classical_gap()
-    at_quad = model.qm_classical_gap()
-    ok &= _check(
-        "quantum-classical gap",
-        abs(scan - 0.052) < 1e-3 and abs(at_quad - 0.052) < 1e-3,
-        f"scan {scan:.4f}, at pi/8 {at_quad:.4f}",
-    )
-
-    rng = np.random.default_rng(7)
-    n = 10_000
-    deltas = np.cumsum(rng.integers(1, 1000, n).astype(np.uint64))
-    channels = rng.integers(1, 4, n).astype(np.uint8)
-    order = np.lexsort((channels, deltas))
-    import io
-
-    buf = io.BytesIO()
-    size = tagfmt.write_tags(
-        tagfmt.TagFileHeader(station_id=0, record_count=n),
-        (channels[order], deltas[order]),
-        buf,
-    )
-    _, ch2, t2 = tagfmt.read_tag_arrays(buf.getvalue())
-    ok &= _check(
-        "tag format round trip",
-        size == 40 + 16 * n
-        and np.array_equal(ch2, channels[order])
-        and np.array_equal(t2.astype(np.uint64), deltas[order]),
-        f"{size} bytes",
-    )
-
-    starts = PulsePlan().start_times(3)  # the first FM bits are 0
-    ok &= _check("trigger train", np.allclose(starts, [0.0, 2e-6, 4e-6]))
-
-    print("selftest:", "all checks passed" if ok else "FAILURES above")
-    return 0 if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellstrobe",
@@ -239,9 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rep.add_argument("--output", help="report directory")
     p_rep.set_defaults(func=cmd_report)
-
-    p_self = sub.add_parser("selftest", help="run the quick acceptance subset")
-    p_self.set_defaults(func=cmd_selftest)
     return parser
 
 

@@ -19,10 +19,11 @@ import numpy as np
 
 from . import sync as sy
 from .model import Geometry, SettingsQuad, TransientModel
-from .sim import PS_PER_SECOND, PulsePlan, SourceConfig, StationConfig
+from .sim import KEY_RANGE_PS, PS_PER_SECOND, PulsePlan, SourceConfig, StationConfig
 
 SCHEMA_VERSION = 1
 MAX_SLOTS = 1 << 16  # slots per base period in chsh_4 mode
+GAUSS_REACH = 10.0  # standard deviations a Gaussian draw is taken to stay within
 
 
 class ConfigError(ValueError):
@@ -141,9 +142,31 @@ class ExperimentConfig:
                 f"analysis.slot_width ({slot_ps} ps) cuts pulses.base_period "
                 f"({period_ps} ps) into {period_ps // slot_ps} slots, more than {MAX_SLOTS}"
             )
+        # every tag's local time must fit the simulator's sort key: a run's
+        # latest true time (its pulses at the longer FM period, the last
+        # pulse, the trigger delay and the detector jitter) through the clock
+        n_pulses, plan = self.pulses_per_run(), self.pulses
+        run = n_pulses * plan.base_period * (1.0 + plan.fm_lengthen_fraction)
+        run += plan.pulse_duration
+        for name in ("station_a", "station_b"):
+            station = getattr(self, name)
+            clock = station.clock
+            latest = (
+                run + abs(station.trigger_delay) + GAUSS_REACH * station.detector_jitter_sigma
+            )
+            reach = (
+                abs(clock.offset) + (1.0 + clock.drift_rate) * latest
+                + GAUSS_REACH * clock.jitter_sigma
+            )
+            if not reach * PS_PER_SECOND < KEY_RANGE_PS:  # inf fails too
+                raise ConfigError(
+                    f"{name}.clock.offset {clock.offset:g} s, drift_rate {clock.drift_rate:g} "
+                    f"and jitter_sigma {clock.jitter_sigma:g} s over a run's {latest:.4g} s of "
+                    f"true time put its local times up to {reach:.4g} s from 0, beyond the "
+                    f"{KEY_RANGE_PS / PS_PER_SECOND:.4g} s the simulator's int64 tag key holds"
+                )
         # sync aligns the stations on a run's first ALIGN_WINDOW + 1 triggers:
         # refuse a pulse plan whose ideal trigger train there has no FM pattern
-        n_pulses = self.pulses_per_run()
         starts = self.pulses.start_times(min(n_pulses, sy.ALIGN_WINDOW + 1))
         try:
             sy._binarize(sy.extract_period_series(np.rint(starts * PS_PER_SECOND)))

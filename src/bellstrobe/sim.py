@@ -43,6 +43,12 @@ CHANNEL_TRIGGER = 3
 
 PS_PER_SECOND = 1e12
 
+# _local_stream sorts a station's tags on the int64 keys
+# t_ps << KEY_CHANNEL_BITS | channel, which hold a local time t_ps only
+# within (-KEY_RANGE_PS, KEY_RANGE_PS): 2**61 ps, about 26.7 days.
+KEY_CHANNEL_BITS = 2
+KEY_RANGE_PS = 1 << (63 - KEY_CHANNEL_BITS)
+
 # Pulses or tags per step of the pairs-per-pulse draw and the clock transform.
 DRAW_CHUNK = 1 << 16
 
@@ -329,10 +335,11 @@ def _local_stream(
     are added into it DRAW_CHUNK tags at a time (IEEE addition commutes, so
     the order of the two terms does not matter).
     Everything happens in that one float64 buffer and its int64
-    (t*4 + channel) keys. The stable sort (timsort for int64) merges the
-    ascending trigger train with the events in near-linear time and still
-    sorts fully when the jitter reorders triggers. Duplicate (t, channel)
-    tags are dropped.
+    (t << KEY_CHANNEL_BITS | channel) keys, whose range ExperimentConfig
+    keeps every local time within. The stable sort (timsort for int64)
+    merges the ascending trigger train with the events in near-linear time
+    and still sorts fully when the jitter reorders triggers. Duplicate
+    (t, channel) tags are dropped.
     """
     n_events = times_s.size
     t = buffer.take(n_events + trigger_starts.size)
@@ -350,7 +357,7 @@ def _local_stream(
     key = t.view(np.int64)
     key[...] = t  # cast in place: each element is read before it is overwritten
     del t
-    key *= 4
+    key <<= KEY_CHANNEL_BITS
     key[:n_events] += channels
     key[n_events:] += CHANNEL_TRIGGER
     key.sort(kind="stable")
@@ -361,8 +368,8 @@ def _local_stream(
         if not keep.all():
             key = key[keep]
     channels = np.empty(key.size, np.uint8)
-    np.bitwise_and(key, 3, out=channels, casting="unsafe")
-    key >>= 2
+    np.bitwise_and(key, (1 << KEY_CHANNEL_BITS) - 1, out=channels, casting="unsafe")
+    key >>= KEY_CHANNEL_BITS
     return TagStream(channels, key)
 
 

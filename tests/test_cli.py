@@ -70,24 +70,30 @@ class TestAllocatorPolicy:
     # glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
     REQUESTS = [(-3, 32 * MIB), (-1, 64 * MIB)]
 
-    def test_main_requests_both_thresholds_once_per_call(self, fake_libc, capsys):
+    @staticmethod
+    def simulate(tmp_path: Path) -> list[str]:
+        """The argv of a cheap real command: eight 0.01 s runs of the desk preset."""
+        return ["simulate", "--output", str(tmp_path), "--set", "session.run_duration=0.01"]
+
+    def test_main_requests_both_thresholds_once_per_call(self, fake_libc, capsys, tmp_path):
         libc = fake_libc()
-        assert cli.main(["selftest"]) == 0
+        assert cli.main(self.simulate(tmp_path)) == 0
         assert libc.calls == self.REQUESTS
-        assert cli.main(["selftest"]) == 0
+        # a command that fails sets the policy before it fails
+        assert cli.main(["analyze", str(tmp_path / "missing" / "manifest.json")]) == 2
         assert libc.calls == self.REQUESTS * 2
 
     def test_a_refused_mmap_threshold_leaves_the_trim_threshold_alone(
-        self, fake_libc, capsys
+        self, fake_libc, capsys, tmp_path
     ):
         # the trim threshold alone turns off glibc's dynamic mmap threshold
         libc = fake_libc(answer=0)
-        assert cli.main(["selftest"]) == 0
+        assert cli.main(self.simulate(tmp_path)) == 0
         assert libc.calls == self.REQUESTS[:1]
 
-    def test_main_runs_without_mallopt(self, fake_libc, capsys):
+    def test_main_runs_without_mallopt(self, fake_libc, capsys, tmp_path):
         fake_libc(has_mallopt=False)
-        assert cli.main(["selftest"]) == 0
+        assert cli.main(self.simulate(tmp_path)) == 0
 
     def test_library_entry_points_leave_the_allocator_alone(self, fake_libc, tmp_path):
         libc = fake_libc()

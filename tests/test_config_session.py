@@ -191,6 +191,23 @@ class TestConfig:
             ExperimentConfig(master_seed=-1)
         assert ExperimentConfig(master_seed=2**63 - 1).master_seed == 2**63 - 1
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["ahead", "behind"])
+    @pytest.mark.parametrize("station", ["station_a", "station_b"])
+    def test_local_times_must_fit_the_tag_key(self, station, sign):
+        # the simulator's int64 sort key holds a local time within 2**61 ps,
+        # 2305843.009 s; a default 30 s run spans at most 30.6 s of true time
+        def config(path, value):
+            return ExperimentConfig.from_dict(config_dict_with(f"{station}.{path}", value))
+
+        assert config("clock.offset", sign * 2305812.0)
+        with pytest.raises(ConfigError, match=rf"^{station}\.clock\.offset -?2\.30581e\+06 s"):
+            config("clock.offset", sign * 2305813.0)
+        assert config("clock.jitter_sigma", 230581.0)
+        with pytest.raises(ConfigError, match=rf"^{station}\.clock\.offset 0 s, .* 230582 s"):
+            config("clock.jitter_sigma", 230582.0)
+        with pytest.raises(ConfigError, match=r"over a run's 2\.306e\+06 s of true time"):
+            config("trigger_delay", sign * 2305813.0)
+
     @pytest.mark.parametrize("value", [10, 1e20, 1e308])
     def test_pair_yield_must_be_below_ten(self, value):
         # from 10 numpy draws a Poisson count by another method, and from
@@ -889,13 +906,6 @@ class TestCli:
         assert main(["report", str(tmp_path / "demo" / "summary.json")]) == 0
         assert (tmp_path / "demo" / "report" / "s_chsh_full.csv").exists()
 
-    def test_selftest_passes(self, capsys):
-        from bellstrobe.cli import main
-
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
-
     def test_set_overrides_reach_config(self, tmp_path):
         from bellstrobe.cli import main
 
@@ -954,6 +964,14 @@ class TestCli:
         assert exit_.value.code == 2
         err = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(err) == 1 and manifest in err[0]
+
+    def test_unknown_subcommand_is_a_usage_error(self, capsys):
+        from bellstrobe.cli import main
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["selftest"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", [
         "station_a.detector_efficiency=2",
@@ -1113,10 +1131,20 @@ class TestCli:
             "error: bad config value: station_a: dark_rate must be below one per "
             "picosecond, got 1e+308",
         ),
+        *(
+            (
+                ["--set", f"{station}.clock.offset={offset}", "--set", "session.run_duration=0.05"],
+                f"error: {station}.clock.offset {offset:g} s, drift_rate 0 and jitter_sigma 0 s "
+                f"over a run's 0.051 s of true time put its local times up to {abs(offset):g} s "
+                "from 0, beyond the 2.306e+06 s the simulator's int64 tag key holds",
+            )
+            for station, offset in [("station_a", 1e7), ("station_b", -1e7), ("station_a", 4e6)]
+        ),
     ], ids=["negative_seed", "no_scan_points", "two_scan_points", "fm_bit_beyond_int64",
             "pair_yield_1e20", "pair_yield_1e308", "fm_bit_beyond_the_run",
             "negative_rise_time", "clock_rate_beyond_the_fit", "clock_stopped",
-            "angle_1e308", "run_duration_1e308", "dark_rate_1e308"])
+            "angle_1e308", "run_duration_1e308", "dark_rate_1e308",
+            "clock_a_offset_1e7", "clock_b_offset_minus_1e7", "clock_a_offset_4e6"])
     def test_config_value_that_raised_errors_before_writing(self, tmp_path, capsys, args, line):
         # a traceback each: SeedSequence refused the seed, the runs check took
         # a modulo by 0 scan points, np.repeat overflowed a C long, numpy's
@@ -1126,7 +1154,9 @@ class TestCli:
         # FM bit longer than the run one whose every run analyze then skipped;
         # a negative rise time raised in the transient model, and a clock
         # drift the clock fit refuses simulated a session analyze skipped
-        # every run of
+        # every run of; a clock offset beyond the simulator's int64 tag key
+        # wrapped every tag of a station to t = 0 (1e7 s ahead, or behind at
+        # station B, whose runs analyze then skipped), or below 0 (4e6 s)
         from bellstrobe.cli import main
 
         capsys.readouterr()
