@@ -52,15 +52,6 @@ class SlotGrid:
         if self.slot_ps <= 0 or self.n_slots < 1:
             raise ValueError("slot_ps must be positive and n_slots >= 1")
 
-    @classmethod
-    def for_period(cls, slot_ps: int, period_ps: int) -> "SlotGrid":
-        """Grid covering `period_ps`, which `slot_ps` must divide."""
-        if period_ps % slot_ps:
-            raise ValueError(
-                f"slot width {slot_ps} ps does not divide the period {period_ps} ps"
-            )
-        return cls(slot_ps=slot_ps, n_slots=period_ps // slot_ps)
-
     def starts(self) -> np.ndarray:
         """Slot start times in seconds."""
         return np.arange(self.n_slots) * self.slot_ps / PS_PER_SECOND

@@ -142,28 +142,37 @@ class ExperimentConfig:
                 f"analysis.slot_width ({slot_ps} ps) cuts pulses.base_period "
                 f"({period_ps} ps) into {period_ps // slot_ps} slots, more than {MAX_SLOTS}"
             )
-        # every tag's local time must fit the simulator's sort key: a run's
-        # latest true time (its pulses at the longer FM period, the last
-        # pulse, the trigger delay and the detector jitter) through the clock
+        # every tag's local time must lie in [0, KEY_RANGE_PS): tag files
+        # hold no negative time, and the simulator's sort key none beyond.
+        # A run's true times span from its first trigger at 0, or an earlier
+        # detection (the trigger delay less the detector jitter), to its
+        # pulses at the longer FM period, the last pulse, the delay and the
+        # jitter. The delay is named where the clock alone keeps the run in
+        # range
         n_pulses, plan = self.pulses_per_run(), self.pulses
         run = n_pulses * plan.base_period * (1.0 + plan.fm_lengthen_fraction)
         run += plan.pulse_duration
         for name in ("station_a", "station_b"):
             station = getattr(self, name)
-            clock = station.clock
-            latest = (
-                run + abs(station.trigger_delay) + GAUSS_REACH * station.detector_jitter_sigma
-            )
-            reach = (
-                abs(clock.offset) + (1.0 + clock.drift_rate) * latest
-                + GAUSS_REACH * clock.jitter_sigma
-            )
-            if not reach * PS_PER_SECOND < KEY_RANGE_PS:  # inf fails too
+            clock, delay = station.clock, station.trigger_delay
+            scale, reach = 1.0 + clock.drift_rate, GAUSS_REACH * station.detector_jitter_sigma
+            lo = clock.offset - GAUSS_REACH * clock.jitter_sigma
+            hi = clock.offset + scale * run + GAUSS_REACH * clock.jitter_sigma
+            clock_fits = 0.0 <= lo and hi * PS_PER_SECOND < KEY_RANGE_PS
+            lo += scale * min(0.0, delay - reach)
+            hi += scale * max(0.0, delay + reach)
+            if not (0.0 <= lo and hi * PS_PER_SECOND < KEY_RANGE_PS):  # NaN fails too
+                cause = (
+                    f"{name}.trigger_delay {delay:g} s and detector_jitter_sigma "
+                    f"{station.detector_jitter_sigma:g} s"
+                    if clock_fits
+                    else f"{name}.clock.offset {clock.offset:g} s, drift_rate "
+                    f"{clock.drift_rate:g} and jitter_sigma {clock.jitter_sigma:g} s"
+                )
                 raise ConfigError(
-                    f"{name}.clock.offset {clock.offset:g} s, drift_rate {clock.drift_rate:g} "
-                    f"and jitter_sigma {clock.jitter_sigma:g} s over a run's {latest:.4g} s of "
-                    f"true time put its local times up to {reach:.4g} s from 0, beyond the "
-                    f"{KEY_RANGE_PS / PS_PER_SECOND:.4g} s the simulator's int64 tag key holds"
+                    f"{cause} put a run's local times in [{lo:.4g}, {hi:.4g}] s, outside "
+                    f"the [0, {KEY_RANGE_PS / PS_PER_SECOND:.4g}) s a tag file and the "
+                    "simulator's int64 tag key hold"
                 )
         # sync aligns the stations on a run's first ALIGN_WINDOW + 1 triggers:
         # refuse a pulse plan whose ideal trigger train there has no FM pattern

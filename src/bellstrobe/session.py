@@ -205,22 +205,6 @@ def iter_simulated_runs(config: ExperimentConfig) -> Iterable[RunData]:
         yield simulate_run(config, i)
 
 
-def _check_first_timestamp(
-    config: ExperimentConfig, run_index: int, station_id: int, stream: TagStream
-) -> None:
-    """Tag files hold unsigned timestamps; a sorted stream is negative
-    nowhere if its first tag is not."""
-    if len(stream) and stream.times_ps[0] < 0:
-        name = f"station_{'ab'[station_id]}"
-        sigma = getattr(config, name).clock.jitter_sigma
-        least = f"several jitter_sigma ({sigma:g} s)" if sigma > 0 else "0"
-        raise ConfigError(
-            f"run {run_index}: station {'AB'[station_id]} has a negative local "
-            f"timestamp ({int(stream.times_ps[0])} ps); set {name}.clock.offset "
-            f"to at least {least}"
-        )
-
-
 @contextmanager
 def whole_or_nothing(outdir: Path) -> Iterator[list[Path]]:
     """Create `outdir` and yield a list for each file written into it, each
@@ -252,7 +236,6 @@ def simulate_session(config: ExperimentConfig, outdir: str | Path) -> Path:
             run = simulate_run(config, meta["index"])
             streams = {outdir / meta["file_a"]: run.tags_a, outdir / meta["file_b"]: run.tags_b}
             for station_id, (path, stream) in enumerate(streams.items()):
-                _check_first_timestamp(config, run.index, station_id, stream)
                 written.append(path)
                 write_tags(
                     TagFileHeader(station_id=station_id, record_count=len(stream)),
@@ -290,10 +273,8 @@ def _zero_counts(config: ExperimentConfig) -> ana.SlotCounts:
     """Empty counts in the session's layout: slots over one base period, or
     in scan_34 mode a single slot spanning it."""
     period_ps = config.period_ps
-    if config.session.mode == "scan_34":
-        grid = ana.SlotGrid(period_ps, 1)
-    else:
-        grid = ana.SlotGrid.for_period(config.analysis.slot_ps, period_ps)
+    slot_ps = period_ps if config.session.mode == "scan_34" else config.analysis.slot_ps
+    grid = ana.SlotGrid(slot_ps, period_ps // slot_ps)  # ExperimentConfig checks the division
     labels, angles = config.setting_labels(), config.setting_angles()
     edges = co.delta_t_edges(config.analysis.window_ps)
     return ana.SlotCounts.zeros(
@@ -321,8 +302,8 @@ def process_run(run: RunData, config: ExperimentConfig) -> RunProducts:
     fit = sy.fit_clock_relation(trig_a, trig_b, offset, _expected_residual(config))
 
     delay_a, delay_b = config.trigger_delays_ps
-    det_a = sy.assign_to_pulses(run.tags_a, trig_a, delay_a)
-    det_b = sy.assign_to_pulses(run.tags_b, trig_b, delay_b)
+    det_a = sy.assign_to_pulses(run.tags_a, trig_a, delay_a, config.period_ps)
+    det_b = sy.assign_to_pulses(run.tags_b, trig_b, delay_b, config.period_ps)
     det_b.pulse_number += offset  # B's own array, renumbered into A's pulse frame
 
     records = co.match_coincidences(det_a, det_b, config.analysis.window_ps)

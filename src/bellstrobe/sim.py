@@ -45,7 +45,9 @@ PS_PER_SECOND = 1e12
 
 # _local_stream sorts a station's tags on the int64 keys
 # t_ps << KEY_CHANNEL_BITS | channel, which hold a local time t_ps only
-# within (-KEY_RANGE_PS, KEY_RANGE_PS): 2**61 ps, about 26.7 days.
+# within [-KEY_RANGE_PS, KEY_RANGE_PS), KEY_RANGE_PS being 2**61 ps, about
+# 26.7 days. Tag files hold no negative time, so ExperimentConfig keeps
+# every local time within [0, KEY_RANGE_PS).
 KEY_CHANNEL_BITS = 2
 KEY_RANGE_PS = 1 << (63 - KEY_CHANNEL_BITS)
 

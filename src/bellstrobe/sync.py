@@ -58,7 +58,7 @@ MAX_RATE_OFFSET = 1e-3  # ClockFit refuses |rate_ratio - 1| at or beyond this
 MAX_RESIDUAL_RATIO = 3.0
 
 
-def percentile(values: np.ndarray, q, overwrite_input: bool = False) -> np.ndarray:
+def percentile(values: np.ndarray, q) -> np.ndarray:
     """Linear-interpolation percentile(s) `q` (in %) of `values`.
 
     Equal to np.percentile(values, q) and, for integer-valued values, at
@@ -67,16 +67,14 @@ def percentile(values: np.ndarray, q, overwrite_input: bool = False) -> np.ndarr
     np.median import numpy.ma on their first call, which takes 11-18 ms of a
     fresh process on a two-core VM (numpy 2.4). `values` is copied once, to
     float64, and that copy is partitioned in place; the caller's array is
-    left as it is. With `overwrite_input`, `values` itself is partitioned
-    (reordered) instead, and only the order statistics are converted to
-    float64, which gives the same result without the copy.
+    left as it is.
     """
-    x = values if overwrite_input else np.array(values, dtype=np.float64)
+    x = np.array(values, dtype=np.float64)
     index = (x.size - 1) * (np.asarray(q, dtype=np.float64) / 100)
     lo = np.floor(index).astype(np.intp)
     hi = np.minimum(lo + 1, x.size - 1)
     x.partition(np.concatenate([lo.ravel(), hi.ravel()]))
-    a, b = x[lo].astype(np.float64), x[hi].astype(np.float64)
+    a, b = x[lo], x[hi]
     t = index - lo
     # interpolated from the nearer end, as np.percentile does
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)[()]
@@ -346,6 +344,7 @@ def assign_to_pulses(
     stream: TagStream,
     triggers_ps: np.ndarray,
     delay_ps: int,
+    period_ps: int,
 ) -> Detections:
     """Attribute the detection tags of `stream` to the latest trigger at or
     before them.
@@ -354,9 +353,9 @@ def assign_to_pulses(
     neither assigned nor dropped. The configured trigger-vs-photon path delay,
     `delay_ps` (`ExperimentConfig.trigger_delays_ps`), is subtracted from each
     detection timestamp first, so intra_ps is measured from the pulse start as
-    seen by the photons. Detections preceding the first trigger, or trailing
-    the last pulse by at least one median period, are dropped and counted, not
-    fatal.
+    seen by the photons. Detections preceding the first trigger, or at least
+    `period_ps` (the base period, where the slot grid ends) into the last
+    pulse, are dropped and counted, not fatal.
 
     The `j`-th detection (from 0) sits at stream position `pos[j]`, behind
     `pos[j] - j` trigger tags, so its pulse is guessed as `pos[j] - j - 1`
@@ -389,9 +388,7 @@ def assign_to_pulses(
     before = idx < 0
 
     intra_ps = shifted - start
-    after = (idx == n_trig - 1) & (n_trig > 1)
-    if np.any(after):  # the median period matters only in the last pulse
-        after &= intra_ps >= percentile(np.diff(triggers_ps), 50.0, overwrite_input=True)
+    after = (idx == n_trig - 1) & (intra_ps >= period_ps)
 
     keep = ~(before | after)
     return Detections(

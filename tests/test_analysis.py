@@ -29,26 +29,29 @@ from bellstrobe.analysis import (
     significance_mask,
 )
 from bellstrobe.coinc import Coincidences, delta_t_edges, delta_t_histogram
+from bellstrobe.config import AnalysisParams, ConfigError, ExperimentConfig
 from bellstrobe.model import TSIRELSON, OUTCOME_LABELS, OUTCOME_ORDER, OUTCOME_PARITY
+from bellstrobe.session import _zero_counts
 from bellstrobe.sim import TagStream
 from bellstrobe.sync import Detections, assign_to_pulses
 
 PERIOD_PS = 2_000_000  # the 2 us base period
 DELAY_PS = 57_000  # the default trigger delay
-GRIDS = {"chsh_4": SlotGrid.for_period(4000, PERIOD_PS), "scan_34": SlotGrid(PERIOD_PS, 1)}
+GRIDS = {"chsh_4": SlotGrid(4000, PERIOD_PS // 4000), "scan_34": SlotGrid(PERIOD_PS, 1)}
 # Intra-pulse times on a boundary of both grids, up to 1.5 periods.
 on_boundary = st.integers(0, 750).map(lambda k: k * 4000)
 
 
 class TestSlotGrid:
     def test_default_grid(self):
-        grid = SlotGrid.for_period(4000, PERIOD_PS)
+        grid = _zero_counts(ExperimentConfig()).grid
         assert grid.n_slots == 500
         assert grid.slot_ps * grid.n_slots == PERIOD_PS
 
     def test_non_dividing_width_rejected(self):
-        with pytest.raises(ValueError):
-            SlotGrid.for_period(3000, PERIOD_PS)
+        # the config's division check is the only one
+        with pytest.raises(ConfigError, match=r"\(3000 ps\) does not divide"):
+            ExperimentConfig(analysis=AnalysisParams(slot_width=3e-9))
 
 
 def make_detections(intra_ps, minus=None, pulses=None):
@@ -67,12 +70,12 @@ def assigned_tags(offsets_ps):
     triggers = np.arange(3, dtype=np.int64) * 2_040_000
     times = np.sort(np.asarray(offsets_ps, np.int64)) + DELAY_PS
     tags = TagStream(np.ones(times.size, np.uint8), times)
-    return assign_to_pulses(tags, triggers, DELAY_PS)
+    return assign_to_pulses(tags, triggers, DELAY_PS, PERIOD_PS)
 
 
 class TestBinning:
     def test_slot_indexing(self):
-        grid = SlotGrid.for_period(4000, PERIOD_PS)
+        grid = GRIDS["chsh_4"]
         det = make_detections([0, 123_000])
         singles = bin_singles(det, grid)
         assert singles.shape == (2, 500)
@@ -82,7 +85,7 @@ class TestBinning:
 
     @pytest.mark.parametrize("slot_ps", [4000, 20_000])
     def test_tag_on_a_slot_boundary_starts_that_slot(self, slot_ps):
-        grid = SlotGrid.for_period(slot_ps, PERIOD_PS)
+        grid = SlotGrid(slot_ps, PERIOD_PS // slot_ps)
         det = assigned_tags(np.arange(grid.n_slots) * slot_ps)
         assert np.array_equal(det.intra_ps, np.arange(grid.n_slots) * slot_ps)
         assert bin_singles(det, grid)[0].tolist() == [1] * grid.n_slots
@@ -105,19 +108,19 @@ class TestBinning:
         assert bin_singles(make_detections(intra_ps), grid)[0].tolist() == expected
 
     def test_uniform_pulse_occupies_first_125_slots(self, rng):
-        grid = SlotGrid.for_period(4000, PERIOD_PS)
+        grid = GRIDS["chsh_4"]
         det = make_detections(rng.integers(0, 500_000, 50_000))
         singles = bin_singles(det, grid)[0]
         assert np.all(singles[:125] > 0)
         assert np.all(singles[125:] == 0)
 
     def test_beyond_grid_dropped(self):
-        grid = SlotGrid.for_period(4000, PERIOD_PS)
+        grid = GRIDS["chsh_4"]
         det = make_detections([2_500_000])
         assert bin_singles(det, grid)[0].sum() == 0
 
     def test_coincidences_share_the_singles_slots(self):
-        grid = SlotGrid.for_period(4000, PERIOD_PS)
+        grid = GRIDS["chsh_4"]
         intra = [0, 123_000, 123_000, -1000, 2_500_000]
         rec = Coincidences(
             pulse_number=np.arange(5, dtype=np.int64),

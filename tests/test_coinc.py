@@ -224,7 +224,7 @@ QUAD = ("ab", "ab'", "a'b", "a'b'")
 
 def session_counts(runs, session="s1"):
     """Counts of [(setting, records), ...] runs, binned run by run and summed."""
-    grid, edges = SlotGrid.for_period(4000, 2_000_000), delta_t_edges(WINDOW_PS)
+    grid, edges = SlotGrid(4000, 500), delta_t_edges(WINDOW_PS)
 
     def zeros():
         return SlotCounts.zeros(session, grid, QUAD, [(0.0, 0.0)] * 4, edges)
@@ -353,7 +353,9 @@ class TestDeltaHistogram:
                            AngleSetting(0, 0), 1.0, 17)
         delay_ps = to_ps(st.trigger_delay, "trigger_delay")
         det_a, det_b = (
-            assign_to_pulses(s, s.times_ps[s.channels == CHANNEL_TRIGGER], delay_ps)
+            assign_to_pulses(
+                s, s.times_ps[s.channels == CHANNEL_TRIGGER], delay_ps, 2_000_000
+            )
             for s in (a, b)
         )
         rec = match_coincidences(det_a, det_b, 20_000)

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -191,22 +192,44 @@ class TestConfig:
             ExperimentConfig(master_seed=-1)
         assert ExperimentConfig(master_seed=2**63 - 1).master_seed == 2**63 - 1
 
-    @pytest.mark.parametrize("sign", [1, -1], ids=["ahead", "behind"])
+    @pytest.mark.parametrize("base, field, inside, outside, named", [
+        # the upper end, 2**61 ps = 2305843.009 s: a default 30 s run spans
+        # 30.6 s of true time, and detections 77 ns beyond (the 57 ns trigger
+        # delay and 10 x 2 ns of detector jitter)
+        pytest.param({}, "clock.offset", 2305812.0, 2305813.0, "clock.offset",
+                     id="ahead-offset"),
+        pytest.param({"clock.offset": 1152910.0}, "clock.jitter_sigma", 115290.0, 115291.0,
+                     "clock.offset", id="ahead-jitter"),
+        pytest.param({}, "trigger_delay", 2305812.0, 2305813.0, "trigger_delay",
+                     id="ahead-delay"),
+        # the lower end, 0: the first trigger sits at true time 0, and the
+        # earliest detection at the trigger delay less 10 x 2 ns of jitter
+        pytest.param({}, "clock.offset", 0.0, -1e-12, "clock.offset", id="behind-offset"),
+        pytest.param({"clock.offset": 1e-3}, "clock.jitter_sigma", 0.99e-4, 1.01e-4,
+                     "clock.offset", id="behind-jitter"),
+        pytest.param({}, "trigger_delay", 21e-9, 19e-9, "trigger_delay", id="behind-delay"),
+        pytest.param({"clock.offset": 1e-3}, "trigger_delay", -0.98e-3, -1e-3,
+                     "trigger_delay", id="behind-delay-offset"),
+    ])
     @pytest.mark.parametrize("station", ["station_a", "station_b"])
-    def test_local_times_must_fit_the_tag_key(self, station, sign):
-        # the simulator's int64 sort key holds a local time within 2**61 ps,
-        # 2305843.009 s; a default 30 s run spans at most 30.6 s of true time
-        def config(path, value):
-            return ExperimentConfig.from_dict(config_dict_with(f"{station}.{path}", value))
+    def test_local_times_must_fit_the_tag_key(
+        self, station, base, field, inside, outside, named
+    ):
+        # arithmetic on the config alone: nothing is simulated
+        def config(value):
+            changes = {**base, field: value}
+            return apply_overrides(
+                ExperimentConfig(), {f"{station}.{path}": v for path, v in changes.items()}
+            )
 
-        assert config("clock.offset", sign * 2305812.0)
-        with pytest.raises(ConfigError, match=rf"^{station}\.clock\.offset -?2\.30581e\+06 s"):
-            config("clock.offset", sign * 2305813.0)
-        assert config("clock.jitter_sigma", 230581.0)
-        with pytest.raises(ConfigError, match=rf"^{station}\.clock\.offset 0 s, .* 230582 s"):
-            config("clock.jitter_sigma", 230582.0)
-        with pytest.raises(ConfigError, match=r"over a run's 2\.306e\+06 s of true time"):
-            config("trigger_delay", sign * 2305813.0)
+        assert config(inside)
+        message = (
+            rf"^{station}\.{re.escape(named)} .* put a run's local times in \[.*\] s, "
+            r"outside the \[0, 2\.306e\+06\) s a tag file and the simulator's int64 "
+            r"tag key hold$"
+        )
+        with pytest.raises(ConfigError, match=message):
+            config(outside)
 
     @pytest.mark.parametrize("value", [10, 1e20, 1e308])
     def test_pair_yield_must_be_below_ten(self, value):
@@ -1135,8 +1158,8 @@ class TestCli:
             (
                 ["--set", f"{station}.clock.offset={offset}", "--set", "session.run_duration=0.05"],
                 f"error: {station}.clock.offset {offset:g} s, drift_rate 0 and jitter_sigma 0 s "
-                f"over a run's 0.051 s of true time put its local times up to {abs(offset):g} s "
-                "from 0, beyond the 2.306e+06 s the simulator's int64 tag key holds",
+                f"put a run's local times in [{offset:g}, {offset:g}] s, outside the "
+                "[0, 2.306e+06) s a tag file and the simulator's int64 tag key hold",
             )
             for station, offset in [("station_a", 1e7), ("station_b", -1e7), ("station_a", 4e6)]
         ),
@@ -1281,38 +1304,67 @@ class TestCli:
         ]
         assert not (tmp_path / "a").exists()
 
-    @pytest.mark.parametrize(
-        "override", ["station_b.clock.jitter_sigma=2e-11", "station_b.clock.offset=-1e-3"]
-    )
+    @pytest.mark.parametrize("override, line", [
+        (
+            "station_b.clock.jitter_sigma=2e-11",
+            "error: station_b.clock.offset 0 s, drift_rate 0 and jitter_sigma 2e-11 s put a "
+            "run's local times in [-2e-10, 0.051] s, outside the [0, 2.306e+06) s a tag "
+            "file and the simulator's int64 tag key hold",
+        ),
+        (
+            "station_b.clock.offset=-1e-3",
+            "error: station_b.clock.offset -0.001 s, drift_rate 0 and jitter_sigma 0 s put a "
+            "run's local times in [-0.001, 0.05] s, outside the [0, 2.306e+06) s a tag "
+            "file and the simulator's int64 tag key hold",
+        ),
+        (
+            "station_a.trigger_delay=-1e-3",
+            "error: station_a.trigger_delay -0.001 s and detector_jitter_sigma 5e-10 s put a "
+            "run's local times in [-0.001, 0.051] s, outside the [0, 2.306e+06) s a tag "
+            "file and the simulator's int64 tag key hold",
+        ),
+    ], ids=["clock_b_jitter", "clock_b_behind", "delay_a_negative"])
     def test_negative_local_timestamp_errors_before_writing_the_run(
-        self, tmp_path, capsys, override
+        self, tmp_path, capsys, override, line
     ):
-        # the first trigger sits at t = 0: jitter or a negative offset moves it
-        # below zero (with seed 1 the jitter does so in run 2, after runs 0
-        # and 1 were written; they are removed with the directory)
+        # a run's first trigger sits at t = 0: clock jitter, a negative offset
+        # or a negative trigger delay can put a tag below it. The config is
+        # refused before any run is simulated, naming the delay where the
+        # clock alone would keep the run in range
         from bellstrobe.cli import main
 
         capsys.readouterr()
-        assert main([
-            "simulate", "--name", "neg", "--output", str(tmp_path), "--seed", "1",
-            "--set", "session.run_duration=0.02", "--set", override,
-        ]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: run ")
-        assert "station B has a negative local timestamp" in err[0]
-        assert "station_b.clock.offset" in err[0]
+        with mock.patch.object(session_module, "emit_events", side_effect=AssertionError):
+            assert main([
+                "simulate", "--name", "neg", "--output", str(tmp_path),
+                "--set", "session.run_duration=0.05", "--set", override,
+            ]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
         assert not (tmp_path / "neg").exists()
 
-    def test_failed_simulate_removes_the_output_root_it_created(self, tmp_path, capsys):
-        # the session directory was removed, and its new parents left behind
+    def test_failed_simulate_removes_the_output_root_it_created(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the third tag file fails to be written: the two before it, the
+        # session directory and the parents this call created are removed
         from bellstrobe.cli import main
 
+        real, written = session_module.write_tags, []
+
+        def write_tags(header, arrays, path):
+            written.append(path)
+            if len(written) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real(header, arrays, path)
+
+        monkeypatch.setattr(session_module, "write_tags", write_tags)
         capsys.readouterr()
         assert main([
             "simulate", "--name", "neg", "--output", str(tmp_path / "new" / "root"),
-            "--set", "session.run_duration=0.02", "--set", "station_b.clock.offset=-1",
+            "--set", "session.run_duration=0.02",
         ]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+        assert len(written) == 3
         assert list(tmp_path.iterdir()) == []
 
     def test_drifting_clock_session_errors(self, tmp_path, capsys):

@@ -45,9 +45,11 @@ def triggers_of(stream):
 
 
 def assign(stream, trigger_delay):
-    """Pulse-attributed detections of one simulated station stream."""
+    """Pulse-attributed detections of one simulated station stream of the
+    default pulse plan."""
     delay_ps = to_ps(trigger_delay, "trigger_delay")
-    return assign_to_pulses(stream, triggers_of(stream), delay_ps)
+    period_ps = to_ps(PulsePlan().base_period, "base_period")
+    return assign_to_pulses(stream, triggers_of(stream), delay_ps, period_ps)
 
 
 def local_stream(channels, times_s, trigger_starts, clock, seed, drawn=0):

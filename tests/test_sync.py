@@ -413,11 +413,12 @@ class TestClockFit:
 
 
 class TestAssignment:
-    TRIGGERS = np.array([0, 2_000_000, 4_000_000], dtype=np.int64)  # ps
+    PERIOD = 2_000_000  # ps
+    TRIGGERS = np.arange(3, dtype=np.int64) * PERIOD
 
     def _assign(self, channels, times):
         tags = TagStream(np.asarray(channels, np.uint8), np.asarray(times, np.int64))
-        return assign_to_pulses(tags, self.TRIGGERS, 57_000)
+        return assign_to_pulses(tags, self.TRIGGERS, 57_000, self.PERIOD)
 
     def test_exact_pulse_start(self):
         det = self._assign([1], [57_000])
@@ -441,41 +442,27 @@ class TestAssignment:
         assert len(det) == 0
         assert det.dropped_after_last == 1
 
-    def test_trailing_detection_past_one_median_period_dropped(self):
-        # intervals 1, 1, 8 us: the median period (1 us) is the limit after the
-        # last trigger, not the last interval or the mean
-        triggers = np.array([0, 1_000_000, 2_000_000, 10_000_000], dtype=np.int64)
-        delay = 57_000
-        times = [500_000 + delay, 10_000_000 + delay + 999_999,
-                 10_000_000 + delay + 1_000_000, 10_000_000 + delay + 1_500_000]
-        tags = TagStream(np.ones(len(times), np.uint8), np.asarray(times, np.int64))
-        det = assign_to_pulses(tags, triggers, 57_000)
-        assert det.pulse_number.tolist() == [0, 3]
+    @pytest.mark.parametrize("triggers", [
+        [0],
+        [0, 2_040_000],
+        [0, 1_000_000, 2_000_000, 10_000_000],
+    ], ids=["one", "long", "short-short-long"])
+    def test_last_pulse_ends_at_the_base_period(self, triggers):
+        # not at the median or the last trigger interval, and with one
+        # trigger too: detections at and past the period are dropped
+        period, delay = 2_000_000, 57_000
+        triggers = np.array(triggers, np.int64)
+        intra = period + np.array([-1, 0, 1], np.int64)
+        tags = TagStream(np.ones(intra.size, np.uint8), triggers[-1] + delay + intra)
+        det = assign_to_pulses(tags, triggers, delay, period)
+        assert det.pulse_number.tolist() == [triggers.size - 1]
+        assert det.intra_ps.tolist() == [period - 1]
         assert det.dropped_after_last == 2
 
-    @pytest.mark.parametrize("n_intervals", [1, 2, 7, 8])
-    def test_last_pulse_limit_is_the_median_interval(self, n_intervals):
-        # odd counts: the middle interval; even counts: the mean of the two
-        # middle ones (here x.5 ps). Detections in the last pulse at and
-        # around that limit are dropped exactly where np.median puts it
-        rng = np.random.default_rng(n_intervals)
-        intervals = 2_000_000 + rng.integers(0, 2, n_intervals) * 40_000 + np.arange(n_intervals)
-        if n_intervals % 2 == 0:
-            intervals[0] += 1  # make the two middle intervals differ by an odd amount
-        triggers = np.concatenate([[0], np.cumsum(intervals)]).astype(np.int64)
-        median = np.median(np.diff(triggers))
-        delay = 57_000
-        intra = np.unique(np.floor(median) + np.array([-1, 0, 1, 2])).astype(np.int64)
-        tags = TagStream(
-            np.ones(intra.size, np.uint8), triggers[-1] + delay + intra
-        )
-        det = assign_to_pulses(tags, triggers, delay)
-        assert det.dropped_after_last == np.count_nonzero(intra >= median) > 0
-        assert det.intra_ps.tolist() == intra[intra < median].tolist()
-
-    def test_last_pulse_median_partitions_the_intervals_in_place(self):
-        # one detection in the last pulse: the median of 1 M trigger intervals
-        # needs the int64 intervals and nothing of their size beside them
+    def test_last_pulse_allocates_nothing_of_trigger_length(self):
+        # one detection in the last pulse of 1 M triggers: the limit is the
+        # period, so no int64 array of the triggers' length (8 MB) is made;
+        # the stream's one-byte channel mask is the largest allocation
         n = 1_000_001
         triggers = np.arange(n, dtype=np.int64) * 2_000_000
         channels = np.full(n + 1, CHANNEL_TRIGGER, np.uint8)
@@ -483,12 +470,13 @@ class TestAssignment:
         tags = TagStream(channels, np.append(triggers, triggers[-1] + 57_000 + 5))
         tracemalloc.start()
         try:
-            det = assign_to_pulses(tags, triggers, 57_000)
+            det = assign_to_pulses(tags, triggers, 57_000, 2_000_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert det.pulse_number.tolist() == [n - 1]
-        assert peak <= 1.2 * 8 * (n - 1)
+        assert det.intra_ps.tolist() == [5]
+        assert peak < 2 * n
 
     def test_trigger_tags_neither_assigned_nor_dropped(self):
         # the whole stream, triggers included: only its two detections come out
@@ -507,7 +495,7 @@ class TestAssignment:
         channels = rng.integers(1, 3, n).astype(np.uint8)
         key = np.unique(times * 4 + channels)  # sorted by (t, channel), no duplicates
         tags = TagStream((key & 3).astype(np.uint8), key >> 2)
-        det = assign_to_pulses(tags, self.TRIGGERS, 57_000)
+        det = assign_to_pulses(tags, self.TRIGGERS, 57_000, self.PERIOD)
         total = len(det) + det.dropped_before_first + det.dropped_after_last
         assert total == len(tags)
         assert np.all(det.pulse_number >= 0)
@@ -515,19 +503,18 @@ class TestAssignment:
         # intra times stay below the period of their pulse
         assert det.intra_ps.dtype == np.int64
         assert np.all(det.intra_ps >= 0)
-        assert np.all(det.intra_ps < 2_000_000)
+        assert np.all(det.intra_ps < self.PERIOD)
 
 
-def reference_assign(stream: TagStream, triggers: np.ndarray, delay: int) -> dict:
+def reference_assign(stream: TagStream, triggers: np.ndarray, delay: int, period: int) -> dict:
     """assign_to_pulses by one binary search per detection over the whole
     trigger train, with its drop rules spelled out."""
     det = stream.channels != CHANNEL_TRIGGER
     shifted = stream.times_ps[det] - delay
     idx = np.searchsorted(triggers, shifted, side="right") - 1
     intra = shifted - triggers[np.maximum(idx, 0)]
-    limit = np.median(np.diff(triggers)) if triggers.size > 1 else np.inf
     before = idx < 0
-    after = (idx == triggers.size - 1) & (intra >= limit)
+    after = (idx == triggers.size - 1) & (intra >= period)
     keep = ~(before | after)
     return {
         "minus": (stream.channels[det][keep] == CHANNEL_MINUS).astype(np.uint8),
@@ -577,8 +564,8 @@ class TestAssignmentExactness:
         stream = TagStream((keys & 3).astype(np.uint8), keys >> 2)
         delay = int(round(delay_periods * period))
 
-        det = assign_to_pulses(stream, triggers, delay)
-        expected = reference_assign(stream, triggers, delay)
+        det = assign_to_pulses(stream, triggers, delay, period)
+        expected = reference_assign(stream, triggers, delay, period)
         assert det.pulse_number.dtype == det.intra_ps.dtype == np.int64
         for name, value in expected.items():
             assert np.array_equal(getattr(det, name), value), name
