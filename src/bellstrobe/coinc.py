@@ -6,7 +6,11 @@ coincidence window of each other (both gates; the configured window is 4 ns).
 Times are integer picoseconds, so a pair exactly one window apart is always
 inside. Within a pulse, pairing is greedy earliest-first, each detection used
 at most once, so multi-pair pulses yield multiple records deterministically.
-The per-pulse walks run together as one lockstep vectorised pass per step.
+The per-pulse walks run together as one lockstep vectorised pass per step,
+in two pulse ranges split at the pulse of A's middle detection: the calling
+thread walks the pulses below it, and the process's one worker thread
+(`worker.map_chunks`) the rest. No pulse straddles the two ranges, so their
+records, concatenated, are those of one pass over every pulse.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import worker
 from .sync import Detections, runs
 
 
@@ -52,12 +57,45 @@ def match_coincidences(
     window and is ignored.
 
     The earliest-first walks of all pulses seen at both stations step in
-    lockstep: at most (A + B detections of the fullest pulse) vectorised passes.
+    lockstep: at most (A + B detections of the fullest pulse) vectorised
+    passes in each of the two pulse ranges (see the module docstring).
     """
     pa, pb = events_a.pulse_number, events_b.pulse_number
     ta, tb = events_a.intra_ps, events_b.intra_ps
     if pa.size == 0 or pb.size == 0:
         return Coincidences.empty()
+
+    ranges = [(0, pa.size, 0, pb.size)]
+    if pa.size >= 2:
+        cut = pa[pa.size // 2]
+        a_cut, b_cut = int(np.searchsorted(pa, cut)), int(np.searchsorted(pb, cut))
+        ranges = [(0, a_cut, 0, b_cut), (a_cut, pa.size, b_cut, pb.size)]
+
+    def walk(_, __, bounds):
+        a0, a1, b0, b1 = bounds
+        idx_a, idx_b = _pairs(pa[a0:a1], ta[a0:a1], pb[b0:b1], tb[b0:b1], window_ps)
+        return idx_a + a0, idx_b + b0
+
+    # map_chunks walks ranges[0] on the caller and ranges[1] on the worker
+    parts = worker.map_chunks(walk, len(ranges), 1, ranges)
+    # A's index order is already (pulse_number, A's time) order.
+    idx_a = np.concatenate([a for a, _ in parts])
+    idx_b = np.concatenate([b for _, b in parts])
+    return Coincidences(
+        pulse_number=pa[idx_a],
+        outcome=2 * events_a.minus[idx_a] + events_b.minus[idx_b],
+        intra_ps=ta[idx_a],
+        delta_t_ps=tb[idx_b] - ta[idx_a],
+    )
+
+
+def _pairs(
+    pa: np.ndarray, ta: np.ndarray, pb: np.ndarray, tb: np.ndarray, window_ps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A's indices, B's indices) of the pairs that the lockstep walks of the
+    pulses seen at both stations find, in A's index order."""
+    if pa.size == 0 or pb.size == 0:
+        return np.empty(0, np.intp), np.empty(0, np.int64)
 
     # Merge the two sorted lists of pulse groups.
     a_lo, a_hi = runs(pa)
@@ -80,15 +118,8 @@ def match_coincidences(
         live = (i < i_end) & (j < j_end)
         i, i_end, j, j_end = i[live], i_end[live], j[live], j_end[live]
 
-    # A's index order is already (pulse_number, A's time) order.
     idx_a = np.flatnonzero(partner >= 0)
-    idx_b = partner[idx_a]
-    return Coincidences(
-        pulse_number=pa[idx_a],
-        outcome=2 * events_a.minus[idx_a] + events_b.minus[idx_b],
-        intra_ps=ta[idx_a],
-        delta_t_ps=tb[idx_b] - ta[idx_a],
-    )
+    return idx_a, partner[idx_a]
 
 
 def accidental_estimate(

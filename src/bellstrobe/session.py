@@ -23,6 +23,7 @@ import numpy as np
 from . import analysis as ana
 from . import coinc as co
 from . import sync as sy
+from . import worker
 from .config import ConfigError, ExperimentConfig, SCHEMA_VERSION
 from .model import OUTCOME_LABELS, AngleSetting, TSIRELSON
 from .sim import CHANNEL_TRIGGER, PS_PER_SECOND, TagStream, emit_events
@@ -228,7 +229,8 @@ def whole_or_nothing(outdir: Path) -> Iterator[list[Path]]:
 def simulate_session(config: ExperimentConfig, outdir: str | Path) -> Path:
     """Simulate every run of `plan_runs` into its two tag files, then write
     the records as the manifest; returns its path. A session is written
-    whole or not at all (`whole_or_nothing`)."""
+    whole or not at all (`whole_or_nothing`). One run's tags are held at a
+    time, so the peak does not hold two runs."""
     outdir = Path(outdir)
     records = plan_runs(config)
     with whole_or_nothing(outdir) as written:
@@ -242,6 +244,8 @@ def simulate_session(config: ExperimentConfig, outdir: str | Path) -> Path:
                     (stream.channels, stream.times_ps),
                     path,
                 )
+            # the next run is simulated without this one's tags beside it
+            del run, streams, stream
 
         manifest = {
             "schema_version": SCHEMA_VERSION,
@@ -295,9 +299,19 @@ def _expected_residual(config: ExperimentConfig) -> float:
 
 def process_run(run: RunData, config: ExperimentConfig) -> RunProducts:
     """Sync, assign, match and bin one run's tag streams. A run whose
-    triggers do not follow one clock relation raises ClockFitError."""
-    trig_a = run.tags_a.times_ps[run.tags_a.channels == CHANNEL_TRIGGER]
-    trig_b = run.tags_b.times_ps[run.tags_b.channels == CHANNEL_TRIGGER]
+    triggers do not follow one clock relation raises ClockFitError.
+
+    The process's worker thread takes part of each step but the alignment
+    and the binning: station B's trigger times while the calling thread
+    takes A's, and the later part of the clock fit, of each station's pulse
+    assignment and of the coincidence matching. The calling thread waits for
+    each part, and makes every call into `sync`, `coinc` and `analysis`
+    itself, so the products are a serial pass's, bit for bit."""
+    # map_chunks masks A's stream on the caller and B's on the worker
+    trig_a, trig_b = worker.map_chunks(
+        lambda _, __, tags: tags.times_ps[tags.channels == CHANNEL_TRIGGER],
+        2, 1, (run.tags_a, run.tags_b),
+    )
     offset = sy.align_pulse_numbering(trig_a, trig_b)
     fit = sy.fit_clock_relation(trig_a, trig_b, offset, _expected_residual(config))
 

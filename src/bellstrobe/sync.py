@@ -13,13 +13,17 @@ That trigger is read off the detection's place in the station's sorted tag
 stream (the trigger tags before it) and checked against the trigger train;
 only detections the check refutes are binary-searched.
 
-Only the clock fit uses a second thread: each of its three passes splits its
-chunks in two halves, the first for the calling thread and the later for the
-process's one persistent worker thread (`worker.map_chunks`), each through
-scratch arrays allocated on the calling thread. A chunk's partial sums come
-from the same numpy calls on the same values whichever thread computes them,
-and they are added in chunk order, so the fit is bit for bit that of a
-serial loop. Everything else runs on the calling thread.
+Two layers share their work with the process's one persistent worker
+thread (`worker.map_chunks`), the caller taking the first part and the
+worker the later one. Each of the clock fit's three passes splits its chunks
+in two, each part through scratch arrays allocated on the calling thread; a
+chunk's partial sums come from the same numpy calls on the same values
+whichever thread computes them, and they are added in chunk order, so the
+fit is bit for bit that of a serial loop. Pulse assignment splits the tag
+stream at its middle tag; a detection's pulse and intra-pulse time depend on
+its own timestamp and the trigger train alone, so the two halves' outputs,
+concatenated in order, are a whole-stream pass's. The trigger intervals and
+the alignment run on the calling thread.
 """
 
 from __future__ import annotations
@@ -366,35 +370,57 @@ def assign_to_pulses(
     at delay 0, and every detection of a stream without trigger tags. The
     pulse is therefore `searchsorted(triggers_ps, t - delay_ps, "right") - 1`
     for any sorted `triggers_ps`.
+
+    The stream is split at its middle tag, and the worker thread assigns the
+    later half (see the module docstring). That half's guesses also count
+    the triggers before its first tag, `searchsorted(triggers_ps, t)`, which
+    are the trigger tags before it when the stream holds every trigger.
     """
     triggers_ps = np.asarray(triggers_ps, dtype=np.int64)
     n_trig = triggers_ps.size
     if n_trig == 0:
         raise SyncError("no triggers to assign against")
-    pos = np.flatnonzero(stream.channels != CHANNEL_TRIGGER)
-    ch = stream.channels[pos]
-    shifted = stream.times_ps[pos] - np.int64(delay_ps)
+    channels, times = stream.channels, stream.times_ps
 
-    # kept: a plain searchsorted made perfbench analyze_s 9 % slower on
-    # hardware_run and 11 % on session_files (seed 1, 10 pairs, 2 cores)
-    idx = pos - np.arange(1, pos.size + 1)
-    np.minimum(idx, n_trig - 1, out=idx)
-    start = triggers_ps[np.maximum(idx, 0)]
-    ok = (start <= shifted) | (idx < 0)
-    ok &= (shifted < triggers_ps[np.minimum(idx + 1, n_trig - 1)]) | (idx == n_trig - 1)
-    miss = np.flatnonzero(~ok)
-    idx[miss] = np.searchsorted(triggers_ps, shifted[miss], side="right") - 1
-    start[miss] = triggers_ps[np.maximum(idx[miss], 0)]
-    before = idx < 0
+    def assign(first, stop, _):
+        """(minus, pulse_number, intra_ps, dropped before the first trigger,
+        dropped after the last) of tags first..stop-1."""
+        pos = np.flatnonzero(channels[first:stop] != CHANNEL_TRIGGER)
+        ch = channels[first:stop][pos]
+        shifted = times[first:stop][pos] - np.int64(delay_ps)
 
-    intra_ps = shifted - start
-    after = (idx == n_trig - 1) & (intra_ps >= period_ps)
+        # kept: a plain searchsorted made perfbench analyze_s 9 % slower on
+        # hardware_run and 11 % on session_files (seed 1, 10 pairs, 2 cores)
+        behind = int(np.searchsorted(triggers_ps, times[first])) if first else 0
+        idx = pos - np.arange(1 - behind, pos.size + 1 - behind)
+        np.minimum(idx, n_trig - 1, out=idx)
+        start = triggers_ps[np.maximum(idx, 0)]
+        ok = (start <= shifted) | (idx < 0)
+        ok &= (shifted < triggers_ps[np.minimum(idx + 1, n_trig - 1)]) | (idx == n_trig - 1)
+        miss = np.flatnonzero(~ok)
+        idx[miss] = np.searchsorted(triggers_ps, shifted[miss], side="right") - 1
+        start[miss] = triggers_ps[np.maximum(idx[miss], 0)]
+        before = idx < 0
 
-    keep = ~(before | after)
+        intra_ps = shifted - start
+        after = (idx == n_trig - 1) & (intra_ps >= period_ps)
+
+        keep = ~(before | after)
+        return (
+            (ch[keep] != CHANNEL_PLUS).astype(np.uint8),
+            idx[keep],
+            intra_ps[keep],
+            int(np.count_nonzero(before)),
+            int(np.count_nonzero(after)),
+        )
+
+    n = channels.size
+    halves = worker.map_chunks(assign, n, max(1, n - n // 2), (None, None))
+    minus, pulse, intra, before, after = zip(*(halves or [assign(0, 0, None)]))
     return Detections(
-        minus=(ch[keep] != CHANNEL_PLUS).astype(np.uint8),
-        pulse_number=idx[keep],
-        intra_ps=intra_ps[keep],
-        dropped_before_first=int(np.count_nonzero(before)),
-        dropped_after_last=int(np.count_nonzero(after)),
+        minus=np.concatenate(minus),
+        pulse_number=np.concatenate(pulse),
+        intra_ps=np.concatenate(intra),
+        dropped_before_first=sum(before),
+        dropped_after_last=sum(after),
     )

@@ -20,9 +20,10 @@ Records are sorted by timestamp, ties broken by ascending channel; duplicate
 (timestamp, channel) pairs are invalid. File size is exactly 40 + 16*N bytes.
 
 The writer runs on the calling thread. The reader reads, checks and unpacks
-its chunks of CHUNK_RECORDS records in two halves (`worker.map_chunks`): the
-first half of the file on the calling thread, the later half on the
-process's one persistent worker thread, each through its own buffers,
+its chunks of CHUNK_RECORDS records in two halves, split at the chunk
+boundary nearest the middle record (`worker.map_chunks`): the first half of
+the file on the calling thread, the later half on the process's one
+persistent worker thread, each through its own buffers,
 allocated on the calling thread. A chunk's work depends only on the file's
 bytes, and it writes only its own slice of the output arrays, so the arrays
 cannot depend on which thread finished first; the error raised is the one of

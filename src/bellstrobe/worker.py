@@ -2,8 +2,10 @@
 
 Every two-thread pattern of the package is a fixed split of work between
 the caller and this thread: the stages `sim.emit_events` hands off, and,
-through `map_chunks`, the later half of the tag reader's and the clock fit's
-chunks. The worker is one ThreadPoolExecutor(1), started on first use and
+through `map_chunks`, the later part of the tag reader's and the clock fit's
+chunks, station B's trigger mask while the caller makes A's, the later half
+of each station's pulse assignment, and the coincidence walks of the later
+pulses. The worker is one ThreadPoolExecutor(1), started on first use and
 kept for the life of the process, so no call starts a thread of its own or
 joins one. Callers keep their own work, and every traced function, on their
 own thread.
@@ -60,9 +62,11 @@ def map_chunks(
     """[fn(start, stop, buffers) for each chunk [start, stop) of range(n)
     holding `size` items], in chunk order.
 
-    With k >= 2 chunks the work is split once: the caller loops over the
-    first ceil(k/2) chunks with scratch[0], the worker thread over the rest
-    with scratch[1]. The buffers are the caller's, so the worker allocates
+    With k >= 2 chunks the work is split once, at the chunk boundary nearest
+    n/2: the caller loops over the first m chunks with scratch[0], the m in
+    1..k-1 whose end m * size is nearest n/2 (the later one on a tie), and
+    the worker thread over the rest with scratch[1]. So two chunks give each
+    thread one. The buffers are the caller's, so the worker allocates
     nothing chunk-sized if fn writes through them. One chunk runs on the
     caller alone. fn must not depend on which thread runs it, or on the
     other chunks: each result is then what a serial loop computes.
@@ -81,7 +85,7 @@ def map_chunks(
 
     if len(starts) < 2:
         return run(starts, scratch[0])
-    mid = -(-len(starts) // 2)
+    mid = min(max((n + size) // (2 * size), 1), len(starts) - 1)
     later = submit(run, starts[mid:], scratch[1])
     try:
         first = run(starts[:mid], scratch[0])

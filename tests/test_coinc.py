@@ -180,6 +180,22 @@ class TestMatchingOracle:
         rec = match_coincidences(a, b, window_ps)
         assert record_rows(rec) == oracle_records(a, b, window_ps)
 
+    @pytest.mark.parametrize("rows_a, rows_b", [
+        # A's middle detection is in pulse 1, which holds four at each station
+        ({0: [(0, 5), (1, 9)], 1: [(0, 10), (1, 20), (0, 30), (1, 40)], 2: [(0, 7)]},
+         {0: [(1, 6)], 1: [(0, 12), (1, 21), (1, 33), (0, 41)], 2: [(1, 8)]}),
+        # B has no detection from the split pulse (2) on
+        ({0: [(0, 5)], 1: [(1, 9), (0, 11)], 2: [(0, 3), (1, 4)], 3: [(0, 6)]},
+         {0: [(1, 5)], 1: [(0, 10), (1, 12)]}),
+        # every detection shares one pulse: the pulses below the split hold none
+        ({4: [(0, 1), (1, 2), (0, 8), (1, 9), (0, 20)]},
+         {4: [(1, 2), (0, 3), (0, 9), (1, 15), (1, 21), (0, 22)]}),
+    ], ids=["several_in_the_split_pulse", "no_b_from_the_split_pulse_on", "one_pulse"])
+    def test_pulse_ranges_match_as_the_greedy_loop(self, rows_a, rows_b):
+        a, b = detections_from(rows_a), detections_from(rows_b)
+        rec = match_coincidences(a, b, 4)  # picoseconds, as the times
+        assert len(rec) and record_rows(rec) == oracle_records(a, b, 4)
+
     def test_same_records_on_a_boosted_run(self, monkeypatch):
         config = desk_boosted(seed=3)
         seen = []  # the detections process_run matches

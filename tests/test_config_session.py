@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -354,6 +355,21 @@ class TestSimulateSession:
         simulate_session(c, d2)
         for name in ("manifest.json", "run000_A.tags", "run003_B.tags"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_a_run_s_tags_are_freed_before_the_next_run_is_simulated(self, tmp_path, monkeypatch):
+        # two runs' tags at once were 300 MiB of a 30 s run's simulate peak
+        previous = []  # weak references to the last run's arrays
+
+        def simulate(config, index):
+            assert all(ref() is None for ref in previous), f"run {index - 1} still held"
+            run = simulate_run(config, index)
+            previous[:] = [weakref.ref(a) for s in (run.tags_a, run.tags_b)
+                           for a in (s.channels, s.times_ps)]
+            return run
+
+        monkeypatch.setattr(session_module, "simulate_run", simulate)
+        simulate_session(tiny_config(), tmp_path)
+        assert len(previous) == 4
 
     def test_glitch_injection(self, tmp_path):
         c = tiny_config(glitch_probability=0.99)

@@ -569,3 +569,52 @@ class TestAssignmentExactness:
         assert det.pulse_number.dtype == det.intra_ps.dtype == np.int64
         for name, value in expected.items():
             assert np.array_equal(getattr(det, name), value), name
+
+
+def tag_stream(tags) -> TagStream:
+    """A TagStream of (time_ps, channel) pairs, sorted by (time, channel)."""
+    tags = sorted(tags)
+    return TagStream(np.array([c for _, c in tags], np.uint8), np.array([t for t, _ in tags], np.int64))
+
+
+def assert_assigned_as_reference(stream, triggers, delay, period):
+    det = assign_to_pulses(stream, triggers, delay, period)
+    for name, value in reference_assign(stream, triggers, delay, period).items():
+        got = getattr(det, name)
+        assert np.array_equal(got, value) and np.asarray(got).dtype == np.asarray(value).dtype, name
+
+
+class TestSplitAssignment:
+    """The stream is assigned in two halves, the later one starting at tag
+    n - n // 2: each case puts a different tag there."""
+
+    TRIGGERS = np.arange(4, dtype=np.int64) * 100
+    T = CHANNEL_TRIGGER
+
+    @pytest.mark.parametrize("tags, delay, middle", [
+        ([(0, T), (10, 1), (50, 2), (80, 1), (100, T), (110, 1), (200, T), (300, T)],
+         0, (100, T)),
+        # at delay 0 the detection is in the pulse of the trigger after it in the stream
+        ([(0, T), (10, 1), (100, T), (150, 2), (200, 1), (200, T), (250, 2), (300, T)],
+         0, (200, 1)),
+        # 210 - 30 falls back across the trigger at 200, into pulse 1
+        ([(0, T), (40, 1), (100, T), (120, 2), (200, T), (210, 1), (260, 2), (300, T),
+          (340, 1)], 30, (210, 1)),
+        ([(0, T), (10, 1), (20, 2), (50, 1), (100, T), (200, T), (300, T)], 0, (100, T)),
+        ([(0, T), (100, T), (200, T), (250, 2), (300, T), (330, 1)], 0, (250, 2)),
+    ], ids=["on_a_trigger", "tied_with_a_trigger", "moved_back_across_a_trigger",
+            "later_half_without_detections", "first_half_without_detections"])
+    def test_halves_assign_as_the_reference(self, tags, delay, middle):
+        stream = tag_stream(tags)
+        n = len(stream)
+        assert (int(stream.times_ps[n - n // 2]), int(stream.channels[n - n // 2])) == middle
+        assert_assigned_as_reference(stream, self.TRIGGERS, delay, 100)
+
+    @pytest.mark.parametrize("delay", [0, 30, -30])
+    def test_streams_of_0_to_3_tags_assign_as_the_reference(self, delay):
+        # before the first trigger, on one, inside pulses, and past the last pulse
+        pool = [(-5, 1), (0, self.T), (0, 1), (50, 2), (100, self.T), (150, 1),
+                (300, self.T), (399, 1), (420, 2)]
+        for size in range(4):
+            for tags in itertools.combinations(pool, size):
+                assert_assigned_as_reference(tag_stream(tags), self.TRIGGERS, delay, 100)
